@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 class PlanError(ValueError):
@@ -252,7 +252,8 @@ def code_coefficients(plan: CoefficientPlan, N: int) -> list[int]:
         p, q = plan.p(n), plan.q(n)
         inv = 0 if q == 1 else pow(p, -1, q)
         a = out[-1] - inv
-        assert abs(a) < 2 * q, f"|A_{n + 1}| = {abs(a)} >= 2*q_{n} = {2 * q}"
+        if abs(a) >= 2 * q:
+            raise PlanError(f"|A_{n + 1}| = {abs(a)} >= 2*q_{n} = {2 * q}")
         out.append(a)
     return out
 
@@ -448,7 +449,7 @@ def audit_plan(plan: CoefficientPlan, policy: GrowthPolicy | None = None,
     for i in range(n_st):
         s_prev = st[i - 1].s if i else st[0].s
         r = st[i].k // s_prev if st[i].k % s_prev == 0 else 0
-        root = int(r ** 0.5 + 0.5) if r else 0
+        root = isqrt(r)
         if not (r and root * root == r and prime(root)):
             bad.append(i)
     add("IR6", not bad, {"violating_stages": bad}, floor=True)

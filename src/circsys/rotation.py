@@ -186,10 +186,6 @@ def match_class(beta, pw: PointWindow, n: int) -> MatchClass:
 # ---------------------------------------------------------------------------
 # ill densities
 
-def _floor_div(num, den):
-    return num // den
-
-
 def _stage_arrays(plan, n: int, m: int, beta: Fraction):
     """(r, d) over all tower positions at anchor m for stage n: interval
     index and displacement, as int64 arrays."""

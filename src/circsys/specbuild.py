@@ -353,69 +353,163 @@ def _slot_matrix(seq, n):
     return np.array(rows, dtype=np.int64), s, s_prev
 
 
-def _parity_pairs(s_prev, u_rev, v_rev):
-    """Pair ids (u' * 2*s_prev + v') with the parities demanded by the
-    signed words u, v."""
-    urange = range(s_prev, 2 * s_prev) if u_rev else range(s_prev)
-    vrange = range(s_prev, 2 * s_prev) if v_rev else range(s_prev)
-    return [a * 2 * s_prev + b for a in urange for b in vrange]
+# elements per working array of the prefix kernel; bounds its memory
+_CHUNK_ELEMS = 1 << 14
+# float filter margin: far above the float64 error of a deviation in [0, 1]
+_FILTER_MARGIN = 1e-9
 
 
-def _check_J10(seq, n, eps, tol):
-    slots, s, s_prev = _slot_matrix(seq, n)
+def _prefix_pair_counts(slots, s_prev, U, V, T):
+    """Exact prefix pair counts for the rows (U[r], V[r], T[r]).
+
+    Row r pairs word U[r], shifted by T[r], with word V[r]: position x
+    holds the local pair id (slot u at x + t mod s_prev) * s_prev + (slot
+    v at x mod s_prev).  Every slot of a signed word has that word's
+    parity, so the local id names the signed pair.  Yields (lo, P) for
+    consecutive chunks of rows starting at row lo, where
+
+        P[i, pair, j] = #{x <= j : x < k - t, id(x) = pair}
+
+    as int32, exact for k < 2**31.  Columns j >= k - t hold the count over
+    the whole overlap.  Chunks keep every working array near _CHUNK_ELEMS
+    elements.
+
+    The J checks built on these counts share one exactness contract.
+    Counts are integers.  Floats only pick candidates: every row whose
+    float deviation lies within _FILTER_MARGIN of the largest is
+    re-checked in exact integer arithmetic, so every exact maximum is
+    among the candidates.  Candidates are compared in the checks' own
+    (u, v, t, pair) loop order with a strict ">", so the first exact
+    maximum wins every tie.
+    """
     k = slots.shape[1]
-    target = Fraction(1, s_prev * s_prev)
-    worst, witness = Fraction(0), {}
-    t_max = ceil((1 - Fraction(eps)) * k) - 1
-    for ui in range(2 * s):
-        for vi in range(2 * s):
-            for t in range(1, t_max + 1):
-                pair = slots[ui, t:] * (2 * s_prev) + slots[vi, :k - t]
-                counts = np.bincount(pair, minlength=4 * s_prev * s_prev)
-                for pid in _parity_pairs(s_prev, ui >= s, vi >= s):
-                    dev = abs(Fraction(int(counts[pid]), k - t) - target)
-                    if dev > worst:
-                        worst = dev
-                        witness = {"u": ui, "v": vi, "t": t,
-                                   "pair": (pid // (2 * s_prev),
-                                            pid % (2 * s_prev)),
-                                   "count": int(counts[pid]), "overlap": k - t}
-    status = "pass" if worst < tol else "fail"
-    return SpecEntry("J10", status, worst, tol, witness)
+    npair = s_prev * s_prev
+    ids = np.arange(npair, dtype=np.min_scalar_type(2 * npair))[:, None]
+    local = (slots % s_prev).astype(ids.dtype)
+    L = k - int(T.min())
+    # shifted-out positions read the id npair, which matches no pair
+    shifted = np.concatenate(
+        [local * s_prev, np.full((len(slots), L), npair, ids.dtype)], axis=1)
+    # windows[u, t] = shifted[u, t:t + L], a strided view built directly:
+    # over many small calls, sliding_window_view (through as_strided) kept
+    # about 1 MB more peak memory
+    row, col = shifted.strides
+    windows = np.ndarray((len(slots), k + 1, L), shifted.dtype, shifted,
+                         strides=(row, col, col))
+    step = max(1, _CHUNK_ELEMS // (npair * L))
+    for lo in range(0, len(U), step):
+        sl = slice(lo, lo + step)
+        width = k - int(T[sl].min())
+        pair = windows[U[sl], T[sl], :width] + local[V[sl], :width]
+        yield lo, np.cumsum(pair[:, None, :] == ids, axis=2, dtype=np.int32)
 
 
-def _check_J10_1(seq, n, eps, tol):
-    slots, s, s_prev = _slot_matrix(seq, n)
+def _signed_pair(local_pair, s_prev, u_rev, v_rev):
+    """Witness pair (a, b) over the signed alphabet for a local pair id."""
+    a, b = divmod(int(local_pair), s_prev)
+    return (a + s_prev * u_rev, b + s_prev * v_rev)
+
+
+def _deviation(count, n, npair):
+    """|count / n - 1 / npair| as an unreduced fraction (num, den)."""
+    return abs(count * npair - n), n * npair
+
+
+def _exceeds(dev, worst):
+    """dev > worst, for unreduced fractions, in exact integers."""
+    return dev[0] * worst[1] > worst[0] * dev[1]
+
+
+def _prefix_argmax(slots, s_prev, U, V, T, j_lo):
+    """The prefix deviation each row (U[r], V[r], T[r]) reports: over its
+    window j0 in [j_lo, k - t], the first argmax in (pair, j0) order of
+    the float |count / j0 - 1 / s_prev^2|, computed per element.  Returns
+    (count, j0, local pair) there, per row, in row order."""
     k = slots.shape[1]
-    target = Fraction(1, s_prev * s_prev)
-    eps = Fraction(eps)
-    worst, witness = Fraction(0), {}
-    j_lo = max(1, ceil(eps * k))
-    t_max = ceil((1 - eps) * k) - 1
-    npair = 4 * s_prev * s_prev
-    tf = float(target)
-    for ui in range(2 * s):
-        for vi in range(2 * s):
-            pids = np.array(_parity_pairs(s_prev, ui >= s, vi >= s))
-            for t in range(1, t_max + 1):
-                if k - t < j_lo:
-                    continue
-                pair = slots[ui, t:] * (2 * s_prev) + slots[vi, :k - t]
-                onehot = np.zeros((npair, k - t), dtype=np.int64)
-                onehot[pair, np.arange(k - t)] = 1
-                cums = np.cumsum(onehot[pids], axis=1)[:, j_lo - 1:]
-                j0s = np.arange(j_lo, k - t + 1)
-                devs = np.abs(cums / j0s - tf)
-                r, c = np.unravel_index(np.argmax(devs), devs.shape)
-                dev = abs(Fraction(int(cums[r, c]), int(j0s[c])) - target)
-                if dev > worst:
-                    pid = int(pids[r])
-                    worst = dev
-                    witness = {"u": ui, "v": vi, "t": t, "j0": int(j0s[c]),
-                               "pair": (pid // (2 * s_prev),
-                                        pid % (2 * s_prev))}
-    status = "pass" if worst < tol else "fail"
-    return SpecEntry("J10.1", status, worst, tol, witness)
+    out = []
+    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+        j0s = np.arange(j_lo, P.shape[2] + 1)
+        devs = np.abs(P[:, :, j_lo - 1:] / j0s - 1 / (s_prev * s_prev))
+        outside = j0s > (k - T[lo:lo + len(P)])[:, None]
+        devs[np.broadcast_to(outside[:, None, :], devs.shape)] = -1.0
+        pair, col = np.divmod(devs.reshape(len(P), -1).argmax(axis=1),
+                              len(j0s))
+        out += zip(P[np.arange(len(P)), pair, j_lo - 1 + col].tolist(),
+                   j0s[col].tolist(), pair.tolist())
+    return out
+
+
+def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
+    """J10 over the full overlap of every shift t <= (1 - eps) k, and J10.1
+    over every prefix j0 >= eps_var k of every shift t <= (1 - eps_var) k,
+    from one pass of the prefix kernel."""
+    w, k = slots.shape
+    s = w // 2
+    npair = s_prev * s_prev
+    tf = 1 / npair
+    eps_var = Fraction(eps_var)
+    t10 = ceil((1 - Fraction(eps)) * k) - 1
+    j_lo = max(1, ceil(eps_var * k))
+    t101 = min(ceil((1 - eps_var) * k) - 1, k - j_lo)
+    t_top = max(t10, t101)
+    worst10, wit10, worst101, wit101 = (0, 1), {}, (0, 1), {}
+    if t_top >= 1:
+        U, V, T = (g.ravel() for g in np.meshgrid(
+            np.arange(w, dtype=np.int32), np.arange(w, dtype=np.int32),
+            np.arange(1, t_top + 1, dtype=np.int32), indexing="ij"))
+        totals = np.empty((len(U), npair), np.int32)
+        # per-row float filter values; -1 marks a row outside the check
+        f10, f101 = np.full(len(U), -1.0), np.full(len(U), -1.0)
+        j0_all = np.arange(j_lo, k)
+        tf_j0 = tf * j0_all
+        for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+            hi = lo + len(P)
+            over = (k - T[lo:hi])[:, None]
+            totals[lo:hi] = P[:, :, -1]
+            f10[lo:hi] = np.abs(totals[lo:hi] / over - tf).max(axis=1)
+            win = P[:, :, j_lo - 1:]
+            if not win.size:
+                continue
+            j0s, tfj = j0_all[:win.shape[2]], tf_j0[:win.shape[2]]
+            # max over pairs of |count / j0 - 1 / npair|: one division per j0
+            dev = np.maximum(win.max(axis=1) - tfj,
+                             tfj - win.min(axis=1)) / j0s
+            dev[j0s > over] = -1.0
+            f101[lo:hi] = dev.max(axis=1)
+        f10[T > t10] = -1.0
+        f101[T > t101] = -1.0
+
+        # J10: every pair of every row near the float maximum, exactly
+        if f10.max() >= 0:
+            for i in np.flatnonzero(f10 >= f10.max() - _FILTER_MARGIN):
+                u, v, t = int(U[i]), int(V[i]), int(T[i])
+                for pid, c in enumerate(totals[i].tolist()):
+                    dev = _deviation(c, k - t, npair)
+                    if _exceeds(dev, worst10):
+                        worst10 = dev
+                        wit10 = {"u": u, "v": v, "t": t,
+                                 "pair": _signed_pair(pid, s_prev, u >= s,
+                                                      v >= s),
+                                 "count": c, "overlap": k - t}
+
+        # J10.1: the reported deviation of every row near the float maximum
+        if f101.max() >= 0:
+            cand = np.flatnonzero(f101 >= f101.max() - _FILTER_MARGIN)
+            found = _prefix_argmax(slots, s_prev, U[cand], V[cand], T[cand],
+                                   j_lo)
+            for i, (c, j0, pid) in zip(cand, found):
+                dev = _deviation(c, j0, npair)
+                if _exceeds(dev, worst101):
+                    u, v = int(U[i]), int(V[i])
+                    worst101 = dev
+                    wit101 = {"u": u, "v": v, "t": int(T[i]), "j0": j0,
+                              "pair": _signed_pair(pid, s_prev, u >= s,
+                                                   v >= s)}
+    worst10, worst101 = Fraction(*worst10), Fraction(*worst101)
+    return (SpecEntry("J10", "pass" if worst10 < tol else "fail",
+                      worst10, tol, wit10),
+            SpecEntry("J10.1", "pass" if worst101 < tol else "fail",
+                      worst101, tol, wit101))
 
 
 def _orbit_element(action, cu, cv):
@@ -426,10 +520,10 @@ def _orbit_element(action, cu, cv):
     return None
 
 
-def _check_J11(seq, n, actions, tol):
-    slots, s, s_prev = _slot_matrix(seq, n)
-    k = slots.shape[1]
+def _check_J11(seq, n, slots, actions, tol):
+    s, k = len(slots) // 2, slots.shape[1]
     prev = seq.stage(n)
+    s_prev = prev.size
     action = actions[n] if actions else None
     classes = prev.classes
     worst, witness = Fraction(0), {}
@@ -477,43 +571,46 @@ def _check_J11(seq, n, actions, tol):
     return SpecEntry("J11", status, worst, tol, witness)
 
 
-def _check_J11_1(seq, n, actions, eps, tol):
-    slots, s, s_prev = _slot_matrix(seq, n)
-    k = slots.shape[1]
-    target = Fraction(1, s_prev * s_prev)
-    eps = Fraction(eps)
+def _J11_1_pairs(seq, n, actions):
+    """(u, v) with u unsigned and v signed, outside one class orbit: the
+    word pairs J11.1 examines."""
     cur = seq.stage(n + 1)
-    worst, witness = Fraction(0), {}
-    j_lo = max(1, ceil(eps * k))
+    s = cur.size
+    act = actions[n + 1] if actions else None
+    out = []
     for ui in range(s):
         for vi in range(2 * s):
-            if cur.classes is not None and actions and \
-                    actions[n + 1] is not None:
+            if cur.classes is not None and act is not None:
                 cu = (cur.classes[ui], FWD)
                 cv = (cur.classes[vi % s], REV if vi >= s else FWD)
-                if _orbit_element(actions[n + 1], cu, cv) is not None:
+                if _orbit_element(act, cu, cv) is not None:
                     continue                  # hypothesis: not in the orbit
-            pids = np.array(_parity_pairs(s_prev, False, vi >= s))
-            pair = slots[ui, :] * (2 * s_prev) + slots[vi, :]
-            npair = 4 * s_prev * s_prev
-            onehot = np.zeros((npair, k), dtype=np.int64)
-            onehot[pair, np.arange(k)] = 1
-            pre = np.cumsum(onehot[pids], axis=1)
-            suf = np.cumsum(onehot[pids][:, ::-1], axis=1)
-            j0s = np.arange(j_lo, k + 1)
-            tf = float(target)
-            for segment, cums in (("initial", pre), ("tail", suf)):
-                win = cums[:, j_lo - 1:]
-                devs = np.abs(win / j0s - tf)
-                r, c = np.unravel_index(np.argmax(devs), devs.shape)
-                dev = abs(Fraction(int(win[r, c]), int(j0s[c])) - target)
-                if dev > worst:
-                    pid = int(pids[r])
+            out.append((ui, vi))
+    return out
+
+
+def _check_J11_1(slots, s_prev, pairs, eps, tol):
+    """Initial and tail prefix counts of the aligned pairs (u, v): the
+    prefix kernel's t = 0 rows, on the words and on their reversals."""
+    k = slots.shape[1]
+    s = len(slots) // 2
+    j_lo = max(1, ceil(Fraction(eps) * k))
+    worst, witness = (0, 1), {}
+    if pairs:
+        U, V = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+        T = np.zeros_like(U)
+        initial = _prefix_argmax(slots, s_prev, U, V, T, j_lo)
+        tail = _prefix_argmax(slots[:, ::-1], s_prev, U, V, T, j_lo)
+        for (ui, vi), *found in zip(pairs, initial, tail):
+            for segment, (c, j0, pid) in zip(("initial", "tail"), found):
+                dev = _deviation(c, j0, s_prev * s_prev)
+                if _exceeds(dev, worst):
                     worst = dev
-                    witness = {"u": ui, "v": vi, "j0": int(j0s[c]),
+                    witness = {"u": ui, "v": vi, "j0": j0,
                                "segment": segment,
-                               "pair": (pid // (2 * s_prev),
-                                        pid % (2 * s_prev))}
+                               "pair": _signed_pair(pid, s_prev, False,
+                                                    vi >= s)}
+    worst = Fraction(*worst)
     status = "pass" if worst < tol else "fail"
     return SpecEntry("J11.1", status, worst, tol, witness)
 
@@ -538,6 +635,7 @@ def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
         jt = tol.j(n)
         M1 = built.scaffold.M(1)
         founded = M1 is not None and n + 1 >= M1
+        slots, _, s_prev = _slot_matrix(seq, n)
         checks = [
             _check_E1(seq, n), _check_E2(seq, n), _check_E3(seq, n),
             _check_Q4(seq, n + 1, built.scaffold, eps),
@@ -549,10 +647,10 @@ def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
             _check_A7(built.actions[n + 1] if built.actions else None),
             _check_A8(built.actions[n + 1] if built.actions else None),
             _check_A9(seq, n, built.actions),
-            _check_J10(seq, n, eps, jt),
-            _check_J10_1(seq, n, eps_var, jt),
-            _check_J11(seq, n, built.actions, jt),
-            _check_J11_1(seq, n, built.actions, eps, jt),
+            *_check_J10_J10_1(slots, s_prev, eps, eps_var, jt),
+            _check_J11(seq, n, slots, built.actions, jt),
+            _check_J11_1(slots, s_prev,
+                         _J11_1_pairs(seq, n, built.actions), eps, jt),
         ]
         for e in checks:
             entries.append(replace(e, spec_id=f"{e.spec_id}@{n}"))

@@ -98,6 +98,16 @@ class TestCodeCoefficients:
         for n in range(1, 4):
             assert abs(A[n]) < 2 * plan.q(n - 1) * plan.q(n)
 
+    def test_growth_violation_raises_plan_error(self):
+        # q_n shrinking from 7 to 2 breaks |A_n| < 2 q_n, which no plan
+        # obeying the q recursion can; the check must survive python -O
+        class ShrinkingPlan:
+            depth = 3
+            p = staticmethod(lambda n: (0, 3, 1)[n])
+            q = staticmethod(lambda n: (1, 7, 2)[n])
+        with pytest.raises(PlanError):
+            code_coefficients(ShrinkingPlan(), 3)
+
 
 class TestAudit:
     def test_desk_plan_audited_not_passing(self):
@@ -106,6 +116,21 @@ class TestAudit:
         rep = audit_plan(desk_plan())
         assert not rep.ok()
         assert any(e.status == "pass" for e in rep.entries)
+
+    def test_IR6_accepts_large_prime_square(self):
+        # k_0 = P^2 * s with P = 10^9 + 7: P^2 is past 2^53, where a float
+        # square root is no longer exact arithmetic
+        p = 10 ** 9 + 7
+        plan = desk_plan(kl=((p * p, 2),), s=(1,))
+        assert audit_plan(plan).entry("IR6").witness == \
+            {"violating_stages": []}
+
+    def test_IR6_square_beyond_float_range(self):
+        # k_0 = (2 * 10^200)^2 cannot be converted to a float at all
+        plan = desk_plan(kl=(((2 * 10 ** 200) ** 2, 2), (11 ** 2, 2)),
+                         s=(1, 1))
+        ir6 = audit_plan(plan).entry("IR6")
+        assert ir6.witness == {"violating_stages": [0]}
 
     def test_report_json_shape(self):
         rep = audit_plan(desk_plan())
