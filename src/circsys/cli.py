@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -71,11 +72,17 @@ def _read_input(path: str) -> tuple:
     return data.decode(), _hash_bytes(data)
 
 
-def _emit(ctx, payload: dict, manifest: RunManifest) -> None:
+def _render(payload: dict, manifest: RunManifest) -> str:
     doc = {"manifest": asdict(manifest) | {"digest": manifest.digest()}}
     doc.update(payload)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(ctx, payload: dict, manifest: RunManifest) -> str:
+    """Write the report; returns its text."""
+    text = _render(payload, manifest)
     _write(ctx, text)
+    return text
 
 
 def _write(ctx, text: str) -> None:
@@ -174,14 +181,10 @@ def _frac_str(x) -> str:
 @click.group(name="circsys")
 @click.option("--out", default=None, metavar="PATH",
               help="Write the report here instead of stdout.")
-@click.option("--jobs", default=1, show_default=True,
-              help="Worker budget; results never depend on it.")
 @click.pass_context
-def cli(ctx, out, jobs):
+def cli(ctx, out):
     """Staged circular constructions: plans, builds, checks, reductions."""
-    if jobs < 1:
-        raise click.ClickException("--jobs must be at least 1")
-    ctx.obj = {"out": out, "jobs": jobs}
+    ctx.obj = {"out": out}
 
 
 _plan_opts = [
@@ -511,11 +514,7 @@ def reduce_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
         "exhausted": res.exhausted,
         "handoff": realization_handoff(res),
     }
-    doc = {"manifest": asdict(man) | {"digest": man.digest()}}
-    doc.update(payload)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _cache_store(man, text)
-    _write(ctx, text)
+    _cache_store(man, _emit(ctx, payload, man))
     return 0
 
 
@@ -562,18 +561,34 @@ def _cache_path(man: RunManifest):
 
 
 def _cache_load(man: RunManifest):
+    """The cached report, or None on a miss; an entry that cannot be read
+    or is not JSON (say, left truncated by a killed writer) is a miss."""
     path = _cache_path(man)
-    if path and os.path.exists(path):
+    if not path:
+        return None
+    try:
         with open(path) as fh:
-            return fh.read()
-    return None
+            text = fh.read()
+        json.loads(text)
+    except (OSError, ValueError):
+        return None
+    return text
 
 
 def _cache_store(man: RunManifest, text: str) -> None:
+    """Write the entry to a temporary file in the cache directory, then
+    rename it into place, so readers see the whole entry or none."""
     path = _cache_path(man)
-    if path:
-        with open(path, "w") as fh:
+    if not path:
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 
@@ -26,21 +27,29 @@ class NoInverseError(ValueError):
     """Modular inverse requested for a non-coprime pair."""
 
 
-def dynamical_index(p: int, q: int, i: int) -> int:
-    """j_i = p^{-1} * i mod q, the dynamical position of interval i.
+@lru_cache(maxsize=1024)
+def inverse_mod(p: int, q: int) -> int:
+    """p^{-1} mod q, computed once per pair.
 
     The degenerate pair (p, q) = (0, 1) returns 0 by convention (the
     inverse of p_0 is taken to be 0).
     """
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
-    if not 0 <= i < q:
-        raise ValueError(f"index i={i} outside [0, {q})")
     if q == 1:
         return 0
     if gcd(p, q) != 1:
         raise NoInverseError(f"p={p} has no inverse mod q={q}")
-    return (pow(p, -1, q) * i) % q
+    return pow(p, -1, q)
+
+
+def dynamical_index(p: int, q: int, i: int) -> int:
+    """j_i = p^{-1} * i mod q, the dynamical position of interval i."""
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
+    if not 0 <= i < q:
+        raise ValueError(f"index i={i} outside [0, {q})")
+    return inverse_mod(p, q) * i % q
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,14 @@ class PlanStage:
     def __post_init__(self):
         if self.k < 2 or self.l < 2:
             raise PlanError(f"k,l must be >= 2, got k={self.k} l={self.l}")
+
+    @cached_property
+    def edge_bands(self) -> tuple:
+        """(floor(eps l), floor(eps k), floor(eps q)) with eps the classic
+        epsilon: the copy, 1-subsection and section bands at either end of
+        this stage's grid that a mature point avoids."""
+        eps = self.eps_classic
+        return tuple(eps * x // 1 for x in (self.l, self.k, self.q))
 
 
 @dataclass(frozen=True)

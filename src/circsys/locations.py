@@ -16,7 +16,7 @@ from math import floor
 
 import numpy as np
 
-from .coefficients import dynamical_index
+from .coefficients import dynamical_index, inverse_mod
 from .words import (Word, Literal, Power, Concat, CircularNode, ReversedNode,
                     SYMBOL_B, SYMBOL_E, SYMBOL_STAR)
 from .systems import ConstructionSequence, CIRCULAR
@@ -59,31 +59,20 @@ class PointWindow:
         return "".join(self.symbol(i) for i in range(a, b))
 
 
-def _grid(plan, m):
-    st = plan.stage(m)
-    return st.k, st.l, plan.p(m), plan.q(m)
+def descend(st, x):
+    """One level of the subword grid.  x is a position inside a stage-(m+1)
+    block and st is plan.stage(m); returns (i, j, copy, r, ok): the
+    section i, the 1-subsection j, the copy of the m-block that x falls in
+    and its position r inside that copy.  ok is False where x lies in a
+    spacer run, and then copy and r mean nothing.
 
-
-def _descend_coords(pw: PointWindow, n: int):
-    """Walk the subword grid from stage M down to n.  Yields per level m
-    (from M-1 down to n) either coordinates (i, j, copy, r_m) or a
-    boundary stop."""
-    plan = pw.seq.plan
-    x = pw.anchor
-    for m in range(pw.M - 1, n - 1, -1):
-        k, l, p, q = _grid(plan, m)
-        dec_grid = (k, l, p, q)
-        sec = l * q
-        t, off = divmod(x, sec)
-        i, j = divmod(t, k)
-        ji = dynamical_index(p, q, i)
-        off -= q - ji
-        if not 0 <= off < (l - 1) * q:
-            yield m, None
-            return
-        copy, r = divmod(off, q)
-        yield m, (i, j, copy, r)
-        x = r
+    Plain integer arithmetic, so x may be an int or an int64 array."""
+    q = st.q
+    sec = st.l * q
+    t = x // sec
+    i = t // st.k
+    off = x - t * sec - q + inverse_mod(st.p, q) * i % q
+    return i, t % st.k, off // q, off % q, (off >= 0) & (off < sec - q)
 
 
 def locate(pw: PointWindow, n: int) -> Location:
@@ -91,14 +80,13 @@ def locate(pw: PointWindow, n: int) -> Location:
     undefined when some intermediate level puts it in a spacer run."""
     if not 0 <= n <= pw.M:
         raise ValueError("stage out of range")
-    if n == pw.M:
-        return Location(pw.anchor)
-    r = None
-    for m, coords in _descend_coords(pw, n):
-        if coords is None:
+    plan = pw.seq.plan
+    x = pw.anchor
+    for m in range(pw.M - 1, n - 1, -1):
+        *_, x, ok = descend(plan.stage(m), x)
+        if not ok:
             return Location(None, f"boundary at stage {m + 1}")
-        r = coords[3]
-    return Location(r)
+    return Location(x)
 
 
 EDGE_SET_NAMES = ("boundary", "copy-edge", "subsection-edge", "section-edge")
@@ -117,20 +105,18 @@ def maturity(pw: PointWindow, n: int) -> MaturityResult:
     if not 0 <= n < pw.M:
         raise ValueError("need n < M")
     plan = pw.seq.plan
-    for m, coords in _descend_coords(pw, n):
-        if coords is None:
-            return MaturityResult(False, f"boundary@{m + 1}")
-        i, j, copy, _ = coords
+    x = pw.anchor
+    for m in range(pw.M - 1, n - 1, -1):
         st = plan.stage(m)
-        q = plan.q(m)
-        e0 = floor(st.eps_classic * st.l)
-        e1 = floor(st.eps_classic * st.k)
-        e2 = floor(st.eps_classic * q)
+        i, j, copy, x, ok = descend(st, x)
+        if not ok:
+            return MaturityResult(False, f"boundary@{m + 1}")
+        e0, e1, e2 = st.edge_bands
         if copy < e0 or copy >= (st.l - 1) - e0:
             return MaturityResult(False, f"copy-edge@{m}")
         if j < e1 or j >= st.k - e1:
             return MaturityResult(False, f"subsection-edge@{m}")
-        if i < e2 or i >= q - e2:
+        if i < e2 or i >= st.q - e2:
             return MaturityResult(False, f"section-edge@{m}")
     return MaturityResult(True)
 
@@ -190,21 +176,10 @@ def location_tables(plan, M: int, n_min: int = 0) -> dict:
     """r_n for every tower position at once: maps n to an int64 array of
     length q_M holding r_n(x), with -1 where undefined.  Pure grid
     arithmetic; no symbols touched."""
-    qM = plan.q(M)
-    cur = np.arange(qM, dtype=np.int64)
-    out = {M: cur.copy()}
+    cur = np.arange(plan.q(M), dtype=np.int64)
+    out = {M: cur}
     for m in range(M - 1, n_min - 1, -1):
-        k, l, p, q = _grid(plan, m)
-        sec = l * q
-        x = cur
-        valid = x >= 0
-        t = np.where(valid, x, 0) // sec
-        i = t // k
-        ji = np.array([dynamical_index(p, q, int(v)) for v in range(q)],
-                      dtype=np.int64)[i % q]
-        off = np.where(valid, x, 0) - t * sec - (q - ji)
-        ok = valid & (off >= 0) & (off < (l - 1) * q)
-        nxt = np.where(ok, off % q, -1)
-        out[m] = nxt
-        cur = nxt
+        *_, r, ok = descend(plan.stage(m), cur)
+        cur = np.where(ok & (cur >= 0), r, -1)
+        out[m] = cur
     return out

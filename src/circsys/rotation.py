@@ -2,9 +2,10 @@
 and red zones.
 
 Tower positions at anchor stage m are identified with the left endpoints
-of the dynamically-ordered 1/q_m intervals, so every quantity here is
-exact rational arithmetic; the bulk paths do the same arithmetic on
-integer numerators with numpy.
+a/q_m, a = x p_m mod q_m, of the dynamically-ordered 1/q_m intervals, so
+every per-position quantity is an integer function of a.  One kernel
+computes them with plain integer arithmetic, on a Python int for the
+pointwise API and on an int64 array for the bulk paths.
 """
 
 from __future__ import annotations
@@ -14,38 +15,76 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import dynamical_index
-from .locations import D_n, PointWindow, maturity
+from .coefficients import dynamical_index, inverse_mod
+from .locations import D_n, PointWindow, descend, maturity
 
 LANE_L, LANE_R = "L", "R"
 
 
-def _interval_value(plan, m: int, x: int) -> Fraction:
-    """Left endpoint of tower position x's interval at anchor m."""
+# ---------------------------------------------------------------------------
+# position kernel
+
+class _Stage(NamedTuple):
+    """Constants of stage n for the position kernel at anchor m."""
+    q: int                    # q_n
+    inv: int                  # p_n^{-1} mod q_n
+    qm: int                   # q_m
+    fb: int                   # floor(beta q_n)
+    T: int                    # lane R exactly when (a q_n mod q_m) >= T
+    degenerate: bool          # beta a multiple of 1/q_n
+
+
+def _stage(plan, n: int, m: int, beta: Fraction) -> _Stage:
+    """Kernel constants of stage n at anchor m for rotation by beta.
+
+    With beta q_n = fb + c/bd, adding beta to a/q_m carries one
+    q_n-interval past fb exactly when (a q_n mod q_m)/q_m >= 1 - c/bd,
+    that is when a q_n mod q_m >= T = ceil((bd - c) q_m / bd)."""
+    q, qm, bd = plan.q(n), plan.q(m), beta.denominator
+    fb, c = divmod(beta.numerator % bd * q, bd)
+    return _Stage(q, inverse_mod(plan.p(n), q), qm, fb,
+                  -((c - bd) * qm // bd), c == 0)
+
+
+def _position(st: _Stage, a):
+    """(r_n, d_n, lane R) at interval numerator a: the dynamical index of
+    the q_n-interval holding a/q_m and the displacement beta adds to it.
+    For n <= m no product exceeds q_m q_n, so an int64 array a is exact
+    whenever q_m q_n < 2^63."""
+    aq = a * st.q
+    carry = aq % st.qm >= st.T
+    return (st.inv * (aq // st.qm) % st.q,
+            st.inv * (st.fb + carry) % st.q, carry)
+
+
+def _numerator(plan, m: int, x):
+    """a = x p_m mod q_m for tower position(s) x at anchor m."""
     qm = plan.q(m)
-    return Fraction((x * plan.p(m)) % qm, qm)
+    return x * (plan.p(m) % qm) % qm
 
 
-def _jcoord(plan, n: int, y: int) -> int:
-    """1-subsection index of position y inside a stage-(n+1) block."""
+def _tower(plan, m: int) -> np.ndarray:
+    """Interval numerators of all q_m tower positions at anchor m."""
+    return _numerator(plan, m, np.arange(plan.q(m), dtype=np.int64))
+
+
+def _match(plan, n: int, m: int, beta: Fraction, a):
+    """(valid, j0, j1) at interval numerator a: whether the principal
+    n-block starts in a digit region of its (n+1)-block at the copy offset
+    r_n, and the 1-subsection of that start after (j0) and before (j1)
+    displacement."""
+    lo, hi = _stage(plan, n, m, beta), _stage(plan, n + 1, m, beta)
+    r_lo, d_lo, _ = _position(lo, a)
+    r_hi, d_hi, _ = _position(hi, a)
+    base = (r_hi - r_lo) % hi.q
     st = plan.stage(n)
-    return (y // (st.l * plan.q(n))) % st.k
-
-
-def _block_start_valid(plan, n: int, r_next: int, r_n: int) -> bool:
-    """Does position r_next of an (n+1)-block sit inside a digit region
-    whose copy offset is r_n?"""
-    q = plan.q(n)
-    st = plan.stage(n)
-    sec = st.l * q
-    t, off = divmod(r_next, sec)
-    i = t // st.k
-    off -= q - dynamical_index(plan.p(n), q, i)
-    return 0 <= off < (st.l - 1) * q and off % q == r_n
+    _, j1, _, r, ok = descend(st, base)
+    j0 = descend(st, (base + d_hi - d_lo) % hi.q)[1]
+    return ok & (r == r_lo), j0, j1
 
 
 # ---------------------------------------------------------------------------
@@ -76,28 +115,17 @@ class RotationAnalysis:
 def analyze_rotation(plan, beta, m: int) -> RotationAnalysis:
     beta = Fraction(beta) % 1
     qm = plan.q(m)
+    a = _tower(plan, m)
     records = []
     for n in range(m):
         q = plan.q(n)
         p = plan.p(n)
         d_L = D_n(beta, (p, q))
         d_R = D_n((beta + Fraction(1, q)) % 1, (p, q))
-        frac = beta * q - floor(beta * q)
-        degenerate = frac == 0
-        beta_n = Fraction(0) if degenerate else 1 - frac
-        cut = beta_n  # lane L exactly when frac(v q_n) < beta_n
-        lane_L = lane_R = uncertain = 0
-        bd = cut.denominator
-        # frac(v q_n) for position x is ((x p_m mod q_m) q_n mod q_m)/q_m
-        a = (np.arange(qm, dtype=np.int64) * (plan.p(m) % qm)) % qm
-        fr = (a * q) % qm
-        if degenerate:
-            lane_L = qm
-        else:
-            lhs = fr * bd
-            rhs = qm * cut.numerator
-            lane_L = int((lhs < rhs).sum())
-            lane_R = qm - lane_L
+        st = _stage(plan, n, m, beta)
+        beta_n = Fraction(0) if st.degenerate else 1 - (beta * q - st.fb)
+        lane_R = int(_position(st, a)[2].sum())
+        uncertain = 0
         # cuts interior to an interval: v* = (j - beta q)/q with v* q_m
         # not an integer
         for j in range(q):
@@ -105,8 +133,8 @@ def analyze_rotation(plan, beta, m: int) -> RotationAnalysis:
             v_qm = num * qm / q
             if v_qm.denominator != 1:
                 uncertain += 1
-        records.append(StageRotation(n, d_L, d_R, beta_n, degenerate,
-                                     lane_L, lane_R, uncertain))
+        records.append(StageRotation(n, d_L, d_R, beta_n, st.degenerate,
+                                     qm - lane_R, lane_R, uncertain))
     return RotationAnalysis(beta, m, tuple(records))
 
 
@@ -126,21 +154,14 @@ class Displacement:
 
 
 def displacement(beta, pw: PointWindow, n: int) -> Displacement:
-    beta = Fraction(beta) % 1
     plan = pw.seq.plan
     if n < pw.M:
         mat = maturity(pw, n)
         if not mat.mature:
             return Displacement(None, None, reason=mat.violated)
-    q, p = plan.q(n), plan.p(n)
-    v = _interval_value(plan, pw.M, pw.anchor)
-    w = (v + beta) % 1
-    d = (D_n(w, (p, q)) - D_n(v, (p, q))) % q
-    frac_v = v * q - floor(v * q)
-    frac_b = beta * q - floor(beta * q)
-    degenerate = frac_b == 0
-    lane = LANE_L if (degenerate or frac_v < 1 - frac_b) else LANE_R
-    return Displacement(d, lane, degenerate)
+    st = _stage(plan, n, pw.M, Fraction(beta))
+    _, d, carry = _position(st, _numerator(plan, pw.M, pw.anchor))
+    return Displacement(d, LANE_R if carry else LANE_L, st.degenerate)
 
 
 @dataclass(frozen=True)
@@ -160,24 +181,17 @@ def match_class(beta, pw: PointWindow, n: int) -> MatchClass:
     """Compare the argument slot holding the point's principal n-block
     with the slot holding it after displacement; well exactly when they
     agree."""
-    plan = pw.seq.plan
     if n + 1 > pw.M:
         return MatchClass(None, reason="anchor too shallow")
-    d_lo = displacement(beta, pw, n)
-    d_hi = displacement(beta, pw, n + 1)
-    if not d_lo.defined or not d_hi.defined:
-        return MatchClass(None, reason=d_lo.reason or d_hi.reason)
-    beta = Fraction(beta) % 1
-    v = _interval_value(plan, pw.M, pw.anchor)
-    q_lo, q_hi = plan.q(n), plan.q(n + 1)
-    r_lo = D_n(v, (plan.p(n), q_lo))
-    r_hi = D_n(v, (plan.p(n + 1), q_hi))
-    base = (r_hi - r_lo) % q_hi
-    if not _block_start_valid(plan, n, base, r_lo):
+    # maturity at n covers every level maturity at n + 1 checks
+    mat = maturity(pw, n)
+    if not mat.mature:
+        return MatchClass(None, reason=mat.violated)
+    plan = pw.seq.plan
+    valid, j0, j1 = _match(plan, n, pw.M, Fraction(beta),
+                           _numerator(plan, pw.M, pw.anchor))
+    if not valid:
         return MatchClass(None, reason="block start in spacer region")
-    shifted = (base + d_hi.value - d_lo.value) % q_hi
-    j1 = _jcoord(plan, n, base)
-    j0 = _jcoord(plan, n, shifted)
     if j0 == j1:
         return MatchClass("well", j0, j1)
     return MatchClass("ill", j0, j1, t=plan.stage(n).k - j0)
@@ -186,83 +200,27 @@ def match_class(beta, pw: PointWindow, n: int) -> MatchClass:
 # ---------------------------------------------------------------------------
 # ill densities
 
-def _stage_arrays(plan, n: int, m: int, beta: Fraction):
-    """(r, d) over all tower positions at anchor m for stage n: interval
-    index and displacement, as int64 arrays."""
-    qm, q, p = plan.q(m), plan.q(n), plan.p(n)
-    bn, bd = beta.numerator, beta.denominator
-    a = (np.arange(qm, dtype=np.int64) * (plan.p(m) % qm)) % qm
-    inv = np.array([dynamical_index(p, q, i) for i in range(q)],
-                   dtype=np.int64)
-    fl_v = (a * q) // qm
-    r = inv[fl_v % q]
-    # w = a/qm + bn/bd mod 1; floor(w q) over denominator qm*bd
-    num = (a * bd + bn * qm) % (qm * bd)
-    fl_w = (num * q) // (qm * bd)
-    rw = inv[fl_w % q]
-    d = (rw - r) % q
-    return r, d
-
-
-def _ill_mask(plan, n: int, m: int, beta: Fraction) -> np.ndarray:
-    q_lo, q_hi = plan.q(n), plan.q(n + 1)
-    st = plan.stage(n)
-    r_lo, d_lo = _stage_arrays(plan, n, m, beta)
-    r_hi, d_hi = _stage_arrays(plan, n + 1, m, beta)
-    base = (r_hi - r_lo) % q_hi
-    sec = st.l * q_lo
-    t, off = np.divmod(base, sec)
-    i = t // st.k
-    inv = np.array([dynamical_index(plan.p(n), q_lo, v) for v in range(q_lo)],
-                   dtype=np.int64)
-    off = off - (q_lo - inv[i % q_lo])
-    valid = (off >= 0) & (off < (st.l - 1) * q_lo) & (off % q_lo == r_lo)
-    shifted = (base + d_hi - d_lo) % q_hi
-    j1 = (base // sec) % st.k
-    j0 = (shifted // sec) % st.k
-    return valid & (j0 != j1)
-
-
 def delta_n(beta, n: int, m: int, plan) -> Fraction:
     """Exact density of ill-matched tower positions at stage n, counted
     over the anchor-m tower."""
     if m <= n + 1:
         raise ValueError("need m > n + 1")
-    beta = Fraction(beta) % 1
-    mask = _ill_mask(plan, n, m, beta)
-    return Fraction(int(mask.sum()), plan.q(m))
-
-
-def delta_n_naive(beta, n: int, m: int, plan) -> Fraction:
-    """Per-position simulation with scalar rational arithmetic; exists to
-    cross-check the array path."""
-    if m <= n + 1:
-        raise ValueError("need m > n + 1")
-    beta = Fraction(beta) % 1
-    qm = plan.q(m)
-    q_lo, q_hi = plan.q(n), plan.q(n + 1)
-    ill = 0
-    for x in range(qm):
-        v = _interval_value(plan, m, x)
-        w = (v + beta) % 1
-        r_lo = D_n(v, (plan.p(n), q_lo))
-        r_hi = D_n(v, (plan.p(n + 1), q_hi))
-        d_lo = (D_n(w, (plan.p(n), q_lo)) - r_lo) % q_lo
-        d_hi = (D_n(w, (plan.p(n + 1), q_hi)) - r_hi) % q_hi
-        base = (r_hi - r_lo) % q_hi
-        if not _block_start_valid(plan, n, base, r_lo):
-            continue
-        if _jcoord(plan, n, (base + d_hi - d_lo) % q_hi) != \
-                _jcoord(plan, n, base):
-            ill += 1
-    return Fraction(ill, qm)
+    valid, j0, j1 = _match(plan, n, m, Fraction(beta), _tower(plan, m))
+    return Fraction(int((valid & (j0 != j1)).sum()), plan.q(m))
 
 
 def ill_at(beta, plan, n: int, m: int, x: int) -> bool:
-    """Scalar ill-matching test for one tower position; the point-by-point
-    re-verification path for zones."""
+    """Scalar ill-matching test for one tower position."""
+    valid, j0, j1 = _match(plan, n, m, Fraction(beta), _numerator(plan, m, x))
+    return valid and j0 != j1
+
+
+def ill_at_naive(beta, plan, n: int, m: int, x: int) -> bool:
+    """ill_at in rational arithmetic through D_n, sharing no code with the
+    position kernel: the oracle the kernel is checked against."""
     beta = Fraction(beta) % 1
-    v = _interval_value(plan, m, x)
+    qm = plan.q(m)
+    v = Fraction(x * plan.p(m) % qm, qm)
     w = (v + beta) % 1
     q_lo, q_hi = plan.q(n), plan.q(n + 1)
     r_lo = D_n(v, (plan.p(n), q_lo))
@@ -270,10 +228,25 @@ def ill_at(beta, plan, n: int, m: int, x: int) -> bool:
     d_lo = (D_n(w, (plan.p(n), q_lo)) - r_lo) % q_lo
     d_hi = (D_n(w, (plan.p(n + 1), q_hi)) - r_hi) % q_hi
     base = (r_hi - r_lo) % q_hi
-    if not _block_start_valid(plan, n, base, r_lo):
+    # the block start must sit in a digit region whose copy offset is r_lo
+    st = plan.stage(n)
+    sec = st.l * q_lo
+    t, off = divmod(base, sec)
+    off -= q_lo - dynamical_index(plan.p(n), q_lo, t // st.k)
+    if not (0 <= off < (st.l - 1) * q_lo and off % q_lo == r_lo):
         return False
-    return _jcoord(plan, n, (base + d_hi - d_lo) % q_hi) != \
-        _jcoord(plan, n, base)
+    shifted = (base + d_hi - d_lo) % q_hi
+    return (shifted // sec) % st.k != t % st.k
+
+
+def delta_n_naive(beta, n: int, m: int, plan) -> Fraction:
+    """Per-position simulation with ill_at_naive; exists to cross-check
+    the array path."""
+    if m <= n + 1:
+        raise ValueError("need m > n + 1")
+    qm = plan.q(m)
+    return Fraction(sum(ill_at_naive(beta, plan, n, m, x)
+                        for x in range(qm)), qm)
 
 
 @dataclass(frozen=True)
@@ -317,20 +290,6 @@ class RedZone:
     shortfall: bool
 
 
-def _layer_configuration(plan, n: int, m: int, beta: Fraction, x: int):
-    """(j0, t) of one representative ill position, by the scalar path."""
-    v = _interval_value(plan, m, x)
-    w = (v + beta) % 1
-    q_lo, q_hi = plan.q(n), plan.q(n + 1)
-    r_lo = D_n(v, (plan.p(n), q_lo))
-    r_hi = D_n(v, (plan.p(n + 1), q_hi))
-    d_lo = (D_n(w, (plan.p(n), q_lo)) - r_lo) % q_lo
-    d_hi = (D_n(w, (plan.p(n + 1), q_hi)) - r_hi) % q_hi
-    base = (r_hi - r_lo) % q_hi
-    j0 = _jcoord(plan, n, (base + d_hi - d_lo) % q_hi)
-    return j0, plan.stage(n).k - j0
-
-
 def build_red_zones(beta, plan, M: int, delta: Fraction,
                     stages=None) -> RedZone:
     """Reverse-induction zone construction: walk stages from the top,
@@ -341,6 +300,7 @@ def build_red_zones(beta, plan, M: int, delta: Fraction,
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
     qM = plan.q(M)
+    a = _tower(plan, M)
     if stages is None:
         stages = range(M - 2, -1, -1)
     covered = np.zeros(qM, dtype=bool)
@@ -349,16 +309,18 @@ def build_red_zones(beta, plan, M: int, delta: Fraction,
         if Fraction(int(covered.sum()), qM) >= 1 - delta:
             break
         qn = plan.q(n)
-        ill = _ill_mask(plan, n, M, beta)
-        cand = ill & ~covered
+        valid, j0, j1 = _match(plan, n, M, beta, a)
+        cand = valid & (j0 != j1) & ~covered
         blocks = cand.reshape(qM // qn, qn).all(axis=1)
         idx = np.flatnonzero(blocks)
         if idx.size == 0:
             continue
-        for a in idx:
-            covered[a * qn:(a + 1) * qn] = True
-        j0, t = _layer_configuration(plan, n, M, beta, int(idx[0]) * qn)
-        layers.append(ZoneLayer(n, qn, tuple(int(a) for a in idx), j0, t))
+        for b in idx:
+            covered[b * qn:(b + 1) * qn] = True
+        # the layer's configuration, read at its first claimed position
+        j = int(j0[idx[0] * qn])
+        layers.append(ZoneLayer(n, qn, tuple(int(b) for b in idx), j,
+                                plan.stage(n).k - j))
     achieved = Fraction(int(covered.sum()), qM)
     return RedZone(M, 1 - delta, achieved, tuple(layers),
                    shortfall=achieved < 1 - delta)

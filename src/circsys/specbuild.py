@@ -514,7 +514,7 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
 
 def _orbit_element(action, cu, cv):
     """The unique group element taking signed class cu to cv, or None."""
-    for el in action.elements():
+    for el in action.elements:
         if el[cu] == cv:
             return el
     return None
@@ -841,9 +841,9 @@ def check_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
         return SpecEntry("T6", "not-checked")
     k = slots.shape[1]
     eps = Fraction(seq.plan.stage(n).eps_classic)
-    G = len(action.elements())
+    G = len(action.elements)
     target = min(Fraction(1), Fraction(G, Q))
-    orbit_pairs = {(cu, el[cu]) for el in action.elements() for cu in el}
+    orbit_pairs = {(cu, el[cu]) for el in action.elements for cu in el}
     rel_table = np.zeros((2 * s_prev, 2 * s_prev), dtype=bool)
     for a in range(2 * s_prev):
         for b in range(2 * s_prev):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .coefficients import CoefficientPlan
 from .words import Concat, word, word_to_obj, word_from_obj
@@ -274,8 +275,10 @@ class GroupActionTable:
                 raise SequenceError("generator must swap forward and "
                                     "reversed classes")
 
-    def elements(self):
-        """Closure of the generators under composition (capped)."""
+    @cached_property
+    def elements(self) -> tuple:
+        """Closure of the generators under composition (capped), computed
+        once per table."""
         ident = {(c, s): (c, s) for c in range(self.num_classes)
                  for s in (FWD, REV)}
         frontier = [ident]
@@ -290,12 +293,12 @@ class GroupActionTable:
                         raise SequenceError("group closure exceeds cap")
                     seen[key] = nxt
                     frontier.append(nxt)
-        return list(seen.values())
+        return tuple(seen.values())
 
     def is_free(self) -> bool:
         """Free: no element other than the identity fixes any signed
         class."""
-        for el in self.elements():
+        for el in self.elements:
             fixed = sum(el[x] == x for x in el)
             if 0 < fixed < 2 * self.num_classes:
                 return False

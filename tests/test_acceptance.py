@@ -20,7 +20,8 @@ from circsys.codes import code_coefficients, kappa_sequence, natural_code
 from circsys.coefficients import desk_plan, dynamical_index
 from circsys.locations import PointWindow, immature_fraction, maturity
 from circsys.rotation import (analyze_rotation, build_red_zones, delta_n,
-                              delta_n_naive, displacement, ill_at)
+                              delta_n_naive, displacement, ill_at,
+                              ill_at_naive)
 from circsys.specbuild import (build_words, check_specs, check_T4, check_T5,
                                check_T6, check_T7, check_timing,
                                desk_tolerances, gamma_cascade,
@@ -267,6 +268,7 @@ def test_criterion_07_red_zones():
                 assert set(range(a * layer.block_size,
                                  (a + 1) * layer.block_size)) <= pos
             for x in pos:
+                assert ill_at_naive(beta, plan, layer.stage, 3, x)
                 assert ill_at(beta, plan, layer.stage, 3, x)
         assert rz.achieved_density == Fraction(len(claimed), plan.q(3))
         if not rz.shortfall:

@@ -149,6 +149,21 @@ class TestTreesCommands:
         _, second = invoke(capsys, *args)
         assert second == first
 
+    def test_truncated_cache_entry_is_recomputed(self, capsys, tree_file,
+                                                 tmp_path, monkeypatch):
+        args = ["reduce", "--tree", tree_file, "--depth", "1",
+                "--kl", "4,2;2,2", "--seed", "7"]
+        _, cold = invoke(capsys, *args)
+        monkeypatch.setenv("CIRCSYS_CACHE", str(tmp_path / "cache"))
+        invoke(capsys, *args)
+        [entry] = (tmp_path / "cache").iterdir()
+        entry.write_text(cold[:len(cold) // 2])
+        code, out = invoke(capsys, *args)
+        assert code == 0
+        assert out == cold
+        assert entry.read_text() == cold
+        assert list((tmp_path / "cache").iterdir()) == [entry]
+
     def test_continuity_certificate(self, capsys, tree_file):
         code, doc = invoke_json(capsys, "continuity", "--tree", tree_file,
                                 "--depth", "1", "--kl", "4,2;2,2",
@@ -174,6 +189,3 @@ class TestErrors:
     def test_bad_fraction(self):
         assert run(["dbar", "--u", "01", "--v", "01", "--a", "1",
                     "--b", "1"]) == 3
-
-    def test_jobs_validated(self):
-        assert run(["--jobs", "0", "plan"]) == 3

@@ -5,18 +5,53 @@ import io
 import json
 import random
 from fractions import Fraction
+from math import floor
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circsys.coefficients import desk_plan
-from circsys.locations import PointWindow, maturity
-from circsys.rotation import (analyze_rotation, build_red_zones, delta_csv,
+from circsys.locations import D_n, PointWindow, maturity
+from circsys.rotation import (_match, _numerator, _position, _stage,
+                              analyze_rotation, build_red_zones, delta_csv,
                               delta_n, delta_n_naive, delta_partial,
-                              displacement, ill_at, match_class,
+                              displacement, ill_at, ill_at_naive, match_class,
                               rotation_report_json)
 from circsys.systems import circular_sequence
 
 PLAN3 = desk_plan(kl=((2, 2), (2, 2), (2, 2)))
+# denominators past int64 once multiplied by q_3 = 2^14
+HUGE_BETAS = (Fraction(1, 2 ** 48 + 1), Fraction(1, 2 ** 50 + 1),
+              Fraction(2 ** 60, 3 * 2 ** 60 + 1))
+
+
+def ref_position(beta, plan, n, m, x):
+    """(r_n, d_n, lane R) of tower position x in rational arithmetic."""
+    qm, q, p = plan.q(m), plan.q(n), plan.p(n)
+    v = Fraction(x * plan.p(m) % qm, qm)
+    r = D_n(v, (p, q))
+    d = (D_n((v + beta) % 1, (p, q)) - r) % q
+    frac_v, frac_b = v * q - floor(v * q), beta * q - floor(beta * q)
+    return r, d, frac_b != 0 and frac_v >= 1 - frac_b
+
+
+def reverify_zones(rz, beta, plan, M):
+    """Claimed blocks are disjoint, whole and ill by the oracle."""
+    claimed = set()
+    for layer in rz.layers:
+        pos = set(layer.positions().tolist())
+        assert not pos & claimed
+        claimed |= pos
+        for a in layer.blocks:
+            assert set(range(a * layer.block_size,
+                             (a + 1) * layer.block_size)) <= pos
+        for x in pos:
+            assert ill_at_naive(beta, plan, layer.stage, M, x)
+            assert ill_at(beta, plan, layer.stage, M, x)
+    assert rz.achieved_density == Fraction(len(claimed), plan.q(M))
+    if not rz.shortfall:
+        assert rz.achieved_density >= rz.target_density
 
 
 def circ3():
@@ -90,6 +125,15 @@ class TestDeltas:
         with pytest.raises(ValueError):
             delta_n(Fraction(1, 3), 2, 3, PLAN3)
 
+    def test_overflowing_denominators_match_oracle(self):
+        assert delta_n(HUGE_BETAS[0], 1, 3, PLAN3) == 0
+        for beta in HUGE_BETAS:
+            for n in (0, 1):
+                assert delta_n(beta, n, 3, PLAN3) == \
+                    delta_n_naive(beta, n, 3, PLAN3)
+            reverify_zones(build_red_zones(beta, PLAN3, 3, Fraction(1, 2)),
+                           beta, PLAN3, 3)
+
     def test_ill_at_matches_mask_density(self):
         beta = Fraction(1, 3)
         n, m = 1, 3
@@ -102,21 +146,8 @@ class TestDeltas:
 class TestRedZones:
     def test_zone_members_reverify_and_disjoint(self):
         beta = Fraction(1, 3)
-        rz = build_red_zones(beta, PLAN3, 3, Fraction(1, 2))
-        claimed = set()
-        for layer in rz.layers:
-            pos = set(layer.positions().tolist())
-            assert not pos & claimed
-            claimed |= pos
-            # block-formed
-            for a in layer.blocks:
-                assert set(range(a * layer.block_size,
-                                 (a + 1) * layer.block_size)) <= pos
-            for x in list(pos)[:64]:
-                assert ill_at(beta, PLAN3, layer.stage, 3, x)
-        assert rz.achieved_density == Fraction(len(claimed), PLAN3.q(3))
-        if not rz.shortfall:
-            assert rz.achieved_density >= rz.target_density
+        reverify_zones(build_red_zones(beta, PLAN3, 3, Fraction(1, 2)),
+                       beta, PLAN3, 3)
 
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -139,3 +170,42 @@ class TestReports:
             want = delta_n(Fraction(1, 3), n, 3, PLAN3)
             assert Fraction(int(row["numerator"]),
                             int(row["denominator"])) == want
+
+
+@st.composite
+def small_plans(draw):
+    two_three = st.sampled_from((2, 3))
+    return desk_plan(kl=tuple((draw(two_three), draw(two_three))
+                              for _ in range(3)))
+
+
+# beta outside [0, 1) too: the kernel reduces it mod 1 itself
+betas = st.builds(lambda a, d, k: Fraction(a % d, d) + k,
+                  st.integers(0, 2 ** 80), st.integers(1, 2 ** 80),
+                  st.sampled_from((0, 0, 0, -1, 2 ** 70)))
+
+
+class TestPositionKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(plan=small_plans(), beta=betas, data=st.data())
+    def test_kernel_matches_fraction_reference(self, plan, beta, data):
+        m = 3
+        xs = data.draw(st.lists(st.integers(0, plan.q(m) - 1),
+                                min_size=1, max_size=12))
+        a = _numerator(plan, m, np.array(xs, dtype=np.int64))
+        for n in range(m + 1):
+            stage = _stage(plan, n, m, beta)
+            r, d, lane_R = _position(stage, a)
+            for i, x in enumerate(xs):
+                want = ref_position(beta, plan, n, m, x)
+                got = _position(stage, _numerator(plan, m, x))
+                assert got == want
+                assert [type(v) for v in got] == [int, int, bool]
+                assert (int(r[i]), int(d[i]), bool(lane_R[i])) == want
+        for n in range(m - 1):
+            valid, j0, j1 = _match(plan, n, m, beta, a)
+            ill = valid & (j0 != j1)
+            for i, x in enumerate(xs):
+                want = ill_at_naive(beta, plan, n, m, x)
+                assert ill_at(beta, plan, n, m, x) == bool(ill[i]) == want
+        assert delta_n(beta, 0, 2, plan) == delta_n_naive(beta, 0, 2, plan)

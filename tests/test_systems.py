@@ -119,7 +119,7 @@ class TestActions:
             assert g[g[key]] == key
 
     def test_identity_action_trivial_group(self):
-        assert len(identity_action(3).elements()) == 1
+        assert len(identity_action(3).elements) == 1
 
     def test_skew_extension_acts_and_stays_free(self):
         classes = (0, 1)
