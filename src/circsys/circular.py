@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import dynamical_index
-from .words import (Literal, Power, Word, CircularNode, ReversedNode,
+from .words import (Literal, Word, CircularNode, ReversedNode, _Sectioned,
                     SYMBOL_B, SYMBOL_E)
 
 
@@ -42,27 +42,9 @@ def apply_C(preword, stage) -> CircularNode:
     return CircularNode(children, k=k, l=l, p=p, q=q)
 
 
-@dataclass(frozen=True, eq=False)
-class CircularRNode(Word):
+class CircularRNode(_Sectioned):
     """Image of the mirrored operator: product over i < q, j < k of
     e^(q-j_{i+1}) w_{k-j-1}^(l-1) b^(j_{i+1}), with j_q taken as 0."""
-
-    children: tuple
-    k: int
-    l: int
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if len(self.children) != self.k:
-            raise ValueError(f"need {self.k} children")
-        for ch in self.children:
-            if ch.length != self.q:
-                raise ValueError("child length != q")
-
-    @property
-    def length(self) -> int:
-        return self.k * self.l * self.q * self.q
 
     def _erun(self, i: int) -> int:
         # row i carries e^(q-j_{i+1}) ... b^(j_{i+1}); at the last row the
@@ -73,27 +55,10 @@ class CircularRNode(Word):
             return 1
         return dynamical_index(self.p, self.q, self.q - 1 - i)
 
-    def _extract(self, a, b):
-        if a == b:
-            return ""
-        sec_len = self.l * self.q
-        parts = []
-        for t in range(a // sec_len, (b - 1) // sec_len + 1):
-            base = t * sec_len
-            lo, hi = max(a - base, 0), min(b - base, sec_len)
-            i, j = divmod(t, self.k)
-            erun = self._erun(i)
-            child = self.children[self.k - j - 1]
-            if lo < erun:
-                parts.append(SYMBOL_E * (min(hi, erun) - lo))
-            plo, phi = max(lo - erun, 0), min(hi - erun, (self.l - 1) * self.q)
-            if phi > plo:
-                parts.append(Power(child, self.l - 1)._extract(plo, phi))
-            blo = max(lo - erun - (self.l - 1) * self.q, 0)
-            bhi = hi - erun - (self.l - 1) * self.q
-            if bhi > blo:
-                parts.append(SYMBOL_B * (bhi - blo))
-        return "".join(parts)
+    def _section(self, t: int):
+        i, j = divmod(t, self.k)
+        return (SYMBOL_E, self._erun(i), self.children[self.k - j - 1],
+                SYMBOL_B)
 
 
 def apply_Cr(preword, stage) -> CircularRNode:

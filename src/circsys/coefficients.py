@@ -493,10 +493,6 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _frac_parse(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def plan_to_obj(plan: CoefficientPlan) -> dict:
     return {
         "desk_mode": plan.desk_mode,
@@ -521,9 +517,9 @@ def plan_from_obj(doc: dict) -> CoefficientPlan:
         k=int(d["k"]), l=int(d["l"]), p=int(d["p"]), q=int(d["q"]),
         s=int(d["s"]), Q1=int(d["Q1"]), e=int(d["e"]),
         G1_size=int(d["G1_size"]),
-        eps_lunate=_frac_parse(d["eps_lunate"]),
-        eps_classic=_frac_parse(d["eps_classic"]),
-        mu=_frac_parse(d["mu"]),
+        eps_lunate=Fraction(d["eps_lunate"]),
+        eps_classic=Fraction(d["eps_classic"]),
+        mu=Fraction(d["mu"]),
     ) for d in doc["stages"])
     return CoefficientPlan(stages=stages, s_next=int(doc["s_next"]),
                            desk_mode=doc["desk_mode"])

@@ -61,9 +61,6 @@ class GroupScaffold:
                 return i
         return None
 
-    def s_of(self, n: int) -> int:
-        return max((len(x) for x in self.nodes[:n + 1]), default=0)
-
     def rho(self, node: tuple) -> tuple:
         """Image of a level-(s+1) generator at level s: drop the last
         entry."""
@@ -172,13 +169,6 @@ def _signed_slots(fam: StageFamily, index: int, reversed_: bool, s_prev: int):
     if not reversed_:
         return list(tup)
     return [i + s_prev for i in reversed(tup)]
-
-
-def _signed_class(classes, s_classes: int, signed_id: int, s_prev: int):
-    """(class id, side) of a signed stage-n word id."""
-    if signed_id < s_prev:
-        return classes[signed_id], FWD
-    return classes[signed_id - s_prev], REV
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +343,25 @@ def _slot_matrix(seq, n):
     return np.array(rows, dtype=np.int64), s, s_prev
 
 
+def _class_members(classes):
+    """Sorted class ids, and the 0/1 matrix [word, class] of membership."""
+    kinds = sorted(set(classes))
+    return kinds, np.array([[c == C for C in kinds] for c in classes],
+                           dtype=np.int64)
+
+
 # elements per working array of the prefix kernel; bounds its memory
 _CHUNK_ELEMS = 1 << 14
 # float filter margin: far above the float64 error of a deviation in [0, 1]
 _FILTER_MARGIN = 1e-9
+
+
+def _grid(*ranges):
+    """Flat index arrays over the product of ``ranges``, last fastest;
+    int32 halves the memory of J10's grid (about 2**16 rows at k = 1024)."""
+    return tuple(g.ravel() for g in np.meshgrid(
+        *(np.arange(r.start, r.stop, dtype=np.int32) for r in ranges),
+        indexing="ij"))
 
 
 def _prefix_pair_counts(slots, s_prev, U, V, T):
@@ -372,16 +377,11 @@ def _prefix_pair_counts(slots, s_prev, U, V, T):
 
     as int32, exact for k < 2**31.  Columns j >= k - t hold the count over
     the whole overlap.  Chunks keep every working array near _CHUNK_ELEMS
-    elements.
-
-    The J checks built on these counts share one exactness contract.
-    Counts are integers.  Floats only pick candidates: every row whose
-    float deviation lies within _FILTER_MARGIN of the largest is
-    re-checked in exact integer arithmetic, so every exact maximum is
-    among the candidates.  Candidates are compared in the checks' own
-    (u, v, t, pair) loop order with a strict ">", so the first exact
-    maximum wins every tie.
+    elements.  Every J and T frequency check takes its counts from here
+    and its entry from _worst_entry.
     """
+    if not len(U):
+        return
     k = slots.shape[1]
     npair = s_prev * s_prev
     ids = np.arange(npair, dtype=np.min_scalar_type(2 * npair))[:, None]
@@ -404,32 +404,77 @@ def _prefix_pair_counts(slots, s_prev, U, V, T):
         yield lo, np.cumsum(pair[:, None, :] == ids, axis=2, dtype=np.int32)
 
 
+def _pair_totals(slots, s_prev, U, V, T):
+    """Whole-overlap counts [r, a, b]: the x < k - T[r] where word U[r]
+    holds local slot a at x + T[r] and word V[r] local slot b at x."""
+    out = np.zeros((len(U), s_prev * s_prev), np.int64)
+    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+        out[lo:lo + len(P)] = P[:, :, -1]
+    return out.reshape(-1, s_prev, s_prev)
+
+
 def _signed_pair(local_pair, s_prev, u_rev, v_rev):
     """Witness pair (a, b) over the signed alphabet for a local pair id."""
     a, b = divmod(int(local_pair), s_prev)
     return (a + s_prev * u_rev, b + s_prev * v_rev)
 
 
-def _deviation(count, n, npair):
-    """|count / n - 1 / npair| as an unreduced fraction (num, den)."""
-    return abs(count * npair - n), n * npair
+def _near_max(f):
+    """Rows whose float filter value lies within _FILTER_MARGIN of the
+    largest; a negative value marks a row outside the check."""
+    return np.flatnonzero((f >= 0) & (f >= f.max(initial=-1.0)
+                                      - _FILTER_MARGIN))
 
 
-def _exceeds(dev, worst):
-    """dev > worst, for unreduced fractions, in exact integers."""
-    return dev[0] * worst[1] > worst[0] * dev[1]
+def _worst_entry(spec_id, counts, sizes, target, tol, witness_of):
+    """The entry of a frequency check whose deviations are the
+    |counts / sizes - target| of its entries, flat in the check's loop
+    order; ``target`` is (numerator, denominator), each an int or an array
+    broadcast against ``counts``.  Entries of size 0 are skipped, which is
+    how a check masks one out.
+
+    Each deviation is held as the integers num = |count td - size tn| and
+    den = size td, exact in int64 for counts below 2**31.  Floats only pick
+    candidates: every entry within _FILTER_MARGIN of the float maximum is
+    re-checked by cross-multiplication, in flat order with a strict ">"
+    from 0.  The first exact maximum wins and reports ``witness_of(flat
+    index)``; with no nonzero deviation the worst is 0 and the witness
+    empty.
+    """
+    tn, td = target
+    counts, sizes = np.asarray(counts, np.int64), np.asarray(sizes, np.int64)
+    num = np.abs(counts * td - sizes * tn)
+    den = np.broadcast_to(sizes * td, num.shape)
+    dev = np.divide(num, den, out=np.full(num.shape, -1.0),
+                    where=den > 0).ravel()
+    worst, best = (0, 1), None
+    top = dev.max(initial=-1.0)
+    if top >= 0:
+        cand = np.flatnonzero(dev >= top - _FILTER_MARGIN)
+        for i, a, b in zip(cand.tolist(), num.ravel()[cand].tolist(),
+                           den.ravel()[cand].tolist()):
+            if a * worst[1] > worst[0] * b:
+                worst, best = (a, b), i
+    worst = Fraction(*worst)
+    return SpecEntry(spec_id, "pass" if worst < tol else "fail", worst, tol,
+                     {} if best is None else witness_of(best))
 
 
-def _prefix_argmax(slots, s_prev, U, V, T, j_lo):
+def _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None, target=None):
     """The prefix deviation each row (U[r], V[r], T[r]) reports: over its
-    window j0 in [j_lo, k - t], the first argmax in (pair, j0) order of
-    the float |count / j0 - 1 / s_prev^2|, computed per element.  Returns
-    (count, j0, local pair) there, per row, in row order."""
+    window j0 in [j_lo, k - t], the first argmax in (group, j0) order of
+    the float |count / j0 - target|, computed per element.  A group sums
+    the local pairs its row of the 0/1 matrix ``groups`` selects; by
+    default every pair is its own group and the target is 1 / s_prev^2.
+    Returns (count, j0, group) there, per row, in row order."""
     k = slots.shape[1]
+    tf = float(Fraction(1, s_prev * s_prev) if target is None else target)
     out = []
     for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+        if groups is not None:
+            P = np.matmul(groups, P)
         j0s = np.arange(j_lo, P.shape[2] + 1)
-        devs = np.abs(P[:, :, j_lo - 1:] / j0s - 1 / (s_prev * s_prev))
+        devs = np.abs(P[:, :, j_lo - 1:] / j0s - tf)
         outside = j0s > (k - T[lo:lo + len(P)])[:, None]
         devs[np.broadcast_to(outside[:, None, :], devs.shape)] = -1.0
         pair, col = np.divmod(devs.reshape(len(P), -1).argmax(axis=1),
@@ -437,6 +482,11 @@ def _prefix_argmax(slots, s_prev, U, V, T, j_lo):
         out += zip(P[np.arange(len(P)), pair, j_lo - 1 + col].tolist(),
                    j0s[col].tolist(), pair.tolist())
     return out
+
+
+def _argmax_columns(found):
+    """_prefix_argmax's (count, j0, group) rows as three int arrays."""
+    return np.array(found, dtype=np.int64).reshape(-1, 3).T
 
 
 def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
@@ -451,142 +501,112 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
     t10 = ceil((1 - Fraction(eps)) * k) - 1
     j_lo = max(1, ceil(eps_var * k))
     t101 = min(ceil((1 - eps_var) * k) - 1, k - j_lo)
-    t_top = max(t10, t101)
-    worst10, wit10, worst101, wit101 = (0, 1), {}, (0, 1), {}
-    if t_top >= 1:
-        U, V, T = (g.ravel() for g in np.meshgrid(
-            np.arange(w, dtype=np.int32), np.arange(w, dtype=np.int32),
-            np.arange(1, t_top + 1, dtype=np.int32), indexing="ij"))
-        totals = np.empty((len(U), npair), np.int32)
-        # per-row float filter values; -1 marks a row outside the check
-        f10, f101 = np.full(len(U), -1.0), np.full(len(U), -1.0)
-        j0_all = np.arange(j_lo, k)
-        tf_j0 = tf * j0_all
-        for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
-            hi = lo + len(P)
-            over = (k - T[lo:hi])[:, None]
-            totals[lo:hi] = P[:, :, -1]
-            f10[lo:hi] = np.abs(totals[lo:hi] / over - tf).max(axis=1)
-            win = P[:, :, j_lo - 1:]
-            if not win.size:
-                continue
-            j0s, tfj = j0_all[:win.shape[2]], tf_j0[:win.shape[2]]
-            # max over pairs of |count / j0 - 1 / npair|: one division per j0
-            dev = np.maximum(win.max(axis=1) - tfj,
-                             tfj - win.min(axis=1)) / j0s
-            dev[j0s > over] = -1.0
-            f101[lo:hi] = dev.max(axis=1)
-        f10[T > t10] = -1.0
-        f101[T > t101] = -1.0
+    U, V, T = _grid(range(w), range(w), range(1, max(t10, t101) + 1))
+    totals = np.zeros((len(U), npair), np.int32)
+    # per-row float filter values; -1 marks a row outside the check
+    f10, f101 = np.full(len(U), -1.0), np.full(len(U), -1.0)
+    j0_all = np.arange(j_lo, k)
+    tf_j0 = tf * j0_all
+    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+        hi = lo + len(P)
+        over = (k - T[lo:hi])[:, None]
+        totals[lo:hi] = P[:, :, -1]
+        f10[lo:hi] = np.abs(totals[lo:hi] / over - tf).max(axis=1)
+        win = P[:, :, j_lo - 1:]
+        if not win.size:
+            continue
+        j0s, tfj = j0_all[:win.shape[2]], tf_j0[:win.shape[2]]
+        # max over pairs of |count / j0 - 1 / npair|: one division per j0
+        dev = np.maximum(win.max(axis=1) - tfj,
+                         tfj - win.min(axis=1)) / j0s
+        dev[j0s > over] = -1.0
+        f101[lo:hi] = dev.max(axis=1)
+    f10[T > t10] = -1.0
+    f101[T > t101] = -1.0
 
-        # J10: every pair of every row near the float maximum, exactly
-        if f10.max() >= 0:
-            for i in np.flatnonzero(f10 >= f10.max() - _FILTER_MARGIN):
-                u, v, t = int(U[i]), int(V[i]), int(T[i])
-                for pid, c in enumerate(totals[i].tolist()):
-                    dev = _deviation(c, k - t, npair)
-                    if _exceeds(dev, worst10):
-                        worst10 = dev
-                        wit10 = {"u": u, "v": v, "t": t,
-                                 "pair": _signed_pair(pid, s_prev, u >= s,
-                                                      v >= s),
-                                 "count": c, "overlap": k - t}
+    # J10: every pair of every row near the float maximum
+    c10 = _near_max(f10)
 
-        # J10.1: the reported deviation of every row near the float maximum
-        if f101.max() >= 0:
-            cand = np.flatnonzero(f101 >= f101.max() - _FILTER_MARGIN)
-            found = _prefix_argmax(slots, s_prev, U[cand], V[cand], T[cand],
-                                   j_lo)
-            for i, (c, j0, pid) in zip(cand, found):
-                dev = _deviation(c, j0, npair)
-                if _exceeds(dev, worst101):
-                    u, v = int(U[i]), int(V[i])
-                    worst101 = dev
-                    wit101 = {"u": u, "v": v, "t": int(T[i]), "j0": j0,
-                              "pair": _signed_pair(pid, s_prev, u >= s,
-                                                   v >= s)}
-    worst10, worst101 = Fraction(*worst10), Fraction(*worst101)
-    return (SpecEntry("J10", "pass" if worst10 < tol else "fail",
-                      worst10, tol, wit10),
-            SpecEntry("J10.1", "pass" if worst101 < tol else "fail",
-                      worst101, tol, wit101))
+    def wit10(i):
+        r, pid = divmod(i, npair)
+        u, v, t = int(U[c10[r]]), int(V[c10[r]]), int(T[c10[r]])
+        return {"u": u, "v": v, "t": t,
+                "pair": _signed_pair(pid, s_prev, u >= s, v >= s),
+                "count": int(totals[c10[r], pid]), "overlap": k - t}
+
+    # J10.1: the reported deviation of every row near the float maximum
+    c101 = _near_max(f101)
+    counts, j0, pids = _argmax_columns(
+        _prefix_argmax(slots, s_prev, U[c101], V[c101], T[c101], j_lo))
+
+    def wit101(i):
+        u, v = int(U[c101[i]]), int(V[c101[i]])
+        return {"u": u, "v": v, "t": int(T[c101[i]]), "j0": int(j0[i]),
+                "pair": _signed_pair(pids[i], s_prev, u >= s, v >= s)}
+    return (_worst_entry("J10", totals[c10], (k - T[c10])[:, None],
+                         (1, npair), tol, wit10),
+            _worst_entry("J10.1", counts, j0, (1, npair), tol, wit101))
 
 
-def _orbit_element(action, cu, cv):
-    """The unique group element taking signed class cu to cv, or None."""
-    for el in action.elements:
-        if el[cu] == cv:
-            return el
-    return None
-
-
-def _check_J11(seq, n, slots, actions, tol):
-    s, k = len(slots) // 2, slots.shape[1]
-    prev = seq.stage(n)
-    s_prev = prev.size
-    action = actions[n] if actions else None
-    classes = prev.classes
-    worst, witness = Fraction(0), {}
-    for ui in range(s):                      # u even by hypothesis
-        for vi in range(2 * s):
-            # maximal level with an orbit relation; level 0 relates
-            # everything through the identity
-            g = None
-            if action is not None and classes is not None and \
-                    seq.stage(n + 1).classes is not None:
-                cu = (seq.stage(n + 1).classes[ui], FWD)
-                cls_v = seq.stage(n + 1).classes[vi % s]
-                cv = (cls_v, REV if vi >= s else FWD)
-                g = _orbit_element(actions[n + 1], cu, cv) \
-                    if actions[n + 1] is not None else None
-            if g is not None:
-                Q = len(set(classes))
-                C = s_prev // Q
-                target = Fraction(1, Q * C * C)
-
-                def related(a, b, g=g):
-                    ca = _signed_class(classes, Q, a, s_prev)
-                    cb = _signed_class(classes, Q, b, s_prev)
-                    return g[ca] == cb
-                level = 1
-            else:
-                target = Fraction(1, s_prev * s_prev)
-
-                def related(a, b):
-                    return (a < s_prev) == (ui < s) and \
-                           (b < s_prev) == (vi < s)
-                level = 0
-            pair = slots[ui, :] * (2 * s_prev) + slots[vi, :]
-            counts = np.bincount(pair, minlength=4 * s_prev * s_prev)
-            for a in range(2 * s_prev):
-                for b in range(2 * s_prev):
-                    if a < s_prev and related(a, b):
-                        dev = abs(Fraction(int(counts[a * 2 * s_prev + b]), k)
-                                  - target)
-                        if dev > worst:
-                            worst = dev
-                            witness = {"u": ui, "v": vi, "pair": (a, b),
-                                       "level": level}
-    status = "pass" if worst < tol else "fail"
-    return SpecEntry("J11", status, worst, tol, witness)
-
-
-def _J11_1_pairs(seq, n, actions):
-    """(u, v) with u unsigned and v signed, outside one class orbit: the
-    word pairs J11.1 examines."""
+def _orbits(seq, n, actions):
+    """Per word pair (u, v), u unsigned and v signed, in loop order: the
+    element of the stage-(n+1) action taking u's signed class to v's, or
+    None when none does or class data is missing."""
     cur = seq.stage(n + 1)
     s = cur.size
     act = actions[n + 1] if actions else None
     out = []
-    for ui in range(s):
-        for vi in range(2 * s):
+    for u in range(s):
+        for v in range(2 * s):
+            g = None
             if cur.classes is not None and act is not None:
-                cu = (cur.classes[ui], FWD)
-                cv = (cur.classes[vi % s], REV if vi >= s else FWD)
-                if _orbit_element(act, cu, cv) is not None:
-                    continue                  # hypothesis: not in the orbit
-            out.append((ui, vi))
+                cu = (cur.classes[u], FWD)
+                cv = (cur.classes[v % s], REV if v >= s else FWD)
+                g = next((el for el in act.elements if el[cu] == cv), None)
+            out.append(((u, v), g))
     return out
+
+
+def _check_J11(seq, n, slots, actions, tol):
+    """Whole-word counts of the aligned slot pairs (a, b) of every word
+    pair (u, v): the prefix kernel's t = 0 rows.  Where the stage-(n+1)
+    action has an element g taking u's class to v's, only the pairs with
+    g(class a) = class b count, against 1 / (Q C^2) (level 1); elsewhere
+    every pair counts, against 1 / s_prev^2 (level 0)."""
+    s, k = len(slots) // 2, slots.shape[1]
+    prev = seq.stage(n)
+    s_prev, classes = prev.size, prev.classes
+    orbits = _orbits(seq, n, actions)
+    if not actions or actions[n] is None or classes is None:
+        orbits = [(uv, None) for uv, _ in orbits]
+    else:
+        kinds, member = _class_members(classes)
+    U, V = np.array([uv for uv, _ in orbits], dtype=np.int64).T
+    related = np.ones((len(U), s_prev, s_prev), bool)
+    td = np.full(len(U), s_prev * s_prev)
+    for r, (_, g) in enumerate(orbits):
+        if g is not None:
+            # g takes every class to v's side, the side of the local b
+            side = REV if V[r] >= s else FWD
+            image = np.array([[g[(C, FWD)] == (D, side) for D in kinds]
+                              for C in kinds])
+            related[r] = member @ image @ member.T
+            td[r] = len(kinds) * (s_prev // len(kinds)) ** 2
+
+    def witness(i):
+        r, pid = divmod(i, s_prev * s_prev)
+        return {"u": int(U[r]), "v": int(V[r]),
+                "pair": _signed_pair(pid, s_prev, False, int(V[r]) >= s),
+                "level": int(orbits[r][1] is not None)}
+    totals = _pair_totals(slots, s_prev, U, V, np.zeros_like(U))
+    return _worst_entry("J11", totals, np.where(related, k, 0),
+                        (1, td[:, None, None]), tol, witness)
+
+
+def _J11_1_pairs(seq, n, actions):
+    """(u, v) with u unsigned and v signed, outside one class orbit: the
+    word pairs J11.1 and T7 examine."""
+    return [uv for uv, g in _orbits(seq, n, actions) if g is None]
 
 
 def _check_J11_1(slots, s_prev, pairs, eps, tol):
@@ -595,24 +615,23 @@ def _check_J11_1(slots, s_prev, pairs, eps, tol):
     k = slots.shape[1]
     s = len(slots) // 2
     j_lo = max(1, ceil(Fraction(eps) * k))
-    worst, witness = (0, 1), {}
-    if pairs:
-        U, V = (np.array(c, dtype=np.int64) for c in zip(*pairs))
-        T = np.zeros_like(U)
-        initial = _prefix_argmax(slots, s_prev, U, V, T, j_lo)
-        tail = _prefix_argmax(slots[:, ::-1], s_prev, U, V, T, j_lo)
-        for (ui, vi), *found in zip(pairs, initial, tail):
-            for segment, (c, j0, pid) in zip(("initial", "tail"), found):
-                dev = _deviation(c, j0, s_prev * s_prev)
-                if _exceeds(dev, worst):
-                    worst = dev
-                    witness = {"u": ui, "v": vi, "j0": j0,
-                               "segment": segment,
-                               "pair": _signed_pair(pid, s_prev, False,
-                                                    vi >= s)}
-    worst = Fraction(*worst)
-    status = "pass" if worst < tol else "fail"
-    return SpecEntry("J11.1", status, worst, tol, witness)
+    # row 2 s + w of both is word w backwards, whose prefixes are its tails
+    both = np.concatenate([slots, slots[:, ::-1]])
+    uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    U, V = np.concatenate([uv, uv + 2 * s]).T
+    found = _argmax_columns(_prefix_argmax(both, s_prev, U, V,
+                                           np.zeros_like(U), j_lo))
+    # [pair, (initial, tail)]
+    counts, j0, pids = found.reshape(3, 2, -1).transpose(0, 2, 1)
+
+    def witness(i):
+        r, seg = divmod(i, 2)
+        return {"u": pairs[r][0], "v": pairs[r][1], "j0": int(j0[r, seg]),
+                "segment": ("initial", "tail")[seg],
+                "pair": _signed_pair(pids[r, seg], s_prev, False,
+                                     pairs[r][1] >= s)}
+    return _worst_entry("J11.1", counts, j0, (1, s_prev * s_prev), tol,
+                        witness)
 
 
 # ---------------------------------------------------------------------------
@@ -780,128 +799,81 @@ def check_T4(built: BuiltSequence, n: int, gamma: Fraction,
                      tolerance=gamma, witness=witness)
 
 
-def _class_rows(built, n):
-    """Per signed stage-n word: its (class, side); plus slot matrices of
-    stage n+1."""
-    seq = built.seq
-    slots, s, s_prev = _slot_matrix(seq, n)
-    classes = built.stage(n).classes
-    Q = len(set(classes))
-    table = [(classes[i], FWD) for i in range(s_prev)] + \
-            [(classes[i], REV) for i in range(s_prev)]
-    return slots, s, s_prev, table, Q
-
-
 def check_T5(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
-    seq = built.seq
-    slots, s, s_prev, table, Q = _class_rows(built, n)
+    """For every preword w0, word w1 (or its reverse), shift t and stage-n
+    word v, the class frequencies of w1 at the occurrences of v in w0: at
+    x + t against v at x (T5a), and at x against v at x + t (T5b)."""
+    classes = built.stage(n).classes
+    if classes is None:
+        return SpecEntry("T5", "not-checked")
+    slots, s, s_prev = _slot_matrix(built.seq, n)
     k = slots.shape[1]
-    eps = Fraction(seq.plan.stage(n).eps_classic)
-    target = Fraction(1, Q)
-    worst, witness = Fraction(0), {}
-    t_max = int((1 - eps) * k)
-    classes_sides = sorted(set(table))
-    cid = np.array([classes_sides.index(table[x])
-                    for x in range(2 * s_prev)])
-    nc = len(classes_sides)
-    for w0 in range(s):                       # prewords, even
-        v_slots = slots[w0]
-        for w1 in range(2 * s):               # w1 or its reverse
-            u_cids = cid[slots[w1]]
-            want_side = REV if w1 >= s else FWD
-            for t in range(1, t_max + 1):
-                for v in range(s_prev):       # v ranges over even n-words
-                    for name, J, U in (
-                            ("T5a", np.flatnonzero(v_slots[:k - t] == v),
-                             u_cids[t:]),
-                            ("T5b", np.flatnonzero(v_slots[t:] == v),
-                             u_cids[:k - t])):
-                        if len(J) == 0:
-                            continue
-                        counts = np.bincount(U[J], minlength=nc)
-                        for ci, (C, side) in enumerate(classes_sides):
-                            if side != want_side:
-                                continue
-                            dev = abs(Fraction(int(counts[ci]), len(J))
-                                      - target)
-                            if dev > worst:
-                                worst = dev
-                                witness = {"axiom": name, "w0": w0,
-                                           "w1": w1, "t": t, "v": v,
-                                           "class": C}
-    status = "pass" if worst < mu else "fail"
-    return SpecEntry("T5", status, worst, mu, witness)
+    eps = Fraction(built.seq.plan.stage(n).eps_classic)
+    kinds, member = _class_members(classes)
+    w0, w1, t = _grid(range(s), range(2 * s),
+                      range(1, min(int((1 - eps) * k), k - 1) + 1))
+    # counts[row, v, axiom, class]; the kernel shifts its first word
+    t5a = np.swapaxes(_pair_totals(slots, s_prev, w1, w0, t), 1, 2) @ member
+    t5b = _pair_totals(slots, s_prev, w0, w1, t) @ member
+    counts = np.stack([t5a, t5b], axis=2)
+
+    def witness(i):
+        r, v, axiom, c = np.unravel_index(i, counts.shape)
+        return {"axiom": ("T5a", "T5b")[axiom], "w0": int(w0[r]),
+                "w1": int(w1[r]), "t": int(t[r]), "v": int(v),
+                "class": kinds[c]}
+    return _worst_entry("T5", counts, counts.sum(axis=3, keepdims=True),
+                        (1, len(kinds)), mu, witness)
 
 
 def check_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
-    seq = built.seq
-    slots, s, s_prev, table, Q = _class_rows(built, n)
+    """For every pair of prewords and shift t, the frequency of aligned
+    slot pairs whose classes lie in one orbit of the stage-n action, on
+    every prefix j0 >= eps k; each (w0, w1, t) reports the exact value at
+    its float argmax."""
+    classes = built.stage(n).classes
     action = built.actions[n] if built.actions else None
-    if action is None:
+    if classes is None or action is None:
         return SpecEntry("T6", "not-checked")
+    slots, s, s_prev = _slot_matrix(built.seq, n)
     k = slots.shape[1]
-    eps = Fraction(seq.plan.stage(n).eps_classic)
-    G = len(action.elements)
-    target = min(Fraction(1), Fraction(G, Q))
-    orbit_pairs = {(cu, el[cu]) for el in action.elements for cu in el}
-    rel_table = np.zeros((2 * s_prev, 2 * s_prev), dtype=bool)
-    for a in range(2 * s_prev):
-        for b in range(2 * s_prev):
-            rel_table[a, b] = (table[a], table[b]) in orbit_pairs
-    worst, witness = Fraction(0), {}
-    t_max = int((1 - eps) * k)
+    eps = Fraction(built.seq.plan.stage(n).eps_classic)
+    kinds, member = _class_members(classes)
+    target = min(Fraction(1), Fraction(len(action.elements), len(kinds)))
+    orbit = {(cu, el[cu]) for el in action.elements for cu in el}
+    linked = np.array([[((C, FWD), (D, FWD)) in orbit for D in kinds]
+                       for C in kinds], dtype=np.int64)
+    # row (w1, w0, t) holds the local pair (slot a of w1, slot b of w0),
+    # related when some element takes b's class to a's
+    related = (member @ linked.T @ member.T).astype(np.int32).reshape(1, -1)
     j_lo = max(1, ceil(eps * k))
-    tf = float(target)
-    for w0 in range(s):
-        for w1 in range(s):
-            for t in range(1, t_max + 1):
-                if k - t < j_lo:
-                    continue
-                cum = np.cumsum(rel_table[slots[w0, :k - t],
-                                          slots[w1, t:]])[j_lo - 1:]
-                j0s = np.arange(j_lo, k - t + 1)
-                devs = np.abs(cum / j0s - tf)
-                c = int(np.argmax(devs))
-                dev = abs(Fraction(int(cum[c]), int(j0s[c])) - target)
-                if dev > worst:
-                    worst = dev
-                    witness = {"w0": w0, "w1": w1, "t": t,
-                               "j0": int(j0s[c])}
-    status = "pass" if worst < mu else "fail"
-    return SpecEntry("T6", status, worst, mu, witness)
+    w0, w1, t = _grid(range(s), range(s),
+                      range(1, min(int((1 - eps) * k), k - j_lo) + 1))
+    counts, j0, _ = _argmax_columns(_prefix_argmax(
+        slots, s_prev, w1, w0, t, j_lo, related, target))
+    return _worst_entry(
+        "T6", counts, j0, (target.numerator, target.denominator), mu,
+        lambda i: {"w0": int(w0[i]), "w1": int(w1[i]), "t": int(t[i]),
+                   "j0": int(j0[i])})
 
 
 def check_T7(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
-    slots, s, s_prev, table, Q = _class_rows(built, n)
-    action = built.actions[n + 1] if built.actions else None
-    cur = built.stage(n + 1)
-    k = slots.shape[1]
-    target = Fraction(1, Q)
-    worst, witness = Fraction(0), {}
-    classes_sides = sorted(set(table))
-    for w0 in range(s):
-        for w1 in range(2 * s):
-            if cur.classes is not None and action is not None:
-                cu = (cur.classes[w0], FWD)
-                cv = (cur.classes[w1 % s], REV if w1 >= s else FWD)
-                if _orbit_element(action, cv, cu) is not None:
-                    continue                  # hypothesis: outside the orbit
-            want_side = REV if w1 >= s else FWD
-            for v in range(s_prev):
-                J = np.flatnonzero(slots[w0] == v)
-                if len(J) == 0:
-                    continue
-                for C, side in classes_sides:
-                    if side != want_side:
-                        continue
-                    hits = sum(1 for x in slots[w1][J]
-                               if table[x] == (C, side))
-                    dev = abs(Fraction(int(hits), len(J)) - target)
-                    if dev > worst:
-                        worst = dev
-                        witness = {"w0": w0, "w1": w1, "v": v, "class": C}
-    status = "pass" if worst < mu else "fail"
-    return SpecEntry("T7", status, worst, mu, witness)
+    """T5b at t = 0 over the word pairs outside one class orbit."""
+    classes = built.stage(n).classes
+    if classes is None:
+        return SpecEntry("T7", "not-checked")
+    slots, s, s_prev = _slot_matrix(built.seq, n)
+    kinds, member = _class_members(classes)
+    pairs = _J11_1_pairs(built.seq, n, built.actions)
+    w0, w1 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    counts = _pair_totals(slots, s_prev, w0, w1, np.zeros_like(w0)) @ member
+
+    def witness(i):
+        r, v, c = np.unravel_index(i, counts.shape)
+        return {"w0": pairs[r][0], "w1": pairs[r][1], "v": int(v),
+                "class": kinds[c]}
+    return _worst_entry("T7", counts, counts.sum(axis=2, keepdims=True),
+                        (1, len(kinds)), mu, witness)
 
 
 def check_timing(built: BuiltSequence, level: int,

@@ -155,12 +155,10 @@ class Concat(Word):
 
 
 @dataclass(frozen=True, eq=False)
-class CircularNode(Word):
-    """Image of the interleaving operator at stage parameters (k,l,p,q).
-
-    Expansion: product over i in [0,q), j in [0,k) of
-    b^(q-j_i) w_j^(l-1) e^(j_i), where j_i = p^{-1} i mod q.
-    """
+class _Sectioned(Word):
+    """The shared walk of the interleaving operators: k*q 1-subsections of
+    l*q symbols, section t = i*k + j holding a lead run, the (l-1)-fold
+    power of one child and a tail run.  Subclasses name the runs."""
 
     children: tuple          # k words, each of length q
     k: int
@@ -181,33 +179,42 @@ class CircularNode(Word):
         return self.k * self.l * self.q * self.q
 
     def _section(self, t: int):
-        """1-subsection t = i*k + j as (j_i, child)."""
-        i, j = divmod(t, self.k)
-        return dynamical_index(self.p, self.q, i), self.children[j]
+        """1-subsection t as (lead symbol, lead length, child, tail
+        symbol); the tail fills the section."""
+        raise NotImplementedError
 
     def _extract(self, a, b):
         if a == b:
             return ""
         sec_len = self.l * self.q
+        body = (self.l - 1) * self.q
         parts = []
         for t in range(a // sec_len, (b - 1) // sec_len + 1):
             base = t * sec_len
             lo, hi = max(a - base, 0), min(b - base, sec_len)
-            ji, child = self._section(t)
-            brun = self.q - ji
-            # piece of the leading b-run
-            if lo < brun:
-                parts.append(SYMBOL_B * (min(hi, brun) - lo))
-            # piece of the (l-1)-fold power of the child
-            plo, phi = max(lo - brun, 0), min(hi - brun, (self.l - 1) * self.q)
+            lead_sym, lead, child, tail_sym = self._section(t)
+            if lo < lead:
+                parts.append(lead_sym * (min(hi, lead) - lo))
+            plo, phi = max(lo - lead, 0), min(hi - lead, body)
             if phi > plo:
                 parts.append(Power(child, self.l - 1)._extract(plo, phi))
-            # piece of the trailing e-run
-            elo = max(lo - brun - (self.l - 1) * self.q, 0)
-            ehi = hi - brun - (self.l - 1) * self.q
-            if ehi > elo:
-                parts.append(SYMBOL_E * (ehi - elo))
+            tlo, thi = max(lo - lead - body, 0), hi - lead - body
+            if thi > tlo:
+                parts.append(tail_sym * (thi - tlo))
         return "".join(parts)
+
+
+class CircularNode(_Sectioned):
+    """Image of the interleaving operator at stage parameters (k,l,p,q).
+
+    Expansion: product over i in [0,q), j in [0,k) of
+    b^(q-j_i) w_j^(l-1) e^(j_i), where j_i = p^{-1} i mod q.
+    """
+
+    def _section(self, t: int):
+        i, j = divmod(t, self.k)
+        return (SYMBOL_B, self.q - dynamical_index(self.p, self.q, i),
+                self.children[j], SYMBOL_E)
 
     def __repr__(self):
         return (f"CircularNode(k={self.k}, l={self.l}, p={self.p}, "

@@ -424,16 +424,17 @@ class TestCriterion09Pipeline:
         mu = Fraction(3, 10)
         e = check_T5(level2, 1, mu)
         assert e.status == "fail" and e.worst_deviation == Fraction(1, 2)
-        assert e.witness["axiom"] in ("T5a", "T5b")
+        assert e.witness == {"axiom": "T5a", "w0": 0, "w1": 0, "t": 1,
+                             "v": 0, "class": 0}
         e = check_T6(level2, 1, mu)
-        assert e.status == "fail" and e.worst_deviation > mu
-        assert {"w0", "w1", "t", "j0"} <= set(e.witness)
+        assert e.status == "fail" and e.worst_deviation == 1
+        assert e.witness == {"w0": 0, "w1": 1, "t": 1, "j0": 64}
         bad7 = replace(level2, actions=(level2.actions[0],
                                         identity_action(2),
                                         level2.actions[2]))
         e = check_T7(bad7, 1, mu)
         assert e.status == "fail" and e.worst_deviation == Fraction(1, 2)
-        assert {"w0", "w1", "v", "class"} <= set(e.witness)
+        assert e.witness == {"w0": 0, "w1": 1, "v": 0, "class": 0}
 
 
 def test_criterion_10_gamma_separation():

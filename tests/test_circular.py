@@ -9,7 +9,7 @@ from circsys.circular import (CircularParseError, apply_C, apply_Cr,
                               cross_alignment, parse_circular,
                               reversal_identity_applies)
 from circsys.coefficients import desk_plan, dynamical_index
-from circsys.words import reverse, word
+from circsys.words import CircularNode, reverse, word
 
 
 def random_preword(rng, k, q):
@@ -101,6 +101,37 @@ class TestReversalIdentity:
         lhs = reverse(apply_C(pre, stage)).materialize()
         rhs = apply_Cr(tuple(w[::-1] for w in pre), stage).materialize()
         assert lhs != rhs
+
+
+class TestSectionWalk:
+    def test_range_extraction_matches_materialization(self):
+        rng = random.Random(6)
+        for _ in range(60):
+            k, l, p, q = random_stage(rng)
+            if rng.random() < 0.25:
+                p, q = 0, 1          # a desk plan's first stage
+            pre = random_preword(rng, k, q)
+            for op in (apply_C, apply_Cr):
+                w = op(pre, (k, l, p, q))
+                text = w.materialize()
+                assert len(text) == w.length
+                for _ in range(20):
+                    a = rng.randrange(w.length + 1)
+                    b = rng.randrange(a, w.length + 1)
+                    assert w.extract(a, b) == text[a:b]
+
+    def test_q_one_runs(self):
+        # at q = 1 a forward section is b w^(l-1); a mirrored one is
+        # e w^(l-1), with the children in reverse order
+        pre = ("1", "0")
+        assert apply_C(pre, (2, 3, 0, 1)).materialize() == "b11b00"
+        assert apply_Cr(pre, (2, 3, 0, 1)).materialize() == "e00e11"
+
+    def test_operators_stay_distinct_node_types(self):
+        w = apply_Cr(("10", "01"), (2, 2, 1, 2))
+        assert not isinstance(w, CircularNode)
+        assert repr(w) == ("CircularRNode(children=(Literal('10'), "
+                           "Literal('01')), k=2, l=2, p=1, q=2)")
 
 
 class TestCrossAlignment:

@@ -1,5 +1,6 @@
 """Batch front end: exit codes, manifests, deterministic artifacts."""
 
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,9 @@ from circsys.trees import TreePrefix, tree_to_json
 
 BUILD_ARGS = ["--kl", "64,4;2,2", "--eps", "1/4", "--eps", "1/8",
               "--level", "1", "--seed", "3"]
+# T5@1, T6@1 and T7@1 of check-timing and level-1 J11 of check-specs fail
+# with witnesses on this build
+WITNESS_ARGS = ["--kl", "4,2;2,2;2,2;2,2", "--level", "3", "--seed", "3"]
 
 
 def invoke(capsys, *argv):
@@ -72,6 +76,17 @@ class TestBuild:
     def test_check_commands(self, capsys):
         assert invoke(capsys, "check-specs", *BUILD_ARGS)[0] == 0
         assert invoke(capsys, "check-timing", *BUILD_ARGS)[0] == 0
+
+    @pytest.mark.parametrize("command, digest", [
+        ("check-timing",
+         "7515da47aa720983cb28d8aa6279749989e27a6499b5923d11787ef6c8baab94"),
+        ("check-specs",
+         "51abc6c8d31ddc8f236a8a23c57705c4b55e33f64f71a22697ed718080728d72"),
+    ])
+    def test_check_witness_bytes(self, capsys, command, digest):
+        code, out = invoke(capsys, command, *WITNESS_ARGS)
+        assert code == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_lift_emits_circular(self, capsys):
         code, doc = invoke_json(capsys, "lift", *BUILD_ARGS)

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circsys.coefficients import desk_plan
-from circsys.specbuild import (BuildError, SpecEntry, ToleranceProfile,
-                               _J11_1_pairs, _check_J10_J10_1, _check_J11_1,
+from circsys.specbuild import (BuildError, BuiltSequence, SpecEntry,
+                               ToleranceProfile, _J11_1_pairs,
+                               _check_J10_J10_1, _check_J11, _check_J11_1,
                                _prefix_argmax, _prefix_pair_counts,
-                               build_words, check_T4, check_T5, check_T6,
-                               check_T7, check_specs, check_timing,
+                               _slot_matrix, build_words, check_T4, check_T5,
+                               check_T6, check_T7, check_specs, check_timing,
                                desk_tolerances, gamma_cascade,
                                groups_from_tree, lift_build)
+from circsys.systems import (FWD, REV, GroupActionTable, identity_action,
+                             odometer_sequence, swap_side_action)
 
 SC = groups_from_tree([(), (0,)])
 PLAN = desk_plan(kl=((64, 4), (2, 2)),
@@ -265,6 +268,200 @@ def ref_J11_1(slots, s, s_prev, pairs, eps, tol):
     return SpecEntry("J11.1", status, worst, tol, witness)
 
 
+# reference J11 and T5-T7: one bincount or Python loop per word pair,
+# shift and symbol, with a Fraction per entry.  Like the J references above
+# they share nothing with the prefix kernel or _worst_entry.
+
+def _signed_class(classes, s_classes: int, signed_id: int, s_prev: int):
+    """(class id, side) of a signed stage-n word id."""
+    if signed_id < s_prev:
+        return classes[signed_id], FWD
+    return classes[signed_id - s_prev], REV
+
+
+def _orbit_element(action, cu, cv):
+    """The unique group element taking signed class cu to cv, or None."""
+    for el in action.elements:
+        if el[cu] == cv:
+            return el
+    return None
+
+
+def ref_J11(seq, n, slots, actions, tol):
+    s, k = len(slots) // 2, slots.shape[1]
+    prev = seq.stage(n)
+    s_prev = prev.size
+    action = actions[n] if actions else None
+    classes = prev.classes
+    worst, witness = Fraction(0), {}
+    for ui in range(s):                      # u even by hypothesis
+        for vi in range(2 * s):
+            # maximal level with an orbit relation; level 0 relates
+            # everything through the identity
+            g = None
+            if action is not None and classes is not None and \
+                    seq.stage(n + 1).classes is not None:
+                cu = (seq.stage(n + 1).classes[ui], FWD)
+                cls_v = seq.stage(n + 1).classes[vi % s]
+                cv = (cls_v, REV if vi >= s else FWD)
+                g = _orbit_element(actions[n + 1], cu, cv) \
+                    if actions[n + 1] is not None else None
+            if g is not None:
+                Q = len(set(classes))
+                C = s_prev // Q
+                target = Fraction(1, Q * C * C)
+
+                def related(a, b, g=g):
+                    ca = _signed_class(classes, Q, a, s_prev)
+                    cb = _signed_class(classes, Q, b, s_prev)
+                    return g[ca] == cb
+                level = 1
+            else:
+                target = Fraction(1, s_prev * s_prev)
+
+                def related(a, b):
+                    return (a < s_prev) == (ui < s) and \
+                           (b < s_prev) == (vi < s)
+                level = 0
+            pair = slots[ui, :] * (2 * s_prev) + slots[vi, :]
+            counts = np.bincount(pair, minlength=4 * s_prev * s_prev)
+            for a in range(2 * s_prev):
+                for b in range(2 * s_prev):
+                    if a < s_prev and related(a, b):
+                        dev = abs(Fraction(int(counts[a * 2 * s_prev + b]), k)
+                                  - target)
+                        if dev > worst:
+                            worst = dev
+                            witness = {"u": ui, "v": vi, "pair": (a, b),
+                                       "level": level}
+    status = "pass" if worst < tol else "fail"
+    return SpecEntry("J11", status, worst, tol, witness)
+
+
+def _class_rows(built, n):
+    """Per signed stage-n word: its (class, side); plus slot matrices of
+    stage n+1."""
+    seq = built.seq
+    slots, s, s_prev = _slot_matrix(seq, n)
+    classes = built.stage(n).classes
+    Q = len(set(classes))
+    table = [(classes[i], FWD) for i in range(s_prev)] + \
+            [(classes[i], REV) for i in range(s_prev)]
+    return slots, s, s_prev, table, Q
+
+
+def ref_T5(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
+    seq = built.seq
+    slots, s, s_prev, table, Q = _class_rows(built, n)
+    k = slots.shape[1]
+    eps = Fraction(seq.plan.stage(n).eps_classic)
+    target = Fraction(1, Q)
+    worst, witness = Fraction(0), {}
+    t_max = int((1 - eps) * k)
+    classes_sides = sorted(set(table))
+    cid = np.array([classes_sides.index(table[x])
+                    for x in range(2 * s_prev)])
+    nc = len(classes_sides)
+    for w0 in range(s):                       # prewords, even
+        v_slots = slots[w0]
+        for w1 in range(2 * s):               # w1 or its reverse
+            u_cids = cid[slots[w1]]
+            want_side = REV if w1 >= s else FWD
+            for t in range(1, t_max + 1):
+                for v in range(s_prev):       # v ranges over even n-words
+                    for name, J, U in (
+                            ("T5a", np.flatnonzero(v_slots[:k - t] == v),
+                             u_cids[t:]),
+                            ("T5b", np.flatnonzero(v_slots[t:] == v),
+                             u_cids[:k - t])):
+                        if len(J) == 0:
+                            continue
+                        counts = np.bincount(U[J], minlength=nc)
+                        for ci, (C, side) in enumerate(classes_sides):
+                            if side != want_side:
+                                continue
+                            dev = abs(Fraction(int(counts[ci]), len(J))
+                                      - target)
+                            if dev > worst:
+                                worst = dev
+                                witness = {"axiom": name, "w0": w0,
+                                           "w1": w1, "t": t, "v": v,
+                                           "class": C}
+    status = "pass" if worst < mu else "fail"
+    return SpecEntry("T5", status, worst, mu, witness)
+
+
+def ref_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
+    seq = built.seq
+    slots, s, s_prev, table, Q = _class_rows(built, n)
+    action = built.actions[n] if built.actions else None
+    if action is None:
+        return SpecEntry("T6", "not-checked")
+    k = slots.shape[1]
+    eps = Fraction(seq.plan.stage(n).eps_classic)
+    G = len(action.elements)
+    target = min(Fraction(1), Fraction(G, Q))
+    orbit_pairs = {(cu, el[cu]) for el in action.elements for cu in el}
+    rel_table = np.zeros((2 * s_prev, 2 * s_prev), dtype=bool)
+    for a in range(2 * s_prev):
+        for b in range(2 * s_prev):
+            rel_table[a, b] = (table[a], table[b]) in orbit_pairs
+    worst, witness = Fraction(0), {}
+    t_max = int((1 - eps) * k)
+    j_lo = max(1, ceil(eps * k))
+    tf = float(target)
+    for w0 in range(s):
+        for w1 in range(s):
+            for t in range(1, t_max + 1):
+                if k - t < j_lo:
+                    continue
+                cum = np.cumsum(rel_table[slots[w0, :k - t],
+                                          slots[w1, t:]])[j_lo - 1:]
+                j0s = np.arange(j_lo, k - t + 1)
+                devs = np.abs(cum / j0s - tf)
+                c = int(np.argmax(devs))
+                dev = abs(Fraction(int(cum[c]), int(j0s[c])) - target)
+                if dev > worst:
+                    worst = dev
+                    witness = {"w0": w0, "w1": w1, "t": t,
+                               "j0": int(j0s[c])}
+    status = "pass" if worst < mu else "fail"
+    return SpecEntry("T6", status, worst, mu, witness)
+
+
+def ref_T7(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
+    slots, s, s_prev, table, Q = _class_rows(built, n)
+    action = built.actions[n + 1] if built.actions else None
+    cur = built.stage(n + 1)
+    k = slots.shape[1]
+    target = Fraction(1, Q)
+    worst, witness = Fraction(0), {}
+    classes_sides = sorted(set(table))
+    for w0 in range(s):
+        for w1 in range(2 * s):
+            if cur.classes is not None and action is not None:
+                cu = (cur.classes[w0], FWD)
+                cv = (cur.classes[w1 % s], REV if w1 >= s else FWD)
+                if _orbit_element(action, cv, cu) is not None:
+                    continue                  # hypothesis: outside the orbit
+            want_side = REV if w1 >= s else FWD
+            for v in range(s_prev):
+                J = np.flatnonzero(slots[w0] == v)
+                if len(J) == 0:
+                    continue
+                for C, side in classes_sides:
+                    if side != want_side:
+                        continue
+                    hits = sum(1 for x in slots[w1][J]
+                               if table[x] == (C, side))
+                    dev = abs(Fraction(int(hits), len(J)) - target)
+                    if dev > worst:
+                        worst = dev
+                        witness = {"w0": w0, "w1": w1, "v": v, "class": C}
+    status = "pass" if worst < mu else "fail"
+    return SpecEntry("T7", status, worst, mu, witness)
+
+
 def signed_slot_matrix(words, s_prev):
     """Rows: each word, then each word reversed over the signed alphabet."""
     return np.array([list(w) for w in words] +
@@ -407,3 +604,82 @@ class TestPrefixKernel:
         pairs = _J11_1_pairs(built.seq, 0, built.actions)
         assert_same_entry(replace(j11_1, spec_id="J11.1"),
                           ref_J11_1(slots, 2, 2, pairs, st0.eps_lunate, tol))
+
+
+MUS = st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(3, 10),
+                       Fraction(1, 2)])
+
+
+@st.composite
+def class_builds(draw):
+    """Built sequences with classes at stages 1 and 2 for the frequency
+    checks at n = 1: random or constant stage-2 words, stage-2 classes or
+    none, and missing, identity or side-swapping actions."""
+    s1 = draw(st.sampled_from([2, 4]))
+    Q = draw(st.sampled_from([q for q in (1, 2, 4) if q <= s1]))
+    classes1 = tuple(draw(st.permutations([i % Q for i in range(s1)])))
+    k = draw(st.integers(2, 24))
+    s2 = draw(st.integers(1, 3))
+    slot = st.integers(0, s1 - 1)
+    word_ = st.one_of(st.lists(slot, min_size=k, max_size=k),
+                      slot.map(lambda x: [x] * k))
+    comps2 = draw(st.lists(word_, min_size=s2, max_size=s2))
+    classes2 = draw(st.one_of(st.none(), st.tuples(
+        *[st.integers(0, Q - 1)] * s2)))
+    swap = st.permutations(range(Q)).map(
+        lambda p: swap_side_action(Q, p).generators[0])
+    action = st.one_of(
+        st.none(), st.just(identity_action(Q)),
+        st.lists(swap, min_size=1, max_size=2).map(
+            lambda gens: GroupActionTable(Q, tuple(gens))))
+    plan = desk_plan(kl=((2, 2), (k, 2)),
+                     eps_classic=(Fraction(1, 4), draw(EPS)))
+    seq = odometer_sequence(
+        plan, "01", [[(i % 2, i // 2) for i in range(s1)], comps2])
+    seq = replace(seq, stages=(
+        seq.stages[0], replace(seq.stages[1], classes=classes1),
+        replace(seq.stages[2], classes=classes2)))
+    return BuiltSequence(seq, (None, draw(action), draw(action)), SC)
+
+
+class TestFrequencyChecks:
+    @given(class_builds(), MUS)
+    @settings(max_examples=150, deadline=None)
+    def test_match_reference_checks(self, built, mu):
+        slots = _slot_matrix(built.seq, 1)[0]
+        assert_same_entry(_check_J11(built.seq, 1, slots, built.actions, mu),
+                          ref_J11(built.seq, 1, slots, built.actions, mu))
+        for check, ref in ((check_T5, ref_T5), (check_T6, ref_T6),
+                           (check_T7, ref_T7)):
+            assert_same_entry(check(built, 1, mu), ref(built, 1, mu))
+
+    def test_missing_class_data_is_not_checked(self):
+        seq = odometer_sequence(desk_plan(kl=((4, 2), (2, 2), (2, 2))), "01",
+                                [[(0, 1, 0, 1), (1, 0, 1, 0)],
+                                 [(0, 1), (1, 0)]])
+        circ = lift_build(BuiltSequence(seq, (None, None, None), SC))
+        assert check_T4(circ, 1, Fraction(1, 8)).status == "not-checked"
+        for check in (check_T5, check_T6, check_T7):
+            for n in (0, 1):
+                assert check(circ, n, Fraction(1, 4)) == \
+                    SpecEntry(check.__name__[-2:], "not-checked")
+
+    def test_pinned_uneven_classes(self):
+        # three stage-1 words in classes (0, 1, 1) under two stage-2 words;
+        # T5's first worst entry is a T5b one
+        plan = desk_plan(kl=((2, 2), (8, 2)))
+        seq = odometer_sequence(plan, "01", [[(0, 0), (0, 1), (1, 0)],
+                                             [(1, 1, 0, 1, 2, 2, 0, 0),
+                                              (2, 2, 1, 0, 2, 1, 2, 2)]])
+        seq = replace(seq, stages=(
+            seq.stages[0], replace(seq.stages[1], classes=(0, 1, 1)),
+            replace(seq.stages[2], classes=(0, 1))))
+        built = BuiltSequence(seq, (None, None, None), SC)
+        mu = Fraction(1, 4)
+        t5, t7 = check_T5(built, 1, mu), check_T7(built, 1, mu)
+        assert t5.worst_deviation == t7.worst_deviation == Fraction(1, 2)
+        assert t5.witness == {"axiom": "T5b", "w0": 0, "w1": 0, "t": 1,
+                              "v": 2, "class": 0}
+        assert t7.witness == {"w0": 0, "w1": 0, "v": 0, "class": 0}
+        assert_same_entry(t5, ref_T5(built, 1, mu))
+        assert_same_entry(t7, ref_T7(built, 1, mu))
