@@ -8,39 +8,3 @@ verification-driven word builder, and tree-prefix reductions.
 """
 
 __version__ = "0.1.0"
-
-from .coefficients import (CoefficientPlan, PlanStage, audit_plan,  # noqa: E402
-                           code_coefficients, desk_plan, desk_policy,
-                           dynamical_index, extend_plan, grow_plan,
-                           paper_floor_policy, plan_from_json, plan_to_json)
-from .words import (Concat, Literal, Power, Word, dbar,  # noqa: E402
-                    count_pair_occurrences, reverse, structural_equal,
-                    unique_readability, word, word_from_json, word_to_json)
-from .circular import (apply_C, apply_Cr, cross_alignment,  # noqa: E402
-                       parse_circular, reversal_identity_applies)
-from .systems import (ConstructionSequence, GroupActionTable,  # noqa: E402
-                      StageFamily, base_stage, circular_sequence, functor_F,
-                      functor_inverse, identity_action, odometer_negate,
-                      odometer_sequence, odometer_successor,
-                      propagate_equivalence, sequence_from_json,
-                      sequence_to_json, skew_diagonal_extend,
-                      swap_side_action, uniformity_report)
-from .locations import (D_n, Location, PointWindow, immature_fraction,  # noqa: E402
-                        locate, location_tables, maturity, project_pi,
-                        sample_point)
-from .rotation import (analyze_rotation, build_red_zones, delta_csv,  # noqa: E402
-                       delta_n, delta_partial, displacement, ill_at,
-                       match_class, rotation_report_json)
-from .codes import (StationaryCode, apply_code, code_distance,  # noqa: E402
-                    constant_code, identity_code, kappa_sequence,
-                    natural_code)
-from .specbuild import (BuildError, BuiltSequence, GroupScaffold,  # noqa: E402
-                        SpecReport, ToleranceProfile, build_words,
-                        check_T4, check_T5, check_T6, check_T7,
-                        check_specs, check_timing, desk_tolerances,
-                        gamma_cascade, groups_from_tree, lift_build)
-from .trees import (ContinuityCertificate, ReductionResult,  # noqa: E402
-                    TreeError, TreePrefix, certify_continuity, chain_report,
-                    continuity_bound, mutate_tree, realization_handoff,
-                    reduce, sigma_enumeration, sigma_index, tree_from_json,
-                    tree_to_json, validate_tree)

@@ -161,7 +161,7 @@ class SubscaleDecomposition:
 def parse_circular(w, stage) -> SubscaleDecomposition:
     """Invert apply_C, recovering the preword, or diagnose the first
     divergent position.  Structural inputs are taken apart by node
-    shape; literals are scanned."""
+    shape; literals are read and checked against their rebuild."""
     k, l, p, q = stage_tuple(stage)
     js = tuple(dynamical_index(p, q, i) for i in range(q))
     if isinstance(w, CircularNode) and (w.k, w.l, w.p, w.q) == (k, l, p, q):
@@ -172,31 +172,15 @@ def parse_circular(w, stage) -> SubscaleDecomposition:
     if len(text) != k * l * q * q:
         raise CircularParseError(len(text), k * l * q * q, None,
                                  f"length {len(text)} != k*l*q^2")
-    children: list[str | None] = [None] * k
-    pos = 0
-    for i in range(q):
-        ji = js[i]
-        for j in range(k):
-            for _ in range(q - ji):
-                if text[pos] != SYMBOL_B:
-                    raise CircularParseError(pos, SYMBOL_B, text[pos])
-                pos += 1
-            for copy in range(l - 1):
-                piece = text[pos:pos + q]
-                if children[j] is None:
-                    children[j] = piece
-                elif piece != children[j]:
-                    for d in range(q):
-                        if piece[d] != children[j][d]:
-                            raise CircularParseError(pos + d, children[j][d],
-                                                     piece[d])
-                pos += q
-            for _ in range(ji):
-                if text[pos] != SYMBOL_E:
-                    raise CircularParseError(pos, SYMBOL_E, text[pos])
-                pos += 1
-    return SubscaleDecomposition(k, l, p, q,
-                                 tuple(Literal(c) for c in children), js)
+    # j_0 = 0, so 1-subsection j opens with q b's and then copy 0 of w_j
+    sec = l * q
+    children = tuple(Literal(text[j * sec + q:j * sec + 2 * q])
+                     for j in range(k))
+    rebuilt = apply_C(children, stage).materialize(len(text))
+    if rebuilt != text:
+        pos = next(i for i, (x, y) in enumerate(zip(rebuilt, text)) if x != y)
+        raise CircularParseError(pos, rebuilt[pos], text[pos])
+    return SubscaleDecomposition(k, l, p, q, children, js)
 
 
 # ---------------------------------------------------------------------------

@@ -160,17 +160,23 @@ def desk_plan(kl=((2, 2), (2, 2)), desk_mode: bool = True, **overrides) -> Coeff
 # ---------------------------------------------------------------------------
 # growth policies and plan extension
 
+# the audit's finite surrogates for the summability requirements
+L_RATIO = 2                      # NR1
+EPS_CLASSIC_RATIO = 8            # NR2
+G_OVER_Q_RATIO = Fraction(1, 2)  # NR5
+Q1_MARGIN = 4                    # NR13, and a cap on each stage's eps_lunate
+
+
 @dataclass(frozen=True)
 class GrowthPolicy:
     """How to pick the next stage's numbers.
 
     The per-stage choices are made in the order Q1, eps_classic, mu,
     eps_lunate, s_next, k, l: each later value may depend on the earlier
-    ones but never the other way around.  The dominance ratios double as
-    the audit's finite surrogates for the summability requirements.
+    ones but never the other way around.  The two divisors double as the
+    audit's bounds for NR4 and NR11.
     """
 
-    name: str = "desk"
     Q1_of: object = None           # callable n -> int
     eps_classic_of: object = None  # callable (n, prev) -> Fraction
     mu_divisor: int = 4
@@ -180,18 +186,10 @@ class GrowthPolicy:
     l_of: object = None            # callable (n, prev_l) -> int
     e_of: object = None            # callable n -> int
     G1_size_of: object = None      # callable n -> int
-    # audit surrogates
-    l_ratio: int = 2
-    eps_classic_ratio: int = 8
-    eps_lunate_ratio: int = 2
-    g_over_q_ratio: Fraction = Fraction(1, 2)
-    q1_margin: int = 4
-    smooth_l_floor: object = None  # optional hook: callable (plan, n) -> int
 
 
 def desk_policy() -> GrowthPolicy:
     return GrowthPolicy(
-        name="desk",
         Q1_of=lambda n: 2,
         eps_classic_of=lambda n, prev: (prev or Fraction(1, 4)) / 4 if n else Fraction(1, 4),
         k_of=lambda n, s_next, eps: 2,
@@ -208,7 +206,6 @@ def paper_floor_policy() -> GrowthPolicy:
     audit can be exercised against a compliant plan.
     """
     return GrowthPolicy(
-        name="paper-floor",
         Q1_of=lambda n: 2 ** (n + 2),
         eps_classic_of=lambda n, prev: (prev or Fraction(1, 8)) / 8 if n else Fraction(1, 8),
         mu_divisor=16,
@@ -228,7 +225,7 @@ def extend_plan(plan: CoefficientPlan, policy: GrowthPolicy) -> CoefficientPlan:
     Q1 = policy.Q1_of(n)
     eps_classic = policy.eps_classic_of(n, prev.eps_classic if prev else None)
     mu = min(eps_classic, Fraction(1, Q1)) / policy.mu_divisor
-    eps_lunate = min(mu / policy.eps_lunate_divisor, Fraction(1, policy.q1_margin * Q1))
+    eps_lunate = min(mu / policy.eps_lunate_divisor, Fraction(1, Q1_MARGIN * Q1))
     if prev is not None and eps_lunate >= prev.eps_lunate:
         eps_lunate = prev.eps_lunate / 2
     s_here = plan.s_next
@@ -244,14 +241,10 @@ def extend_plan(plan: CoefficientPlan, policy: GrowthPolicy) -> CoefficientPlan:
                            desk_mode=plan.desk_mode)
 
 
-def empty_plan(desk_mode: bool = True, s0: int = 2) -> CoefficientPlan:
-    return CoefficientPlan(stages=(), s_next=s0, desk_mode=desk_mode)
-
-
 def grow_plan(stages: int, policy: GrowthPolicy | None = None,
               desk_mode: bool = True) -> CoefficientPlan:
     policy = policy or desk_policy()
-    plan = empty_plan(desk_mode=desk_mode)
+    plan = CoefficientPlan(stages=(), desk_mode=desk_mode)
     for _ in range(stages):
         plan = extend_plan(plan, policy)
     return plan
@@ -311,9 +304,10 @@ def audit_plan(plan: CoefficientPlan, policy: GrowthPolicy | None = None,
                tree_indices: list[int] | None = None) -> AuditReport:
     """Report-only check of every numeric requirement on a finite prefix.
 
-    Summability conditions are finitized as per-stage dominance ratios
-    declared by the policy.  Absolute floors failing under desk_mode are
-    flagged desk_waived rather than hidden.
+    Summability conditions are finitized as per-stage dominance ratios:
+    the module's surrogate constants and the policy's two divisors.
+    Absolute floors failing under desk_mode are flagged desk_waived
+    rather than hidden.
     """
     policy = policy or desk_policy()
     st = plan.stages
@@ -337,13 +331,13 @@ def audit_plan(plan: CoefficientPlan, policy: GrowthPolicy | None = None,
 
     # NR1: l_0 > 20 (floor) and geometric growth of l_n (summability surrogate)
     floor_ok = st[0].l > 20
-    grow_ok = all(st[i].l >= policy.l_ratio * st[i - 1].l for i in range(1, n_st))
+    grow_ok = all(st[i].l >= L_RATIO * st[i - 1].l for i in range(1, n_st))
     add("NR1", floor_ok and grow_ok,
         {"l0": st[0].l, "floor_ok": floor_ok, "growth_ok": grow_ok}, floor=True)
 
     # NR2: eps_classic decays fast enough that eps_N > 4 * tail sum
     bad = [i for i in range(1, n_st)
-           if st[i].eps_classic * policy.eps_classic_ratio > st[i - 1].eps_classic]
+           if st[i].eps_classic * EPS_CLASSIC_RATIO > st[i - 1].eps_classic]
     add("NR2", not bad, {"violating_stages": bad})
 
     # NR3: eps_classic_{n-1} > (1/q_m) * sum_{n<=j<m} 3 eps_j q_{j+1}, all n<m
@@ -365,15 +359,11 @@ def audit_plan(plan: CoefficientPlan, policy: GrowthPolicy | None = None,
     # NR5: sum |G1_n|/Q1_n finite -- surrogate: ratio halving per stage
     bad = [i for i in range(1, n_st)
            if Fraction(st[i].G1_size, st[i].Q1) >
-           policy.g_over_q_ratio * Fraction(st[i - 1].G1_size, st[i - 1].Q1)]
+           G_OVER_Q_RATIO * Fraction(st[i - 1].G1_size, st[i - 1].Q1)]
     add("NR5", not bad, {"violating_stages": bad}, floor=True)
 
-    # NR6: smooth-realization lower bound on l_n -- pluggable hook only
-    if policy.smooth_l_floor is None:
-        add("NR6", True, applicable=False)
-    else:
-        bad = [i for i in range(n_st) if st[i].l < policy.smooth_l_floor(plan, i)]
-        add("NR6", not bad, {"violating_stages": bad})
+    # NR6: smooth-realization lower bound on l_n -- no finite form here
+    add("NR6", True, applicable=False)
 
     # NR7: s_n -> infinity (floor) and s_{n+1} a power of s_n
     ss = [s.s for s in st] + [plan.s_next]
@@ -420,7 +410,7 @@ def audit_plan(plan: CoefficientPlan, policy: GrowthPolicy | None = None,
 
     # NR13: eps_lunate small as a function of Q1
     bad = [i for i in range(n_st)
-           if st[i].eps_lunate > Fraction(1, policy.q1_margin * st[i].Q1)]
+           if st[i].eps_lunate > Fraction(1, Q1_MARGIN * st[i].Q1)]
     add("NR13", not bad, {"violating_stages": bad})
 
     # IR1: eps_lunate summable -- ratio surrogate

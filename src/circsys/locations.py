@@ -89,9 +89,6 @@ def locate(pw: PointWindow, n: int) -> Location:
     return Location(x)
 
 
-EDGE_SET_NAMES = ("boundary", "copy-edge", "subsection-edge", "section-edge")
-
-
 @dataclass(frozen=True)
 class MaturityResult:
     mature: bool

@@ -123,7 +123,6 @@ class ToleranceProfile:
     """Per-family tolerances; the J functions take the stage index."""
 
     j_family: object = None     # callable n -> Fraction
-    mu: object = None           # callable n -> Fraction
 
     def j(self, n: int) -> Fraction:
         if self.j_family is None:
@@ -131,11 +130,8 @@ class ToleranceProfile:
         return Fraction(self.j_family(n)) if callable(self.j_family) \
             else Fraction(self.j_family)
 
-    def mu_at(self, n: int) -> Fraction:
-        if self.mu is None:
-            return Fraction(1, 4)
-        return Fraction(self.mu(n)) if callable(self.mu) \
-            else Fraction(self.mu)
+
+MU = Fraction(1, 4)             # the T5-T7 tolerance mu, at every stage
 
 
 def desk_tolerances() -> ToleranceProfile:
@@ -898,10 +894,9 @@ def check_timing(built: BuiltSequence, level: int,
         entries.append(replace(_check_A8(act), spec_id=f"T3@{n}"))
         entries.append(replace(check_T4(circ, n + 1, gamma.gamma(n + 1)),
                                spec_id=f"T4@{n + 1}"))
-        mu = tol.mu_at(n)
-        entries.append(replace(check_T5(circ, n, mu), spec_id=f"T5@{n}"))
-        entries.append(replace(check_T6(circ, n, mu), spec_id=f"T6@{n}"))
-        entries.append(replace(check_T7(circ, n, mu), spec_id=f"T7@{n}"))
+        entries.append(replace(check_T5(circ, n, MU), spec_id=f"T5@{n}"))
+        entries.append(replace(check_T6(circ, n, MU), spec_id=f"T6@{n}"))
+        entries.append(replace(check_T7(circ, n, MU), spec_id=f"T7@{n}"))
     return SpecReport(tuple(entries))
 
 
@@ -947,7 +942,7 @@ def _search_separated_pair(rng, plan, scaffold, gamma, k, steps=2500,
 
 
 def _sample_stage(rng, plan, n, prev_size, prev_classes, s_next, Q_next,
-                  prefix_lock: bool, style: str):
+                  prefix_lock: bool):
     """Compositions and classes for stage n+1.
 
     Each class fixes a slot pattern over previous-stage classes; members
@@ -1059,7 +1054,7 @@ def _build_once(rng, scaffold, plan, level, style):
         else:
             comps, classes = _sample_stage(
                 rng, plan, n, prev_size, prev_classes, s_next, Q_next,
-                prefix_lock=(M1 is not None and n + 1 == M1), style=style)
+                prefix_lock=(M1 is not None and n + 1 == M1))
         comps_by_stage.append(comps)
         classes_by_stage.append(classes)
         prev_size, prev_classes = len(comps), classes

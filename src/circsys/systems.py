@@ -46,9 +46,6 @@ class StageFamily:
     def size(self) -> int:
         return len(self.words)
 
-    def class_of(self, i: int) -> int:
-        return i if self.classes is None else self.classes[i]
-
     def num_classes(self) -> int:
         return self.size if self.classes is None else len(set(self.classes))
 
@@ -152,17 +149,13 @@ def functor_inverse(circ: ConstructionSequence) -> ConstructionSequence:
         grid = (st.k, st.l, plan.p(n - 1), plan.q(n - 1))
         stage_comps = []
         for w in fam.words:
-            dec = parse_circular(w, grid)
-            tup = []
-            for child in dec.preword:
-                for i, cand in enumerate(prev.words):
-                    if child == cand:
-                        tup.append(i)
-                        break
-                else:
-                    raise SequenceError("circular child not in the previous "
-                                        "stage family")
-            stage_comps.append(tuple(tup))
+            preword = parse_circular(w, grid).preword
+            try:
+                stage_comps.append(tuple(prev.words.index(child)
+                                         for child in preword))
+            except ValueError:
+                raise SequenceError("circular child not in the previous "
+                                    "stage family") from None
         comps.append(tuple(stage_comps))
     out = odometer_sequence(plan,
                             [w.materialize() for w in circ.stage(0).words],

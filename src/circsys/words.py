@@ -24,7 +24,6 @@ MATERIALIZE_CAP = 2 ** 20
 SYMBOL_B = "b"
 SYMBOL_E = "e"
 SYMBOL_STAR = "*"
-DEFAULT_ALPHABET = ("0", "1", SYMBOL_B, SYMBOL_E, SYMBOL_STAR)
 
 
 class WordIndexError(IndexError):
@@ -60,14 +59,32 @@ class Word:
     def _extract(self, a: int, b: int) -> str:
         raise NotImplementedError
 
+    def _parts(self) -> tuple:
+        """(shape, children).  The shape fixes each child's length and
+        every child shows in a nonempty word's text, so words of one node
+        type and one shape are equal exactly when their children (a
+        Literal's one child is its text) are pairwise equal."""
+        raise NotImplementedError
+
     def __eq__(self, other):
+        """Exact at every length: equal shapes recurse into the
+        children, anything else is compared chunk by chunk, which costs
+        time in proportion to the length."""
         if not isinstance(other, Word):
             return NotImplemented
+        if self is other:
+            return True
         if self.length != other.length:
             return False
-        if self.length > MATERIALIZE_CAP:
-            return structural_equal(self, other)
-        return self._extract(0, self.length) == other._extract(0, other.length)
+        if self.length == 0:
+            return True
+        if type(self) is type(other):
+            shape, children = self._parts()
+            other_shape, other_children = other._parts()
+            if shape == other_shape:
+                return all(x == y for x, y in zip(children, other_children))
+        return all(su == sv for su, sv in
+                   _aligned_chunks(self, 0, other, 0, self.length))
 
     def __hash__(self):
         if self.length <= 64:
@@ -86,6 +103,9 @@ class Literal(Word):
 
     def _extract(self, a, b):
         return self.text[a:b]
+
+    def _parts(self):
+        return None, (self.text,)
 
     def __repr__(self):
         t = self.text if len(self.text) <= 32 else self.text[:29] + "..."
@@ -117,6 +137,9 @@ class Power(Word):
             parts.append(self.child._extract(lo, hi))
         return "".join(parts)
 
+    def _parts(self):
+        return (self.exponent, self.child.length), (self.child,)
+
     def __repr__(self):
         return f"Power({self.child!r}, {self.exponent})"
 
@@ -139,9 +162,8 @@ class Concat(Word):
         if a == b:
             return ""
         offs = self._offsets
-        first = bisect_right(offs, a) - 1
         parts = []
-        i = first
+        i = bisect_right(offs, a) - 1
         while i < len(self.children) and offs[i] < b:
             lo = max(a - offs[i], 0)
             hi = min(b - offs[i], self.children[i].length)
@@ -149,6 +171,9 @@ class Concat(Word):
                 parts.append(self.children[i]._extract(lo, hi))
             i += 1
         return "".join(parts)
+
+    def _parts(self):
+        return self._offsets, self.children
 
     def __repr__(self):
         return f"Concat({list(self.children)!r})"
@@ -167,6 +192,8 @@ class _Sectioned(Word):
     q: int
 
     def __post_init__(self):
+        if self.l < 2:
+            raise ValueError(f"need l >= 2, got l = {self.l}")
         if len(self.children) != self.k:
             raise ValueError(f"need {self.k} children, got {len(self.children)}")
         for ch in self.children:
@@ -203,6 +230,9 @@ class _Sectioned(Word):
                 parts.append(tail_sym * (thi - tlo))
         return "".join(parts)
 
+    def _parts(self):
+        return (self.k, self.l, self.p, self.q), self.children
+
 
 class CircularNode(_Sectioned):
     """Image of the interleaving operator at stage parameters (k,l,p,q).
@@ -233,6 +263,9 @@ class ReversedNode(Word):
         n = self.length
         return self.child._extract(n - b, n - a)[::-1]
 
+    def _parts(self):
+        return None, (self.child,)
+
     def __repr__(self):
         return f"ReversedNode({self.child!r})"
 
@@ -254,18 +287,13 @@ def reverse(w: Word) -> Word:
     return ReversedNode(w)
 
 
-def structural_equal(u: Word, v: Word) -> bool:
-    """Equality probe for words too large to materialize.
-
-    Compares lengths plus a deterministic pseudo-random index sample;
-    sound for equal words, complete only with high probability.
-    """
-    if u.length != v.length:
-        return False
-    rng = random.Random(0xC1C5)
-    n = u.length
-    idx = {0, n - 1, n // 2} | {rng.randrange(n) for _ in range(256)}
-    return all(u.symbol_at(i) == v.symbol_at(i) for i in idx)
+def _aligned_chunks(u: Word, a: int, v: Word, b: int, n: int):
+    """u[a:a+n] and v[b:b+n] as aligned pairs of strings of at most
+    2^16 symbols each."""
+    step = 1 << 16
+    for off in range(0, n, step):
+        m = min(step, n - off)
+        yield u._extract(a + off, a + off + m), v._extract(b + off, b + off + m)
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +330,12 @@ def dbar(u: Word, v: Word, interval: tuple | None = None, *,
         raise WordIndexError("interval outside a word's domain")
     n = b - a
     if mode == "exact" or (mode == "auto" and n <= cap):
-        step = min(n, 1 << 16)
-        diff = 0
-        off = 0
-        while off < n:
-            m = min(step, n - off)
-            su = u._extract(a + off, a + off + m)
-            sv = v._extract(va + off, va + off + m)
-            diff += sum(x != y for x, y in zip(su, sv))
-            off += m
+        diff = sum(x != y for su, sv in _aligned_chunks(u, a, v, va, n)
+                   for x, y in zip(su, sv))
         return DbarResult("exact", Fraction(diff, n), (a, b))
     rng = random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        i = rng.randrange(n)
-        if u.symbol_at(a + i) != v.symbol_at(va + i):
-            hits += 1
+    hits = sum(u.symbol_at(a + i) != v.symbol_at(va + i)
+               for i in (rng.randrange(n) for _ in range(samples)))
     delta = 1 - confidence
     hw = math.sqrt(math.log(2 / float(delta)) / (2 * samples))
     return DbarResult("estimate", Fraction(hits, samples), (a, b),

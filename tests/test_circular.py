@@ -1,15 +1,18 @@
 """The interleaving operator: anatomy, parsing, reversal, alignment."""
 
+import math
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
-from circsys.circular import (CircularParseError, apply_C, apply_Cr,
-                              cross_alignment, parse_circular,
-                              reversal_identity_applies)
+from circsys.circular import (CircularParseError, SubscaleDecomposition,
+                              apply_C, apply_Cr, cross_alignment,
+                              parse_circular, reversal_identity_applies)
 from circsys.coefficients import desk_plan, dynamical_index
-from circsys.words import CircularNode, reverse, word
+from circsys.words import (SYMBOL_B, SYMBOL_E, CircularNode, Literal, reverse,
+                           word)
 
 
 def random_preword(rng, k, q):
@@ -78,6 +81,70 @@ class TestParse:
     def test_wrong_length_rejected(self):
         with pytest.raises(CircularParseError):
             parse_circular(word("b10e"), (2, 2, 1, 2))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_scan(self, data):
+        k = data.draw(st.integers(1, 4))
+        l = data.draw(st.integers(2, 4))
+        q = data.draw(st.integers(1, 7))
+        p = data.draw(st.sampled_from(
+            [p for p in range(max(q, 2)) if math.gcd(p, q) == 1]))
+        pre = [data.draw(st.text(alphabet="01be", min_size=q, max_size=q))
+               for _ in range(k)]
+        text = list(apply_C(pre, (k, l, p, q)).materialize())
+        for _ in range(data.draw(st.integers(0, 5))):
+            i = data.draw(st.integers(0, len(text) - 1))
+            text[i] = data.draw(st.sampled_from("01be"))
+        text = "".join(text)
+        try:
+            want = ref_parse_literal(text, (k, l, p, q))
+        except CircularParseError as exc:
+            with pytest.raises(CircularParseError) as err:
+                parse_circular(word(text), (k, l, p, q))
+            got = err.value
+            assert (got.position, got.expected, got.found, str(got)) == \
+                (exc.position, exc.expected, exc.found, str(exc))
+            return
+        dec = parse_circular(word(text), (k, l, p, q))
+        assert [c.materialize() for c in dec.preword] == \
+            [c.materialize() for c in want.preword]
+        assert dec.j == want.j
+
+
+def ref_parse_literal(text, stage):
+    """The symbol-by-symbol scan parse_circular once ran on literals: the
+    reference its rebuild-and-compare check is tested against."""
+    k, l, p, q = stage
+    js = tuple(dynamical_index(p, q, i) for i in range(q))
+    if len(text) != k * l * q * q:
+        raise CircularParseError(len(text), k * l * q * q, None,
+                                 f"length {len(text)} != k*l*q^2")
+    children = [None] * k
+    pos = 0
+    for i in range(q):
+        ji = js[i]
+        for j in range(k):
+            for _ in range(q - ji):
+                if text[pos] != SYMBOL_B:
+                    raise CircularParseError(pos, SYMBOL_B, text[pos])
+                pos += 1
+            for copy in range(l - 1):
+                piece = text[pos:pos + q]
+                if children[j] is None:
+                    children[j] = piece
+                elif piece != children[j]:
+                    for d in range(q):
+                        if piece[d] != children[j][d]:
+                            raise CircularParseError(pos + d, children[j][d],
+                                                     piece[d])
+                pos += q
+            for _ in range(ji):
+                if text[pos] != SYMBOL_E:
+                    raise CircularParseError(pos, SYMBOL_E, text[pos])
+                pos += 1
+    return SubscaleDecomposition(k, l, p, q,
+                                 tuple(Literal(c) for c in children), js)
 
 
 class TestReversalIdentity:

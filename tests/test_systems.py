@@ -1,5 +1,6 @@
 """Construction sequences, the odometer/circular functor, group actions."""
 
+import json
 import random
 
 import pytest
@@ -62,6 +63,22 @@ class TestFunctor:
         circ = functor_F(seq)
         assert functor_F(functor_inverse(circ)).stage(2).compositions == \
             circ.stage(2).compositions
+
+    def test_inverse_parses_and_matches_without_compositions(self):
+        plan = desk_plan(kl=((4, 2), (2, 2)))
+        comps = [[(0, 1, 0, 1), (1, 0, 1, 0)], [(0, 1), (1, 0)]]
+        circ = functor_F(odometer_sequence(plan, "01", comps))
+        data = json.loads(sequence_to_json(circ))
+        for stage in data["stages"]:
+            stage["compositions"] = []
+        stripped = sequence_from_json(json.dumps(data))
+        inv = functor_inverse(stripped)
+        assert [list(inv.stage(n).compositions) for n in (1, 2)] == comps
+        # a stage-2 word whose child is no stage-1 word
+        data["stages"][2]["words"][0]["children"][0] = {
+            "type": "literal", "runs": [{"sym": "0", "n": plan.q(1)}]}
+        with pytest.raises(SequenceError, match="not in the previous"):
+            functor_inverse(sequence_from_json(json.dumps(data)))
 
     def test_preserves_strong_uniformity(self):
         plan = desk_plan(kl=((4, 2), (2, 2)))

@@ -1,15 +1,18 @@
 """Structured words, the d-bar density, and readability certificates."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circsys.words import (Concat, Literal, Power, WordIndexError,
-                           count_pair_occurrences, dbar, reverse,
-                           structural_equal, unique_readability, word,
-                           word_from_json, word_to_json)
+from circsys.circular import CircularRNode
+from circsys.words import (CircularNode, Concat, Literal, Power, ReversedNode,
+                           WordIndexError, _Sectioned, count_pair_occurrences,
+                           dbar, reverse, unique_readability, word,
+                           word_from_json, word_from_obj, word_to_json,
+                           word_to_obj)
 
 texts = st.text(alphabet="01be", min_size=1, max_size=40)
 
@@ -60,9 +63,128 @@ class TestReverse:
 
     def test_structural_equal_sees_through_shape(self):
         a = Concat((Literal("01"), Literal("01")))
-        assert structural_equal(a, Power(Literal("01"), 2))
-        assert structural_equal(a, Literal("0101"))
-        assert not structural_equal(a, Literal("0110"))
+        assert a == Power(Literal("01"), 2)
+        assert a == Literal("0101")
+        assert a != Literal("0110")
+
+
+def draw_tree(data, depth):
+    """A random word over 01be of Literal, Power, Concat, ReversedNode,
+    CircularNode and CircularRNode nodes."""
+    kind = data.draw(st.sampled_from(
+        ["literal", "power", "concat", "reversed", "circular", "mirrored"]))
+    if depth == 0 or kind == "literal":
+        return Literal(data.draw(st.text(alphabet="01be", min_size=1,
+                                         max_size=4)))
+    if kind == "power":
+        return Power(draw_tree(data, depth - 1), data.draw(st.integers(0, 3)))
+    if kind == "concat":
+        n = data.draw(st.integers(1, 3))
+        return Concat(tuple(draw_tree(data, depth - 1) for _ in range(n)))
+    if kind == "reversed":
+        return ReversedNode(draw_tree(data, depth - 1))
+    first = draw_tree(data, depth - 1)
+    q = first.length
+    if not 1 <= q <= 8:
+        return Power(first, 2)
+    k = data.draw(st.integers(1, 3))
+    l = data.draw(st.integers(2, 3))
+    p = data.draw(st.sampled_from(
+        [p for p in range(max(q, 2)) if math.gcd(p, q) == 1]))
+    node = CircularNode if kind == "circular" else CircularRNode
+    children = (first,) + tuple(variant(data, first) for _ in range(k - 1))
+    return node(children, k=k, l=l, p=p, q=q)
+
+
+def variant(data, w):
+    """A word of w's length: w itself, its text in another shape, or the
+    same shape with its children varied (one symbol edited at a
+    literal)."""
+    kind = data.draw(st.sampled_from(["same", "flat", "split", "mirror",
+                                      "deep"]))
+    text = w.materialize()
+    if kind == "same":
+        return w
+    if kind == "flat":
+        return Literal(text)
+    if kind == "split":
+        c = data.draw(st.integers(0, len(text)))
+        return Concat((Literal(text[:c]), Literal(text[c:])))
+    if kind == "mirror":
+        return ReversedNode(reverse(w))
+    if isinstance(w, Literal):
+        if not text:
+            return w
+        i = data.draw(st.integers(0, len(text) - 1))
+        return Literal(text[:i] + data.draw(st.sampled_from("01be"))
+                       + text[i + 1:])
+    if isinstance(w, Power):
+        return Power(variant(data, w.child), w.exponent)
+    if isinstance(w, Concat):
+        return Concat(tuple(variant(data, c) for c in w.children))
+    if isinstance(w, ReversedNode):
+        return ReversedNode(variant(data, w.child))
+    assert isinstance(w, _Sectioned)
+    return type(w)(tuple(variant(data, c) for c in w.children),
+                   k=w.k, l=w.l, p=w.p, q=w.q)
+
+
+class TestEquality:
+    def test_one_flipped_symbol_in_two_million(self):
+        # 2^21 symbols, past the materialization cap; a sampled probe
+        # of a few hundred indices misses the flip
+        block = "01" * 512
+        n = 2 ** 11
+        i, off = divmod(1049087, len(block))
+        flipped = block[:off] + ("1" if block[off] == "0" else "0") \
+            + block[off + 1:]
+
+        def spliced(middle):
+            return Concat((Power(Literal(block), i), Literal(middle),
+                           Power(Literal(block), n - i - 1)))
+        base = Power(Literal(block), n)
+        assert base.materialize() is None
+        assert spliced(flipped).length == base.length == 2 ** 21
+        assert base != spliced(flipped)
+        assert spliced(flipped) != base
+        assert base == spliced(block)
+
+    def test_huge_power_equals_round_trip(self):
+        w = Power(Concat((Literal("01"), Power(Literal("b"), 2))), 2 ** 38)
+        again = word_from_json(word_to_json(w))
+        assert again.length == 2 ** 40
+        assert again.materialize() is None
+        assert w == again
+        assert w != Power(Concat((Literal("01"), Power(Literal("e"), 2))),
+                          2 ** 38)
+
+    def test_children_hidden_by_an_empty_word(self):
+        # a zero power shows none of its child's text
+        assert Power(Literal("0"), 0) == Power(Literal("1"), 0)
+        assert Concat((Power(Literal("0"), 0), Literal("1"))) \
+            == Concat((Power(Literal("1"), 0), Literal("1")))
+        assert Concat((Power(Literal("0"), 0), Literal("1"))) \
+            != Concat((Power(Literal("1"), 0), Literal("0")))
+
+    def test_sectioned_rejects_l_below_two(self):
+        # at l = 1 no child shows in the text
+        with pytest.raises(ValueError, match="l >= 2"):
+            CircularNode((Literal("0"),), k=1, l=1, p=0, q=1)
+        obj = word_to_obj(CircularNode((Literal("0"),), k=1, l=2, p=0, q=1))
+        obj["l"] = 1
+        with pytest.raises(ValueError, match="l >= 2"):
+            word_from_obj(obj)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_exactly_when_texts_equal(self, data):
+        u = draw_tree(data, 3)
+        v = variant(data, u)
+        same = u.materialize() == v.materialize()
+        assert (u == v) == same
+        assert (v == u) == same
+        if same:
+            assert hash(u) == hash(v)
 
 
 class TestDbar:
@@ -162,5 +284,5 @@ class TestSerialization:
     def test_round_trip_preserves_structure(self, text, depth):
         w = build_tree(text, depth)
         again = word_from_json(word_to_json(w))
-        assert structural_equal(w, again)
+        assert w == again
         assert again.materialize() == w.materialize()
