@@ -7,7 +7,7 @@ and runs the numeric audit on the desk-scale defaults.
 from fractions import Fraction
 
 from circsys.coefficients import (audit_plan, code_coefficients, desk_plan,
-                                  desk_policy, dynamical_index, extend_plan)
+                                  dynamical_index, extend_plan)
 
 
 def main():
@@ -26,7 +26,7 @@ def main():
 
     print("\ngrowing two more stages with the desk policy:")
     for _ in range(2):
-        plan = extend_plan(plan, desk_policy())
+        plan = extend_plan(plan)
     for n in range(plan.depth + 1):
         print(f"  stage {n}: q = {plan.q(n)}")
 

@@ -22,10 +22,9 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .coefficients import (PlanError, audit_plan,
-                           code_coefficients, desk_plan, desk_policy,
-                           extend_plan, grow_plan, paper_floor_policy,
-                           plan_from_json, plan_to_json, plan_to_obj)
+from .coefficients import (PlanError, audit_plan, code_coefficients,
+                           desk_plan, extend_plan, grow_plan, plan_from_json,
+                           plan_to_json, plan_to_obj)
 from .words import WordIndexError, dbar, word
 from .circular import CircularParseError, parse_circular
 from .systems import SequenceError, sequence_to_json
@@ -143,10 +142,8 @@ def _load_plan(ctx, plan_path, kl, eps, stages, inputs: dict):
             plan = desk_plan(kl=_parse_kl(kl), **kwargs)
         except PlanError as exc:
             raise click.ClickException(str(exc))
-    if stages is not None and stages > plan.depth - 1:
-        policy = desk_policy() if plan.desk_mode else paper_floor_policy()
-        while plan.depth - 1 < stages:
-            plan = extend_plan(plan, policy)
+    while stages is not None and plan.depth - 1 < stages:
+        plan = extend_plan(plan)
     return plan
 
 
@@ -217,8 +214,7 @@ def plan_cmd(ctx, plan_path, kl, eps, desk, stages, audit):
     """Emit a coefficient plan, grown on request, with its audit."""
     inputs = {}
     if plan_path is None and stages is not None:
-        policy = desk_policy() if desk else paper_floor_policy()
-        plan = grow_plan(stages, policy)
+        plan = grow_plan(stages, desk)
     else:
         plan = _load_plan(ctx, plan_path, kl, eps, stages, inputs)
     payload = {"plan": plan_to_obj(plan)}

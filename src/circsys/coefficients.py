@@ -89,7 +89,7 @@ class PlanStage:
 class CoefficientPlan:
     stages: tuple[PlanStage, ...]
     s_next: int = 2
-    desk_mode: bool = True
+    desk_mode: bool = True     # grown by the desk policy, not the floor one
 
     def __post_init__(self):
         q, p = 1, 0
@@ -133,8 +133,13 @@ class CoefficientPlan:
         """Dynamical index at stage n."""
         return dynamical_index(self.p(n), self.q(n), i)
 
+    @property
+    def policy(self) -> GrowthPolicy:
+        """The growth policy desk_mode records."""
+        return desk_policy() if self.desk_mode else paper_floor_policy()
 
-def desk_plan(kl=((2, 2), (2, 2)), desk_mode: bool = True, **overrides) -> CoefficientPlan:
+
+def desk_plan(kl=((2, 2), (2, 2)), **overrides) -> CoefficientPlan:
     """Small hand plan from a list of (k, l) pairs.
 
     Auxiliary numbers default to desk values and decay geometrically;
@@ -154,7 +159,7 @@ def desk_plan(kl=((2, 2), (2, 2)), desk_mode: bool = True, **overrides) -> Coeff
             fields[name] = seq[n]
         stages.append(PlanStage(**fields))
         q, p = k * l * q * q, p * q * k * l + 1
-    return CoefficientPlan(stages=tuple(stages), desk_mode=desk_mode)
+    return CoefficientPlan(stages=tuple(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +223,10 @@ def paper_floor_policy() -> GrowthPolicy:
     )
 
 
-def extend_plan(plan: CoefficientPlan, policy: GrowthPolicy) -> CoefficientPlan:
-    """Append one stage, choosing values in the canonical order."""
+def extend_plan(plan: CoefficientPlan) -> CoefficientPlan:
+    """Append one stage by the plan's own policy, choosing values in the
+    canonical order."""
+    policy = plan.policy
     n = plan.depth
     prev = plan.stages[-1] if plan.stages else None
     Q1 = policy.Q1_of(n)
@@ -241,12 +248,11 @@ def extend_plan(plan: CoefficientPlan, policy: GrowthPolicy) -> CoefficientPlan:
                            desk_mode=plan.desk_mode)
 
 
-def grow_plan(stages: int, policy: GrowthPolicy | None = None,
-              desk_mode: bool = True) -> CoefficientPlan:
-    policy = policy or desk_policy()
-    plan = CoefficientPlan(stages=(), desk_mode=desk_mode)
+def grow_plan(stages: int, desk: bool = True) -> CoefficientPlan:
+    """A plan of ``stages`` stages grown by the desk or the floor policy."""
+    plan = CoefficientPlan(stages=(), desk_mode=desk)
     for _ in range(stages):
-        plan = extend_plan(plan, policy)
+        plan = extend_plan(plan)
     return plan
 
 
@@ -300,16 +306,15 @@ class AuditReport:
         ], indent=2)
 
 
-def audit_plan(plan: CoefficientPlan, policy: GrowthPolicy | None = None,
-               tree_indices: list[int] | None = None) -> AuditReport:
+def audit_plan(plan: CoefficientPlan) -> AuditReport:
     """Report-only check of every numeric requirement on a finite prefix.
 
     Summability conditions are finitized as per-stage dominance ratios:
-    the module's surrogate constants and the policy's two divisors.
-    Absolute floors failing under desk_mode are flagged desk_waived
-    rather than hidden.
+    the module's surrogate constants and the two divisors of the plan's
+    policy.  Absolute floors failing under desk_mode are flagged
+    desk_waived rather than hidden.
     """
-    policy = policy or desk_policy()
+    policy = plan.policy
     st = plan.stages
     n_st = len(st)
     out: list[AuditEntry] = []
@@ -465,13 +470,9 @@ def audit_plan(plan: CoefficientPlan, policy: GrowthPolicy | None = None,
     bad = [i for i, s in enumerate(ss) if s & (s - 1) or s < 2]
     add("IR7", not bad, {"violating_stages": bad})
 
-    # IR8: eps_lunate_n < 2^{-i_n} for the tree's enumeration indices
-    if tree_indices is None:
-        add("IR8", True, applicable=False)
-    else:
-        bad = [i for i in range(min(n_st, len(tree_indices)))
-               if st[i].eps_lunate >= Fraction(1, 2 ** tree_indices[i])]
-        add("IR8", not bad, {"violating_stages": bad}, floor=True)
+    # IR8: eps_lunate_n < 2^{-i_n} for a tree's enumeration indices,
+    # which a plan alone does not carry
+    add("IR8", True, applicable=False)
 
     return AuditReport(tuple(out))
 

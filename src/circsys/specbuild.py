@@ -716,35 +716,37 @@ def lift_build(built: BuiltSequence) -> BuiltSequence:
                          built.scaffold, built.report)
 
 
-def _sym_array(w) -> np.ndarray:
-    return np.frombuffer(w.materialize().encode("latin1"), dtype=np.uint8)
+class RoundingBoundError(ArithmeticError):
+    """A float FFT product is too long to round to exact integers."""
 
 
-def _mismatch_all_shifts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """M[l] = mismatches between a[:l] and b[len(b)-l:] for every l, via
-    FFT cross-correlation per symbol; exact after rounding."""
-    n = len(a)
-    size = 1
-    while size < 2 * n:
-        size *= 2
-    match = np.zeros(2 * n - 1)
-    for sym in np.unique(np.concatenate([a, b])):
-        fa = np.fft.rfft((a == sym).astype(float), size)
-        fb = np.fft.rfft((b == sym)[::-1].astype(float), size)
-        match += np.fft.irfft(fa * fb, size)[:2 * n - 1]
-    match = np.rint(match).astype(np.int64)
-    # lag l-1 sums matches of a[i] against b[(n-l)+i] for i < l
-    out = np.zeros(n + 1, dtype=np.int64)
-    ls = np.arange(1, n + 1)
-    out[1:] = ls - match[ls - 1]
-    return out
+def _rounding_bound(q: int, size: int, nsym: int) -> Fraction:
+    """Error bound for irfft(sum of nsym rfft products) at FFT size
+    ``size`` over one-hot length-q words; raises RoundingBoundError once
+    rounding to the nearest integer is unsafe.
+
+    Percival (Math. Comp. 72, 2003, Thm 5.1) bounds one float FFT product
+    at size 2^m by ||x|| ||y|| ((1+u)^3m (1+u sqrt5)^(3m+1) (1+b)^3m - 1),
+    u = 2^-53, b the twiddle error, taken as u; the symbol sum adds
+    (1+u)^nsym, and sum_c ||x_c|| ||y_c|| <= q.  As sqrt5 < 9/4 and
+    prod (1+x_i)^n_i - 1 <= t / (1 - t), t = sum n_i x_i, it is exact.
+    """
+    m = size.bit_length() - 1
+    t = Fraction(4 * (6 * m + nsym) + 9 * (3 * m + 1), 4 * 2 ** 53)
+    if t >= 1 or 2 * q * t >= 1 - t:
+        raise RoundingBoundError(
+            f"FFT rounding bound reaches 1/2 for words of length {q} over "
+            f"{nsym} symbols at FFT size {size}")
+    return q * t / (1 - t)
 
 
 def check_T4(built: BuiltSequence, n: int, gamma: Fraction,
              eps=None) -> SpecEntry:
     """Inequivalent stage-n circular words must stay gamma-separated in
     normalized Hamming distance on every initial, tail and cross segment
-    longer than eps * q_n."""
+    longer than eps * q_n: 1 minus the largest match frequency, which
+    _worst_entry picks from match counts flat in (pair, segment, length)
+    order."""
     seq = built.seq
     if seq.flavor != CIRCULAR:
         raise SequenceError("check_T4 runs on circular sequences")
@@ -757,42 +759,43 @@ def check_T4(built: BuiltSequence, n: int, gamma: Fraction,
     q = seq.plan.q(n)
     eps = Fraction(seq.plan.stage(n - 1).eps_lunate) if eps is None else \
         Fraction(eps)
-    l_min = int(eps * q) + 1
-    arrays = {}
-    for i, w in enumerate(fam.words):
-        arrays[(i, FWD)] = _sym_array(w)
-        arrays[(i, REV)] = arrays[(i, FWD)][::-1]
-    worst, witness = Fraction(1), {}
-    items = list(arrays.items())
-    for (i, si), a in items:
-        for (j, sj), b in items:
-            if (i, si) == (j, sj):
-                continue
-            if fam.classes[i] == fam.classes[j] and si == sj:
-                continue
-            pre = np.cumsum(a != b)
-            suf = np.cumsum(a[::-1] != b[::-1])
-            cross = _mismatch_all_shifts(a, b)
-            for name, counts in (("initial", pre), ("tail", suf)):
-                ls = np.arange(l_min, q + 1)
-                dv = counts[ls - 1] / ls
-                bad = int(np.argmin(dv))
-                d = Fraction(int(counts[ls[bad] - 1]), int(ls[bad]))
-                if d < worst:
-                    worst = d
-                    witness = {"pair": ((i, si), (j, sj)), "segment": name,
-                               "length": int(ls[bad])}
-            ls = np.arange(l_min, q + 1)
-            dv = cross[ls] / ls
-            bad = int(np.argmin(dv))
-            d = Fraction(int(cross[ls[bad]]), int(ls[bad]))
-            if d < worst:
-                worst = d
-                witness = {"pair": ((i, si), (j, sj)), "segment": "cross",
-                           "length": int(ls[bad])}
-    status = "pass" if worst >= gamma else "fail"
-    return SpecEntry("T4", status, worst_deviation=worst,
-                     tolerance=gamma, witness=witness)
+    ls = np.arange(int(eps * q) + 1, q + 1)
+    # row i is word i and row s + i its reverse; partner[r] is row r's
+    # word the other way round
+    s = fam.size
+    W = np.stack([np.frombuffer(w.materialize().encode("latin1"), np.uint8)
+                  for w in fam.words])
+    W = np.concatenate([W, W[:, ::-1]])
+    partner = (np.arange(2 * s) + s) % (2 * s)
+    signed = [(i, side) for i in range(s) for side in (FWD, REV)]
+    pairs = [(a, b) for a in signed for b in signed if a != b and not (
+        fam.classes[a[0]] == fam.classes[b[0]] and a[1] == b[1])]
+    U, V = np.array([[i + s * si, j + s * sj] for (i, si), (j, sj) in pairs],
+                    dtype=np.int64).reshape(-1, 2).T
+    initial = np.cumsum(W[U] == W[V], axis=1)[:, ls - 1]
+    tail = np.cumsum(W[partner[U]] == W[partner[V]], axis=1)[:, ls - 1]
+    # a[:l] against b[q - l:] is lag l - 1 of a convolved with b reversed
+    # (Fischer & Paterson 1974): one irfft per pair of the symbol-summed
+    # products of each row's per-symbol rffts; row r reversed is partner[r]
+    size = 1 << (2 * q - 1).bit_length()
+    syms = np.unique(W)
+    spectra = np.fft.rfft(W[:, None, :] == syms[:, None], size)
+    _rounding_bound(q, size, len(syms))
+    cross = np.empty_like(initial)
+    for u in np.unique(U):
+        rows = np.flatnonzero(U == u)
+        prod = (spectra[u] * spectra[partner[V[rows]]]).sum(axis=1)
+        cross[rows] = np.rint(np.fft.irfft(prod, size)[:, ls - 1])
+    counts = np.stack([initial, tail, cross], axis=1)
+
+    def witness(k):
+        p, seg, li = np.unravel_index(k, counts.shape)
+        return {"pair": pairs[p], "segment": ("initial", "tail", "cross")[seg],
+                "length": int(ls[li])}
+    e = _worst_entry("T4", counts, ls, (0, 1), 1, witness)
+    worst = 1 - e.worst_deviation
+    return SpecEntry("T4", "pass" if worst >= gamma else "fail", worst,
+                     gamma, e.witness)
 
 
 def check_T5(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
@@ -873,11 +876,10 @@ def check_T7(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
 
 
 def check_timing(built: BuiltSequence, level: int,
-                 tolerances: ToleranceProfile | None = None,
                  gamma: GammaCascade | None = None) -> SpecReport:
-    """T1-T3 structurally, T4 via exact segment distances, T5-T7 as exact
-    frequency counts, on a circular built sequence."""
-    tol = tolerances or desk_tolerances()
+    """On the circular lift of ``built``: T1-T3 structurally, T4 as exact
+    segment distances against ``gamma`` (the plan's cascade by default),
+    T5-T7 as exact frequency counts against MU."""
     circ = built if built.seq.flavor == CIRCULAR else lift_build(built)
     seq = circ.seq
     gamma = gamma or gamma_cascade(seq.plan, max(2, level + 1))

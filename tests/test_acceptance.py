@@ -32,6 +32,7 @@ from circsys.systems import (circular_sequence, functor_F, functor_inverse,
 from circsys.trees import (TreePrefix, certify_continuity, mutate_tree,
                            reduce, validate_tree)
 from circsys.words import reverse, unique_readability, word
+from test_specbuild import assert_same_entry, ref_T4
 
 # criterion number -> (label, tolerance / budget note); conftest reads this
 # to print the per-criterion verdict lines
@@ -404,6 +405,7 @@ class TestCriterion09Pipeline:
         e = check_T4(bad, 1, gamma_cascade(plan).gamma(1))
         assert e.status == "fail"
         assert e.witness["segment"] in ("initial", "tail", "cross")
+        assert_same_entry(e, ref_T4(bad, 1, gamma_cascade(plan).gamma(1)))
 
     @pytest.fixture(scope="class")
     @staticmethod

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from circsys.cli import run
+from circsys.coefficients import grow_plan, plan_from_obj
 from circsys.trees import TreePrefix, tree_to_json
 
 BUILD_ARGS = ["--kl", "64,4;2,2", "--eps", "1/4", "--eps", "1/8",
@@ -49,6 +50,19 @@ class TestPlan:
         assert code2 == 0
         assert doc2["plan"] == doc["plan"]
 
+    def test_floor_plan_file_grows_by_the_floor_policy(self, capsys,
+                                                        tmp_path):
+        _, doc = invoke_json(capsys, "plan", "--floor", "--stages", "2")
+        assert doc["plan"]["desk_mode"] is False
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps(doc["plan"]))
+        # a loaded plan grows until its depth - 1 reaches --stages
+        code, doc = invoke_json(capsys, "plan", "--plan", str(path),
+                                "--stages", "2")
+        assert code == 0
+        assert plan_from_obj(doc["plan"]) == grow_plan(3, desk=False)
+        assert not any(e["desk_waived"] for e in doc["audit"])
+
 
 class TestBuild:
     def test_build_and_gate(self, capsys):
@@ -87,6 +101,16 @@ class TestBuild:
         code, out = invoke(capsys, command, *WITNESS_ARGS)
         assert code == 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_frozen_anchor_bytes(self, capsys):
+        # the separated-pair search and T4 behind gamma_1 = 2583/10240 and
+        # T4@1 = 12/47
+        code, out = invoke(capsys, "check-timing", "--kl", "64,4;2,2",
+                           "--eps", "2/5", "--eps", "1/5", "--level", "2",
+                           "--style", "separated", "--seed", "11")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "4c44affe1ca98044eae540ab6da89d0fea985d95f5ca41e0a8526c1d25e56e18"
 
     def test_lift_emits_circular(self, capsys):
         code, doc = invoke_json(capsys, "lift", *BUILD_ARGS)

@@ -1,6 +1,7 @@
 """Staged coefficient arithmetic: recursions, indices, audits."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -8,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circsys.coefficients import (PlanError, audit_plan, code_coefficients,
-                                  desk_plan, desk_policy, dynamical_index,
-                                  extend_plan, grow_plan, paper_floor_policy,
-                                  plan_from_json, plan_to_json)
+                                  desk_plan, dynamical_index, extend_plan,
+                                  grow_plan, plan_from_json, plan_to_json)
 
 coprime_pq = st.integers(2, 400).flatmap(
     lambda q: st.tuples(
@@ -72,13 +72,27 @@ class TestGrowth:
     def test_grow_matches_manual_extension(self):
         plan = grow_plan(3)
         manual = grow_plan(2)
-        manual = extend_plan(manual, desk_policy())
+        manual = extend_plan(manual)
         assert plan_to_json(plan) == plan_to_json(manual)
 
     def test_floor_policy_grows_faster(self):
-        d = grow_plan(3, desk_policy())
-        f = grow_plan(3, paper_floor_policy())
+        d = grow_plan(3)
+        f = grow_plan(3, desk=False)
         assert f.stage(2).k >= d.stage(2).k
+
+    def test_floor_plan_extends_and_audits_by_its_own_policy(self):
+        f = grow_plan(2, desk=False)
+        assert not f.desk_mode
+        again = extend_plan(plan_from_json(plan_to_json(f)))
+        assert again == grow_plan(3, desk=False)
+        assert not any(e.desk_waived for e in audit_plan(again).entries)
+        # NR4 reads the divisor of the plan's own policy: mu at 1/8 of its
+        # bound passes the desk divisor 4 but not the floor's 16
+        loose = replace(again, stages=tuple(replace(x, mu=2 * x.mu)
+                                            for x in again.stages))
+        assert audit_plan(loose).entry("NR4").status == "fail"
+        assert audit_plan(replace(loose, desk_mode=True)) \
+            .entry("NR4").status == "pass"
 
     def test_bad_recursion_rejected(self):
         doc = json.loads(plan_to_json(desk_plan()))

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circsys.coefficients import desk_plan
-from circsys.specbuild import (BuildError, BuiltSequence, SpecEntry,
-                               ToleranceProfile, _J11_1_pairs,
+from circsys.specbuild import (BuildError, BuiltSequence, RoundingBoundError,
+                               SpecEntry, ToleranceProfile, _J11_1_pairs,
                                _check_J10_J10_1, _check_J11, _check_J11_1,
                                _prefix_argmax, _prefix_pair_counts,
-                               _slot_matrix, build_words, check_T4, check_T5,
-                               check_T6, check_T7, check_specs, check_timing,
-                               desk_tolerances, gamma_cascade,
-                               groups_from_tree, lift_build)
-from circsys.systems import (FWD, REV, GroupActionTable, identity_action,
-                             odometer_sequence, swap_side_action)
+                               _rounding_bound, _slot_matrix, build_words,
+                               check_T4, check_T5, check_T6, check_T7,
+                               check_specs, check_timing, desk_tolerances,
+                               gamma_cascade, groups_from_tree, lift_build)
+from circsys.systems import (CIRCULAR, FWD, REV, GroupActionTable,
+                             SequenceError, circular_sequence,
+                             identity_action, odometer_sequence,
+                             swap_side_action)
 
 SC = groups_from_tree([(), (0,)])
 PLAN = desk_plan(kl=((64, 4), (2, 2)),
@@ -137,6 +139,17 @@ class TestTiming:
         entry = check_T4(circ, 1, gc.gamma(1))
         assert entry.status == "pass"
         assert Fraction(entry.worst_deviation) >= gc.gamma(1)
+
+    def test_T4_frozen_pin_matches_reference(self, separated):
+        gc = gamma_cascade(SEP_PLAN, 2)
+        circ = lift_build(separated)
+        entry = check_T4(circ, 1, gc.gamma(1))
+        assert entry.worst_deviation == Fraction(12, 47)
+        assert_same_entry(entry, ref_T4(circ, 1, gc.gamma(1)))
+        # the separation is >= gamma, so equality passes
+        assert check_T4(circ, 1, Fraction(12, 47)).status == "pass"
+        assert check_T4(circ, 1, Fraction(12, 47) + Fraction(1, 997)) \
+            .status == "fail"
 
     def test_T4_vacuous_on_nonpositive_gamma(self, separated):
         gc = gamma_cascade(SEP_PLAN, 2)
@@ -683,3 +696,139 @@ class TestFrequencyChecks:
         assert t7.witness == {"w0": 0, "w1": 0, "v": 0, "class": 0}
         assert_same_entry(t5, ref_T5(built, 1, mu))
         assert_same_entry(t7, ref_T7(built, 1, mu))
+
+
+# ---------------------------------------------------------------------------
+# T4: the per-pair FFT loop that preceded _worst_entry, kept as the oracle
+
+def _sym_array(w) -> np.ndarray:
+    return np.frombuffer(w.materialize().encode("latin1"), dtype=np.uint8)
+
+
+def ref_mismatch_all_shifts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """M[l] = mismatches between a[:l] and b[len(b)-l:] for every l, via
+    FFT cross-correlation per symbol; exact after rounding."""
+    n = len(a)
+    size = 1
+    while size < 2 * n:
+        size *= 2
+    match = np.zeros(2 * n - 1)
+    for sym in np.unique(np.concatenate([a, b])):
+        fa = np.fft.rfft((a == sym).astype(float), size)
+        fb = np.fft.rfft((b == sym)[::-1].astype(float), size)
+        match += np.fft.irfft(fa * fb, size)[:2 * n - 1]
+    match = np.rint(match).astype(np.int64)
+    # lag l-1 sums matches of a[i] against b[(n-l)+i] for i < l
+    out = np.zeros(n + 1, dtype=np.int64)
+    ls = np.arange(1, n + 1)
+    out[1:] = ls - match[ls - 1]
+    return out
+
+
+def ref_T4(built: BuiltSequence, n: int, gamma: Fraction,
+           eps=None) -> SpecEntry:
+    """Inequivalent stage-n circular words must stay gamma-separated in
+    normalized Hamming distance on every initial, tail and cross segment
+    longer than eps * q_n."""
+    seq = built.seq
+    if seq.flavor != CIRCULAR:
+        raise SequenceError("check_T4 runs on circular sequences")
+    fam = seq.stage(n)
+    if fam.classes is None:
+        return SpecEntry("T4", "not-checked")
+    if gamma <= 0:
+        return SpecEntry("T4", "pass", witness={
+            "vacuous": True, "gamma": gamma})
+    q = seq.plan.q(n)
+    eps = Fraction(seq.plan.stage(n - 1).eps_lunate) if eps is None else \
+        Fraction(eps)
+    l_min = int(eps * q) + 1
+    arrays = {}
+    for i, w in enumerate(fam.words):
+        arrays[(i, FWD)] = _sym_array(w)
+        arrays[(i, REV)] = arrays[(i, FWD)][::-1]
+    worst, witness = Fraction(1), {}
+    items = list(arrays.items())
+    for (i, si), a in items:
+        for (j, sj), b in items:
+            if (i, si) == (j, sj):
+                continue
+            if fam.classes[i] == fam.classes[j] and si == sj:
+                continue
+            pre = np.cumsum(a != b)
+            suf = np.cumsum(a[::-1] != b[::-1])
+            cross = ref_mismatch_all_shifts(a, b)
+            for name, counts in (("initial", pre), ("tail", suf)):
+                ls = np.arange(l_min, q + 1)
+                dv = counts[ls - 1] / ls
+                bad = int(np.argmin(dv))
+                d = Fraction(int(counts[ls[bad] - 1]), int(ls[bad]))
+                if d < worst:
+                    worst = d
+                    witness = {"pair": ((i, si), (j, sj)), "segment": name,
+                               "length": int(ls[bad])}
+            ls = np.arange(l_min, q + 1)
+            dv = cross[ls] / ls
+            bad = int(np.argmin(dv))
+            d = Fraction(int(cross[ls[bad]]), int(ls[bad]))
+            if d < worst:
+                worst = d
+                witness = {"pair": ((i, si), (j, sj)), "segment": "cross",
+                           "length": int(ls[bad])}
+    status = "pass" if worst >= gamma else "fail"
+    return SpecEntry("T4", status, worst_deviation=worst,
+                     tolerance=gamma, witness=witness)
+
+
+@st.composite
+def t4_families(draw):
+    """Lifted stage-1 families of 2-4 words over "01": random, constant,
+    a base word and its one-digit edits, in random classes; an eps (None
+    takes the plan's) and a gamma that is often the exact worst distance,
+    so equality must pass."""
+    k = draw(st.integers(2, 32))
+    digit = st.integers(0, 1)
+    random_ = st.integers(0, 2 ** k - 1).map(
+        lambda x: [x >> i & 1 for i in range(k)])
+    base = draw(random_)
+    near = st.integers(0, k - 1).map(
+        lambda i: base[:i] + [1 - base[i]] + base[i + 1:])
+    # random words weigh double: a constant word matches its own reversal
+    # on long cross segments, which would mask the rest of the family
+    word_ = st.one_of(random_, random_, digit.map(lambda x: [x] * k), near)
+    s = draw(st.integers(2, 4))
+    words = [base] + draw(st.lists(word_, min_size=s - 1, max_size=s - 1))
+    classes = tuple(draw(st.lists(st.integers(0, s - 1), min_size=s,
+                                  max_size=s)))
+    plan = desk_plan(kl=((k, draw(st.integers(2, 4))), (2, 2)))
+    seq = circular_sequence(plan, "01", [words])
+    seq = replace(seq, stages=(seq.stages[0],
+                               replace(seq.stages[1], classes=classes)))
+    built = BuiltSequence(seq, (None, None), SC)
+    # short segments match somewhere, so most separated cases need a
+    # large eps
+    eps = draw(st.sampled_from([None, Fraction(0), Fraction(2, 3),
+                                Fraction(3, 4), Fraction(7, 8),
+                                Fraction(15, 16)]))
+    worst = ref_T4(built, 1, Fraction(1, 2), eps).worst_deviation
+    gamma = draw(st.sampled_from([worst, worst, worst + Fraction(1, 997),
+                                  worst - Fraction(1, 997), Fraction(1, 4),
+                                  Fraction(0)]))
+    return built, gamma, eps
+
+
+class TestT4:
+    @given(t4_families())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, family):
+        built, gamma, eps = family
+        assert_same_entry(check_T4(built, 1, gamma, eps),
+                          ref_T4(built, 1, gamma, eps))
+
+    def test_rounding_bound(self):
+        assert _rounding_bound(256, 512, 4) < Fraction(1, 10 ** 10)
+        # the bound passes 1/2 between 2^42- and 2^43-symbol words, far
+        # beyond any word that could be held
+        assert _rounding_bound(2 ** 42, 2 ** 43, 4) < Fraction(1, 2)
+        with pytest.raises(RoundingBoundError):
+            _rounding_bound(2 ** 43, 2 ** 44, 4)
