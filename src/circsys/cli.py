@@ -16,23 +16,23 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import click
 
 from . import __version__
 from .coefficients import (PlanError, audit_plan, code_coefficients,
-                           desk_plan, extend_plan, grow_plan, plan_from_json,
+                           desk_plan, extend_plan, plan_from_json,
                            plan_to_json, plan_to_obj)
 from .words import WordIndexError, dbar, word
 from .circular import CircularParseError, parse_circular
 from .systems import SequenceError, sequence_to_json
 from .codes import apply_code, natural_code
 from .rotation import build_red_zones, delta_csv, rotation_report_json
-from .specbuild import (BuildError, ToleranceProfile, build_words,
-                        check_specs, check_timing, gamma_cascade,
-                        groups_from_tree, lift_build)
+from .specbuild import (BuildError, ToleranceProfile, build_attempt,
+                        build_words, check_specs, check_timing,
+                        gamma_cascade, groups_from_tree, lift_build)
 from .trees import (TreeError, certify_continuity, realization_handoff,
                     reduce as tree_reduce, tree_from_json)
 
@@ -125,9 +125,14 @@ def _parse_kl(text: str) -> tuple:
     return pairs
 
 
-def _load_plan(ctx, plan_path, kl, eps, stages, inputs: dict):
-    """Plan from a file, or a desk plan from --kl/--eps, optionally grown."""
+def _load_plan(plan_path, kl, eps, stages, inputs: dict, desk=True):
+    """Plan from a file, or a desk plan from --kl/--eps that records the
+    --desk/--floor growth policy; --stages N grows it by its own policy to
+    depth N.  A flag the loader cannot honour is an input error."""
     if plan_path is not None:
+        if kl or eps or not desk:
+            raise click.ClickException("--kl, --eps and --floor make a plan; "
+                                       "a --plan file records its own")
         text, digest = _read_input(plan_path)
         inputs[plan_path] = digest
         try:
@@ -135,15 +140,20 @@ def _load_plan(ctx, plan_path, kl, eps, stages, inputs: dict):
         except (json.JSONDecodeError, KeyError, PlanError, ValueError) as exc:
             raise click.ClickException(f"bad plan file {plan_path}: {exc}")
     else:
-        kwargs = {}
-        if eps:
-            kwargs["eps_lunate"] = tuple(_parse_fraction(e) for e in eps)
+        kl = _parse_kl(kl or "2,2;2,2")
+        if eps and len(eps) != len(kl):
+            raise click.ClickException("--eps wants one value per --kl stage")
+        kw = {"eps_lunate": tuple(map(_parse_fraction, eps))} if eps else {}
         try:
-            plan = desk_plan(kl=_parse_kl(kl), **kwargs)
+            plan = replace(desk_plan(kl=kl, **kw), desk_mode=desk)
         except PlanError as exc:
             raise click.ClickException(str(exc))
-    while stages is not None and plan.depth - 1 < stages:
-        plan = extend_plan(plan)
+    if stages is not None:
+        if stages < plan.depth:
+            raise click.ClickException(
+                f"--stages {stages} is below the plan depth {plan.depth}")
+        while plan.depth < stages:
+            plan = extend_plan(plan)
     return plan
 
 
@@ -154,13 +164,6 @@ def _load_tree(path, inputs: dict):
         return tree_from_json(text)
     except (json.JSONDecodeError, TreeError, TypeError, ValueError) as exc:
         raise click.ClickException(f"bad tree file {path}: {exc}")
-
-
-def _scaffold_from(tree_path, inputs: dict):
-    if tree_path is None:
-        return groups_from_tree([(), (0,)])
-    tp = _load_tree(tree_path, inputs)
-    return groups_from_tree(tp.members_in_order())
 
 
 def _report_obj(report) -> list:
@@ -187,11 +190,16 @@ def cli(ctx, out):
 _plan_opts = [
     click.option("--plan", "plan_path", default=None, metavar="FILE",
                  help="Plan JSON; omit for a desk plan from --kl."),
-    click.option("--kl", default="2,2;2,2", show_default=True,
-                 help="Desk plan stages as k,l pairs joined by ';'."),
+    click.option("--kl", help="Desk plan stages as k,l pairs joined by "
+                              "';' (default 2,2;2,2)."),
     click.option("--eps", multiple=True, metavar="FRAC",
                  help="Per-stage separation tolerances for the desk plan."),
 ]
+
+
+_stages_opt = click.option(
+    "--stages", default=None, type=int,
+    help="Grow the plan by its own policy to this many stages.")
 
 
 def _with(opts):
@@ -205,18 +213,14 @@ def _with(opts):
 @cli.command("plan")
 @_with(_plan_opts)
 @click.option("--desk/--floor", "desk", default=True,
-              help="Growth policy when extending.")
-@click.option("--stages", default=None, type=int,
-              help="Grow the plan to this many stages.")
+              help="Growth policy of a plan made from --kl.")
+@_stages_opt
 @click.option("--audit/--no-audit", default=True, show_default=True)
 @click.pass_context
 def plan_cmd(ctx, plan_path, kl, eps, desk, stages, audit):
     """Emit a coefficient plan, grown on request, with its audit."""
     inputs = {}
-    if plan_path is None and stages is not None:
-        plan = grow_plan(stages, desk)
-    else:
-        plan = _load_plan(ctx, plan_path, kl, eps, stages, inputs)
+    plan = _load_plan(plan_path, kl, eps, stages, inputs, desk)
     payload = {"plan": plan_to_obj(plan)}
     if audit:
         rep = audit_plan(plan)
@@ -238,39 +242,59 @@ _build_opts = _plan_opts + [
 ]
 
 
-def _run_build(ctx, plan_path, kl, eps, tree_path, seed, level, style,
-               gate, inputs):
-    plan = _load_plan(ctx, plan_path, kl, eps, None, inputs)
-    sc = _scaffold_from(tree_path, inputs)
+def _load_build(plan_path, kl, eps, tree_path, level, inputs):
+    """The plan and group scaffold a build-family command runs on; without
+    --tree, the scaffold of the tree {(), (0,)}."""
+    plan = _load_plan(plan_path, kl, eps, None, inputs)
+    nodes = [(), (0,)] if tree_path is None else \
+        _load_tree(tree_path, inputs).members_in_order()
     if level > plan.depth:
         raise click.ClickException(
             f"--level {level} exceeds the plan depth {plan.depth}")
+    return plan, groups_from_tree(nodes)
+
+
+def _gated_build(sc, plan, seed, level, style):
+    """build_words' build and report; when its retry budget runs out, no
+    build and the report of its best attempt."""
     try:
-        built = build_words(sc, plan, seed=seed, level=level,
-                            style=style, gate=gate)
+        built = build_words(sc, plan, seed=seed, level=level, style=style)
     except BuildError as exc:
-        return plan, None, exc.report
-    return plan, built, built.report
+        if exc.report is None:
+            raise
+        return None, exc.report
+    return built, built.report
+
+
+def _emit_checked(ctx, command, plan, seed, inputs, report, built=None,
+                  **payload):
+    """A build-family report: the battery's verdict and, for a build, its
+    sequence and output hash; exit 2 when a check failed."""
+    if built is not None:
+        payload["sequence"] = json.loads(sequence_to_json(built.seq))
+        payload["output_hash"] = _hash_bytes(
+            json.dumps(payload["sequence"], sort_keys=True).encode())
+    payload.update(report=_report_obj(report), ok=report.ok())
+    _emit(ctx, payload, _manifest(ctx, command, inputs, plan=plan, seed=seed))
+    return 0 if report.ok() else 2
 
 
 @cli.command("build")
 @_with(_build_opts)
 @click.option("--gate/--no-gate", default=True, show_default=True,
-              help="Retry until the verification report passes.")
+              help="Retry until the verification report passes; without "
+                   "the gate, check one attempt.")
 @click.pass_context
 def build_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style, gate):
     """Construct stage words against the verification gate."""
     inputs = {}
-    plan, built, report = _run_build(ctx, plan_path, kl, eps, tree_path,
-                                     seed, level, style, gate, inputs)
-    payload = {"report": _report_obj(report), "ok": report.ok()}
-    if built is not None:
-        payload["sequence"] = json.loads(sequence_to_json(built.seq))
-        payload["output_hash"] = _hash_bytes(
-            json.dumps(payload["sequence"], sort_keys=True).encode())
-    man = _manifest(ctx, "build", inputs, plan=plan, seed=seed)
-    _emit(ctx, payload, man)
-    return 0 if report.ok() else 2
+    plan, sc = _load_build(plan_path, kl, eps, tree_path, level, inputs)
+    if gate:
+        built, report = _gated_build(sc, plan, seed, level, style)
+    else:
+        built = build_attempt(sc, plan, seed, level, style)
+        report = check_specs(built)
+    return _emit_checked(ctx, "build", plan, seed, inputs, report, built)
 
 
 @cli.command("lift")
@@ -279,17 +303,10 @@ def build_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style, gate):
 def lift_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style):
     """Build, then carry the odometer sequence to its circular image."""
     inputs = {}
-    plan, built, report = _run_build(ctx, plan_path, kl, eps, tree_path,
-                                     seed, level, style, True, inputs)
-    payload = {"report": _report_obj(report), "ok": report.ok()}
-    if built is not None:
-        circ = lift_build(built)
-        payload["sequence"] = json.loads(sequence_to_json(circ.seq))
-        payload["output_hash"] = _hash_bytes(
-            json.dumps(payload["sequence"], sort_keys=True).encode())
-    man = _manifest(ctx, "lift", inputs, plan=plan, seed=seed)
-    _emit(ctx, payload, man)
-    return 0 if report.ok() else 2
+    plan, sc = _load_build(plan_path, kl, eps, tree_path, level, inputs)
+    built, report = _gated_build(sc, plan, seed, level, style)
+    return _emit_checked(ctx, "lift", plan, seed, inputs, report,
+                         built and lift_build(built))
 
 
 @cli.command("check-specs")
@@ -299,39 +316,29 @@ def lift_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style):
 @click.pass_context
 def check_specs_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style,
                     j_tolerance):
-    """Run the word-spec battery on an ungated build."""
+    """Run the word-spec battery on one unchecked build attempt."""
     inputs = {}
-    plan, built, _ = _run_build(ctx, plan_path, kl, eps, tree_path,
-                                seed, level, style, False, inputs)
-    tol = None
-    if j_tolerance is not None:
-        jt = _parse_fraction(j_tolerance)
-        tol = ToleranceProfile(j_family=lambda n: jt)
-    report = check_specs(built, tol)
-    payload = {"report": _report_obj(report), "ok": report.ok(),
-               "failures": [e.spec_id for e in report.failures()]}
-    man = _manifest(ctx, "check-specs", inputs, plan=plan, seed=seed)
-    _emit(ctx, payload, man)
-    return 0 if report.ok() else 2
+    plan, sc = _load_build(plan_path, kl, eps, tree_path, level, inputs)
+    tol = None if j_tolerance is None else \
+        ToleranceProfile(j_family=_parse_fraction(j_tolerance))
+    report = check_specs(build_attempt(sc, plan, seed, level, style), tol)
+    return _emit_checked(ctx, "check-specs", plan, seed, inputs, report,
+                         failures=[e.spec_id for e in report.failures()])
 
 
 @cli.command("check-timing")
 @_with(_build_opts)
 @click.pass_context
 def check_timing_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style):
-    """Run the staged timing battery, with the cascade lower bounds."""
+    """Run the timing battery and cascade bounds on one unchecked attempt."""
     inputs = {}
-    plan, built, _ = _run_build(ctx, plan_path, kl, eps, tree_path,
-                                seed, level, style, False, inputs)
+    plan, sc = _load_build(plan_path, kl, eps, tree_path, level, inputs)
     gc = gamma_cascade(plan, level)
-    report = check_timing(built, level, gamma=gc)
-    payload = {
-        "report": _report_obj(report), "ok": report.ok(),
-        "gamma": [_frac_str(gc.gamma(n)) for n in range(1, level + 1)],
-    }
-    man = _manifest(ctx, "check-timing", inputs, plan=plan, seed=seed)
-    _emit(ctx, payload, man)
-    return 0 if report.ok() else 2
+    report = check_timing(build_attempt(sc, plan, seed, level, style), level,
+                          gamma=gc)
+    return _emit_checked(
+        ctx, "check-timing", plan, seed, inputs, report,
+        gamma=[_frac_str(gc.gamma(n)) for n in range(1, level + 1)])
 
 
 @cli.command("dbar")
@@ -398,8 +405,7 @@ def parse_cmd(ctx, text, k, l, p, q):
 
 @cli.command("rotation")
 @_with(_plan_opts)
-@click.option("--stages", default=None, type=int,
-              help="Grow the plan to this many stages first.")
+@_stages_opt
 @click.option("--beta", required=True, metavar="FRAC",
               help="Rotation number, a rational in [0, 1).")
 @click.option("--n", "n_stages", default=2, show_default=True,
@@ -415,7 +421,7 @@ def rotation_cmd(ctx, plan_path, kl, eps, stages, beta, n_stages, anchor,
                  as_csv, zones_delta):
     """Displacement, lane counts, and optional red-zone construction."""
     inputs = {}
-    plan = _load_plan(ctx, plan_path, kl, eps, stages, inputs)
+    plan = _load_plan(plan_path, kl, eps, stages, inputs)
     b = _parse_fraction(beta)
     # q_m exists one stage past the last (k, l) pair
     m = anchor if anchor is not None else plan.depth
@@ -451,8 +457,7 @@ def rotation_cmd(ctx, plan_path, kl, eps, stages, beta, n_stages, anchor,
 
 @cli.command("natural-map")
 @_with(_plan_opts)
-@click.option("--stages", default=None, type=int,
-              help="Grow the plan to this many stages first.")
+@_stages_opt
 @click.option("--n", "stage_n", default=1, show_default=True,
               help="Approximation stage of the reversing code.")
 @click.option("--text", default=None, metavar="WORD",
@@ -461,7 +466,7 @@ def rotation_cmd(ctx, plan_path, kl, eps, stages, beta, n_stages, anchor,
 def natural_map_cmd(ctx, plan_path, kl, eps, stages, stage_n, text):
     """Stage-n approximant of the reversing isomorphism."""
     inputs = {}
-    plan = _load_plan(ctx, plan_path, kl, eps, stages, inputs)
+    plan = _load_plan(plan_path, kl, eps, stages, inputs)
     if not 0 <= stage_n <= plan.depth - 1:
         raise click.ClickException(
             f"--n must lie in [0, {plan.depth - 1}]")
@@ -490,7 +495,7 @@ def natural_map_cmd(ctx, plan_path, kl, eps, stages, stage_n, text):
 def reduce_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
     """Reduce a tree prefix to a hashed construction-sequence output."""
     inputs = {}
-    plan = _load_plan(ctx, plan_path, kl, eps, None, inputs)
+    plan = _load_plan(plan_path, kl, eps, None, inputs)
     tp = _load_tree(tree_path, inputs)
     man = _manifest(ctx, "reduce", inputs, plan=plan, seed=seed)
     cached = _cache_load(man)
@@ -523,7 +528,7 @@ def reduce_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
 def continuity_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
     """Certify, by mutation diffing, how much tree the reduction read."""
     inputs = {}
-    plan = _load_plan(ctx, plan_path, kl, eps, None, inputs)
+    plan = _load_plan(plan_path, kl, eps, None, inputs)
     tp = _load_tree(tree_path, inputs)
     try:
         cert = certify_continuity(tp, n0, plan, seed)
@@ -600,7 +605,7 @@ def run(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 3
-    except (PlanError, SequenceError, TreeError, WordIndexError,
+    except (BuildError, PlanError, SequenceError, TreeError, WordIndexError,
             json.JSONDecodeError, ValueError) as exc:
         click.echo(f"Error: {exc}", err=True)
         return 3

@@ -8,8 +8,9 @@ The checker families:
   J10-J11.1 pseudo-randomness of aligned occurrence counts
   T1-T7    timing conditions on the lifted circular families
 
-The builder samples words satisfying the structural constraints by
-construction and gates its output on the J-family checks, retrying with
+One builder attempt, build_attempt, samples words satisfying the
+structural constraints by construction and checks nothing.  build_words
+gates: it runs check_specs once on each seeded attempt, retrying with
 fresh entropy until the declared tolerances hold.
 """
 
@@ -156,15 +157,6 @@ class BuiltSequence:
     @property
     def depth(self) -> int:
         return self.seq.depth
-
-
-def _signed_slots(fam: StageFamily, index: int, reversed_: bool, s_prev: int):
-    """Slot ids of word `index` over the signed previous-stage alphabet;
-    id = word index, +s_prev when the slot holds a reversed word."""
-    tup = fam.compositions[index]
-    if not reversed_:
-        return list(tup)
-    return [i + s_prev for i in reversed(tup)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +318,14 @@ def _check_A9(seq, n, actions):
 # J-family checks
 
 def _slot_matrix(seq, n):
-    """Signed slot arrays for every signed stage-(n+1) word; row w is the
-    word, row w + s is its reverse."""
-    fam = seq.stage(n + 1)
+    """Slot ids over the signed previous-stage alphabet of every signed
+    stage-(n+1) word: row w is word w, row w + s its reverse, whose slots
+    hold reversed words, id = word index + s_prev."""
+    comps = seq.stage(n + 1).compositions
     s_prev = seq.stage(n).size
-    s = fam.size
-    rows = []
-    for i in range(s):
-        rows.append(_signed_slots(fam, i, False, s_prev))
-    for i in range(s):
-        rows.append(_signed_slots(fam, i, True, s_prev))
-    return np.array(rows, dtype=np.int64), s, s_prev
+    rows = [list(t) for t in comps] + \
+        [[i + s_prev for i in reversed(t)] for t in comps]
+    return np.array(rows, dtype=np.int64), len(comps), s_prev
 
 
 def _class_members(classes):
@@ -413,13 +402,6 @@ def _signed_pair(local_pair, s_prev, u_rev, v_rev):
     """Witness pair (a, b) over the signed alphabet for a local pair id."""
     a, b = divmod(int(local_pair), s_prev)
     return (a + s_prev * u_rev, b + s_prev * v_rev)
-
-
-def _near_max(f):
-    """Rows whose float filter value lies within _FILTER_MARGIN of the
-    largest; a negative value marks a row outside the check."""
-    return np.flatnonzero((f >= 0) & (f >= f.max(initial=-1.0)
-                                      - _FILTER_MARGIN))
 
 
 def _worst_entry(spec_id, counts, sizes, target, tol, witness_of):
@@ -499,15 +481,14 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
     t101 = min(ceil((1 - eps_var) * k) - 1, k - j_lo)
     U, V, T = _grid(range(w), range(w), range(1, max(t10, t101) + 1))
     totals = np.zeros((len(U), npair), np.int32)
-    # per-row float filter values; -1 marks a row outside the check
-    f10, f101 = np.full(len(U), -1.0), np.full(len(U), -1.0)
+    # J10.1's per-row float filter value; -1 marks a row outside the check
+    f101 = np.full(len(U), -1.0)
     j0_all = np.arange(j_lo, k)
     tf_j0 = tf * j0_all
     for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
         hi = lo + len(P)
         over = (k - T[lo:hi])[:, None]
         totals[lo:hi] = P[:, :, -1]
-        f10[lo:hi] = np.abs(totals[lo:hi] / over - tf).max(axis=1)
         win = P[:, :, j_lo - 1:]
         if not win.size:
             continue
@@ -517,21 +498,18 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
                          tfj - win.min(axis=1)) / j0s
         dev[j0s > over] = -1.0
         f101[lo:hi] = dev.max(axis=1)
-    f10[T > t10] = -1.0
     f101[T > t101] = -1.0
-
-    # J10: every pair of every row near the float maximum
-    c10 = _near_max(f10)
 
     def wit10(i):
         r, pid = divmod(i, npair)
-        u, v, t = int(U[c10[r]]), int(V[c10[r]]), int(T[c10[r]])
+        u, v, t = int(U[r]), int(V[r]), int(T[r])
         return {"u": u, "v": v, "t": t,
                 "pair": _signed_pair(pid, s_prev, u >= s, v >= s),
-                "count": int(totals[c10[r], pid]), "overlap": k - t}
+                "count": int(totals[r, pid]), "overlap": k - t}
 
     # J10.1: the reported deviation of every row near the float maximum
-    c101 = _near_max(f101)
+    c101 = np.flatnonzero((f101 >= 0) & (f101 >= f101.max(initial=-1.0)
+                                         - _FILTER_MARGIN))
     counts, j0, pids = _argmax_columns(
         _prefix_argmax(slots, s_prev, U[c101], V[c101], T[c101], j_lo))
 
@@ -539,8 +517,9 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
         u, v = int(U[c101[i]]), int(V[c101[i]])
         return {"u": u, "v": v, "t": int(T[c101[i]]), "j0": int(j0[i]),
                 "pair": _signed_pair(pids[i], s_prev, u >= s, v >= s)}
-    return (_worst_entry("J10", totals[c10], (k - T[c10])[:, None],
-                         (1, npair), tol, wit10),
+    # J10: the full overlap of every row with t <= t10; size 0 skips a row
+    over10 = np.where(T <= t10, k - T, 0)[:, None]
+    return (_worst_entry("J10", totals, over10, (1, npair), tol, wit10),
             _worst_entry("J10.1", counts, j0, (1, npair), tol, wit101))
 
 
@@ -1015,29 +994,36 @@ def _sample_stage(rng, plan, n, prev_size, prev_classes, s_next, Q_next,
 
 def build_words(tp, plan, seed: int, level: int,
                 tolerances: ToleranceProfile | None = None,
-                retry_budget: int = 32, style: str = "random",
-                gate=True) -> BuiltSequence:
+                retry_budget: int = 32, style: str = "random"
+                ) -> BuiltSequence:
     """Seeded, verification-gated construction of an odometer sequence
-    with class and action data derived from the tree prefix."""
-    scaffold = tp if isinstance(tp, GroupScaffold) else groups_from_tree(tp)
-    tol = tolerances or desk_tolerances()
+    with class and action data derived from the tree prefix: attempts 0,
+    1, ... of build_attempt, each checked once by check_specs, until one
+    passes.  The passing attempt carries its report; an exhausted budget
+    raises BuildError with the report of the attempt that failed fewest
+    specs."""
     best = None
     for attempt in range(retry_budget):
-        # the scaffold is part of the consumed input, so it salts the
-        # entropy stream: builds differ whenever the tree data differs
-        rng = random.Random(repr((seed, attempt, scaffold.nodes)))
-        built = _build_once(rng, scaffold, plan, level, style)
-        report = check_specs(built, tol)
-        built = replace(built, report=report)
-        if report.ok() or not gate:
+        built = build_attempt(tp, plan, seed, level, style, attempt)
+        built = replace(built, report=check_specs(built, tolerances))
+        if built.report.ok():
             return built
         if best is None or \
-                len(report.failures()) < len(best.report.failures()):
+                len(built.report.failures()) < len(best.report.failures()):
             best = built
     raise BuildError(f"retry budget {retry_budget} exhausted", best.report)
 
 
-def _build_once(rng, scaffold, plan, level, style):
+def build_attempt(tp, plan, seed: int, level: int, style: str = "random",
+                  attempt: int = 0) -> BuiltSequence:
+    """One seeded attempt of the builder, unchecked (``report`` is None):
+    structural constraints hold by construction, the J and T families are
+    left to check_specs and check_timing.  Attempt ``attempt`` of
+    build_words is this call with the same arguments."""
+    scaffold = tp if isinstance(tp, GroupScaffold) else groups_from_tree(tp)
+    # the scaffold is part of the consumed input, so it salts the entropy
+    # stream: builds differ whenever the tree data differs
+    rng = random.Random(repr((seed, attempt, scaffold.nodes)))
     M1 = scaffold.M(1)
     comps_by_stage = []
     classes_by_stage = [(0, 0)]       # stage 0: one class over {1, 0}

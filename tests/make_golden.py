@@ -62,12 +62,16 @@ ROWS = {
     "plan-stages-below-depth": ["plan", "--stages", "1"],
     "plan-extra-eps": ["plan", "--kl", "2,2;2,2", "--eps", "1/4",
                        "--eps", "1/8", "--eps", "1/16"],
+    "plan-too-few-eps": ["plan", "--kl", "2,2;2,2", "--eps", "1/4"],
     "plan-bad-kl": ["plan", "--kl", "2,2;x"],
     "build-k1024": ["build", *K1024_ARGS],
     "build-k1024-no-gate": ["build", *K1024_ARGS, "--no-gate"],
     "build-gate-fails": ["build", "--kl", "4,2;2,2", "--level", "1"],
     "lift": ["lift", *BUILD_ARGS],
     "check-specs-pass": ["check-specs", *BUILD_ARGS],
+    # k_1 = 3 copies cannot hold the two stage-1 words equally often
+    "check-specs-unsampleable": ["check-specs", "--kl", "2,2;3,2",
+                                 "--level", "2"],
     "check-specs-k1024": ["check-specs", *K1024_ARGS],
     "check-specs-witness": ["check-specs", *WITNESS_ARGS],
     "check-specs-j-tolerance": ["check-specs", *BUILD_ARGS,

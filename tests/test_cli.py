@@ -1,11 +1,15 @@
 """Batch front end: exit codes, manifests, deterministic artifacts."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+import circsys.cli
+import circsys.specbuild
 from circsys.cli import run
-from circsys.coefficients import grow_plan, plan_from_obj
+from circsys.coefficients import (desk_plan, extend_plan, grow_plan,
+                                  plan_from_obj, plan_to_json)
 from circsys.trees import TreePrefix, tree_to_json
 
 BUILD_ARGS = ["--kl", "64,4;2,2", "--eps", "1/4", "--eps", "1/8",
@@ -48,16 +52,57 @@ class TestPlan:
 
     def test_floor_plan_file_grows_by_the_floor_policy(self, capsys,
                                                         tmp_path):
-        _, doc = invoke_json(capsys, "plan", "--floor", "--stages", "2")
-        assert doc["plan"]["desk_mode"] is False
+        _, doc = invoke_json(capsys, "plan", "--floor")
+        assert plan_from_obj(doc["plan"]) == \
+            replace(desk_plan(), desk_mode=False)
+        _, doc = invoke_json(capsys, "plan", "--floor", "--stages", "3")
+        assert plan_from_obj(doc["plan"]) == \
+            extend_plan(replace(desk_plan(), desk_mode=False))
         path = tmp_path / "floor.json"
-        path.write_text(json.dumps(doc["plan"]))
-        # a loaded plan grows until its depth - 1 reaches --stages
+        path.write_text(plan_to_json(grow_plan(2, desk=False)))
+        # --stages N grows a loaded plan to depth N
         code, doc = invoke_json(capsys, "plan", "--plan", str(path),
-                                "--stages", "2")
+                                "--stages", "3")
         assert code == 0
         assert plan_from_obj(doc["plan"]) == grow_plan(3, desk=False)
         assert not any(e["desk_waived"] for e in doc["audit"])
+
+    def test_stages_gives_depth_n_in_every_command(self, capsys, tmp_path):
+        path = tmp_path / "desk.json"
+        path.write_text(plan_to_json(desk_plan()))
+        for argv in (["--stages", "3"], ["--plan", str(path), "--stages", "3"],
+                     ["--kl", "2,2;2,2", "--stages", "3"]):
+            _, doc = invoke_json(capsys, "plan", *argv)
+            assert len(doc["plan"]["stages"]) == 3
+        # natural-map's --n ranges over [0, depth - 1]
+        assert run(["natural-map", "--stages", "3", "--n", "2"]) == 0
+        assert run(["natural-map", "--stages", "3", "--n", "3"]) == 3
+
+    def test_explicit_kl_and_eps_are_kept(self, capsys):
+        _, doc = invoke_json(capsys, "plan", "--kl", "4,2;3,2",
+                             "--stages", "2")
+        assert [int(st["k"]) for st in doc["plan"]["stages"]] == [4, 3]
+        _, doc = invoke_json(capsys, "plan", "--kl", "2,2;2,2", "--eps",
+                             "1/4", "--eps", "1/8", "--stages", "3")
+        assert [st["eps_lunate"] for st in doc["plan"]["stages"][:2]] == \
+            ["1/4", "1/8"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--floor", "--plan", "PLAN"],
+        ["--plan", "PLAN", "--kl", "2,2;2,2"],
+        ["--plan", "PLAN", "--eps", "1/4"],
+        ["--kl", "2,2;2,2", "--eps", "1/4"],
+        ["--kl", "2,2;2,2", "--eps", "1/4", "--eps", "1/8", "--eps", "1/16"],
+        ["--kl", "2,2;2,2", "--stages", "1"],
+    ], ids=["floor-with-plan", "kl-with-plan", "eps-with-plan", "too-few-eps",
+            "too-many-eps", "stages-below-depth"])
+    def test_flags_the_loader_cannot_honour_are_input_errors(
+            self, capsys, tmp_path, argv):
+        path = tmp_path / "p.json"
+        path.write_text(plan_to_json(desk_plan()))
+        argv = [str(path) if a == "PLAN" else a for a in argv]
+        assert run(["plan", *argv]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestBuild:
@@ -86,6 +131,33 @@ class TestBuild:
     def test_check_commands(self, capsys):
         assert invoke(capsys, "check-specs", *BUILD_ARGS)[0] == 0
         assert invoke(capsys, "check-timing", *BUILD_ARGS)[0] == 0
+
+    # None: one call per gated attempt, at least one
+    @pytest.mark.parametrize("argv, count", [
+        (["check-specs"], 1),
+        (["check-timing"], 0),
+        (["build", "--no-gate"], 1),
+        (["build"], None),
+        (["lift"], None),
+    ], ids=["check-specs", "check-timing", "build-no-gate", "build", "lift"])
+    def test_each_command_runs_the_battery_it_prints(
+            self, capsys, monkeypatch, argv, count):
+        calls = []
+        original = circsys.specbuild.check_specs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(circsys.specbuild, "check_specs", counted)
+        monkeypatch.setattr(circsys.cli, "check_specs", counted)
+        assert invoke(capsys, *argv, *BUILD_ARGS)[0] == 0
+        assert len(calls) == count if count is not None else calls
+
+    def test_unsampleable_attempt_is_an_input_error(self, capsys):
+        # k_1 = 3 copies cannot hold the two stage-1 words equally often
+        for command in ("build", "lift", "check-specs", "check-timing"):
+            assert run([command, "--kl", "2,2;3,2", "--level", "2"]) == 3
+            assert capsys.readouterr().out == ""
 
     def test_lift_emits_circular(self, capsys):
         code, doc = invoke_json(capsys, "lift", *BUILD_ARGS)

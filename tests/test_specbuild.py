@@ -13,10 +13,11 @@ from circsys.specbuild import (BuildError, BuiltSequence, RoundingBoundError,
                                SpecEntry, ToleranceProfile, _J11_1_pairs,
                                _check_J10_J10_1, _check_J11, _check_J11_1,
                                _prefix_argmax, _prefix_pair_counts,
-                               _rounding_bound, _slot_matrix, build_words,
-                               check_T4, check_T5, check_T6, check_T7,
-                               check_specs, check_timing, desk_tolerances,
-                               gamma_cascade, groups_from_tree, lift_build)
+                               _rounding_bound, _slot_matrix, build_attempt,
+                               build_words, check_T4, check_T5, check_T6,
+                               check_T7, check_specs, check_timing,
+                               desk_tolerances, gamma_cascade,
+                               groups_from_tree, lift_build)
 from circsys.systems import (CIRCULAR, FWD, REV, GroupActionTable,
                              SequenceError, circular_sequence,
                              identity_action, odometer_sequence,
@@ -60,9 +61,22 @@ class TestBuild:
 
     def test_scaffold_data_is_consumed(self):
         deeper = groups_from_tree([(), (0,), (1,)])
-        a = build_words(SC, PLAN, seed=4, level=1, gate=False)
-        b = build_words(deeper, PLAN, seed=4, level=1, gate=False)
+        a = build_attempt(SC, PLAN, seed=4, level=1)
+        b = build_attempt(deeper, PLAN, seed=4, level=1)
         assert a.seq.stage(1).compositions != b.seq.stage(1).compositions
+
+    def test_gate_checks_the_seeded_attempts(self):
+        one = build_attempt(SC, PLAN, seed=4, level=1)
+        assert one.report is None
+        assert build_words(SC, PLAN, seed=4, level=1).seq == one.seq
+        # an exhausted budget reports its first attempt with fewest failures
+        tol = ToleranceProfile(j_family=Fraction(0))
+        reports = [check_specs(build_attempt(SC, PLAN, 4, 1, attempt=i), tol)
+                   for i in range(3)]
+        with pytest.raises(BuildError) as err:
+            build_words(SC, PLAN, 4, 1, tolerances=tol, retry_budget=3)
+        assert err.value.report.to_json() == \
+            min(reports, key=lambda r: len(r.failures())).to_json()
 
     def test_impossible_tolerance_exhausts_budget(self):
         with pytest.raises(BuildError) as err:
@@ -93,9 +107,7 @@ class TestReports:
             assert fam in ids
 
     def test_failures_carry_witnesses(self):
-        built = build_words(SC, PLAN, seed=0, level=1, gate=False,
-                            tolerances=ToleranceProfile(
-                                j_family=Fraction(0)))
+        built = build_attempt(SC, PLAN, seed=0, level=1)
         rep = check_specs(built, ToleranceProfile(j_family=Fraction(0)))
         bad = rep.failures()
         assert bad
