@@ -3,9 +3,9 @@
     python3 tests/make_golden.py
 
 Writes ``tests/golden.json``: for each row name, the argv, the exit code
-and the sha256 of stdout of one in-process ``circsys.cli.run`` call, made
-from the repository root with no result cache.  ``tests/test_golden.py``
-replays every row.
+and the sha256 of stdout and of stderr of one in-process
+``circsys.cli.run`` call, made from the repository root with no result
+cache.  ``tests/test_golden.py`` replays every row.
 
 Run it only when the CLI's output is meant to change, and say in
 CHANGES.md which rows moved and why.
@@ -64,6 +64,7 @@ ROWS = {
                        "--eps", "1/8", "--eps", "1/16"],
     "plan-too-few-eps": ["plan", "--kl", "2,2;2,2", "--eps", "1/4"],
     "plan-bad-kl": ["plan", "--kl", "2,2;x"],
+    "plan-k-below-2": ["plan", "--kl", "1,2;2,2"],
     "build-k1024": ["build", *K1024_ARGS],
     "build-k1024-no-gate": ["build", *K1024_ARGS, "--no-gate"],
     "build-gate-fails": ["build", "--kl", "4,2;2,2", "--level", "1"],
@@ -85,6 +86,8 @@ ROWS = {
                      *KL3, "--csv"],
     "rotation-zones": ["rotation", "--beta", "2/7", "--n", "1", "--m", "3",
                        *KL3, "--zones-delta", "1/4"],
+    "rotation-zones-delta-2": ["rotation", "--beta", "2/7", "--n", "1",
+                               "--m", "3", *KL3, "--zones-delta", "2"],
     # denominators past int64 once multiplied by q_3 = 2^14
     "rotation-huge-2^48": ["rotation", "--beta", f"1/{2 ** 48 + 1}",
                            "--n", "2", "--m", "3", *KL3],
@@ -101,22 +104,35 @@ ROWS = {
                "--seed", "7"],
     "continuity": ["continuity", "--tree", TREE, "--depth", "1",
                    "--kl", "4,2;2,2", "--seed", "7"],
+    "reduce-past-plan": ["reduce", "--tree", TREE, "--depth", "5",
+                         "--kl", "4,2;2,2"],
+    "reduce-missing-tree": ["reduce", "--tree", "nope.json", "--depth", "1"],
+    "continuity-past-plan": ["continuity", "--tree", TREE, "--depth", "5",
+                             "--kl", "4,2;2,2"],
     "dbar-exact": ["dbar", "--u", "10011", "--v", "10101"],
+    "dbar-empty-interval": ["dbar", "--u", "0110", "--v", "0101",
+                            "--a", "1", "--b", "1"],
+    "dbar-outside-domain": ["dbar", "--u", "01", "--v", "10",
+                            "--a", "0", "--b", "5"],
     "dbar-estimate": ["dbar", "--u", "0110" * 64, "--v", "0101" * 64,
                       "--mode", "estimate", "--seed", "1",
                       "--samples", "512"],
 }
 
 
-def run_row(argv) -> tuple:
-    """(exit code, sha256 of stdout) of one CLI call; run from ROOT with
-    CIRCSYS_CACHE unset."""
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_row(argv) -> dict:
+    """Exit code and sha256 of stdout and of stderr of one CLI call; run
+    from ROOT with CIRCSYS_CACHE unset."""
     from circsys.cli import run
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv))
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return {"exit": code, "stdout": _sha256(out.getvalue()),
+            "stderr": _sha256(err.getvalue())}
 
 
 def main() -> int:
@@ -125,9 +141,10 @@ def main() -> int:
     os.environ.pop("CIRCSYS_CACHE", None)
     table = {}
     for name, argv in ROWS.items():
-        code, digest = run_row(argv)
-        table[name] = {"argv": argv, "exit": code, "sha256": digest}
-        print(name, code, digest[:12], flush=True)
+        row = run_row(argv)
+        table[name] = {"argv": argv} | row
+        print(name, row["exit"], row["stdout"][:12], row["stderr"][:12],
+              flush=True)
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n")
     return 0
 

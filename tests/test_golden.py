@@ -1,4 +1,5 @@
-"""Every row of the CLI golden table: exit code and sha256 of stdout.
+"""Every row of the CLI golden table: exit code and the sha256 of stdout
+and of stderr.
 
 A change that moves a row says why in CHANGES.md and regenerates the
 table with ``python3 tests/make_golden.py``."""
@@ -21,4 +22,4 @@ def test_golden_stdout(name, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("CIRCSYS_CACHE", raising=False)
     row = TABLE[name]
-    assert run_row(row["argv"]) == (row["exit"], row["sha256"])
+    assert {"argv": row["argv"]} | run_row(row["argv"]) == row
