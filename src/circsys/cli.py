@@ -1,9 +1,15 @@
 """Batch front end for the construction pipeline.
 
 Machine-first: every subcommand emits one JSON document (CSV on request
-for tabular data) carrying an inline run manifest, so a report can be
-traced back to the exact inputs that produced it.  Reruns with equal
-manifests produce byte-identical output; no timestamps, no hostnames.
+for tabular data) carrying an inline run manifest: the command, the
+sha256 of each input file, the plan hash, the seed and --out.  There are
+no timestamps or hostnames, so rerunning one argv gives the same bytes.
+The manifest does not yet record the other flags that shape a report
+(--level, --style, --gate, --j-tolerance, dbar's words and interval,
+rotation's --beta, --n and --m), so equal manifests can carry different
+reports.  Recording them moves every pinned benchmark digest and waits
+for a change that re-records those pins.  The reduce result cache
+($CIRCSYS_CACHE) is keyed by the manifest digest plus --depth.
 
 Exit codes: 0 success, 2 verification failure (reports still emitted),
 3 input error (malformed files, bad flags, unusable parameters).
@@ -61,25 +67,31 @@ def _hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_input(path: str) -> tuple:
-    """(text, sha256) of one input file; missing file is an input error."""
+def _read_input(path: str) -> str:
+    """Text of one input file, whose sha256 goes into the run manifest; a
+    missing file is an input error."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise click.ClickException(f"cannot read {path}: {exc}")
-    return data.decode(), _hash_bytes(data)
+    click.get_current_context().obj["inputs"][path] = _hash_bytes(data)
+    return data.decode()
 
 
-def _render(payload: dict, manifest: RunManifest) -> str:
-    doc = {"manifest": asdict(manifest) | {"digest": manifest.digest()}}
-    doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _manifest(ctx, plan=None, seed=None) -> RunManifest:
+    plan_hash = None if plan is None else \
+        _hash_bytes(plan_to_json(plan).encode())
+    return RunManifest(ctx.command.name,
+                       dict(sorted(ctx.obj["inputs"].items())), plan_hash,
+                       seed, __version__, (ctx.obj.get("out") or "-",))
 
 
-def _emit(ctx, payload: dict, manifest: RunManifest) -> str:
-    """Write the report; returns its text."""
-    text = _render(payload, manifest)
+def _emit(ctx, payload: dict, plan=None, seed=None) -> str:
+    """Write the report under its run manifest; returns its text."""
+    man = _manifest(ctx, plan, seed)
+    doc = {"manifest": asdict(man) | {"digest": man.digest()}} | payload
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _write(ctx, text)
     return text
 
@@ -91,16 +103,6 @@ def _write(ctx, text: str) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def _manifest(ctx, command: str, inputs: dict, plan=None,
-              seed=None) -> RunManifest:
-    plan_hash = None
-    if plan is not None:
-        plan_hash = _hash_bytes(plan_to_json(plan).encode())
-    out = ctx.obj.get("out") or "-"
-    return RunManifest(command, dict(sorted(inputs.items())), plan_hash,
-                       seed, __version__, (out,))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def _parse_kl(text: str) -> tuple:
     return pairs
 
 
-def _load_plan(plan_path, kl, eps, stages, inputs: dict, desk=True):
+def _load_plan(plan_path, kl, eps, stages, desk=True):
     """Plan from a file, or a desk plan from --kl/--eps that records the
     --desk/--floor growth policy; --stages N grows it by its own policy to
     depth N.  A flag the loader cannot honour is an input error."""
@@ -133,8 +135,7 @@ def _load_plan(plan_path, kl, eps, stages, inputs: dict, desk=True):
         if kl or eps or not desk:
             raise click.ClickException("--kl, --eps and --floor make a plan; "
                                        "a --plan file records its own")
-        text, digest = _read_input(plan_path)
-        inputs[plan_path] = digest
+        text = _read_input(plan_path)
         try:
             plan = plan_from_json(text)
         except (json.JSONDecodeError, KeyError, PlanError, ValueError) as exc:
@@ -144,10 +145,7 @@ def _load_plan(plan_path, kl, eps, stages, inputs: dict, desk=True):
         if eps and len(eps) != len(kl):
             raise click.ClickException("--eps wants one value per --kl stage")
         kw = {"eps_lunate": tuple(map(_parse_fraction, eps))} if eps else {}
-        try:
-            plan = replace(desk_plan(kl=kl, **kw), desk_mode=desk)
-        except PlanError as exc:
-            raise click.ClickException(str(exc))
+        plan = replace(desk_plan(kl=kl, **kw), desk_mode=desk)
     if stages is not None:
         if stages < plan.depth:
             raise click.ClickException(
@@ -157,9 +155,8 @@ def _load_plan(plan_path, kl, eps, stages, inputs: dict, desk=True):
     return plan
 
 
-def _load_tree(path, inputs: dict):
-    text, digest = _read_input(path)
-    inputs[path] = digest
+def _load_tree(path):
+    text = _read_input(path)
     try:
         return tree_from_json(text)
     except (json.JSONDecodeError, TreeError, TypeError, ValueError) as exc:
@@ -184,7 +181,7 @@ def _frac_str(x) -> str:
 @click.pass_context
 def cli(ctx, out):
     """Staged circular constructions: plans, builds, checks, reductions."""
-    ctx.obj = {"out": out}
+    ctx.obj = {"out": out, "inputs": {}}
 
 
 _plan_opts = [
@@ -219,15 +216,13 @@ def _with(opts):
 @click.pass_context
 def plan_cmd(ctx, plan_path, kl, eps, desk, stages, audit):
     """Emit a coefficient plan, grown on request, with its audit."""
-    inputs = {}
-    plan = _load_plan(plan_path, kl, eps, stages, inputs, desk)
+    plan = _load_plan(plan_path, kl, eps, stages, desk)
     payload = {"plan": plan_to_obj(plan)}
     if audit:
         rep = audit_plan(plan)
         payload["audit"] = _report_obj(rep)
         payload["audit_ok"] = rep.ok()
-    man = _manifest(ctx, "plan", inputs, plan=plan)
-    _emit(ctx, payload, man)
+    _emit(ctx, payload, plan)
     return 0
 
 
@@ -242,12 +237,12 @@ _build_opts = _plan_opts + [
 ]
 
 
-def _load_build(plan_path, kl, eps, tree_path, level, inputs):
+def _load_build(plan_path, kl, eps, tree_path, level):
     """The plan and group scaffold a build-family command runs on; without
     --tree, the scaffold of the tree {(), (0,)}."""
-    plan = _load_plan(plan_path, kl, eps, None, inputs)
+    plan = _load_plan(plan_path, kl, eps, None)
     nodes = [(), (0,)] if tree_path is None else \
-        _load_tree(tree_path, inputs).members_in_order()
+        _load_tree(tree_path).members_in_order()
     if level > plan.depth:
         raise click.ClickException(
             f"--level {level} exceeds the plan depth {plan.depth}")
@@ -266,8 +261,7 @@ def _gated_build(sc, plan, seed, level, style):
     return built, built.report
 
 
-def _emit_checked(ctx, command, plan, seed, inputs, report, built=None,
-                  **payload):
+def _emit_checked(ctx, plan, seed, report, built=None, **payload):
     """A build-family report: the battery's verdict and, for a build, its
     sequence and output hash; exit 2 when a check failed."""
     if built is not None:
@@ -275,7 +269,7 @@ def _emit_checked(ctx, command, plan, seed, inputs, report, built=None,
         payload["output_hash"] = _hash_bytes(
             json.dumps(payload["sequence"], sort_keys=True).encode())
     payload.update(report=_report_obj(report), ok=report.ok())
-    _emit(ctx, payload, _manifest(ctx, command, inputs, plan=plan, seed=seed))
+    _emit(ctx, payload, plan, seed)
     return 0 if report.ok() else 2
 
 
@@ -287,14 +281,13 @@ def _emit_checked(ctx, command, plan, seed, inputs, report, built=None,
 @click.pass_context
 def build_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style, gate):
     """Construct stage words against the verification gate."""
-    inputs = {}
-    plan, sc = _load_build(plan_path, kl, eps, tree_path, level, inputs)
+    plan, sc = _load_build(plan_path, kl, eps, tree_path, level)
     if gate:
         built, report = _gated_build(sc, plan, seed, level, style)
     else:
         built = build_attempt(sc, plan, seed, level, style)
         report = check_specs(built)
-    return _emit_checked(ctx, "build", plan, seed, inputs, report, built)
+    return _emit_checked(ctx, plan, seed, report, built)
 
 
 @cli.command("lift")
@@ -302,10 +295,9 @@ def build_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style, gate):
 @click.pass_context
 def lift_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style):
     """Build, then carry the odometer sequence to its circular image."""
-    inputs = {}
-    plan, sc = _load_build(plan_path, kl, eps, tree_path, level, inputs)
+    plan, sc = _load_build(plan_path, kl, eps, tree_path, level)
     built, report = _gated_build(sc, plan, seed, level, style)
-    return _emit_checked(ctx, "lift", plan, seed, inputs, report,
+    return _emit_checked(ctx, plan, seed, report,
                          built and lift_build(built))
 
 
@@ -317,12 +309,11 @@ def lift_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style):
 def check_specs_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style,
                     j_tolerance):
     """Run the word-spec battery on one unchecked build attempt."""
-    inputs = {}
-    plan, sc = _load_build(plan_path, kl, eps, tree_path, level, inputs)
+    plan, sc = _load_build(plan_path, kl, eps, tree_path, level)
     tol = None if j_tolerance is None else \
         ToleranceProfile(j_family=_parse_fraction(j_tolerance))
     report = check_specs(build_attempt(sc, plan, seed, level, style), tol)
-    return _emit_checked(ctx, "check-specs", plan, seed, inputs, report,
+    return _emit_checked(ctx, plan, seed, report,
                          failures=[e.spec_id for e in report.failures()])
 
 
@@ -331,13 +322,12 @@ def check_specs_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style,
 @click.pass_context
 def check_timing_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style):
     """Run the timing battery and cascade bounds on one unchecked attempt."""
-    inputs = {}
-    plan, sc = _load_build(plan_path, kl, eps, tree_path, level, inputs)
+    plan, sc = _load_build(plan_path, kl, eps, tree_path, level)
     gc = gamma_cascade(plan, level)
     report = check_timing(build_attempt(sc, plan, seed, level, style), level,
                           gamma=gc)
     return _emit_checked(
-        ctx, "check-timing", plan, seed, inputs, report,
+        ctx, plan, seed, report,
         gamma=[_frac_str(gc.gamma(n)) for n in range(1, level + 1)])
 
 
@@ -355,11 +345,8 @@ def dbar_cmd(ctx, u_text, v_text, a, b, mode, seed, samples):
     """Disagreement density between two words over one interval."""
     interval = None if a is None and b is None else \
         (a or 0, b if b is not None else min(len(u_text), len(v_text)))
-    try:
-        res = dbar(word(u_text), word(v_text), interval,
-                   mode=mode, seed=seed, samples=samples)
-    except (WordIndexError, ValueError) as exc:
-        raise click.ClickException(str(exc))
+    res = dbar(word(u_text), word(v_text), interval,
+               mode=mode, seed=seed, samples=samples)
     payload = {
         "kind": res.kind,
         "value": _frac_str(res.value),
@@ -370,8 +357,7 @@ def dbar_cmd(ctx, u_text, v_text, a, b, mode, seed, samples):
         payload["half_width"] = _frac_str(res.half_width)
         payload["confidence"] = _frac_str(res.confidence)
         payload["samples"] = res.samples
-    man = _manifest(ctx, "dbar", {}, seed=seed)
-    _emit(ctx, payload, man)
+    _emit(ctx, payload, seed=seed)
     return 0
 
 
@@ -384,14 +370,12 @@ def dbar_cmd(ctx, u_text, v_text, a, b, mode, seed, samples):
 @click.pass_context
 def parse_cmd(ctx, text, k, l, p, q):
     """Invert the circular interleaving of one stage, or diagnose."""
-    man = _manifest(ctx, "parse", {})
     try:
         dec = parse_circular(word(text), (k, l, p, q))
     except CircularParseError as exc:
-        payload = {"ok": False, "position": exc.position,
-                   "expected": exc.expected, "found": exc.found,
-                   "detail": str(exc)}
-        _emit(ctx, payload, man)
+        _emit(ctx, {"ok": False, "position": exc.position,
+                    "expected": exc.expected, "found": exc.found,
+                    "detail": str(exc)})
         return 2
     payload = {
         "ok": True, "k": k, "l": l, "p": p, "q": q,
@@ -399,7 +383,7 @@ def parse_cmd(ctx, text, k, l, p, q):
         "j": list(dec.j),
         "boundary_fraction": _frac_str(dec.boundary_fraction),
     }
-    _emit(ctx, payload, man)
+    _emit(ctx, payload)
     return 0
 
 
@@ -420,8 +404,7 @@ def parse_cmd(ctx, text, k, l, p, q):
 def rotation_cmd(ctx, plan_path, kl, eps, stages, beta, n_stages, anchor,
                  as_csv, zones_delta):
     """Displacement, lane counts, and optional red-zone construction."""
-    inputs = {}
-    plan = _load_plan(plan_path, kl, eps, stages, inputs)
+    plan = _load_plan(plan_path, kl, eps, stages)
     b = _parse_fraction(beta)
     # q_m exists one stage past the last (k, l) pair
     m = anchor if anchor is not None else plan.depth
@@ -432,13 +415,10 @@ def rotation_cmd(ctx, plan_path, kl, eps, stages, beta, n_stages, anchor,
         raise click.ClickException(
             f"anchor tower q_{m} = {plan.q(m)} exceeds the exact-counting "
             f"cap {ANCHOR_CAP}; pick a smaller --m")
-    try:
-        if as_csv:
-            _write(ctx, delta_csv(plan, b, n_stages, m))
-            return 0
-        payload = json.loads(rotation_report_json(plan, b, n_stages, m))
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    if as_csv:
+        _write(ctx, delta_csv(plan, b, n_stages, m))
+        return 0
+    payload = json.loads(rotation_report_json(plan, b, n_stages, m))
     if zones_delta is not None:
         rz = build_red_zones(b, plan, m, _parse_fraction(zones_delta))
         payload["red_zones"] = {
@@ -450,8 +430,7 @@ def rotation_cmd(ctx, plan_path, kl, eps, stages, beta, n_stages, anchor,
                         "blocks": list(ly.blocks), "j0": ly.j0, "t": ly.t}
                        for ly in rz.layers],
         }
-    man = _manifest(ctx, "rotation", inputs, plan=plan)
-    _emit(ctx, payload, man)
+    _emit(ctx, payload, plan)
     return 0
 
 
@@ -465,8 +444,7 @@ def rotation_cmd(ctx, plan_path, kl, eps, stages, beta, n_stages, anchor,
 @click.pass_context
 def natural_map_cmd(ctx, plan_path, kl, eps, stages, stage_n, text):
     """Stage-n approximant of the reversing isomorphism."""
-    inputs = {}
-    plan = _load_plan(plan_path, kl, eps, stages, inputs)
+    plan = _load_plan(plan_path, kl, eps, stages)
     if not 0 <= stage_n <= plan.depth - 1:
         raise click.ClickException(
             f"--n must lie in [0, {plan.depth - 1}]")
@@ -481,31 +459,31 @@ def natural_map_cmd(ctx, plan_path, kl, eps, stages, stage_n, text):
             raise click.ClickException(
                 f"window shorter than the code diameter {2 * code.radius + 1}")
         payload["image"] = apply_code(code, text).text
-    man = _manifest(ctx, "natural-map", inputs, plan=plan)
-    _emit(ctx, payload, man)
+    _emit(ctx, payload, plan)
     return 0
 
 
+_tree_opts = _plan_opts + [
+    click.option("--tree", "tree_path", required=True, metavar="FILE"),
+    click.option("--depth", "n0", required=True, type=int),
+    click.option("--seed", default=0, show_default=True),
+]
+
+
 @cli.command("reduce")
-@_with(_plan_opts)
-@click.option("--tree", "tree_path", required=True, metavar="FILE")
-@click.option("--depth", "n0", required=True, type=int)
-@click.option("--seed", default=0, show_default=True)
+@_with(_tree_opts)
 @click.pass_context
 def reduce_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
     """Reduce a tree prefix to a hashed construction-sequence output."""
-    inputs = {}
-    plan = _load_plan(plan_path, kl, eps, None, inputs)
-    tp = _load_tree(tree_path, inputs)
-    man = _manifest(ctx, "reduce", inputs, plan=plan, seed=seed)
-    cached = _cache_load(man)
+    plan = _load_plan(plan_path, kl, eps, None)
+    tp = _load_tree(tree_path)
+    # the manifest does not record --depth, so the cache key adds it
+    key = f"{_manifest(ctx, plan, seed).digest()}-depth{n0}"
+    cached = _cache_load(key)
     if cached is not None:
         _write(ctx, cached)
         return 0
-    try:
-        res = tree_reduce(tp, n0, plan, seed)
-    except (TreeError, BuildError) as exc:
-        raise click.ClickException(str(exc))
+    res = tree_reduce(tp, n0, plan, seed)
     payload = {
         "output_hash": res.output_hash,
         "plan_hash": res.plan_hash,
@@ -515,25 +493,17 @@ def reduce_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
         "exhausted": res.exhausted,
         "handoff": realization_handoff(res),
     }
-    _cache_store(man, _emit(ctx, payload, man))
+    _cache_store(key, _emit(ctx, payload, plan, seed))
     return 0
 
 
 @cli.command("continuity")
-@_with(_plan_opts)
-@click.option("--tree", "tree_path", required=True, metavar="FILE")
-@click.option("--depth", "n0", required=True, type=int)
-@click.option("--seed", default=0, show_default=True)
+@_with(_tree_opts)
 @click.pass_context
 def continuity_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
     """Certify, by mutation diffing, how much tree the reduction read."""
-    inputs = {}
-    plan = _load_plan(plan_path, kl, eps, None, inputs)
-    tp = _load_tree(tree_path, inputs)
-    try:
-        cert = certify_continuity(tp, n0, plan, seed)
-    except (TreeError, BuildError) as exc:
-        raise click.ClickException(str(exc))
+    plan = _load_plan(plan_path, kl, eps, None)
+    cert = certify_continuity(_load_tree(tree_path), n0, plan, seed)
     payload = {
         "bound": cert.bound,
         "base_hash": cert.base_hash,
@@ -545,26 +515,25 @@ def continuity_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
         "affected_at_consumed": cert.affected,
         "ok": cert.unaffected,
     }
-    man = _manifest(ctx, "continuity", inputs, plan=plan, seed=seed)
-    _emit(ctx, payload, man)
+    _emit(ctx, payload, plan, seed)
     return 0 if cert.unaffected else 2
 
 
 # ---------------------------------------------------------------------------
 # cache
 
-def _cache_path(man: RunManifest):
+def _cache_path(key: str):
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
     os.makedirs(root, exist_ok=True)
-    return os.path.join(root, man.digest() + ".json")
+    return os.path.join(root, key + ".json")
 
 
-def _cache_load(man: RunManifest):
+def _cache_load(key: str):
     """The cached report, or None on a miss; an entry that cannot be read
     or is not JSON (say, left truncated by a killed writer) is a miss."""
-    path = _cache_path(man)
+    path = _cache_path(key)
     if not path:
         return None
     try:
@@ -576,10 +545,10 @@ def _cache_load(man: RunManifest):
     return text
 
 
-def _cache_store(man: RunManifest, text: str) -> None:
+def _cache_store(key: str, text: str) -> None:
     """Write the entry to a temporary file in the cache directory, then
     rename it into place, so readers see the whole entry or none."""
-    path = _cache_path(man)
+    path = _cache_path(key)
     if not path:
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")

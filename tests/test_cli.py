@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from circsys.coefficients import (desk_plan, extend_plan, grow_plan,
                                   plan_from_obj, plan_to_json)
 from circsys.trees import TreePrefix, tree_to_json
 
+DATA = Path(__file__).resolve().parent / "data"
 BUILD_ARGS = ["--kl", "64,4;2,2", "--eps", "1/4", "--eps", "1/8",
               "--level", "1", "--seed", "3"]
 
@@ -234,6 +236,17 @@ class TestTreesCommands:
         assert len(cached) == 1
         _, second = invoke(capsys, *args)
         assert second == first
+
+    def test_cache_is_keyed_by_depth(self, capsys, tmp_path, monkeypatch):
+        # the manifest leaves out --depth; a cache keyed by its digest alone
+        # served the depth-1 report to the depth-2 call
+        monkeypatch.setenv("CIRCSYS_CACHE", str(tmp_path / "cache"))
+        args = ["reduce", "--tree", str(DATA / "tree.json"),
+                "--kl", "4,2;2,2;2,2", "--seed", "7"]
+        _, first = invoke_json(capsys, *args, "--depth", "1")
+        _, second = invoke_json(capsys, *args, "--depth", "2")
+        assert (first["depth"], second["depth"]) == (1, 2)
+        assert second["manifest"] == first["manifest"]
 
     def test_truncated_cache_entry_is_recomputed(self, capsys, tree_file,
                                                  tmp_path, monkeypatch):
