@@ -159,7 +159,7 @@ def _load_tree(path):
     text = _read_input(path)
     try:
         return tree_from_json(text)
-    except (json.JSONDecodeError, TreeError, TypeError, ValueError) as exc:
+    except (KeyError, TreeError, TypeError, ValueError) as exc:
         raise click.ClickException(f"bad tree file {path}: {exc}")
 
 

@@ -666,7 +666,7 @@ class GammaCascade:
         return all(v > 0 for v in self.values)
 
 
-def gamma_cascade(plan, N: int | None = None, Q1=None) -> GammaCascade:
+def gamma_cascade(plan, N: int | None = None) -> GammaCascade:
     N = plan.depth - 1 if N is None else N
     st0 = plan.stage(0)
     e0 = Fraction(st0.eps_lunate)
@@ -677,9 +677,8 @@ def gamma_cascade(plan, N: int | None = None, Q1=None) -> GammaCascade:
         st = plan.stage(m)
         em = Fraction(st.eps_lunate)
         prev_eps = Fraction(plan.stage(m - 1).eps_lunate)
-        q1 = Q1[m] if Q1 is not None else st.Q1
         dec = 1 - 10 * (Fraction(1, st.k) / em + Fraction(1, st.l)
-                        + Fraction(1, q1) + prev_eps)
+                        + Fraction(1, st.Q1) + prev_eps)
         g = g * dec
         vals.append(g)
     return GammaCascade(tuple(vals))

@@ -80,6 +80,17 @@ def base_stage(symbols) -> StageFamily:
     return StageFamily(words=tuple(word(s) for s in symbols))
 
 
+def _check_indices(tup, n: int, k: int, size: int, what: str) -> None:
+    """One stage-(n + 1) composition or preword: k_n indices, each naming
+    one of the size words of stage n."""
+    if len(tup) != k:
+        raise SequenceError(f"stage {n + 1} {what} arity "
+                            f"{len(tup)} != k_{n} = {k}")
+    if not all(0 <= i < size for i in tup):
+        raise SequenceError(f"stage {n + 1} {what} {tuple(tup)} has an "
+                            f"index outside [0, {size})")
+
+
 def odometer_sequence(plan, symbols, compositions_by_stage) -> ConstructionSequence:
     """Build an odometer-flavor sequence from base symbols and, per stage,
     a list of k_n-tuples of previous-stage word indices."""
@@ -89,11 +100,7 @@ def odometer_sequence(plan, symbols, compositions_by_stage) -> ConstructionSeque
         k = plan.stage(n).k
         words = []
         for tup in comps:
-            if len(tup) != k:
-                raise SequenceError(f"stage {n + 1} composition arity "
-                                    f"{len(tup)} != k_{n} = {k}")
-            if any(i >= prev.size for i in tup):
-                raise SequenceError("composition index out of range")
+            _check_indices(tup, n, k, prev.size, "composition")
             words.append(Concat(tuple(prev.words[i] for i in tup)))
         stages.append(StageFamily(tuple(words), tuple(map(tuple, comps))))
     return ConstructionSequence(ODOMETER, plan, tuple(stages))
@@ -107,9 +114,7 @@ def circular_sequence(plan, symbols, prewords_by_stage) -> ConstructionSequence:
         grid = (st.k, st.l, plan.p(n), plan.q(n))
         words = []
         for tup in prewords:
-            if len(tup) != st.k:
-                raise SequenceError(f"stage {n + 1} preword arity "
-                                    f"{len(tup)} != k_{n} = {st.k}")
+            _check_indices(tup, n, st.k, prev.size, "preword")
             words.append(apply_C([prev.words[i] for i in tup], grid))
         stages.append(StageFamily(tuple(words), tuple(map(tuple, prewords))))
     return ConstructionSequence(CIRCULAR, plan, tuple(stages))

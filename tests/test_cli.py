@@ -282,6 +282,13 @@ class TestErrors:
         bad.write_text("{not json")
         assert run(["reduce", "--tree", str(bad), "--depth", "1"]) == 3
 
+    def test_tree_file_without_nodes(self, capsys):
+        # a JSON object with no "nodes" key used to escape as a KeyError
+        code = run(["reduce", "--tree", str(DATA / "floor_plan.json"),
+                    "--depth", "1"])
+        assert code == 3
+        assert "bad tree file" in capsys.readouterr().err
+
     def test_unknown_command(self):
         assert run(["bogus"]) == 3
 
