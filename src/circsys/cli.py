@@ -4,11 +4,11 @@ Machine-first: every subcommand emits one JSON document (CSV on request
 for tabular data) carrying an inline run manifest: the command, the
 sha256 of each input file, the plan hash, the seed and --out.  There are
 no timestamps or hostnames, so rerunning one argv gives the same bytes.
-The manifest does not yet record the other flags that shape a report
-(--level, --style, --gate, --j-tolerance, dbar's words and interval,
-rotation's --beta, --n and --m), so equal manifests can carry different
-reports.  Recording them moves every pinned benchmark digest and waits
-for a change that re-records those pins.  The reduce result cache
+No other flag is recorded yet (--level, --style, --gate, --j-tolerance,
+--depth, the words of dbar and parse, rotation's --beta, --n and --m,
+among others), so equal manifests can carry different reports.
+Recording them moves every pinned benchmark digest and waits for a
+change that re-records those pins.  The reduce result cache
 ($CIRCSYS_CACHE) is keyed by the manifest digest plus --depth.
 
 Exit codes: 0 success, 2 verification failure (reports still emitted),
@@ -138,7 +138,7 @@ def _load_plan(plan_path, kl, eps, stages, desk=True):
         text = _read_input(plan_path)
         try:
             plan = plan_from_json(text)
-        except (json.JSONDecodeError, KeyError, PlanError, ValueError) as exc:
+        except (KeyError, PlanError, TypeError, ValueError) as exc:
             raise click.ClickException(f"bad plan file {plan_path}: {exc}")
     else:
         kl = _parse_kl(kl or "2,2;2,2")

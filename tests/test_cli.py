@@ -238,8 +238,8 @@ class TestTreesCommands:
         assert second == first
 
     def test_cache_is_keyed_by_depth(self, capsys, tmp_path, monkeypatch):
-        # the manifest leaves out --depth; a cache keyed by its digest alone
-        # served the depth-1 report to the depth-2 call
+        # the manifest leaves out --depth, so its digest alone cannot key
+        # the cache
         monkeypatch.setenv("CIRCSYS_CACHE", str(tmp_path / "cache"))
         args = ["reduce", "--tree", str(DATA / "tree.json"),
                 "--kl", "4,2;2,2;2,2", "--seed", "7"]
@@ -282,12 +282,15 @@ class TestErrors:
         bad.write_text("{not json")
         assert run(["reduce", "--tree", str(bad), "--depth", "1"]) == 3
 
-    def test_tree_file_without_nodes(self, capsys):
-        # a JSON object with no "nodes" key used to escape as a KeyError
-        code = run(["reduce", "--tree", str(DATA / "floor_plan.json"),
-                    "--depth", "1"])
-        assert code == 3
-        assert "bad tree file" in capsys.readouterr().err
+    @pytest.mark.parametrize("kind,text", [
+        ("plan", "[]"), ("plan", '{"stages": 5}'),
+        ("tree", "[]"), ("tree", '{"horizon": 0}')])
+    def test_json_file_of_the_wrong_shape(self, capsys, tmp_path, kind,
+                                          text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        assert run(["build", f"--{kind}", str(path)]) == 3
+        assert f"Error: bad {kind} file {path}: " in capsys.readouterr().err
 
     def test_unknown_command(self):
         assert run(["bogus"]) == 3

@@ -42,7 +42,6 @@ class TestSequences:
     @pytest.mark.parametrize("index", [-1, 5])
     @pytest.mark.parametrize("make", [odometer_sequence, circular_sequence])
     def test_index_outside_the_previous_stage_refused(self, make, index):
-        # -1 used to pick the last word, and 5 escaped as an IndexError
         with pytest.raises(SequenceError, match="outside"):
             make(desk_plan(), "01", [[(0, index), (1, 0)]])
 
