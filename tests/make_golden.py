@@ -49,11 +49,14 @@ ROWS = {
                         "--p", "0", "--q", "1"],
     "plan-desk": ["plan"],
     "plan-desk-stages-3": ["plan", "--stages", "3"],
+    "plan-desk-stages-6": ["plan", "--stages", "6"],
     "plan-kl-stages-3": ["plan", "--kl", "2,2;2,2", "--stages", "3"],
     "plan-kl-kept": ["plan", "--kl", "4,2;3,2", "--stages", "2"],
+    "plan-kl-kept-stages-4": ["plan", "--kl", "4,2;3,2", "--stages", "4"],
     "plan-floor": ["plan", "--floor"],
     "plan-floor-stages-2": ["plan", "--floor", "--stages", "2"],
     "plan-floor-stages-3": ["plan", "--floor", "--stages", "3"],
+    "plan-floor-stages-4": ["plan", "--floor", "--stages", "4"],
     "plan-file": ["plan", "--plan", FLOOR_PLAN],
     "plan-file-stages-2": ["plan", "--plan", FLOOR_PLAN, "--stages", "2"],
     "plan-file-stages-3": ["plan", "--plan", FLOOR_PLAN, "--stages", "3"],
