@@ -131,10 +131,9 @@ class SubscaleDecomposition:
             for m in range(self.l - 1):
                 yield base + m * self.q
 
-    def near_boundary_count(self, radius: int | None = None) -> int:
-        """Exact count of positions within ``radius`` (default q) of a
-        boundary position, boundary included."""
-        radius = self.q if radius is None else radius
+    def near_boundary_count(self) -> int:
+        """Exact count of positions within q of a boundary position,
+        boundary included."""
         total = 0
         runs = []  # spacer runs as (start, end)
         sec = self.section_length
@@ -148,7 +147,7 @@ class SubscaleDecomposition:
                 runs.append((base + sec - ji, base + sec))
         merged = []
         for a, b in runs:
-            a, b = max(0, a - radius), min(self.length, b + radius)
+            a, b = max(0, a - self.q), min(self.length, b + self.q)
             if merged and a <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], b))
             else:

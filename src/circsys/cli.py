@@ -29,7 +29,7 @@ import click
 
 from . import __version__
 from .coefficients import (PlanError, audit_plan, code_coefficients,
-                           desk_plan, extend_plan, plan_from_json,
+                           desk_plan, extend_plan, frac_str, plan_from_json,
                            plan_to_json, plan_to_obj)
 from .words import WordIndexError, dbar, word
 from .circular import CircularParseError, parse_circular
@@ -165,11 +165,6 @@ def _load_tree(path):
 
 def _report_obj(report) -> list:
     return json.loads(report.to_json())
-
-
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +323,7 @@ def check_timing_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style):
                           gamma=gc)
     return _emit_checked(
         ctx, plan, seed, report,
-        gamma=[_frac_str(gc.gamma(n)) for n in range(1, level + 1)])
+        gamma=[frac_str(gc.gamma(n)) for n in range(1, level + 1)])
 
 
 @cli.command("dbar")
@@ -349,13 +344,13 @@ def dbar_cmd(ctx, u_text, v_text, a, b, mode, seed, samples):
                mode=mode, seed=seed, samples=samples)
     payload = {
         "kind": res.kind,
-        "value": _frac_str(res.value),
+        "value": frac_str(res.value),
         "value_float": float(res.value),
         "interval": list(res.interval),
     }
     if res.kind == "estimate":
-        payload["half_width"] = _frac_str(res.half_width)
-        payload["confidence"] = _frac_str(res.confidence)
+        payload["half_width"] = frac_str(res.half_width)
+        payload["confidence"] = frac_str(res.confidence)
         payload["samples"] = res.samples
     _emit(ctx, payload, seed=seed)
     return 0
@@ -381,7 +376,7 @@ def parse_cmd(ctx, text, k, l, p, q):
         "ok": True, "k": k, "l": l, "p": p, "q": q,
         "preword": [w.materialize() for w in dec.preword],
         "j": list(dec.j),
-        "boundary_fraction": _frac_str(dec.boundary_fraction),
+        "boundary_fraction": frac_str(dec.boundary_fraction),
     }
     _emit(ctx, payload)
     return 0
@@ -423,8 +418,8 @@ def rotation_cmd(ctx, plan_path, kl, eps, stages, beta, n_stages, anchor,
         rz = build_red_zones(b, plan, m, _parse_fraction(zones_delta))
         payload["red_zones"] = {
             "anchor": rz.anchor,
-            "target_density": _frac_str(rz.target_density),
-            "achieved_density": _frac_str(rz.achieved_density),
+            "target_density": frac_str(rz.target_density),
+            "achieved_density": frac_str(rz.achieved_density),
             "shortfall": rz.shortfall,
             "layers": [{"stage": ly.stage, "block_size": ly.block_size,
                         "blocks": list(ly.blocks), "j0": ly.j0, "t": ly.t}

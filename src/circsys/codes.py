@@ -24,7 +24,6 @@ class StationaryCode:
     radius: int
     block_map: Callable        # str of length 2*radius+1 -> single symbol
     policy: str = FILL_CONSTANT
-    fill: str = SYMBOL_B
     name: str = ""
 
     def __post_init__(self):
@@ -47,8 +46,8 @@ def constant_code(symbol: str) -> StationaryCode:
 
 def apply_code(code: StationaryCode, w, interval=None) -> Literal:
     """Pointwise application over an index interval.  With fill-constant,
-    missing symbols near the ends read as the fill symbol; with truncate,
-    end positions are dropped."""
+    missing symbols near the ends read as b; with truncate, end positions
+    are dropped."""
     text = w.materialize() if isinstance(w, Word) else w
     if text is None:
         raise ValueError("word too large; pass an explicit window")
@@ -62,9 +61,9 @@ def apply_code(code: StationaryCode, w, interval=None) -> Literal:
         if lo < 0 or hi > len(text):
             if code.policy == TRUNCATE:
                 continue
-            block = (code.fill * max(0, -lo)
+            block = (SYMBOL_B * max(0, -lo)
                      + text[max(lo, 0):min(hi, len(text))]
-                     + code.fill * max(0, hi - len(text)))
+                     + SYMBOL_B * max(0, hi - len(text)))
         else:
             block = text[lo:hi]
         out.append(code(block))

@@ -133,11 +133,6 @@ class CoefficientPlan:
         """Dynamical index at stage n."""
         return dynamical_index(self.p(n), self.q(n), i)
 
-    @property
-    def policy(self) -> GrowthPolicy:
-        """The growth policy desk_mode records."""
-        return desk_policy() if self.desk_mode else paper_floor_policy()
-
 
 def desk_plan(kl=((2, 2), (2, 2)), **overrides) -> CoefficientPlan:
     """Small hand plan from a list of (k, l) pairs.
@@ -163,7 +158,7 @@ def desk_plan(kl=((2, 2), (2, 2)), **overrides) -> CoefficientPlan:
 
 
 # ---------------------------------------------------------------------------
-# growth policies and plan extension
+# plan growth
 
 # the audit's finite surrogates for the summability requirements
 L_RATIO = 2                      # NR1
@@ -172,80 +167,41 @@ G_OVER_Q_RATIO = Fraction(1, 2)  # NR5
 Q1_MARGIN = 4                    # NR13, and a cap on each stage's eps_lunate
 
 
-@dataclass(frozen=True)
-class GrowthPolicy:
-    """How to pick the next stage's numbers.
-
-    The per-stage choices are made in the order Q1, eps_classic, mu,
-    eps_lunate, s_next, k, l: each later value may depend on the earlier
-    ones but never the other way around.  The two divisors double as the
-    audit's bounds for NR4 and NR11.
-    """
-
-    Q1_of: object = None           # callable n -> int
-    eps_classic_of: object = None  # callable (n, prev) -> Fraction
-    mu_divisor: int = 4
-    eps_lunate_divisor: int = 4
-    s_exponent: int = 1            # s_{n+1} = s_n ** s_exponent
-    k_of: object = None            # callable (n, s_next, eps_lunate) -> int
-    l_of: object = None            # callable (n, prev_l) -> int
-    e_of: object = None            # callable n -> int
-    G1_size_of: object = None      # callable n -> int
-
-
-def desk_policy() -> GrowthPolicy:
-    return GrowthPolicy(
-        Q1_of=lambda n: 2,
-        eps_classic_of=lambda n, prev: (prev or Fraction(1, 4)) / 4 if n else Fraction(1, 4),
-        k_of=lambda n, s_next, eps: 2,
-        l_of=lambda n, prev_l: 2,
-        e_of=lambda n: 1,
-        G1_size_of=lambda n: 2,
-    )
-
-
-def paper_floor_policy() -> GrowthPolicy:
-    """Honors the absolute floors (l_0 > 20, eps_lunate_0*k_0 > 20, ...).
-
-    Nothing at this scale is materializable; the policy exists so the
-    audit can be exercised against a compliant plan.
-    """
-    return GrowthPolicy(
-        Q1_of=lambda n: 2 ** (n + 2),
-        eps_classic_of=lambda n, prev: (prev or Fraction(1, 8)) / 8 if n else Fraction(1, 8),
-        mu_divisor=16,
-        eps_lunate_divisor=16,
-        s_exponent=2,
-        k_of=lambda n, s_next, eps: max(2048 * 2 ** n, int(24 / eps) + 1, s_next),
-        l_of=lambda n, prev_l: max(21, 2 * (prev_l or 11)) * 2,
-        e_of=lambda n: n + 2,
-        G1_size_of=lambda n: 2,
-    )
+def _nr_divisor(desk: bool) -> int:
+    """The d of extend_plan's mu and eps_lunate; the NR4/NR11 audit bound."""
+    return 4 if desk else 16
 
 
 def extend_plan(plan: CoefficientPlan) -> CoefficientPlan:
-    """Append one stage by the plan's own policy, choosing values in the
-    canonical order."""
-    policy = plan.policy
-    n = plan.depth
-    prev = plan.stages[-1] if plan.stages else None
-    Q1 = policy.Q1_of(n)
-    eps_classic = policy.eps_classic_of(n, prev.eps_classic if prev else None)
-    mu = min(eps_classic, Fraction(1, Q1)) / policy.mu_divisor
-    eps_lunate = min(mu / policy.eps_lunate_divisor, Fraction(1, Q1_MARGIN * Q1))
-    if prev is not None and eps_lunate >= prev.eps_lunate:
+    """Append stage n = plan.depth by the growth rule plan.desk_mode
+    records, as desk | floor (the floor rule meets l_0 > 20, eps_lunate_0
+    k_0 > 20 and the other absolute floors), each value from earlier ones:
+
+    Q1 = 2 | 2^(n+2); eps_classic = 1/4 | 1/8 at n = 0, then the previous
+    one / 4 | 8; mu = min(eps_classic, 1/Q1) / d; eps_lunate = min(mu / d,
+    1/(Q1_MARGIN Q1)), or half the previous one if not below it;
+    s_next = s_n | s_n^2; k = 2 | max(2048 * 2^n, floor(24/eps_lunate) + 1,
+    s_next); l = 2 | 2 max(21, 2 l_(n-1)) with l_(-1) = 11; e = 1 | n + 2;
+    G1_size = 2; d = _nr_divisor(desk) = 4 | 16.
+    """
+    desk, n = plan.desk_mode, plan.depth
+    prev = plan.stages[-1] if n else None
+    Q1 = 2 if desk else 2 ** (n + 2)
+    eps_classic = (prev.eps_classic if n else Fraction(1)) / (4 if desk else 8)
+    mu = min(eps_classic, Fraction(1, Q1)) / _nr_divisor(desk)
+    eps_lunate = min(mu / _nr_divisor(desk), Fraction(1, Q1_MARGIN * Q1))
+    if n and eps_lunate >= prev.eps_lunate:
         eps_lunate = prev.eps_lunate / 2
-    s_here = plan.s_next
-    s_next = s_here ** policy.s_exponent
-    k = policy.k_of(n, s_next, eps_lunate)
-    l = policy.l_of(n, prev.l if prev else None)
+    s_next = plan.s_next if desk else plan.s_next ** 2
+    k = 2 if desk else max(2048 * 2 ** n, int(24 / eps_lunate) + 1, s_next)
+    l = 2 if desk else 2 * max(21, 2 * (prev.l if n else 11))
     st = PlanStage(
         k=k, l=l, p=plan.p(n), q=plan.q(n),
-        s=s_here, Q1=Q1, e=policy.e_of(n), G1_size=policy.G1_size_of(n),
+        s=plan.s_next, Q1=Q1, e=1 if desk else n + 2, G1_size=2,
         eps_lunate=eps_lunate, eps_classic=eps_classic, mu=mu,
     )
     return CoefficientPlan(stages=plan.stages + (st,), s_next=s_next,
-                           desk_mode=plan.desk_mode)
+                           desk_mode=desk)
 
 
 def grow_plan(stages: int, desk: bool = True) -> CoefficientPlan:
@@ -266,8 +222,7 @@ def code_coefficients(plan: CoefficientPlan, N: int) -> list[int]:
     out = [0]
     for n in range(N):
         p, q = plan.p(n), plan.q(n)
-        inv = 0 if q == 1 else pow(p, -1, q)
-        a = out[-1] - inv
+        a = out[-1] - inverse_mod(p, q)
         if abs(a) >= 2 * q:
             raise PlanError(f"|A_{n + 1}| = {abs(a)} >= 2*q_{n} = {2 * q}")
         out.append(a)
@@ -310,11 +265,11 @@ def audit_plan(plan: CoefficientPlan) -> AuditReport:
     """Report-only check of every numeric requirement on a finite prefix.
 
     Summability conditions are finitized as per-stage dominance ratios:
-    the module's surrogate constants and the two divisors of the plan's
-    policy.  Absolute floors failing under desk_mode are flagged
-    desk_waived rather than hidden.
+    the module's surrogate constants and, for NR4 and NR11, the divisor
+    the plan was grown with.  Absolute floors failing under desk_mode are
+    flagged desk_waived rather than hidden.
     """
-    policy = plan.policy
+    div = _nr_divisor(plan.desk_mode)
     st = plan.stages
     n_st = len(st)
     out: list[AuditEntry] = []
@@ -358,7 +313,7 @@ def audit_plan(plan: CoefficientPlan) -> AuditReport:
 
     # NR4: mu_n small relative to min(eps_classic_n, 1/Q1_n)
     bad = [i for i in range(n_st)
-           if st[i].mu * policy.mu_divisor > min(st[i].eps_classic, Fraction(1, st[i].Q1))]
+           if st[i].mu * div > min(st[i].eps_classic, Fraction(1, st[i].Q1))]
     add("NR4", not bad, {"violating_stages": bad})
 
     # NR5: sum |G1_n|/Q1_n finite -- surrogate: ratio halving per stage
@@ -403,7 +358,7 @@ def audit_plan(plan: CoefficientPlan) -> AuditReport:
 
     # NR11: eps_lunate small relative to mu
     bad = [i for i in range(n_st)
-           if st[i].eps_lunate * policy.eps_lunate_divisor > st[i].mu]
+           if st[i].eps_lunate * div > st[i].mu]
     add("NR11", not bad, {"violating_stages": bad})
 
     # NR12: eps_lunate_0*k_0 > 20 (floor), eps_lunate_n*k_n increasing,
@@ -480,7 +435,7 @@ def audit_plan(plan: CoefficientPlan) -> AuditReport:
 # ---------------------------------------------------------------------------
 # JSON
 
-def _frac_str(f: Fraction) -> str:
+def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -492,9 +447,9 @@ def plan_to_obj(plan: CoefficientPlan) -> dict:
             "k": str(st.k), "l": str(st.l), "p": str(st.p), "q": str(st.q),
             "s": str(st.s), "Q1": str(st.Q1), "e": str(st.e),
             "G1_size": str(st.G1_size),
-            "eps_lunate": _frac_str(st.eps_lunate),
-            "eps_classic": _frac_str(st.eps_classic),
-            "mu": _frac_str(st.mu),
+            "eps_lunate": frac_str(st.eps_lunate),
+            "eps_classic": frac_str(st.eps_classic),
+            "mu": frac_str(st.mu),
         } for st in plan.stages],
     }
 

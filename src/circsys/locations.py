@@ -169,13 +169,13 @@ def sample_point(seq, M: int, seed: int) -> PointWindow:
 # ---------------------------------------------------------------------------
 # bulk tables
 
-def location_tables(plan, M: int, n_min: int = 0) -> dict:
+def location_tables(plan, M: int) -> dict:
     """r_n for every tower position at once: maps n to an int64 array of
     length q_M holding r_n(x), with -1 where undefined.  Pure grid
     arithmetic; no symbols touched."""
     cur = np.arange(plan.q(M), dtype=np.int64)
     out = {M: cur}
-    for m in range(M - 1, n_min - 1, -1):
+    for m in range(M - 1, -1, -1):
         *_, r, ok = descend(plan.stage(m), cur)
         cur = np.where(ok & (cur >= 0), r, -1)
         out[m] = cur

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import dynamical_index, inverse_mod
+from .coefficients import dynamical_index, frac_str, inverse_mod
 from .locations import D_n, PointWindow, descend, maturity
 
 LANE_L, LANE_R = "L", "R"
@@ -290,9 +290,8 @@ class RedZone:
     shortfall: bool
 
 
-def build_red_zones(beta, plan, M: int, delta: Fraction,
-                    stages=None) -> RedZone:
-    """Reverse-induction zone construction: walk stages from the top,
+def build_red_zones(beta, plan, M: int, delta: Fraction) -> RedZone:
+    """Reverse-induction zone construction: walk stages M - 2, ..., 0,
     claim whole q_n-blocks that are entirely ill-matched and untouched,
     until the uncovered density drops below delta or stages run out."""
     beta = Fraction(beta) % 1
@@ -301,11 +300,9 @@ def build_red_zones(beta, plan, M: int, delta: Fraction,
         raise ValueError("delta must be in (0, 1]")
     qM = plan.q(M)
     a = _tower(plan, M)
-    if stages is None:
-        stages = range(M - 2, -1, -1)
     covered = np.zeros(qM, dtype=bool)
     layers = []
-    for n in stages:
+    for n in range(M - 2, -1, -1):
         if Fraction(int(covered.sum()), qM) >= 1 - delta:
             break
         qn = plan.q(n)
@@ -334,18 +331,17 @@ def rotation_report_json(plan, beta, N: int, m: int) -> str:
     ana = analyze_rotation(plan, beta, m)
     part = delta_partial(beta, N, m, plan)
     return json.dumps({
-        "beta": f"{beta.numerator}/{beta.denominator}",
+        "beta": frac_str(beta),
         "anchor": m,
         "stages": [{
             "n": st.n, "d_L": st.d_L, "d_R": st.d_R,
-            "beta_n": f"{st.beta_n.numerator}/{st.beta_n.denominator}",
+            "beta_n": frac_str(st.beta_n),
             "degenerate": st.degenerate,
             "lane_L": st.lane_L_count, "lane_R": st.lane_R_count,
             "uncertain": st.uncertain_count,
         } for st in ana.stages],
-        "delta": [f"{v.numerator}/{v.denominator}" for v in part.values],
-        "delta_partial_sum":
-            f"{part.total.numerator}/{part.total.denominator}",
+        "delta": [frac_str(v) for v in part.values],
+        "delta_partial_sum": frac_str(part.total),
         "finiteness_decidable": part.finiteness_decidable,
     }, indent=2)
 

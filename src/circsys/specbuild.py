@@ -24,9 +24,10 @@ from math import ceil
 
 import numpy as np
 
+from .coefficients import frac_str
 from .systems import (ConstructionSequence, StageFamily, GroupActionTable,
                       odometer_sequence, functor_F, propagate_equivalence,
-                      skew_diagonal_extend,
+                      skew_diagonal_extend, with_classes, _grid_occurrences,
                       FWD, REV, ODOMETER, CIRCULAR, SequenceError)
 
 
@@ -109,12 +110,12 @@ class SpecReport:
         return [e for e in self.entries if e.status == "fail"]
 
     def to_json(self) -> str:
-        def frac(x):
-            return None if x is None else f"{x.numerator}/{x.denominator}"
         return json.dumps([{
             "spec": e.spec_id, "status": e.status,
-            "worst_deviation": frac(e.worst_deviation),
-            "tolerance": frac(e.tolerance),
+            "worst_deviation": (None if e.worst_deviation is None
+                                else frac_str(e.worst_deviation)),
+            "tolerance": (None if e.tolerance is None
+                          else frac_str(e.tolerance)),
             "witness": {k: repr(v) for k, v in e.witness.items()},
         } for e in self.entries], indent=2)
 
@@ -170,14 +171,8 @@ def _check_E1(seq, n):
 
 
 def _check_E2(seq, n):
-    prev = seq.stage(n).size
-    counts = []
-    for tup in seq.stage(n + 1).compositions:
-        row = [0] * prev
-        for i in tup:
-            row[i] += 1
-        counts.append(tuple(row))
-    for w in range(prev):
+    counts = _grid_occurrences(seq, n)
+    for w in range(seq.stage(n).size):
         vals = {row[w] for row in counts}
         if len(vals) > 1:
             return SpecEntry("E2", "fail", witness={
@@ -613,7 +608,7 @@ def _check_J11_1(slots, s_prev, pairs, eps, tol):
 # the public checker
 
 def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
-                = None, levels=None) -> SpecReport:
+                = None) -> SpecReport:
     tol = tolerances or desk_tolerances()
     seq = built.seq
     if seq.flavor != ODOMETER:
@@ -621,8 +616,7 @@ def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
     if seq.depth < 1:
         raise SequenceError("need at least two stages")
     entries = []
-    levels = range(seq.depth) if levels is None else levels
-    for n in levels:
+    for n in range(seq.depth):
         st = seq.plan.stage(n)
         eps = st.eps_lunate
         eps_var = st.eps_classic
@@ -883,27 +877,25 @@ def check_timing(built: BuiltSequence, level: int,
 # ---------------------------------------------------------------------------
 # the builder
 
-def _search_separated_pair(rng, plan, scaffold, gamma, k, steps=2500,
-                           restarts=8):
+def _search_separated_pair(rng, plan, scaffold, gamma, k):
     """Hill-climb a pair of balanced digit words whose circular lifts stay
     gamma-separated on every long initial/tail/cross segment, including
-    against their own reversals."""
+    against their own reversals: 8 restarts of at most 2500 swaps."""
     from .systems import circular_sequence
 
     def t4_margin(d0, d1):
         seq = circular_sequence(plan, "01", [[tuple(d0), tuple(d1)]])
-        seq = replace(seq, stages=(seq.stages[0],
-                                   replace(seq.stages[1], classes=(0, 1))))
+        seq = with_classes(seq, (None, (0, 1)))
         e = check_T4(BuiltSequence(seq, (None, None), scaffold), 1, gamma)
         return e.worst_deviation
 
-    for _ in range(restarts):
+    for _ in range(8):
         d0 = [0] * (k // 2) + [1] * (k // 2)
         d1 = list(d0)
         rng.shuffle(d0)
         rng.shuffle(d1)
         m = t4_margin(d0, d1)
-        for _ in range(steps):
+        for _ in range(2500):
             if m >= gamma:
                 return tuple(d0), tuple(d1)
             w = rng.choice((d0, d1))
@@ -1045,10 +1037,8 @@ def build_attempt(tp, plan, seed: int, level: int, style: str = "random",
         comps_by_stage.append(comps)
         classes_by_stage.append(classes)
         prev_size, prev_classes = len(comps), classes
-    seq = odometer_sequence(plan, "01", comps_by_stage)
-    seq = replace(seq, stages=tuple(
-        replace(st, classes=tuple(cl))
-        for st, cl in zip(seq.stages, classes_by_stage)))
+    seq = with_classes(odometer_sequence(plan, "01", comps_by_stage),
+                       classes_by_stage)
     actions = _derive_actions(scaffold, seq, level)
     return BuiltSequence(seq, actions, scaffold)
 

@@ -80,6 +80,14 @@ def base_stage(symbols) -> StageFamily:
     return StageFamily(words=tuple(word(s) for s in symbols))
 
 
+def with_classes(seq, classes_by_stage) -> ConstructionSequence:
+    """seq with the class ids of stage n replaced by classes_by_stage[n],
+    one entry per stage."""
+    return replace(seq, stages=tuple(
+        replace(st, classes=cl)
+        for st, cl in zip(seq.stages, classes_by_stage, strict=True)))
+
+
 def _check_indices(tup, n: int, k: int, size: int, what: str) -> None:
     """One stage-(n + 1) composition or preword: k_n indices, each naming
     one of the size words of stage n."""
@@ -132,10 +140,7 @@ def functor_F(odo: ConstructionSequence) -> ConstructionSequence:
     out = circular_sequence(odo.plan,
                             [w.materialize() for w in odo.stage(0).words],
                             comps)
-    out = replace(out, stages=tuple(
-        replace(cs, classes=os.classes)
-        for cs, os in zip(out.stages, odo.stages)))
-    return out
+    return with_classes(out, [st.classes for st in odo.stages])
 
 
 def functor_inverse(circ: ConstructionSequence) -> ConstructionSequence:
@@ -165,10 +170,7 @@ def functor_inverse(circ: ConstructionSequence) -> ConstructionSequence:
     out = odometer_sequence(plan,
                             [w.materialize() for w in circ.stage(0).words],
                             comps)
-    out = replace(out, stages=tuple(
-        replace(os, classes=cs.classes)
-        for os, cs in zip(out.stages, circ.stages)))
-    return out
+    return with_classes(out, [st.classes for st in circ.stages])
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,7 @@ def _output_obj(built: BuiltSequence) -> dict:
     }
 
 
-def reduce(tp: TreePrefix, n0: int, plan, seed: int,
-           tolerances: ToleranceProfile | None = None) -> ReductionResult:
+def reduce(tp: TreePrefix, n0: int, plan, seed: int) -> ReductionResult:
     """Build the first n0 stages of the construction sequence attached to
     a tree prefix and lift them circularly.
 
@@ -184,8 +183,8 @@ def reduce(tp: TreePrefix, n0: int, plan, seed: int,
                 break
     exhausted = len(members) < n0 + 1
     scaffold = groups_from_tree(members)
-    tol = tolerances or ToleranceProfile(j_family=1)
-    odo = build_words(scaffold, plan, seed=seed, level=n0, tolerances=tol)
+    odo = build_words(scaffold, plan, seed=seed, level=n0,
+                      tolerances=ToleranceProfile(j_family=1))
     circ = lift_build(odo)
     pobj = plan_to_obj(plan)
     return ReductionResult(
@@ -221,16 +220,14 @@ def mutate_tree(tp: TreePrefix, index: int) -> TreePrefix:
     return TreePrefix(frozenset(nodes), max(tp.horizon, index + 1))
 
 
-def addable_index_above(tp: TreePrefix, bound: int,
-                        search_cap: int = 10000) -> int:
-    """Smallest enumeration index > bound whose node can be added while
-    keeping the prefix a tree."""
-    for n in range(bound + 1, bound + 1 + search_cap):
+def addable_index_above(tp: TreePrefix, bound: int) -> int:
+    """Smallest enumeration index > bound, and at most bound + 10000, whose
+    node can be added while keeping the prefix a tree."""
+    for n in range(bound + 1, bound + 10001):
         node = sigma_enumeration(n)
         if node not in tp.nodes and (not node or node[:-1] in tp.nodes):
             return n
-    raise TreeError(f"no addable node within {search_cap} indices above "
-                    f"{bound}")
+    raise TreeError(f"no addable node within 10000 indices above {bound}")
 
 
 @dataclass(frozen=True)

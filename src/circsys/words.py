@@ -84,7 +84,7 @@ class Word:
             if shape == other_shape:
                 return all(x == y for x, y in zip(children, other_children))
         return all(su == sv for su, sv in
-                   _aligned_chunks(self, 0, other, 0, self.length))
+                   _aligned_chunks(self, other, 0, self.length))
 
     def __hash__(self):
         if self.length <= 64:
@@ -287,13 +287,13 @@ def reverse(w: Word) -> Word:
     return ReversedNode(w)
 
 
-def _aligned_chunks(u: Word, a: int, v: Word, b: int, n: int):
-    """u[a:a+n] and v[b:b+n] as aligned pairs of strings of at most
+def _aligned_chunks(u: Word, v: Word, a: int, n: int):
+    """u[a:a+n] and v[a:a+n] as aligned pairs of strings of at most
     2^16 symbols each."""
     step = 1 << 16
-    for off in range(0, n, step):
-        m = min(step, n - off)
-        yield u._extract(a + off, a + off + m), v._extract(b + off, b + off + m)
+    for off in range(a, a + n, step):
+        m = min(step, a + n - off)
+        yield u._extract(off, off + m), v._extract(off, off + m)
 
 
 # ---------------------------------------------------------------------------
@@ -312,35 +312,36 @@ class DbarResult:
         return float(self.value)
 
 
-def dbar(u: Word, v: Word, interval: tuple | None = None, *,
-         v_start: int | None = None, mode: str = "auto",
-         seed: int = 0, samples: int = 4096,
-         confidence: Fraction = Fraction(99, 100),
-         cap: int = MATERIALIZE_CAP) -> DbarResult:
-    """Hamming density of disagreement between u[a:b] and v at v_start.
+DBAR_CONFIDENCE = Fraction(99, 100)
 
-    Exact when the interval fits under the cap (or mode="exact"),
-    otherwise an unbiased seeded estimate with a Hoeffding half-width.
+
+def dbar(u: Word, v: Word, interval: tuple | None = None, *,
+         mode: str = "auto", seed: int = 0, samples: int = 4096
+         ) -> DbarResult:
+    """Hamming density of disagreement between u[a:b] and v[a:b].
+
+    Exact when the interval fits under MATERIALIZE_CAP (or
+    mode="exact"), otherwise an unbiased seeded estimate whose Hoeffding
+    half-width holds with the fixed confidence 99/100 (DBAR_CONFIDENCE).
     """
     a, b = interval if interval is not None else (0, min(u.length, v.length))
     if b <= a:
         raise ValueError("empty interval")
-    va = a if v_start is None else v_start
-    if b > u.length or va + (b - a) > v.length or va < 0:
+    if a < 0 or b > u.length or b > v.length:
         raise WordIndexError("interval outside a word's domain")
     n = b - a
-    if mode == "exact" or (mode == "auto" and n <= cap):
-        diff = sum(x != y for su, sv in _aligned_chunks(u, a, v, va, n)
+    if mode == "exact" or (mode == "auto" and n <= MATERIALIZE_CAP):
+        diff = sum(x != y for su, sv in _aligned_chunks(u, v, a, n)
                    for x, y in zip(su, sv))
         return DbarResult("exact", Fraction(diff, n), (a, b))
     rng = random.Random(seed)
-    hits = sum(u.symbol_at(a + i) != v.symbol_at(va + i)
+    hits = sum(u.symbol_at(a + i) != v.symbol_at(a + i)
                for i in (rng.randrange(n) for _ in range(samples)))
-    delta = 1 - confidence
+    delta = 1 - DBAR_CONFIDENCE
     hw = math.sqrt(math.log(2 / float(delta)) / (2 * samples))
     return DbarResult("estimate", Fraction(hits, samples), (a, b),
                       half_width=Fraction(hw).limit_denominator(10 ** 9),
-                      confidence=confidence, samples=samples)
+                      confidence=DBAR_CONFIDENCE, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +385,8 @@ class ParseCertificate:
     parse_count: int = 0
 
 
-def _full_parses(text: str, words: list[str], limit: int = 2) -> list[tuple]:
-    """Up to ``limit`` distinct full covers of text by family words,
+def _full_parses(text: str, words: list[str]) -> list[tuple]:
+    """Up to two distinct full covers of text by family words,
     allowing single b/e spacer symbols between (and around) words."""
     n = len(text)
     spacer = {SYMBOL_B, SYMBOL_E}
@@ -403,7 +404,7 @@ def _full_parses(text: str, words: list[str], limit: int = 2) -> list[tuple]:
         for p in found:
             if p not in uniq:
                 uniq.append(p)
-            if len(uniq) == limit:
+            if len(uniq) == 2:
                 break
         parses[i] = uniq
     return parses[0]

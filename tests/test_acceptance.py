@@ -28,7 +28,8 @@ from circsys.specbuild import (build_attempt, build_words, check_specs,
                                groups_from_tree, lift_build)
 from circsys.systems import (circular_sequence, functor_F, functor_inverse,
                              identity_action, odometer_sequence,
-                             propagate_equivalence, uniformity_report)
+                             propagate_equivalence, uniformity_report,
+                             with_classes)
 from circsys.trees import (TreePrefix, certify_continuity, mutate_tree,
                            reduce, validate_tree)
 from circsys.words import reverse, unique_readability, word
@@ -348,9 +349,7 @@ class TestCriterion09Pipeline:
         seq = odometer_sequence(plan, "01", [comps1])
         cl = classes1 if classes1 is not None else \
             built.seq.stage(1).classes
-        seq = replace(seq, stages=(
-            replace(seq.stages[0], classes=(0, 0)),
-            replace(seq.stages[1], classes=tuple(cl))))
+        seq = with_classes(seq, ((0, 0), tuple(cl)))
         return replace(built, seq=seq)
 
     def test_criterion_09c_mutation_e2(self, level1):
@@ -416,10 +415,8 @@ class TestCriterion09Pipeline:
         const = [tuple([0] * 1024), tuple([1] * 1024)]
         seq = odometer_sequence(
             plan, "01", [list(base.seq.stage(1).compositions), const])
-        seq = replace(seq, stages=(
-            seq.stages[0],
-            replace(seq.stages[1], classes=base.seq.stage(1).classes),
-            replace(seq.stages[2], classes=base.seq.stage(2).classes)))
+        seq = with_classes(seq, (None, base.seq.stage(1).classes,
+                                 base.seq.stage(2).classes))
         return replace(base, seq=seq)
 
     def test_criterion_09h_mutation_t5_t6_t7(self, level2):

@@ -29,7 +29,7 @@ class TestApplyCode:
         shift = StationaryCode(1, lambda blk: blk[0])
         out = apply_code(shift, "01", ).text
         assert len(out) == 2
-        assert out[0] == shift.fill
+        assert out[0] == "b"
 
     def test_interval_application(self):
         assert apply_code(identity_code(), "abcdef", (2, 4)).text == "cd"

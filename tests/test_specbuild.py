@@ -21,7 +21,7 @@ from circsys.specbuild import (BuildError, BuiltSequence, RoundingBoundError,
 from circsys.systems import (CIRCULAR, FWD, REV, GroupActionTable,
                              SequenceError, circular_sequence,
                              identity_action, odometer_sequence,
-                             swap_side_action)
+                             swap_side_action, with_classes)
 
 SC = groups_from_tree([(), (0,)])
 PLAN = desk_plan(kl=((64, 4), (2, 2)),
@@ -661,9 +661,7 @@ def class_builds(draw):
                      eps_classic=(Fraction(1, 4), draw(EPS)))
     seq = odometer_sequence(
         plan, "01", [[(i % 2, i // 2) for i in range(s1)], comps2])
-    seq = replace(seq, stages=(
-        seq.stages[0], replace(seq.stages[1], classes=classes1),
-        replace(seq.stages[2], classes=classes2)))
+    seq = with_classes(seq, (None, classes1, classes2))
     return BuiltSequence(seq, (None, draw(action), draw(action)), SC)
 
 
@@ -696,9 +694,7 @@ class TestFrequencyChecks:
         seq = odometer_sequence(plan, "01", [[(0, 0), (0, 1), (1, 0)],
                                              [(1, 1, 0, 1, 2, 2, 0, 0),
                                               (2, 2, 1, 0, 2, 1, 2, 2)]])
-        seq = replace(seq, stages=(
-            seq.stages[0], replace(seq.stages[1], classes=(0, 1, 1)),
-            replace(seq.stages[2], classes=(0, 1))))
+        seq = with_classes(seq, (None, (0, 1, 1), (0, 1)))
         built = BuiltSequence(seq, (None, None, None), SC)
         mu = Fraction(1, 4)
         t5, t7 = check_T5(built, 1, mu), check_T7(built, 1, mu)
@@ -814,8 +810,7 @@ def t4_families(draw):
                                   max_size=s)))
     plan = desk_plan(kl=((k, draw(st.integers(2, 4))), (2, 2)))
     seq = circular_sequence(plan, "01", [words])
-    seq = replace(seq, stages=(seq.stages[0],
-                               replace(seq.stages[1], classes=classes)))
+    seq = with_classes(seq, (None, classes))
     built = BuiltSequence(seq, (None, None), SC)
     # short segments match somewhere, so most separated cases need a
     # large eps
