@@ -75,6 +75,10 @@ class PlanStage:
     def __post_init__(self):
         if self.k < 2 or self.l < 2:
             raise PlanError(f"k,l must be >= 2, got k={self.k} l={self.l}")
+        # plan growth, the gamma cascade and the checks divide by these
+        if min(self.eps_lunate, self.eps_classic, self.mu) <= 0:
+            raise PlanError(f"eps_lunate, eps_classic, mu = {self.eps_lunate},"
+                            f" {self.eps_classic}, {self.mu}; all must be > 0")
 
     @cached_property
     def edge_bands(self) -> tuple:

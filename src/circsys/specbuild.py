@@ -93,6 +93,10 @@ class SpecEntry:
     witness: dict = field(default_factory=dict)
 
 
+def _named(sid: str, e: SpecEntry) -> SpecEntry:
+    return SpecEntry(sid, e.status, e.worst_deviation, e.tolerance, e.witness)
+
+
 @dataclass(frozen=True)
 class SpecReport:
     entries: tuple
@@ -330,8 +334,8 @@ def _class_members(classes):
                            dtype=np.int64)
 
 
-# elements per working array of the prefix kernel; bounds its memory
-_CHUNK_ELEMS = 1 << 14
+# elements per working array of the prefix kernel; 1 << 18 adds 2.7 MB RSS
+_CHUNK_ELEMS = 1 << 16
 # float filter margin: far above the float64 error of a deviation in [0, 1]
 _FILTER_MARGIN = 1e-9
 
@@ -344,7 +348,7 @@ def _grid(*ranges):
         indexing="ij"))
 
 
-def _prefix_pair_counts(slots, s_prev, U, V, T):
+def _prefix_pair_counts(slots, s_prev, U, V, T, totals=False):
     """Exact prefix pair counts for the rows (U[r], V[r], T[r]).
 
     Row r pairs word U[r], shifted by T[r], with word V[r]: position x
@@ -356,9 +360,9 @@ def _prefix_pair_counts(slots, s_prev, U, V, T):
         P[i, pair, j] = #{x <= j : x < k - t, id(x) = pair}
 
     as int32, exact for k < 2**31.  Columns j >= k - t hold the count over
-    the whole overlap.  Chunks keep every working array near _CHUNK_ELEMS
-    elements.  Every J and T frequency check takes its counts from here
-    and its entry from _worst_entry.
+    the whole overlap; ``totals`` yields that column alone, P[i, pair], by
+    one bincount.  Chunks keep working arrays near _CHUNK_ELEMS elements.
+    Every J and T frequency check counts here, its entry by _worst_entry.
     """
     if not len(U):
         return
@@ -367,7 +371,9 @@ def _prefix_pair_counts(slots, s_prev, U, V, T):
     ids = np.arange(npair, dtype=np.min_scalar_type(2 * npair))[:, None]
     local = (slots % s_prev).astype(ids.dtype)
     L = k - int(T.min())
-    # shifted-out positions read the id npair, which matches no pair
+    # shifted-out positions read the id npair; with v's slot added, ids from
+    # npair to span - 1 match no pair
+    span = npair + s_prev
     shifted = np.concatenate(
         [local * s_prev, np.full((len(slots), L), npair, ids.dtype)], axis=1)
     # windows[u, t] = shifted[u, t:t + L], a strided view built directly:
@@ -376,20 +382,26 @@ def _prefix_pair_counts(slots, s_prev, U, V, T):
     row, col = shifted.strides
     windows = np.ndarray((len(slots), k + 1, L), shifted.dtype, shifted,
                          strides=(row, col, col))
-    step = max(1, _CHUNK_ELEMS // (npair * L))
+    step = max(1, _CHUNK_ELEMS // ((1 if totals else npair) * L))
     for lo in range(0, len(U), step):
         sl = slice(lo, lo + step)
         width = k - int(T[sl].min())
         pair = windows[U[sl], T[sl], :width] + local[V[sl], :width]
-        yield lo, np.cumsum(pair[:, None, :] == ids, axis=2, dtype=np.int32)
+        if totals:
+            flat = np.arange(0, len(pair) * span, span)[:, None] + pair
+            yield lo, np.bincount(flat.ravel(), minlength=len(pair) * span
+                                  ).reshape(-1, span)[:, :npair]
+        else:
+            yield lo, np.cumsum(pair[:, None, :] == ids, axis=2,
+                                dtype=np.int32)
 
 
 def _pair_totals(slots, s_prev, U, V, T):
     """Whole-overlap counts [r, a, b]: the x < k - T[r] where word U[r]
     holds local slot a at x + T[r] and word V[r] local slot b at x."""
     out = np.zeros((len(U), s_prev * s_prev), np.int64)
-    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
-        out[lo:lo + len(P)] = P[:, :, -1]
+    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T, totals=True):
+        out[lo:lo + len(P)] = P
     return out.reshape(-1, s_prev, s_prev)
 
 
@@ -616,12 +628,11 @@ def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
     if seq.depth < 1:
         raise SequenceError("need at least two stages")
     entries = []
+    M1 = built.scaffold.M(1)
     for n in range(seq.depth):
         st = seq.plan.stage(n)
         eps = st.eps_lunate
-        eps_var = st.eps_classic
         jt = tol.j(n)
-        M1 = built.scaffold.M(1)
         founded = M1 is not None and n + 1 >= M1
         slots, _, s_prev = _slot_matrix(seq, n)
         checks = [
@@ -635,13 +646,12 @@ def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
             _check_A7(built.actions[n + 1] if built.actions else None),
             _check_A8(built.actions[n + 1] if built.actions else None),
             _check_A9(seq, n, built.actions),
-            *_check_J10_J10_1(slots, s_prev, eps, eps_var, jt),
+            *_check_J10_J10_1(slots, s_prev, eps, st.eps_classic, jt),
             _check_J11(seq, n, slots, built.actions, jt),
             _check_J11_1(slots, s_prev,
                          _J11_1_pairs(seq, n, built.actions), eps, jt),
         ]
-        for e in checks:
-            entries.append(replace(e, spec_id=f"{e.spec_id}@{n}"))
+        entries += [_named(f"{e.spec_id}@{n}", e) for e in checks]
     return SpecReport(tuple(entries))
 
 
@@ -861,16 +871,15 @@ def check_timing(built: BuiltSequence, level: int,
         # T1: propagation; the class-founding stage is exempt
         e = _check_Q5(seq, n) if M1 is not None and n + 1 > M1 \
             else SpecEntry("T1", "not-checked")
-        entries.append(replace(e, spec_id=f"T1@{n}"))
         # T2/T3: freeness and parity of the stage action
         act = circ.actions[n + 1] if circ.actions else None
-        entries.append(replace(_check_A7(act), spec_id=f"T2@{n}"))
-        entries.append(replace(_check_A8(act), spec_id=f"T3@{n}"))
-        entries.append(replace(check_T4(circ, n + 1, gamma.gamma(n + 1)),
-                               spec_id=f"T4@{n + 1}"))
-        entries.append(replace(check_T5(circ, n, MU), spec_id=f"T5@{n}"))
-        entries.append(replace(check_T6(circ, n, MU), spec_id=f"T6@{n}"))
-        entries.append(replace(check_T7(circ, n, MU), spec_id=f"T7@{n}"))
+        entries += [
+            _named(f"T1@{n}", e), _named(f"T2@{n}", _check_A7(act)),
+            _named(f"T3@{n}", _check_A8(act)),
+            _named(f"T4@{n + 1}", check_T4(circ, n + 1, gamma.gamma(n + 1))),
+            _named(f"T5@{n}", check_T5(circ, n, MU)),
+            _named(f"T6@{n}", check_T6(circ, n, MU)),
+            _named(f"T7@{n}", check_T7(circ, n, MU))]
     return SpecReport(tuple(entries))
 
 

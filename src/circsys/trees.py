@@ -6,7 +6,8 @@ ographic tie-break, which guarantees every prefix appears before any of
 its extensions.  The reduction builds a word family whose group scaffold
 is read off the tree members in enumeration order, then lifts it to the
 circular side; the set of enumeration indices it consults provides an
-explicit continuity bound.
+explicit continuity bound.  The build sees the tree only through the
+members it reads, so certify_continuity builds once per distinct reading.
 """
 
 from __future__ import annotations
@@ -159,13 +160,9 @@ def _output_obj(built: BuiltSequence) -> dict:
     }
 
 
-def reduce(tp: TreePrefix, n0: int, plan, seed: int) -> ReductionResult:
-    """Build the first n0 stages of the construction sequence attached to
-    a tree prefix and lift them circularly.
-
-    The group scaffold is read off the first n0 + 1 tree members in
-    enumeration order; the consumed indices are exactly the enumeration
-    positions whose membership was consulted to find them."""
+def _read_tree(tp: TreePrefix, n0: int, plan) -> tuple:
+    """reduce's tree read: the first n0 + 1 members in enumeration order,
+    the indices consulted to find them, and whether the horizon came first."""
     ok, witness = validate_tree(tp)
     if not ok:
         raise TreeError(f"not a tree: missing initial segment {witness}")
@@ -181,17 +178,26 @@ def reduce(tp: TreePrefix, n0: int, plan, seed: int) -> ReductionResult:
             members.append(sigma_enumeration(n))
             if len(members) == n0 + 1:
                 break
-    exhausted = len(members) < n0 + 1
-    scaffold = groups_from_tree(members)
-    odo = build_words(scaffold, plan, seed=seed, level=n0,
+    return tuple(members), tuple(consumed), len(members) < n0 + 1
+
+
+def _build(members: tuple, n0: int, plan, seed: int) -> tuple:
+    """reduce's build from the members read: (odometer, lift, hash)."""
+    odo = build_words(groups_from_tree(members), plan, seed=seed, level=n0,
                       tolerances=ToleranceProfile(j_family=1))
     circ = lift_build(odo)
-    pobj = plan_to_obj(plan)
+    return odo, circ, _hash_obj(_output_obj(circ))
+
+
+def reduce(tp: TreePrefix, n0: int, plan, seed: int) -> ReductionResult:
+    """Build the first n0 stages of the construction sequence attached to
+    a tree prefix (scaffold from _read_tree) and lift them circularly."""
+    members, consumed, exhausted = _read_tree(tp, n0, plan)
+    odo, circ, output_hash = _build(members, n0, plan, seed)
     return ReductionResult(
-        built=circ, odometer=odo, consumed=tuple(consumed),
-        output_hash=_hash_obj(_output_obj(circ)),
-        plan_hash=_hash_obj(pobj), seed=seed, depth=n0,
-        exhausted=exhausted)
+        built=circ, odometer=odo, consumed=consumed,
+        output_hash=output_hash, plan_hash=_hash_obj(plan_to_obj(plan)),
+        seed=seed, depth=n0, exhausted=exhausted)
 
 
 def continuity_bound(tp: TreePrefix, n0: int, plan=None, seed: int = 0,
@@ -246,33 +252,38 @@ def certify_continuity(tp: TreePrefix, n0: int, plan,
                        seed: int = 0) -> ContinuityCertificate:
     """Re-run the reduction against mutated trees: toggling membership
     strictly above the bound must not change the output hash; toggling a
-    genuinely consumed index must."""
-    base = reduce(tp, n0, plan, seed)
-    if base.exhausted:
+    genuinely consumed index must.  Each mutated tree is read afresh; a
+    reading seen before in this call reuses its build, exactly, as plan,
+    seed and n0 are fixed and the build reads only the members."""
+    builds = {}                   # members -> output hash, for this call
+    def output_hash(tree):
+        members, consumed, exhausted = _read_tree(tree, n0, plan)
+        if members not in builds:
+            builds[members] = _build(members, n0, plan, seed)[2]
+        return builds[members], consumed, exhausted
+
+    base_hash, consumed, exhausted = output_hash(tp)
+    if exhausted:
         raise TreeError("prefix too thin to certify: the member hunt "
                         "reached the horizon, so no finite bound exists")
-    M = max(base.consumed)
+    M = max(consumed)
     above = addable_index_above(tp, M)
-    mutated_up = mutate_tree(tp, above)
-    up = reduce(mutated_up, n0, plan, seed)
-    cert_consumed = None
-    cert_hash = None
-    affected = None
-    for idx in reversed(base.consumed):
+    above_hash = output_hash(mutate_tree(tp, above))[0]
+    cert_consumed = cert_hash = affected = None
+    for idx in reversed(consumed):
         try:
             mutated_in = mutate_tree(tp, idx)
         except TreeError:
             continue
-        inside = reduce(mutated_in, n0, plan, seed)
-        if cert_consumed is None or inside.output_hash != base.output_hash:
-            cert_consumed, cert_hash = idx, inside.output_hash
-            affected = inside.output_hash != base.output_hash
+        inside = output_hash(mutated_in)[0]
+        if cert_consumed is None or inside != base_hash:
+            cert_consumed, cert_hash = idx, inside
+            affected = inside != base_hash
         if affected:
             break
     return ContinuityCertificate(
-        bound=M, base_hash=base.output_hash, above_index=above,
-        above_hash=up.output_hash,
-        unaffected=up.output_hash == base.output_hash,
+        bound=M, base_hash=base_hash, above_index=above,
+        above_hash=above_hash, unaffected=above_hash == base_hash,
         consumed_index=cert_consumed, consumed_hash=cert_hash,
         affected=affected)
 

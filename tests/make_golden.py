@@ -68,6 +68,15 @@ ROWS = {
     "plan-too-few-eps": ["plan", "--kl", "2,2;2,2", "--eps", "1/4"],
     "plan-bad-kl": ["plan", "--kl", "2,2;x"],
     "plan-k-below-2": ["plan", "--kl", "1,2;2,2"],
+    # a stage's epsilons must be positive; these four exited 1 with a
+    # ZeroDivisionError traceback, or 0 with the plan printed
+    "plan-eps-zero": ["plan", "--kl", "2,2;2,2", "--eps", "0", "--eps", "0"],
+    "plan-eps-negative": ["plan", "--kl", "2,2;2,2", "--eps", "-1/4",
+                          "--eps", "1/8"],
+    "plan-floor-eps-zero": ["plan", "--floor", "--kl", "2,2;2,2",
+                            "--eps", "0", "--eps", "0", "--stages", "3"],
+    "check-timing-eps-zero": ["check-timing", "--kl", "64,4;2,2",
+                              "--eps", "0", "--eps", "1/8", "--level", "1"],
     "build-k1024": ["build", *K1024_ARGS],
     "build-k1024-no-gate": ["build", *K1024_ARGS, "--no-gate"],
     "build-gate-fails": ["build", "--kl", "4,2;2,2", "--level", "1"],

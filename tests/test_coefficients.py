@@ -100,6 +100,17 @@ class TestGrowth:
         with pytest.raises((PlanError, ValueError)):
             plan_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("name", ["eps_lunate", "eps_classic", "mu"])
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(-1, 4)])
+    def test_non_positive_epsilon_rejected(self, name, value):
+        with pytest.raises(PlanError, match=name):
+            desk_plan(**{name: (Fraction(1, 8), value)})
+        # a plan file is refused when read, before anything grows from it
+        doc = json.loads(plan_to_json(grow_plan(2, desk=False)))
+        doc["stages"][1][name] = str(value)
+        with pytest.raises(PlanError, match=name):
+            plan_from_json(json.dumps(doc))
+
 
 class TestCodeCoefficients:
     def test_desk_values(self):

@@ -1,6 +1,7 @@
 """Verification-gated word construction and the spec/timing batteries."""
 
 from dataclasses import replace
+from unittest import mock
 from fractions import Fraction
 from math import ceil
 
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circsys import specbuild
 from circsys.coefficients import desk_plan
 from circsys.specbuild import (BuildError, BuiltSequence, RoundingBoundError,
                                SpecEntry, ToleranceProfile, _J11_1_pairs,
                                _check_J10_J10_1, _check_J11, _check_J11_1,
-                               _prefix_argmax, _prefix_pair_counts,
+                               _pair_totals, _prefix_argmax,
+                               _prefix_pair_counts,
                                _rounding_bound, _slot_matrix, build_attempt,
                                build_words, check_T4, check_T5, check_T6,
                                check_T7, check_specs, check_timing,
@@ -567,6 +570,43 @@ class TestPrefixKernel:
             r, c = np.unravel_index(np.argmax(devs), devs.shape)
             assert row == (int(cums[r, c]), int(j0s[c]), int(r))
         assert len(got) == len(U)
+
+    @given(word_families(), st.sampled_from([1 << 6, 1 << 9, None]),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_totals_match_direct_count(self, fam, chunk, data):
+        # small chunks put one or a few rows in each bincount
+        slots, s, s_prev = fam
+        k = slots.shape[1]
+        U, V, T = data.draw(kernel_rows(fam, k - 1))
+        with mock.patch.object(specbuild, "_CHUNK_ELEMS",
+                               chunk or specbuild._CHUNK_ELEMS):
+            got = _pair_totals(slots, s_prev, U, V, T)
+        assert got.shape == (len(U), s_prev, s_prev)
+        for (u, v, t), row in zip(zip(U, V, T), got):
+            want = np.zeros((s_prev, s_prev), np.int64)
+            np.add.at(want, (slots[u, t:] % s_prev,
+                             slots[v, :k - t] % s_prev), 1)
+            assert row.tolist() == want.tolist()
+
+    def test_entries_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        # at 1 << 6 elements every J10 and J10.1 chunk holds one row of the
+        # k = 64 words, and J11 and J11.1 a few
+        plan = desk_plan(kl=((64, 4), (2, 2), (2, 2)),
+                         eps_lunate=(Fraction(1, 4), Fraction(1, 8),
+                                     Fraction(1, 16)))
+        built = build_attempt(groups_from_tree([(), (0,), (1,)]), plan,
+                              seed=3, level=2)
+        want = check_specs(built)
+        monkeypatch.setattr(specbuild, "_CHUNK_ELEMS", 1 << 6)
+        got = check_specs(built)
+        assert repr(got) == repr(want)
+        ids = [e.spec_id for e in got.entries if e.spec_id[0] == "J"]
+        assert ids == [f"{j}@{n}" for n in (0, 1)
+                       for j in ("J10", "J10.1", "J11", "J11.1")]
+        # a level-1 J11 row with a witness and a failing J10 are among them
+        assert got.entry("J11@1").witness["level"] == 1
+        assert got.entry("J10@1").status == "fail"
 
     def test_prefix_argmax_ignores_columns_past_the_overlap(self):
         # row (0, 0, 8) sees every pair twice in its 8-symbol overlap, so

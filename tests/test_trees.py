@@ -4,15 +4,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from circsys import trees
 from circsys.coefficients import desk_plan
-from circsys.trees import (TreeError, TreePrefix, certify_continuity,
+from circsys.trees import (ContinuityCertificate, TreeError, TreePrefix,
+                           addable_index_above, certify_continuity,
                            chain_report, continuity_bound, mutate_tree,
                            realization_handoff, reduce, sigma_enumeration,
                            sigma_index, tree_from_json, tree_to_json,
                            validate_tree)
 
 PLAN = desk_plan(kl=((4, 2), (2, 2)))
+# the benchmark's reduce_certify plan
+PLAN4 = desk_plan(kl=((4, 2), (2, 2), (2, 2), (2, 2)))
 
 
 def tp(*nodes, horizon=0):
@@ -136,6 +141,88 @@ class TestContinuity:
             certify_continuity(tp((), (1,)), 2, plan3, seed=0)
         with pytest.raises(TreeError):
             certify_continuity(TreePrefix(frozenset()), 0, PLAN, seed=0)
+
+
+def ref_certify(tp, n0, plan, seed=0, seen=None):
+    """certify_continuity as it was before builds were shared: one fresh
+    reduce per mutated tree.  Appends each reduction's members, read off
+    its scaffold, to ``seen``."""
+    def run(tree):
+        res = reduce(tree, n0, plan, seed)
+        if seen is not None:
+            seen.append(res.odometer.scaffold.nodes)
+        return res
+
+    base = run(tp)
+    if base.exhausted:
+        raise TreeError("prefix too thin to certify: the member hunt "
+                        "reached the horizon, so no finite bound exists")
+    M = max(base.consumed)
+    above = addable_index_above(tp, M)
+    up = run(mutate_tree(tp, above))
+    cert_consumed = None
+    cert_hash = None
+    affected = None
+    for idx in reversed(base.consumed):
+        try:
+            mutated_in = mutate_tree(tp, idx)
+        except TreeError:
+            continue
+        inside = run(mutated_in)
+        if cert_consumed is None or inside.output_hash != base.output_hash:
+            cert_consumed, cert_hash = idx, inside.output_hash
+            affected = inside.output_hash != base.output_hash
+        if affected:
+            break
+    return ContinuityCertificate(
+        bound=M, base_hash=base.output_hash, above_index=above,
+        above_hash=up.output_hash,
+        unaffected=up.output_hash == base.output_hash,
+        consumed_index=cert_consumed, consumed_hash=cert_hash,
+        affected=affected)
+
+
+@st.composite
+def small_trees(draw):
+    """Trees of 4-8 nodes grown from the root: each new node is the
+    parent's first free child label at or above a drawn one in 0-2."""
+    nodes = [()]
+    for _ in range(draw(st.integers(3, 7))):
+        base = nodes[draw(st.integers(0, len(nodes) - 1))]
+        label = draw(st.integers(0, 2))
+        while base + (label,) in nodes:
+            label += 1
+        nodes.append(base + (label,))
+    return TreePrefix(frozenset(nodes))
+
+
+class TestSharedBuilds:
+    @given(small_trees(), st.integers(1, 3), st.integers(0, 999))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference(self, t, n0, seed):
+        assert certify_continuity(t, n0, PLAN4, seed) == \
+            ref_certify(t, n0, PLAN4, seed)
+
+    @pytest.mark.parametrize("nodes, n0", [
+        (((), (0,), (0, 0)), 1),
+        (((), (0,), (1,), (0, 0)), 1),
+        (((), (0,), (1,), (0, 1), (1, 0)), 2),
+        (((), (0,), (1,), (0, 0), (0, 1), (1, 1)), 3)])
+    def test_one_build_per_distinct_reading(self, nodes, n0, monkeypatch):
+        t = tp(*nodes)
+        seen = []
+        want = ref_certify(t, n0, PLAN4, seed=5, seen=seen)
+        calls = []
+
+        def counting(scaffold, *args, **kwargs):
+            calls.append(scaffold.nodes)
+            return build_words(scaffold, *args, **kwargs)
+        build_words = trees.build_words
+        monkeypatch.setattr(trees, "build_words", counting)
+        assert certify_continuity(t, n0, PLAN4, seed=5) == want
+        assert sorted(calls) == sorted(set(seen))
+        # the mutation above the bound reads the base members again
+        assert len(calls) < len(seen)
 
 
 class TestChains:
