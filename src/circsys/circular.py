@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coefficients import dynamical_index
-from .words import (Literal, Word, CircularNode, ReversedNode, _Sectioned,
-                    SYMBOL_B, SYMBOL_E)
+from .words import (Literal, Word, CircularNode, _Sectioned, SYMBOL_B,
+                    SYMBOL_E)
 
 
 class CircularParseError(ValueError):
@@ -104,33 +104,6 @@ class SubscaleDecomposition:
     def boundary_fraction(self) -> Fraction:
         return Fraction(1, self.l)
 
-    def section_of(self, x: int):
-        """(i, j, part, local) for position x; part in {'b','w','e'},
-        local = offset within the run or within the 0-subsection power."""
-        t, off = divmod(x, self.section_length)
-        i, j = divmod(t, self.k)
-        ji = self.j[i]
-        brun = self.q - ji
-        if off < brun:
-            return i, j, "b", off
-        off -= brun
-        if off < (self.l - 1) * self.q:
-            return i, j, "w", off
-        return i, j, "e", off - (self.l - 1) * self.q
-
-    def is_boundary(self, x: int) -> bool:
-        return self.section_of(x)[2] in ("b", "e")
-
-    def subword_starts(self):
-        """Start positions of the (l-1) aligned n-subword copies in each
-        1-subsection, in order."""
-        sec = self.section_length
-        for t in range(self.k * self.q):
-            i = t // self.k
-            base = t * sec + (self.q - self.j[i])
-            for m in range(self.l - 1):
-                yield base + m * self.q
-
     def near_boundary_count(self) -> int:
         """Exact count of positions within q of a boundary position,
         boundary included."""
@@ -180,95 +153,3 @@ def parse_circular(w, stage) -> SubscaleDecomposition:
         pos = next(i for i, (x, y) in enumerate(zip(rebuilt, text)) if x != y)
         raise CircularParseError(pos, rebuilt[pos], text[pos])
     return SubscaleDecomposition(k, l, p, q, children, js)
-
-
-# ---------------------------------------------------------------------------
-# cross alignment
-
-@dataclass(frozen=True)
-class AlignmentPiece:
-    key: int          # 2-subsection index offset i_v - i_u
-    shift_mod_q: int  # offset of aligned copies within v's subword grid
-    count: int
-    first_u_start: int
-    last_u_start: int
-
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    shift: int
-    pieces: tuple
-    even_shift: int | None    # shift on the lower 2-subsection key
-    odd_shift: int | None     # shift on the upper key
-    relation_holds: bool | None   # even = odd - j_1 (mod q)
-    trivial_left: bool
-    trivial_right: bool
-    boundary_hits: int
-    checked: bool             # False when v is reversed (relation n/a)
-
-
-def cross_alignment(u, v, shift: int) -> AlignmentReport:
-    """Classify how u's aligned n-subword copies land inside v when v is
-    displaced by ``shift`` (u[x] against v[x - shift])."""
-    du = parse_circular(u, (u.k, u.l, u.p, u.q)) if isinstance(u, CircularNode) \
-        else u if isinstance(u, SubscaleDecomposition) else None
-    if du is None:
-        raise ValueError("u must be a circular node or decomposition")
-    reversed_v = isinstance(v, ReversedNode)
-    core = v.child if reversed_v else v
-    dv = parse_circular(core, (core.k, core.l, core.p, core.q)) \
-        if isinstance(core, CircularNode) else core
-    if not isinstance(dv, SubscaleDecomposition):
-        raise ValueError("v must be a circular node or decomposition")
-    if (du.k, du.l, du.q) != (dv.k, dv.l, dv.q):
-        raise ValueError("u and v must share a stage")
-    q, k, l = du.q, du.k, du.l
-    L = du.length
-    if abs(shift) >= L:
-        raise ValueError("|shift| must be below the word length")
-    j1 = du.j[1] if q > 1 else 0
-    groups: dict[tuple, list] = {}
-    boundary_hits = 0
-    for a in du.subword_starts():
-        y = a - shift
-        if y < 0 or y + q > L:
-            continue
-        yy = (L - q - y) if reversed_v else y
-        t_v, off = divmod(yy, dv.section_length)
-        i_v, _ = divmod(t_v, k)
-        brun = q - dv.j[i_v]
-        if not (brun <= off and off + q <= brun + (l - 1) * q):
-            boundary_hits += 1
-            continue
-        d = (off - brun) % q
-        if reversed_v:
-            d = (q - d) % q
-        i_u = (a // du.section_length) // k
-        key = i_v - i_u
-        groups.setdefault((key, d), []).append(a)
-    pieces = tuple(
-        AlignmentPiece(key=key, shift_mod_q=d, count=len(starts),
-                       first_u_start=min(starts), last_u_start=max(starts))
-        for (key, d), starts in sorted(groups.items()))
-    keys = sorted({p.key for p in pieces})
-    even = odd = None
-    relation = None
-    if keys:
-        lo = keys[0]
-        evens = {p.shift_mod_q for p in pieces if p.key == lo}
-        odds = {p.shift_mod_q for p in pieces if p.key == lo + 1}
-        even = min(evens) if evens else None
-        odd = min(odds) if odds else None
-        if not reversed_v:
-            ok = len(keys) <= 2 and (len(keys) < 2 or keys[1] == lo + 1)
-            ok = ok and len(evens) <= 1 and len(odds) <= 1
-            if ok and even is not None and odd is not None:
-                ok = (even - (odd - j1)) % q == 0
-            relation = ok
-    return AlignmentReport(
-        shift=shift, pieces=pieces, even_shift=even, odd_shift=odd,
-        relation_holds=relation,
-        trivial_left=bool(keys) and len(keys) == 1,
-        trivial_right=not keys,
-        boundary_hits=boundary_hits,
-        checked=not reversed_v)

@@ -12,23 +12,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .coefficients import code_coefficients
-from .words import Literal, Word, dbar, DbarResult, SYMBOL_B, SYMBOL_STAR
+from .words import Literal, SYMBOL_B, SYMBOL_STAR
 from .systems import circular_sequence, ConstructionSequence
-
-FILL_CONSTANT = "fill-constant"
-TRUNCATE = "truncate"
 
 
 @dataclass(frozen=True)
 class StationaryCode:
     radius: int
     block_map: Callable        # str of length 2*radius+1 -> single symbol
-    policy: str = FILL_CONSTANT
     name: str = ""
-
-    def __post_init__(self):
-        if self.policy not in (FILL_CONSTANT, TRUNCATE):
-            raise ValueError(f"unknown policy {self.policy!r}")
 
     def __call__(self, block: str) -> str:
         if len(block) != 2 * self.radius + 1:
@@ -36,31 +28,14 @@ class StationaryCode:
         return self.block_map(block)
 
 
-def identity_code() -> StationaryCode:
-    return StationaryCode(0, lambda b: b[0], name="identity")
-
-
-def constant_code(symbol: str) -> StationaryCode:
-    return StationaryCode(0, lambda b, s=symbol: s, name=f"const:{symbol}")
-
-
-def apply_code(code: StationaryCode, w, interval=None) -> Literal:
-    """Pointwise application over an index interval.  With fill-constant,
-    missing symbols near the ends read as b; with truncate, end positions
-    are dropped."""
-    text = w.materialize() if isinstance(w, Word) else w
-    if text is None:
-        raise ValueError("word too large; pass an explicit window")
-    a, b = interval if interval is not None else (0, len(text))
-    if not 0 <= a <= b <= len(text):
-        raise ValueError("interval out of range")
+def apply_code(code: StationaryCode, text: str) -> Literal:
+    """Pointwise application over the whole text; missing symbols near
+    the ends read as b."""
     N = code.radius
     out = []
-    for i in range(a, b):
+    for i in range(len(text)):
         lo, hi = i - N, i + N + 1
         if lo < 0 or hi > len(text):
-            if code.policy == TRUNCATE:
-                continue
             block = (SYMBOL_B * max(0, -lo)
                      + text[max(lo, 0):min(hi, len(text))]
                      + SYMBOL_B * max(0, hi - len(text)))
@@ -102,20 +77,3 @@ def natural_code(plan, n: int) -> StationaryCode:
         return block[out]
 
     return StationaryCode(N, block_map, name=f"natural:{n}")
-
-
-def code_distance(c1: StationaryCode, c2: StationaryCode, window,
-                  interval=None, mode="exact", seed=0) -> DbarResult:
-    """d-bar between the two code images over one window."""
-    text = window.materialize() if isinstance(window, Word) else window
-    if text is None:
-        raise ValueError("window too large to materialize")
-    a, b = interval if interval is not None else (0, len(text))
-    if b - a <= 2 * max(c1.radius, c2.radius):
-        raise ValueError("window too short relative to the code radii")
-    u = apply_code(c1, text, (a, b))
-    v = apply_code(c2, text, (a, b))
-    if len(u.text) != len(v.text):
-        raise ValueError("policies produced different lengths; use "
-                         "fill-constant for distance estimates")
-    return dbar(u, v, (0, len(u.text)), mode=mode, seed=seed)

@@ -9,7 +9,6 @@ depends only on the stage parameters, never on the symbols.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -157,13 +156,6 @@ def D_n(x: Fraction, stage) -> int:
     if not 0 <= x < 1:
         raise ValueError("x must lie in [0, 1)")
     return dynamical_index(p, q, floor(x * q))
-
-
-def sample_point(seq, M: int, seed: int) -> PointWindow:
-    rng = random.Random(seed)
-    fam = seq.stage(M)
-    return PointWindow(seq, M, rng.randrange(fam.size),
-                       rng.randrange(seq.plan.q(M)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import dynamical_index, frac_str, inverse_mod
+from .coefficients import frac_str, inverse_mod
 from .locations import D_n, PointWindow, descend, maturity
 
 LANE_L, LANE_R = "L", "R"
@@ -209,52 +209,11 @@ def delta_n(beta, n: int, m: int, plan) -> Fraction:
     return Fraction(int((valid & (j0 != j1)).sum()), plan.q(m))
 
 
-def ill_at(beta, plan, n: int, m: int, x: int) -> bool:
-    """Scalar ill-matching test for one tower position."""
-    valid, j0, j1 = _match(plan, n, m, Fraction(beta), _numerator(plan, m, x))
-    return valid and j0 != j1
-
-
-def ill_at_naive(beta, plan, n: int, m: int, x: int) -> bool:
-    """ill_at in rational arithmetic through D_n, sharing no code with the
-    position kernel: the oracle the kernel is checked against."""
-    beta = Fraction(beta) % 1
-    qm = plan.q(m)
-    v = Fraction(x * plan.p(m) % qm, qm)
-    w = (v + beta) % 1
-    q_lo, q_hi = plan.q(n), plan.q(n + 1)
-    r_lo = D_n(v, (plan.p(n), q_lo))
-    r_hi = D_n(v, (plan.p(n + 1), q_hi))
-    d_lo = (D_n(w, (plan.p(n), q_lo)) - r_lo) % q_lo
-    d_hi = (D_n(w, (plan.p(n + 1), q_hi)) - r_hi) % q_hi
-    base = (r_hi - r_lo) % q_hi
-    # the block start must sit in a digit region whose copy offset is r_lo
-    st = plan.stage(n)
-    sec = st.l * q_lo
-    t, off = divmod(base, sec)
-    off -= q_lo - dynamical_index(plan.p(n), q_lo, t // st.k)
-    if not (0 <= off < (st.l - 1) * q_lo and off % q_lo == r_lo):
-        return False
-    shifted = (base + d_hi - d_lo) % q_hi
-    return (shifted // sec) % st.k != t % st.k
-
-
-def delta_n_naive(beta, n: int, m: int, plan) -> Fraction:
-    """Per-position simulation with ill_at_naive; exists to cross-check
-    the array path."""
-    if m <= n + 1:
-        raise ValueError("need m > n + 1")
-    qm = plan.q(m)
-    return Fraction(sum(ill_at_naive(beta, plan, n, m, x)
-                        for x in range(qm)), qm)
-
-
 @dataclass(frozen=True)
 class DeltaPartial:
     beta: Fraction
     values: tuple             # delta_n for n < N
     total: Fraction
-    finiteness_decidable: bool = False   # never, from a finite prefix
 
 
 def delta_partial(beta, N: int, m: int, plan) -> DeltaPartial:
@@ -342,7 +301,8 @@ def rotation_report_json(plan, beta, N: int, m: int) -> str:
         } for st in ana.stages],
         "delta": [frac_str(v) for v in part.values],
         "delta_partial_sum": frac_str(part.total),
-        "finiteness_decidable": part.finiteness_decidable,
+        # never decidable from a finite prefix
+        "finiteness_decidable": False,
     }, indent=2)
 
 

@@ -53,22 +53,12 @@ class GroupScaffold:
     def generator_count(self, n: int, s: int) -> int:
         return len(self.X(n, s))
 
-    def G_size(self, n: int, s: int) -> int:
-        return 2 ** self.generator_count(n, s)
-
     def M(self, s: int):
         """Least discovery index carrying a length-s node."""
         for i, x in enumerate(self.nodes):
             if len(x) == s:
                 return i
         return None
-
-    def rho(self, node: tuple) -> tuple:
-        """Image of a level-(s+1) generator at level s: drop the last
-        entry."""
-        if not node:
-            raise ValueError("the root has no parent generator")
-        return node[:-1]
 
 
 def groups_from_tree(nodes) -> GroupScaffold:
@@ -336,7 +326,11 @@ def _class_members(classes):
 
 # elements per working array of the prefix kernel; 1 << 18 adds 2.7 MB RSS
 _CHUNK_ELEMS = 1 << 16
-# float filter margin: far above the float64 error of a deviation in [0, 1]
+# float filter margin: far above the float64 error of a deviation in [0, 1].
+# Distinct deviations |c1/s1 - tn/td| differ by at least 1/(s1 s2 td): more
+# than the margin while s1 s2 td < 10^9 (k = 1024 and td = 16 give 1.7e7),
+# and more than the 2^-53 spacing of floats below 1, which _prefix_argmax's
+# exact order rests on, while s1 s2 td < 2^53.
 _FILTER_MARGIN = 1e-9
 
 
@@ -447,19 +441,28 @@ def _worst_entry(spec_id, counts, sizes, target, tol, witness_of):
 
 def _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None, target=None):
     """The prefix deviation each row (U[r], V[r], T[r]) reports: over its
-    window j0 in [j_lo, k - t], the first argmax in (group, j0) order of
-    the float |count / j0 - target|, computed per element.  A group sums
-    the local pairs its row of the 0/1 matrix ``groups`` selects; by
-    default every pair is its own group and the target is 1 / s_prev^2.
-    Returns (count, j0, group) there, per row, in row order."""
+    window j0 in [j_lo, k - t], the first maximum in (group, j0) order of
+    the exact |count / j0 - target|.  A group sums the local pairs its row
+    of the 0/1 matrix ``groups`` selects; by default every pair is its own
+    group and the target is 1 / s_prev^2.  Returns (count, j0, group)
+    there, per row, in row order.
+
+    Each deviation is one float division of the exact integers
+    |count td - j0 tn| and j0 td, that is the exact deviation correctly
+    rounded.  Equal deviations are then equal floats, which argmax takes in
+    order, and distinct ones keep their order (see _FILTER_MARGIN); as
+    |count / j0 - target|, equal deviations of opposite sign could round
+    apart."""
     k = slots.shape[1]
-    tf = float(Fraction(1, s_prev * s_prev) if target is None else target)
+    tn, td = (1, s_prev * s_prev) if target is None else \
+        (target.numerator, target.denominator)
     out = []
     for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
         if groups is not None:
             P = np.matmul(groups, P)
         j0s = np.arange(j_lo, P.shape[2] + 1)
-        devs = np.abs(P[:, :, j_lo - 1:] / j0s - tf)
+        devs = np.abs(P[:, :, j_lo - 1:] * np.int64(td) - j0s * tn) \
+            / (j0s * td)
         outside = j0s > (k - T[lo:lo + len(P)])[:, None]
         devs[np.broadcast_to(outside[:, None, :], devs.shape)] = -1.0
         pair, col = np.divmod(devs.reshape(len(P), -1).argmax(axis=1),

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .coefficients import CoefficientPlan
-from .words import Concat, word, word_to_obj, word_from_obj
+from .words import Concat, word, word_to_obj
 from .circular import apply_C, parse_circular
 
 ODOMETER = "odometer"
@@ -359,34 +359,6 @@ def skew_diagonal_extend(action: GroupActionTable, prewords,
 
 
 # ---------------------------------------------------------------------------
-# odometer arithmetic
-
-def odometer_successor(digits, k):
-    """Add one with carry to the right; returns (digits, carry_out)."""
-    out = list(digits)
-    for i, ki in enumerate(k):
-        if not 0 <= out[i] < ki:
-            raise ValueError(f"digit {i} out of range")
-        out[i] += 1
-        if out[i] < ki:
-            return tuple(out), 0
-        out[i] = 0
-    return tuple(out), 1
-
-
-def odometer_negate(digits, k):
-    """Additive inverse: -x as a digit sequence of the same length."""
-    out = list(digits)
-    borrow = 1  # compute (K - x) = complement + 1 without materializing K
-    for i, ki in enumerate(k):
-        if not 0 <= out[i] < ki:
-            raise ValueError(f"digit {i} out of range")
-        v = (ki - out[i] - 1) + borrow
-        out[i], borrow = v % ki, v // ki
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 def sequence_to_json(seq: ConstructionSequence) -> str:
@@ -400,15 +372,3 @@ def sequence_to_json(seq: ConstructionSequence) -> str:
             "classes": list(st.classes) if st.classes is not None else None,
         } for st in seq.stages],
     })
-
-
-def sequence_from_json(text: str) -> ConstructionSequence:
-    from .coefficients import plan_from_obj
-    data = json.loads(text)
-    stages = tuple(
-        StageFamily(tuple(word_from_obj(w) for w in st["words"]),
-                    tuple(tuple(t) for t in st["compositions"]),
-                    tuple(st["classes"]) if st["classes"] is not None else None)
-        for st in data["stages"])
-    return ConstructionSequence(data["flavor"], plan_from_obj(data["plan"]),
-                                stages)

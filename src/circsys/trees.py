@@ -200,16 +200,6 @@ def reduce(tp: TreePrefix, n0: int, plan, seed: int) -> ReductionResult:
         seed=seed, depth=n0, exhausted=exhausted)
 
 
-def continuity_bound(tp: TreePrefix, n0: int, plan=None, seed: int = 0,
-                     result: ReductionResult | None = None) -> int:
-    """Largest enumeration index whose membership the reduction reads."""
-    if result is None:
-        if plan is None:
-            raise TreeError("need a plan or a previous reduction result")
-        result = reduce(tp, n0, plan, seed)
-    return max(result.consumed)
-
-
 def mutate_tree(tp: TreePrefix, index: int) -> TreePrefix:
     """Toggle membership of sigma_index; raises if the toggle would break
     downward closure within the prefix."""

@@ -1,4 +1,4 @@
-"""Structured symbolic words: indexing, reversal, occurrence counts, d-bar.
+"""Structured symbolic words: indexing, reversal, d-bar.
 
 Words are immutable node trees (literal / power / concat / circular /
 reversed) carrying exact big-integer lengths.  Indexing a nested power or
@@ -10,7 +10,6 @@ with a Hoeffding half-width is used instead.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import bisect_right
@@ -334,6 +333,8 @@ def dbar(u: Word, v: Word, interval: tuple | None = None, *,
         diff = sum(x != y for su, sv in _aligned_chunks(u, v, a, n)
                    for x, y in zip(su, sv))
         return DbarResult("exact", Fraction(diff, n), (a, b))
+    if samples < 1:
+        raise ValueError("samples must be positive")
     rng = random.Random(seed)
     hits = sum(u.symbol_at(a + i) != v.symbol_at(a + i)
                for i in (rng.randrange(n) for _ in range(samples)))
@@ -342,35 +343,6 @@ def dbar(u: Word, v: Word, interval: tuple | None = None, *,
     return DbarResult("estimate", Fraction(hits, samples), (a, b),
                       half_width=Fraction(hw).limit_denominator(10 ** 9),
                       confidence=DBAR_CONFIDENCE, samples=samples)
-
-
-# ---------------------------------------------------------------------------
-# occurrence counting
-
-def count_pair_occurrences(uprime: Word, vprime: Word, u: Word, v: Word,
-                           shift: int, grid: int) -> int:
-    """Grid-aligned joint occurrences of (uprime, vprime) in (sh^shift u, v).
-
-    Counts grid positions t where uprime sits in u at shift+t and vprime
-    sits in v at t.  shift must be a multiple of grid.
-    """
-    if uprime.length != grid or vprime.length != grid:
-        raise ValueError("pattern lengths must equal the grid")
-    if shift % grid:
-        raise ValueError("shift must be a multiple of the grid")
-    up = uprime.materialize()
-    vp = vprime.materialize()
-    count = 0
-    t = max(0, -shift)
-    if t % grid:
-        t += grid - t % grid
-    while t + grid <= v.length and shift + t + grid <= u.length:
-        if shift + t >= 0:
-            if u._extract(shift + t, shift + t + grid) == up and \
-                    v._extract(t, t + grid) == vp:
-                count += 1
-        t += grid
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -467,28 +439,3 @@ def word_to_obj(w: Word):
     if isinstance(w, ReversedNode):
         return {"type": "reversed", "child": word_to_obj(w.child)}
     raise TypeError(type(w))
-
-
-def word_from_obj(obj) -> Word:
-    t = obj["type"]
-    if t == "literal":
-        return Literal("".join(r["sym"] * int(r["n"]) for r in obj["runs"]))
-    if t == "power":
-        return Power(word_from_obj(obj["child"]), int(obj["n"]))
-    if t == "concat":
-        return Concat(tuple(word_from_obj(c) for c in obj["children"]))
-    if t == "circular":
-        return CircularNode(tuple(word_from_obj(c) for c in obj["children"]),
-                            k=int(obj["k"]), l=int(obj["l"]),
-                            p=int(obj["p"]), q=int(obj["q"]))
-    if t == "reversed":
-        return ReversedNode(word_from_obj(obj["child"]))
-    raise ValueError(f"unknown node type {t!r}")
-
-
-def word_to_json(w: Word) -> str:
-    return json.dumps(word_to_obj(w))
-
-
-def word_from_json(text: str) -> Word:
-    return word_from_obj(json.loads(text))

@@ -129,6 +129,12 @@ ROWS = {
     "dbar-estimate": ["dbar", "--u", "0110" * 64, "--v", "0101" * 64,
                       "--mode", "estimate", "--seed", "1",
                       "--samples", "512"],
+    # an estimate needs a sample; these exited 1 with a ZeroDivisionError
+    # traceback and 3 with "math domain error"
+    "dbar-samples-zero": ["dbar", "--u", "0101", "--v", "0011",
+                          "--mode", "estimate", "--samples", "0"],
+    "dbar-samples-negative": ["dbar", "--u", "0101", "--v", "0011",
+                              "--mode", "estimate", "--samples", "-3"],
 }
 
 

@@ -19,9 +19,8 @@ from circsys.circular import (apply_C, apply_Cr, parse_circular,
 from circsys.codes import code_coefficients, kappa_sequence, natural_code
 from circsys.coefficients import desk_plan, dynamical_index
 from circsys.locations import PointWindow, immature_fraction, maturity
-from circsys.rotation import (analyze_rotation, build_red_zones, delta_n,
-                              delta_n_naive, displacement, ill_at,
-                              ill_at_naive)
+from circsys.rotation import (_match, _numerator, analyze_rotation,
+                              build_red_zones, delta_n, displacement)
 from circsys.specbuild import (build_attempt, build_words, check_specs,
                                check_T4, check_T5, check_T6, check_T7,
                                check_timing, desk_tolerances, gamma_cascade,
@@ -33,6 +32,7 @@ from circsys.systems import (circular_sequence, functor_F, functor_inverse,
 from circsys.trees import (TreePrefix, certify_continuity, mutate_tree,
                            reduce, validate_tree)
 from circsys.words import reverse, unique_readability, word
+from test_rotation import ref_delta_n, ref_ill
 from test_specbuild import assert_same_entry, ref_T4
 
 # criterion number -> (label, tolerance / budget note); conftest reads this
@@ -250,7 +250,7 @@ def test_criterion_06_rotation_laws():
     for beta in betas[:4] + [Fraction(0)]:
         for n in (0, 1):
             assert delta_n(beta, n, m, plan) == \
-                delta_n_naive(beta, n, m, plan)
+                ref_delta_n(beta, n, m, plan)
     _budget(start, 120)
 
 
@@ -270,8 +270,10 @@ def test_criterion_07_red_zones():
                 assert set(range(a * layer.block_size,
                                  (a + 1) * layer.block_size)) <= pos
             for x in pos:
-                assert ill_at_naive(beta, plan, layer.stage, 3, x)
-                assert ill_at(beta, plan, layer.stage, 3, x)
+                assert ref_ill(beta, plan, layer.stage, 3, x)
+                valid, j0, j1 = _match(plan, layer.stage, 3, beta,
+                                       _numerator(plan, 3, x))
+                assert valid and j0 != j1
         assert rz.achieved_density == Fraction(len(claimed), plan.q(3))
         if not rz.shortfall:
             assert rz.achieved_density >= rz.target_density

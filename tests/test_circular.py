@@ -1,4 +1,4 @@
-"""The interleaving operator: anatomy, parsing, reversal, alignment."""
+"""The interleaving operator: anatomy, parsing, reversal."""
 
 import math
 import random
@@ -8,8 +8,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from circsys.circular import (CircularParseError, SubscaleDecomposition,
-                              apply_C, apply_Cr, cross_alignment,
-                              parse_circular, reversal_identity_applies)
+                              apply_C, apply_Cr, parse_circular,
+                              reversal_identity_applies)
 from circsys.coefficients import desk_plan, dynamical_index
 from circsys.words import (SYMBOL_B, SYMBOL_E, CircularNode, Literal, reverse,
                            word)
@@ -46,15 +46,6 @@ class TestAnatomy:
         # k=2, l=2, p=1, q=2: j = (0, 1)
         w = apply_C(("10", "01"), (2, 2, 1, 2)).materialize()
         assert w == "bb10" + "bb01" + "b10e" + "b01e"
-
-    def test_section_of_matches_scan(self):
-        rng = random.Random(1)
-        k, l, p, q = 3, 2, 1, 3
-        dec = parse_circular(apply_C(random_preword(rng, k, q),
-                                     (k, l, p, q)), (k, l, p, q))
-        text = apply_C(dec.preword, (k, l, p, q)).materialize()
-        for x in range(len(text)):
-            assert dec.is_boundary(x) == (text[x] in "be")
 
 
 class TestParse:
@@ -199,23 +190,3 @@ class TestSectionWalk:
         assert not isinstance(w, CircularNode)
         assert repr(w) == ("CircularRNode(children=(Literal('10'), "
                            "Literal('01')), k=2, l=2, p=1, q=2)")
-
-
-class TestCrossAlignment:
-    def test_zero_shift_is_trivial_diagonal(self):
-        rng = random.Random(4)
-        k, l, p, q = 2, 3, 1, 4
-        u = apply_C(random_preword(rng, k, q), (k, l, p, q))
-        rep = cross_alignment(u, u, 0)
-        assert rep.boundary_hits == 0
-        assert all(p_.shift_mod_q == 0 for p_ in rep.pieces)
-
-    def test_two_value_key_relation(self):
-        rng = random.Random(5)
-        k, l, p, q = 2, 2, 3, 5
-        u = apply_C(random_preword(rng, k, q), (k, l, p, q))
-        v = apply_C(random_preword(rng, k, q), (k, l, p, q))
-        for shift in (q, 3 * q, -2 * q):
-            rep = cross_alignment(u, v, shift)
-            if rep.relation_holds is not None:
-                assert rep.relation_holds

@@ -1,0 +1,59 @@
+"""src/ holds the system: every top-level function and class in
+src/circsys/ is referenced by name in src/ (outside its own body), demos/
+or perfbench/, is a click command, or has a reason in KEEP.  Oracles and
+helpers that only tests call live in the tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+KEEP = {
+    "locate": "acceptance criterion 5 reads it",
+    "immature_fraction": "acceptance criterion 5 reads it",
+    "location_tables": "acceptance criterion 5 reads it",
+    "unique_readability": "acceptance criterion 2 reads it",
+    "reversal_identity_applies": "acceptance criterion 3 reads it",
+    "uniformity_report": "acceptance criterion 4 reads it",
+    "functor_inverse": "acceptance criterion 4 reads it",
+    "project_pi": "the spacer-factor projection the README lists",
+    "grow_plan": "test fixture: plans of a given depth",
+    "identity_action": "test fixture: the trivial group action",
+    "swap_side_action": "test fixture: a side-swapping group action",
+    "tree_to_json": "test fixture: tree files for the CLI tests",
+}
+
+
+def _modules(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
+def _is_command(node):
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in node.decorator_list)
+
+
+def test_every_definition_has_a_caller_or_a_reason():
+    refs = {}
+    for path, tree in _modules("src/circsys", "demos", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((path, node.lineno))
+    unreached = []
+    for path, tree in _modules("src/circsys"):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not (_is_command(node) or any(
+                    p != path or line not in own
+                    for p, line in refs.get(node.name, ()))):
+                unreached.append(node.name)
+    assert sorted(set(unreached) - set(KEEP)) == []
+    # every KEEP entry is a definition that nothing in the system reaches
+    assert sorted(unreached) == sorted(KEEP)

@@ -7,7 +7,7 @@ import pytest
 from circsys.coefficients import desk_plan
 from circsys.locations import (D_n, PointWindow, immature_fraction,
                                locate, location_tables, maturity,
-                               project_pi, sample_point)
+                               project_pi)
 from circsys.systems import circular_sequence
 from circsys.words import word
 
@@ -91,12 +91,6 @@ class TestMaturity:
                 for n in range(3):
                     assert locate(pw, n).defined
         assert found > 0
-
-    def test_sample_point_deterministic(self):
-        seq = desk_circ()
-        a = sample_point(seq, 2, seed=9)
-        b = sample_point(seq, 2, seed=9)
-        assert (a.word_index, a.anchor) == (b.word_index, b.anchor)
 
 
 class TestProjection:

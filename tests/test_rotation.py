@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circsys.coefficients import desk_plan
+from circsys.coefficients import desk_plan, dynamical_index
 from circsys.locations import D_n, PointWindow, maturity
 from circsys.rotation import (_match, _numerator, _position, _stage,
                               analyze_rotation, build_red_zones, delta_csv,
-                              delta_n, delta_n_naive, delta_partial,
-                              displacement, ill_at, ill_at_naive, match_class,
-                              rotation_report_json)
+                              delta_n, delta_partial, displacement,
+                              match_class, rotation_report_json)
 from circsys.systems import circular_sequence
 
 PLAN3 = desk_plan(kl=((2, 2), (2, 2), (2, 2)))
@@ -26,14 +25,45 @@ HUGE_BETAS = (Fraction(1, 2 ** 48 + 1), Fraction(1, 2 ** 50 + 1),
               Fraction(2 ** 60, 3 * 2 ** 60 + 1))
 
 
-def ref_position(beta, plan, n, m, x):
-    """(r_n, d_n, lane R) of tower position x in rational arithmetic."""
+def ref_rd(beta, plan, n, m, x):
+    """(r_n, d_n) of tower position x in rational arithmetic."""
     qm, q, p = plan.q(m), plan.q(n), plan.p(n)
     v = Fraction(x * plan.p(m) % qm, qm)
     r = D_n(v, (p, q))
-    d = (D_n((v + beta) % 1, (p, q)) - r) % q
+    return r, (D_n((v + beta) % 1, (p, q)) - r) % q
+
+
+def ref_position(beta, plan, n, m, x):
+    """(r_n, d_n, lane R) of tower position x in rational arithmetic."""
+    qm, q = plan.q(m), plan.q(n)
+    v = Fraction(x * plan.p(m) % qm, qm)
     frac_v, frac_b = v * q - floor(v * q), beta * q - floor(beta * q)
-    return r, d, frac_b != 0 and frac_v >= 1 - frac_b
+    return (*ref_rd(beta, plan, n, m, x),
+            frac_b != 0 and frac_v >= 1 - frac_b)
+
+
+def ref_ill(beta, plan, n, m, x):
+    """Whether tower position x is ill-matched at stage n, from ref_rd at
+    stages n and n + 1: the principal n-block must start in a digit region
+    of its (n+1)-block at copy offset r_n, in another 1-subsection after
+    displacement than before."""
+    r_lo, d_lo = ref_rd(beta, plan, n, m, x)
+    r_hi, d_hi = ref_rd(beta, plan, n + 1, m, x)
+    q_lo, q_hi = plan.q(n), plan.q(n + 1)
+    base = (r_hi - r_lo) % q_hi
+    st = plan.stage(n)
+    sec = st.l * q_lo
+    t, off = divmod(base, sec)
+    off -= q_lo - dynamical_index(plan.p(n), q_lo, t // st.k)
+    if not (0 <= off < (st.l - 1) * q_lo and off % q_lo == r_lo):
+        return False
+    return ((base + d_hi - d_lo) % q_hi // sec) % st.k != t % st.k
+
+
+def ref_delta_n(beta, n, m, plan):
+    """delta_n by ref_ill at every anchor-m tower position."""
+    qm = plan.q(m)
+    return Fraction(sum(ref_ill(beta, plan, n, m, x) for x in range(qm)), qm)
 
 
 def reverify_zones(rz, beta, plan, M):
@@ -47,8 +77,10 @@ def reverify_zones(rz, beta, plan, M):
             assert set(range(a * layer.block_size,
                              (a + 1) * layer.block_size)) <= pos
         for x in pos:
-            assert ill_at_naive(beta, plan, layer.stage, M, x)
-            assert ill_at(beta, plan, layer.stage, M, x)
+            assert ref_ill(beta, plan, layer.stage, M, x)
+            valid, j0, j1 = _match(plan, layer.stage, M, beta,
+                                   _numerator(plan, M, x))
+            assert valid and j0 != j1
     assert rz.achieved_density == Fraction(len(claimed), plan.q(M))
     if not rz.shortfall:
         assert rz.achieved_density >= rz.target_density
@@ -113,13 +145,12 @@ class TestDeltas:
                      Fraction(3, 16)):
             for n in (0, 1):
                 assert delta_n(beta, n, 3, PLAN3) == \
-                    delta_n_naive(beta, n, 3, PLAN3)
+                    ref_delta_n(beta, n, 3, PLAN3)
 
     def test_zero_beta_is_central(self):
         part = delta_partial(0, 2, 3, PLAN3)
         assert all(v == 0 for v in part.values)
         assert part.total == 0
-        assert not part.finiteness_decidable
 
     def test_anchor_precondition(self):
         with pytest.raises(ValueError):
@@ -130,7 +161,7 @@ class TestDeltas:
         for beta in HUGE_BETAS:
             for n in (0, 1):
                 assert delta_n(beta, n, 3, PLAN3) == \
-                    delta_n_naive(beta, n, 3, PLAN3)
+                    ref_delta_n(beta, n, 3, PLAN3)
             reverify_zones(build_red_zones(beta, PLAN3, 3, Fraction(1, 2)),
                            beta, PLAN3, 3)
 
@@ -138,8 +169,11 @@ class TestDeltas:
         beta = Fraction(1, 3)
         n, m = 1, 3
         want = delta_n(beta, n, m, PLAN3)
-        got = Fraction(sum(ill_at(beta, PLAN3, n, m, x)
-                           for x in range(PLAN3.q(m))), PLAN3.q(m))
+        valid, j0, j1 = zip(*(_match(PLAN3, n, m, beta,
+                                     _numerator(PLAN3, m, x))
+                              for x in range(PLAN3.q(m))))
+        got = Fraction(sum(v and a != b for v, a, b in zip(valid, j0, j1)),
+                       PLAN3.q(m))
         assert got == want
 
 
@@ -206,6 +240,8 @@ class TestPositionKernel:
             valid, j0, j1 = _match(plan, n, m, beta, a)
             ill = valid & (j0 != j1)
             for i, x in enumerate(xs):
-                want = ill_at_naive(beta, plan, n, m, x)
-                assert ill_at(beta, plan, n, m, x) == bool(ill[i]) == want
-        assert delta_n(beta, 0, 2, plan) == delta_n_naive(beta, 0, 2, plan)
+                got_valid, got_j0, got_j1 = _match(plan, n, m, beta,
+                                                   _numerator(plan, m, x))
+                got = got_valid and got_j0 != got_j1
+                assert got == bool(ill[i]) == ref_ill(beta, plan, n, m, x)
+        assert delta_n(beta, 0, 2, plan) == ref_delta_n(beta, 0, 2, plan)

@@ -10,10 +10,9 @@ from circsys import trees
 from circsys.coefficients import desk_plan
 from circsys.trees import (ContinuityCertificate, TreeError, TreePrefix,
                            addable_index_above, certify_continuity,
-                           chain_report, continuity_bound, mutate_tree,
-                           realization_handoff, reduce, sigma_enumeration,
-                           sigma_index, tree_from_json, tree_to_json,
-                           validate_tree)
+                           chain_report, mutate_tree, realization_handoff,
+                           reduce, sigma_enumeration, sigma_index,
+                           tree_from_json, tree_to_json, validate_tree)
 
 PLAN = desk_plan(kl=((4, 2), (2, 2)))
 # the benchmark's reduce_certify plan
@@ -128,12 +127,6 @@ class TestContinuity:
             if cert.consumed_index is not None:
                 assert cert.affected
                 assert cert.consumed_hash != cert.base_hash
-
-    def test_bound_covers_consumed(self):
-        t = tp((), (0,), (1,), (0, 0))
-        res = reduce(t, 1, PLAN, seed=7)
-        bound = continuity_bound(t, 1, PLAN, seed=7, result=res)
-        assert bound == max(res.consumed)
 
     def test_thin_prefix_refused(self):
         plan3 = desk_plan(kl=((4, 2), (2, 2), (2, 2)))

@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from circsys.circular import CircularRNode
 from circsys.words import (CircularNode, Concat, Literal, Power, ReversedNode,
-                           WordIndexError, _Sectioned, count_pair_occurrences,
-                           dbar, reverse, unique_readability, word,
-                           word_from_json, word_from_obj, word_to_json,
-                           word_to_obj)
+                           WordIndexError, _Sectioned, dbar, reverse,
+                           unique_readability, word)
 
 texts = st.text(alphabet="01be", min_size=1, max_size=40)
 
@@ -151,7 +149,7 @@ class TestEquality:
 
     def test_huge_power_equals_round_trip(self):
         w = Power(Concat((Literal("01"), Power(Literal("b"), 2))), 2 ** 38)
-        again = word_from_json(word_to_json(w))
+        again = Power(Concat((Literal("01"), Power(Literal("b"), 2))), 2 ** 38)
         assert again.length == 2 ** 40
         assert again.materialize() is None
         assert w == again
@@ -170,10 +168,6 @@ class TestEquality:
         # at l = 1 no child shows in the text
         with pytest.raises(ValueError, match="l >= 2"):
             CircularNode((Literal("0"),), k=1, l=1, p=0, q=1)
-        obj = word_to_obj(CircularNode((Literal("0"),), k=1, l=2, p=0, q=1))
-        obj["l"] = 1
-        with pytest.raises(ValueError, match="l >= 2"):
-            word_from_obj(obj)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -234,31 +228,6 @@ class TestDbar:
             dbar(word("01"), word("0"), (0, 2))
 
 
-class TestPairOccurrences:
-    def test_counts_against_scan(self):
-        rng = random.Random(11)
-        u = word("".join(rng.choice("01") for _ in range(64)))
-        v = word("".join(rng.choice("01") for _ in range(64)))
-        grid = 4
-        for shift in (0, 4, -8):
-            for up in ("0101", "1100"):
-                for vp in ("0011", "0101"):
-                    got = count_pair_occurrences(word(up), word(vp), u, v,
-                                                 shift, grid)
-                    ut, vt = u.materialize(), v.materialize()
-                    want = sum(
-                        1 for t in range(0, len(vt) - grid + 1, grid)
-                        if 0 <= shift + t and shift + t + grid <= len(ut)
-                        and ut[shift + t:shift + t + grid] == up
-                        and vt[t:t + grid] == vp)
-                    assert got == want
-
-    def test_misaligned_shift_rejected(self):
-        with pytest.raises(ValueError):
-            count_pair_occurrences(word("01"), word("01"),
-                                   word("0101"), word("0101"), 1, 2)
-
-
 class TestReadability:
     def test_prefix_code_readable(self):
         cert = unique_readability(["10", "110", "1110"])
@@ -276,13 +245,3 @@ class TestReadability:
         assert cert.readable
         starts = [pos for pos, _ in cert.parse]
         assert starts == [1, 4]
-
-
-class TestSerialization:
-    @given(texts, st.integers(0, 2))
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip_preserves_structure(self, text, depth):
-        w = build_tree(text, depth)
-        again = word_from_json(word_to_json(w))
-        assert w == again
-        assert again.materialize() == w.materialize()
