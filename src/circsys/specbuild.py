@@ -20,6 +20,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil
 
 import numpy as np
@@ -324,7 +325,8 @@ def _class_members(classes):
                            dtype=np.int64)
 
 
-# elements per working array of the prefix kernel; 1 << 18 adds 2.7 MB RSS
+# 64-bit words in a prefix-kernel block (512 KB; 1 << 15 and 1 << 17 ran
+# slower at k = 1024), each four 16-bit counts: exact while k < 2**16
 _CHUNK_ELEMS = 1 << 16
 # float filter margin: far above the float64 error of a deviation in [0, 1].
 # Distinct deviations |c1/s1 - tn/td| differ by at least 1/(s1 s2 td): more
@@ -342,60 +344,78 @@ def _grid(*ranges):
         indexing="ij"))
 
 
-def _prefix_pair_counts(slots, s_prev, U, V, T, totals=False):
+@lru_cache(maxsize=None)
+def _pair_codes(s_prev):
+    """Per signed slot, u- and v-codes whose product is a 1 in local pair
+    (a, b)'s 16-bit field a * S + b, S = s_prev or a multiple of 4; and
+    the fields in pair order."""
+    S = s_prev if s_prev <= 2 else -(-s_prev // 4) * 4
+    m, nw, ab = -(-S // 4), -(-s_prev * S // 4), range(s_prev)
+    u = [[(a * S // 4 == d - d % m) << 16 * (a * S % 4) for d in range(nw)]
+         for a in ab]
+    v = [[(d % m == b // 4) << 16 * (b % 4) for d in range(nw)] for b in ab]
+    fields = [a * S + b for a in ab for b in ab]
+    return (np.array(2 * u, "<u8"), np.array(2 * v, "<u8"),
+            slice(len(fields)) if S == s_prev else fields)
+
+
+def _prefix_pair_counts(slots, s_prev, U, V, T):
     """Exact prefix pair counts for the rows (U[r], V[r], T[r]).
 
     Row r pairs word U[r], shifted by T[r], with word V[r]: position x
     holds the local pair id (slot u at x + t mod s_prev) * s_prev + (slot
-    v at x mod s_prev).  Every slot of a signed word has that word's
-    parity, so the local id names the signed pair.  Yields (lo, P) for
-    consecutive chunks of rows starting at row lo, where
-
-        P[i, pair, j] = #{x <= j : x < k - t, id(x) = pair}
-
-    as int32, exact for k < 2**31.  Columns j >= k - t hold the count over
-    the whole overlap; ``totals`` yields that column alone, P[i, pair], by
-    one bincount.  Chunks keep working arrays near _CHUNK_ELEMS elements.
-    Every J and T frequency check counts here, its entry by _worst_entry.
+    v at x mod s_prev), which names the signed pair, as every slot of a
+    signed word has that word's parity.  Yields (lo, P) for consecutive
+    blocks of rows from row lo, P[i, pair, j] = #{x <= j : x < k - t,
+    id(x) = pair} as '<u2' in a buffer the next block reuses; columns
+    j >= k - t hold the whole overlap.  Every J and T frequency check
+    counts here.  Position x adds the product of a u-code and a v-code
+    (_pair_codes), so one in-place cumsum over positions makes four counts
+    per 64-bit add (Lamport, CACM 18(8), 1975).  A block within one run of
+    consecutive shifts of one (u, v) reads its u-codes through the Hankel
+    view H[u, t, x] = cu[u, t + x]; other blocks gather them from it.
     """
     if not len(U):
         return
-    k = slots.shape[1]
-    npair = s_prev * s_prev
-    ids = np.arange(npair, dtype=np.min_scalar_type(2 * npair))[:, None]
-    local = (slots % s_prev).astype(ids.dtype)
-    L = k - int(T.min())
-    # shifted-out positions read the id npair; with v's slot added, ids from
-    # npair to span - 1 match no pair
-    span = npair + s_prev
-    shifted = np.concatenate(
-        [local * s_prev, np.full((len(slots), L), npair, ids.dtype)], axis=1)
-    # windows[u, t] = shifted[u, t:t + L], a strided view built directly:
-    # over many small calls, sliding_window_view (through as_strided) kept
-    # about 1 MB more peak memory
-    row, col = shifted.strides
-    windows = np.ndarray((len(slots), k + 1, L), shifted.dtype, shifted,
-                         strides=(row, col, col))
-    step = max(1, _CHUNK_ELEMS // ((1 if totals else npair) * L))
-    for lo in range(0, len(U), step):
-        sl = slice(lo, lo + step)
-        width = k - int(T[sl].min())
-        pair = windows[U[sl], T[sl], :width] + local[V[sl], :width]
-        if totals:
-            flat = np.arange(0, len(pair) * span, span)[:, None] + pair
-            yield lo, np.bincount(flat.ravel(), minlength=len(pair) * span
-                                  ).reshape(-1, span)[:, :npair]
-        else:
-            yield lo, np.cumsum(pair[:, None, :] == ids, axis=2,
-                                dtype=np.int32)
+    w, k = slots.shape
+    if k >= 1 << 16:
+        raise ValueError(f"16-bit pair counts need k < 2**16, not {k}")
+    ucode, vcode, fields = _pair_codes(s_prev)
+    nw, L = ucode.shape[1], k - int(T.min())
+    # u-codes past the word are 0, so shifted-out positions count nowhere
+    cu = np.concatenate([ucode[slots], np.zeros((w, L, nw), "<u8")], 1)
+    H = np.ndarray((w, k + 1, L, nw), cu.dtype, cu,
+                   strides=cu.strides[:2] + cu.strides[1:])
+    step = max(1, _CHUNK_ELEMS // (nw * L))
+    buf = np.empty(min(step, len(U)) * L * nw, "<u8")
+    runs = len(U) > step
+    if runs:    # stop[r]: the end of row r's run of shifts t, t + 1, ...
+        stop = np.append(np.flatnonzero((U[1:] != U[:-1]) | (V[1:] != V[:-1])
+                                        | (T[1:] != T[:-1] + 1)) + 1, len(U))
+        stop = stop[np.searchsorted(stop, np.arange(len(U)), "right")]
+    lo = 0
+    while lo < len(U):
+        # a block that starts inside a run ends with it
+        hi = min(lo + step, stop[lo] if lo and stop[lo - 1] == stop[lo]
+                 else len(U))
+        n, u, t, v, width = hi - lo, U[lo:hi], T[lo:hi], V[lo:hi], L
+        if runs and hi <= stop[lo]:
+            u, t, v = U[lo], slice(T[lo], T[lo] + n), slice(V[lo], V[lo] + 1)
+            width = k - int(T[lo])
+        out = buf[:width * n * nw].reshape(width, n, nw)
+        np.multiply(H[u, t, :width].transpose(1, 0, 2),
+                    vcode[slots[v, :width]].transpose(1, 0, 2), out=out)
+        np.cumsum(out, axis=0, out=out)
+        yield lo, out.view("<u2")[:, :, fields].transpose(1, 2, 0)
+        lo = hi
 
 
 def _pair_totals(slots, s_prev, U, V, T):
     """Whole-overlap counts [r, a, b]: the x < k - T[r] where word U[r]
     holds local slot a at x + T[r] and word V[r] local slot b at x."""
     out = np.zeros((len(U), s_prev * s_prev), np.int64)
-    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T, totals=True):
-        out[lo:lo + len(P)] = P
+    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+        out[lo:lo + len(P)] = P[:, :, -1]
     return out.reshape(-1, s_prev, s_prev)
 
 
@@ -444,8 +464,8 @@ def _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None, target=None):
     window j0 in [j_lo, k - t], the first maximum in (group, j0) order of
     the exact |count / j0 - target|.  A group sums the local pairs its row
     of the 0/1 matrix ``groups`` selects; by default every pair is its own
-    group and the target is 1 / s_prev^2.  Returns (count, j0, group)
-    there, per row, in row order.
+    group and the target is 1 / s_prev^2.  Returns the int arrays count,
+    j0 and group there, in row order.
 
     Each deviation is one float division of the exact integers
     |count td - j0 tn| and j0 td, that is the exact deviation correctly
@@ -460,21 +480,16 @@ def _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None, target=None):
     for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
         if groups is not None:
             P = np.matmul(groups, P)
-        j0s = np.arange(j_lo, P.shape[2] + 1)
+        # past the overlap, counts and j0 stay put: argmax takes j0 first
+        j0s = np.minimum(np.arange(j_lo, P.shape[2] + 1),
+                         (k - T[lo:lo + len(P)])[:, None, None])
         devs = np.abs(P[:, :, j_lo - 1:] * np.int64(td) - j0s * tn) \
             / (j0s * td)
-        outside = j0s > (k - T[lo:lo + len(P)])[:, None]
-        devs[np.broadcast_to(outside[:, None, :], devs.shape)] = -1.0
         pair, col = np.divmod(devs.reshape(len(P), -1).argmax(axis=1),
-                              len(j0s))
+                              devs.shape[2])
         out += zip(P[np.arange(len(P)), pair, j_lo - 1 + col].tolist(),
-                   j0s[col].tolist(), pair.tolist())
-    return out
-
-
-def _argmax_columns(found):
-    """_prefix_argmax's (count, j0, group) rows as three int arrays."""
-    return np.array(found, dtype=np.int64).reshape(-1, 3).T
+                   j0s[np.arange(len(P)), 0, col].tolist(), pair.tolist())
+    return np.array(out, dtype=np.int64).reshape(-1, 3).T
 
 
 def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
@@ -493,21 +508,20 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
     totals = np.zeros((len(U), npair), np.int32)
     # J10.1's per-row float filter value; -1 marks a row outside the check
     f101 = np.full(len(U), -1.0)
-    j0_all = np.arange(j_lo, k)
-    tf_j0 = tf * j0_all
     for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
         hi = lo + len(P)
-        over = (k - T[lo:hi])[:, None]
         totals[lo:hi] = P[:, :, -1]
-        win = P[:, :, j_lo - 1:]
-        if not win.size:
-            continue
-        j0s, tfj = j0_all[:win.shape[2]], tf_j0[:win.shape[2]]
-        # max over pairs of |count / j0 - 1 / npair|: one division per j0
-        dev = np.maximum(win.max(axis=1) - tfj,
-                         tfj - win.min(axis=1)) / j0s
-        dev[j0s > over] = -1.0
-        f101[lo:hi] = dev.max(axis=1)
+        # [pair, j0 - j_lo, row]: rows are contiguous in the kernel's blocks
+        win = P[:, :, j_lo - 1:].transpose(1, 2, 0)
+        top = bot = win[0]
+        for c in win[1:]:
+            top, bot = np.maximum(top, c), np.minimum(bot, c)
+        # max over pairs and j0 of |count / j0 - 1 / npair|; past the
+        # overlap, counts and j0 stay put
+        j0s = np.minimum.outer(np.arange(j_lo, j_lo + win.shape[1], 1.0),
+                               k - T[lo:hi])
+        f101[lo:hi] = np.maximum((top / j0s).max(axis=0, initial=tf) - tf,
+                                 tf - (bot / j0s).min(axis=0, initial=tf))
     f101[T > t101] = -1.0
 
     def wit10(i):
@@ -520,8 +534,8 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
     # J10.1: the reported deviation of every row near the float maximum
     c101 = np.flatnonzero((f101 >= 0) & (f101 >= f101.max(initial=-1.0)
                                          - _FILTER_MARGIN))
-    counts, j0, pids = _argmax_columns(
-        _prefix_argmax(slots, s_prev, U[c101], V[c101], T[c101], j_lo))
+    counts, j0, pids = _prefix_argmax(slots, s_prev, U[c101], V[c101],
+                                      T[c101], j_lo)
 
     def wit101(i):
         u, v = int(U[c101[i]]), int(V[c101[i]])
@@ -604,8 +618,7 @@ def _check_J11_1(slots, s_prev, pairs, eps, tol):
     both = np.concatenate([slots, slots[:, ::-1]])
     uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     U, V = np.concatenate([uv, uv + 2 * s]).T
-    found = _argmax_columns(_prefix_argmax(both, s_prev, U, V,
-                                           np.zeros_like(U), j_lo))
+    found = _prefix_argmax(both, s_prev, U, V, np.zeros_like(U), j_lo)
     # [pair, (initial, tail)]
     counts, j0, pids = found.reshape(3, 2, -1).transpose(0, 2, 1)
 
@@ -833,8 +846,8 @@ def check_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
     j_lo = max(1, ceil(eps * k))
     w0, w1, t = _grid(range(s), range(s),
                       range(1, min(int((1 - eps) * k), k - j_lo) + 1))
-    counts, j0, _ = _argmax_columns(_prefix_argmax(
-        slots, s_prev, w1, w0, t, j_lo, related, target))
+    counts, j0, _ = _prefix_argmax(slots, s_prev, w1, w0, t, j_lo, related,
+                                   target)
     return _worst_entry(
         "T6", counts, j0, (target.numerator, target.denominator), mu,
         lambda i: {"w0": int(w0[i]), "w1": int(w1[i]), "t": int(t[i]),
@@ -906,6 +919,8 @@ def _search_separated_pair(rng, plan, scaffold, gamma, k):
         d1 = list(d0)
         rng.shuffle(d0)
         rng.shuffle(d1)
+        if gamma <= 0:    # T4 is vacuous, so the first balanced pair will do
+            return tuple(d0), tuple(d1)
         m = t4_margin(d0, d1)
         for _ in range(2500):
             if m >= gamma:

@@ -92,6 +92,15 @@ ROWS = {
     "check-timing-pass": ["check-timing", *BUILD_ARGS],
     "check-timing-witness": ["check-timing", *WITNESS_ARGS],
     "check-timing-anchor": ["check-timing", *ANCHOR_ARGS],
+    # gamma_1 = 0 and -5/16 make T4 vacuous; these exited 1 with a
+    # TypeError traceback from the separated-pair search
+    "check-timing-separated-gamma-zero": [
+        "check-timing", "--kl", "8,2;2,2", "--level", "1",
+        "--style", "separated"],
+    "build-separated-gamma-negative": [
+        "build", "--kl", "4,2;2,2", "--level", "1", "--style", "separated"],
+    "lift-separated-gamma-negative": [
+        "lift", "--kl", "4,2;2,2", "--level", "1", "--style", "separated"],
     "rotation-json": ["rotation", "--beta", "1/3", "--n", "1", "--m", "3",
                       *KL3],
     "rotation-csv": ["rotation", "--beta", "1/3", "--n", "1", "--m", "3",

@@ -1,5 +1,7 @@
 """Verification-gated word construction and the spec/timing batteries."""
 
+import random
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 from fractions import Fraction
@@ -168,6 +170,29 @@ class TestTiming:
         assert entry.status == "pass"
         assert "vacuous" in str(entry.witness).lower() or \
             gc.gamma(2) <= 0
+
+    @pytest.mark.parametrize("kl, gamma_1", [
+        (((8, 2), (2, 2)), Fraction(0)), (((4, 2), (2, 2)), Fraction(-5, 16))])
+    def test_separated_search_takes_the_first_pair_when_T4_is_vacuous(
+            self, kl, gamma_1):
+        # the search compared check_T4's vacuous worst_deviation None with
+        # gamma and raised TypeError; now it returns the first balanced
+        # pair it draws without running T4
+        plan = desk_plan(kl=kl)
+        assert gamma_cascade(plan, 1).gamma(1) == gamma_1
+        k = plan.stage(0).k
+        with mock.patch.object(specbuild, "check_T4") as t4:
+            got = specbuild._search_separated_pair(random.Random(5), plan, SC,
+                                                   gamma_1, k)
+        t4.assert_not_called()
+        rng, want = random.Random(5), [0] * (k // 2) + [1] * (k // 2)
+        want = [list(want), list(want)]
+        for d in want:
+            rng.shuffle(d)
+        assert got == tuple(map(tuple, want))
+        comps = build_attempt(SC, plan, seed=0, level=1,
+                              style="separated").seq.stage(1).compositions
+        assert [sum(c) for c in comps] == [k // 2] * 2
 
     def test_battery_shape(self, separated):
         gc = gamma_cascade(SEP_PLAN, 2)
@@ -512,7 +537,8 @@ EPS = st.sampled_from([Fraction(1, 8), Fraction(1, 5), Fraction(1, 4),
 
 @st.composite
 def word_families(draw):
-    s_prev = draw(st.sampled_from([2, 4]))
+    # s_prev = 3 pads each slot's row of counters to four fields
+    s_prev = draw(st.sampled_from([2, 3, 4]))
     k = draw(st.integers(2, 64))
     s = draw(st.integers(1, 2))
     symbol = st.integers(0, s_prev - 1)
@@ -525,13 +551,64 @@ def word_families(draw):
 
 @st.composite
 def kernel_rows(draw, fam, t_max):
-    """Rows (u, v, t <= t_max) in any order, mixing shifts in a chunk."""
-    s = len(fam[0]) // 2
-    rows = draw(st.lists(st.tuples(st.integers(0, 2 * s - 1),
-                                   st.integers(0, 2 * s - 1),
-                                   st.integers(0, t_max)),
-                         min_size=1, max_size=40))
+    """Rows (u, v, t <= t_max): in any order, mixing shifts in a block, or
+    laid out as the J10, T5 and T6 grids lay them out, a run of
+    consecutive shifts for each (u, v)."""
+    word = st.integers(0, len(fam[0]) - 1)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(word, word, st.integers(0, t_max)),
+                             min_size=1, max_size=40))
+    else:
+        rows = []
+        for u, v in draw(st.lists(st.tuples(word, word), min_size=1,
+                                  max_size=4)):
+            t0 = draw(st.integers(0, t_max))
+            rows += [(u, v, t) for t in
+                     range(t0, draw(st.integers(t0, t_max)) + 1)]
     return [np.array(c, dtype=np.int64) for c in zip(*rows)]
+
+
+# block sizes for the kernel tests: one row, a few rows, and the default
+CHUNKS = st.sampled_from([1 << 6, 1 << 9, None])
+
+
+# opposite_sign_ties' (n, c, a): a < n c divides (n c)^2, with j_lo and k
+# whole
+TIE_SHAPES = [(n, c, a) for n in (2, 3, 4) for c in range(1, 6)
+              for a in range(1, n * c) if (n * c) ** 2 % a == 0
+              and (a + n * c) % 2 == 0 == ((n * c) ** 2 // a + n * c) % 2]
+
+
+@st.composite
+def opposite_sign_ties(draw):
+    """A family, row (0, 0, 0), window start j_lo, one group and target
+    whose prefix deviation is largest at j0 = j_lo and j0 = k, with
+    opposite signs.  The group counts c hits of a symbol in the first j_lo
+    positions and none after, so c / j0 falls as j0 runs to k, and
+    c / j_lo - 1/n = 1/n - c / k holds exactly when
+    (2 j_lo - n c)(2 k - n c) = (n c)^2: a = 2 j_lo - n c.  The
+    complement group, against 1 - 1/n, has the tie the other way round."""
+    n, c, a = draw(st.sampled_from(TIE_SHAPES))
+    j_lo, k = (a + n * c) // 2, ((n * c) ** 2 // a + n * c) // 2
+    s_prev = draw(st.sampled_from([2, 3, 4]))
+    hit = draw(st.integers(0, s_prev - 1))
+    miss = st.sampled_from([x for x in range(s_prev) if x != hit])
+    head = draw(st.permutations([hit] * c + draw(st.lists(
+        miss, min_size=j_lo - c, max_size=j_lo - c))))
+    word = head + draw(st.lists(miss, min_size=k - j_lo, max_size=k - j_lo))
+    diagonal = np.eye(s_prev, dtype=np.int64).ravel()
+    group = diagonal * (np.arange(s_prev * s_prev) == hit * (s_prev + 1))
+    target = Fraction(1, n)
+    if draw(st.booleans()):
+        group, target = diagonal - group, 1 - target
+    return (signed_slot_matrix([word], s_prev), s_prev, j_lo, group[None],
+            target)
+
+
+def argmax_rows(found):
+    """_prefix_argmax's count, j0 and group arrays as (count, j0, group)
+    rows."""
+    return list(map(tuple, found.T.tolist()))
 
 
 def ref_prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None,
@@ -554,24 +631,28 @@ def ref_prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None,
 
 
 class TestPrefixKernel:
-    @given(word_families(), st.data())
+    @given(word_families(), CHUNKS, st.data())
     @settings(max_examples=60, deadline=None)
-    def test_counts_match_direct_count(self, fam, data):
+    def test_counts_match_direct_count(self, fam, chunk, data):
+        # small blocks split the runs of a grid and cross its (u, v)
+        # boundaries
         slots, s, s_prev = fam
         k = slots.shape[1]
         U, V, T = data.draw(kernel_rows(fam, k - 1))
         seen = 0
-        for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
-            assert lo == seen and P.dtype == np.int32
-            seen += len(P)
-            for i in range(len(P)):
-                u, v, t = U[lo + i], V[lo + i], T[lo + i]
-                counts = [0] * (s_prev * s_prev)
-                for j in range(P.shape[2]):
-                    if j < k - t:
-                        counts[(slots[u, j + t] % s_prev) * s_prev
-                               + slots[v, j] % s_prev] += 1
-                    assert P[i, :, j].tolist() == counts
+        with mock.patch.object(specbuild, "_CHUNK_ELEMS",
+                               chunk or specbuild._CHUNK_ELEMS):
+            for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+                assert lo == seen and P.dtype == np.dtype("<u2")
+                seen += len(P)
+                for i in range(len(P)):
+                    u, v, t = U[lo + i], V[lo + i], T[lo + i]
+                    counts = [0] * (s_prev * s_prev)
+                    for j in range(P.shape[2]):
+                        if j < k - t:
+                            counts[(slots[u, j + t] % s_prev) * s_prev
+                                   + slots[v, j] % s_prev] += 1
+                        assert P[i, :, j].tolist() == counts
         assert seen == len(U)
 
     @given(word_families(), EPS, st.data())
@@ -589,7 +670,8 @@ class TestPrefixKernel:
             min_size=1, max_size=3).map(np.array))
         target = data.draw(st.sampled_from(
             [None, Fraction(1, 2), Fraction(1, 3)]))
-        got = _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups, target)
+        got = argmax_rows(_prefix_argmax(slots, s_prev, U, V, T, j_lo,
+                                         groups, target))
         assert got == ref_prefix_argmax(slots, s_prev, U, V, T, j_lo,
                                         groups, target)
 
@@ -599,15 +681,50 @@ class TestPrefixKernel:
         # 0.16666666666666663 and the second 0.16666666666666669
         slots = signed_slot_matrix([[0, 0, 1, 1, 1, 1, 0, 0]], 2)
         zero = np.zeros(1, dtype=np.int64)
-        got = _prefix_argmax(slots, 2, zero, zero, zero, 3,
-                             np.array([[1, 0, 0, 0]]), Fraction(1, 2))
+        got = argmax_rows(_prefix_argmax(slots, 2, zero, zero, zero, 3,
+                                         np.array([[1, 0, 0, 0]]),
+                                         Fraction(1, 2)))
         assert got == [(2, 3, 0)]
 
-    @given(word_families(), st.sampled_from([1 << 6, 1 << 9, None]),
-           st.data())
+    @given(opposite_sign_ties(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_argmax_breaks_drawn_opposite_sign_ties_in_order(
+            self, tie, data):
+        # row 0 deviates equally at j0 = j_lo and at j0 = k, with opposite
+        # signs; the first must win, beside any other rows
+        slots, s_prev, j_lo, groups, target = tie
+        rows = data.draw(kernel_rows((slots, 1, s_prev),
+                                     slots.shape[1] - j_lo))
+        U, V, T = (np.concatenate([[0], c]) for c in rows)
+        got = argmax_rows(_prefix_argmax(slots, s_prev, U, V, T, j_lo,
+                                         groups, target))
+        assert got == ref_prefix_argmax(slots, s_prev, U, V, T, j_lo,
+                                        groups, target)
+        assert got[0][1:] == (j_lo, 0)
+
+    def test_words_of_2_16_symbols_raise_before_any_block(self):
+        # the 16-bit counters would wrap; the u-codes alone would take 2 MB
+        slots = np.zeros((2, 1 << 16), np.int64)
+        row = np.zeros(1, np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"2\*\*16"):
+                next(_prefix_pair_counts(slots, 2, row, row, row))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_counts_reach_the_16_bit_bound_without_carry(self):
+        # 2**16 - 1 positions of one pair fill its field and no other
+        slots = np.zeros((2, (1 << 16) - 1), np.int64)
+        row = np.zeros(1, np.int64)
+        assert _pair_totals(slots, 2, row, row, row).tolist() == \
+            [[[(1 << 16) - 1, 0], [0, 0]]]
+
+    @given(word_families(), CHUNKS, st.data())
     @settings(max_examples=60, deadline=None)
     def test_totals_match_direct_count(self, fam, chunk, data):
-        # small chunks put one or a few rows in each bincount
         slots, s, s_prev = fam
         k = slots.shape[1]
         U, V, T = data.draw(kernel_rows(fam, k - 1))
@@ -648,7 +765,8 @@ class TestPrefixKernel:
         slots = signed_slot_matrix(
             [[0, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1]], 2)
         U, V, T = (np.array(c) for c in ([0, 0], [0, 0], [0, 8]))
-        assert _prefix_argmax(slots, 2, U, V, T, 8)[1] == (2, 8, 0)
+        assert argmax_rows(_prefix_argmax(slots, 2, U, V, T, 8))[1] == \
+            (2, 8, 0)
 
     @given(word_families(), EPS, EPS,
            st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(1, 2)]),
