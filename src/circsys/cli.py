@@ -8,8 +8,9 @@ No other flag is recorded yet (--level, --style, --gate, --j-tolerance,
 --depth, the words of dbar and parse, rotation's --beta, --n and --m,
 among others), so equal manifests can carry different reports.
 Recording them moves every pinned benchmark digest and waits for a
-change that re-records those pins.  The reduce result cache
-($CIRCSYS_CACHE) is keyed by the manifest digest plus --depth.
+change that re-records those pins.  The plan hash is the sha256 of the
+plan's plan_to_json bytes; reduce prints that same hash in its payload
+and handoff.
 
 Exit codes: 0 success, 2 verification failure (reports still emitted),
 3 input error (malformed files, bad flags, unusable parameters).
@@ -19,9 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
@@ -29,20 +28,19 @@ import click
 
 from . import __version__
 from .coefficients import (PlanError, audit_plan, code_coefficients,
-                           desk_plan, extend_plan, frac_str, plan_from_json,
-                           plan_to_json, plan_to_obj)
+                           desk_plan, extend_plan, frac_str, json_digest,
+                           plan_from_json, plan_hash, plan_to_obj)
 from .words import WordIndexError, dbar, word
 from .circular import CircularParseError, parse_circular
 from .systems import SequenceError, sequence_to_json
 from .codes import apply_code, natural_code
-from .rotation import build_red_zones, delta_csv, rotation_report_json
+from .rotation import build_red_zones, delta_csv, rotation_report
 from .specbuild import (BuildError, ToleranceProfile, build_attempt,
                         build_words, check_specs, check_timing,
                         gamma_cascade, groups_from_tree, lift_build)
 from .trees import (TreeError, certify_continuity, realization_handoff,
                     reduce as tree_reduce, tree_from_json)
 
-CACHE_ENV = "CIRCSYS_CACHE"
 ANCHOR_CAP = 1 << 24      # largest tower enumerated position by position
 
 
@@ -59,12 +57,7 @@ class RunManifest:
     outputs: tuple
 
     def digest(self) -> str:
-        doc = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(doc.encode()).hexdigest()
-
-
-def _hash_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+        return json_digest(asdict(self))
 
 
 def _read_input(path: str) -> str:
@@ -75,25 +68,19 @@ def _read_input(path: str) -> str:
             data = fh.read()
     except OSError as exc:
         raise click.ClickException(f"cannot read {path}: {exc}")
-    click.get_current_context().obj["inputs"][path] = _hash_bytes(data)
+    click.get_current_context().obj["inputs"][path] = \
+        hashlib.sha256(data).hexdigest()
     return data.decode()
 
 
-def _manifest(ctx, plan=None, seed=None) -> RunManifest:
-    plan_hash = None if plan is None else \
-        _hash_bytes(plan_to_json(plan).encode())
-    return RunManifest(ctx.command.name,
-                       dict(sorted(ctx.obj["inputs"].items())), plan_hash,
-                       seed, __version__, (ctx.obj.get("out") or "-",))
-
-
-def _emit(ctx, payload: dict, plan=None, seed=None) -> str:
-    """Write the report under its run manifest; returns its text."""
-    man = _manifest(ctx, plan, seed)
+def _emit(ctx, payload: dict, plan=None, seed=None) -> None:
+    """Write the report under its run manifest."""
+    man = RunManifest(ctx.command.name,
+                      dict(sorted(ctx.obj["inputs"].items())),
+                      None if plan is None else plan_hash(plan),
+                      seed, __version__, (ctx.obj.get("out") or "-",))
     doc = {"manifest": asdict(man) | {"digest": man.digest()}} | payload
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write(ctx, text)
-    return text
+    _write(ctx, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write(ctx, text: str) -> None:
@@ -163,10 +150,6 @@ def _load_tree(path):
         raise click.ClickException(f"bad tree file {path}: {exc}")
 
 
-def _report_obj(report) -> list:
-    return json.loads(report.to_json())
-
-
 # ---------------------------------------------------------------------------
 # command group
 
@@ -215,7 +198,7 @@ def plan_cmd(ctx, plan_path, kl, eps, desk, stages, audit):
     payload = {"plan": plan_to_obj(plan)}
     if audit:
         rep = audit_plan(plan)
-        payload["audit"] = _report_obj(rep)
+        payload["audit"] = rep.to_obj()
         payload["audit_ok"] = rep.ok()
     _emit(ctx, payload, plan)
     return 0
@@ -261,9 +244,8 @@ def _emit_checked(ctx, plan, seed, report, built=None, **payload):
     sequence and output hash; exit 2 when a check failed."""
     if built is not None:
         payload["sequence"] = json.loads(sequence_to_json(built.seq))
-        payload["output_hash"] = _hash_bytes(
-            json.dumps(payload["sequence"], sort_keys=True).encode())
-    payload.update(report=_report_obj(report), ok=report.ok())
+        payload["output_hash"] = json_digest(payload["sequence"])
+    payload.update(report=report.to_obj(), ok=report.ok())
     _emit(ctx, payload, plan, seed)
     return 0 if report.ok() else 2
 
@@ -413,7 +395,7 @@ def rotation_cmd(ctx, plan_path, kl, eps, stages, beta, n_stages, anchor,
     if as_csv:
         _write(ctx, delta_csv(plan, b, n_stages, m))
         return 0
-    payload = json.loads(rotation_report_json(plan, b, n_stages, m))
+    payload = rotation_report(plan, b, n_stages, m)
     if zones_delta is not None:
         rz = build_red_zones(b, plan, m, _parse_fraction(zones_delta))
         payload["red_zones"] = {
@@ -471,14 +453,7 @@ _tree_opts = _plan_opts + [
 def reduce_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
     """Reduce a tree prefix to a hashed construction-sequence output."""
     plan = _load_plan(plan_path, kl, eps, None)
-    tp = _load_tree(tree_path)
-    # the manifest does not record --depth, so the cache key adds it
-    key = f"{_manifest(ctx, plan, seed).digest()}-depth{n0}"
-    cached = _cache_load(key)
-    if cached is not None:
-        _write(ctx, cached)
-        return 0
-    res = tree_reduce(tp, n0, plan, seed)
+    res = tree_reduce(_load_tree(tree_path), n0, plan, seed)
     payload = {
         "output_hash": res.output_hash,
         "plan_hash": res.plan_hash,
@@ -488,7 +463,7 @@ def reduce_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
         "exhausted": res.exhausted,
         "handoff": realization_handoff(res),
     }
-    _cache_store(key, _emit(ctx, payload, plan, seed))
+    _emit(ctx, payload, plan, seed)
     return 0
 
 
@@ -512,48 +487,6 @@ def continuity_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
     }
     _emit(ctx, payload, plan, seed)
     return 0 if cert.unaffected else 2
-
-
-# ---------------------------------------------------------------------------
-# cache
-
-def _cache_path(key: str):
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, key + ".json")
-
-
-def _cache_load(key: str):
-    """The cached report, or None on a miss; an entry that cannot be read
-    or is not JSON (say, left truncated by a killed writer) is a miss."""
-    path = _cache_path(key)
-    if not path:
-        return None
-    try:
-        with open(path) as fh:
-            text = fh.read()
-        json.loads(text)
-    except (OSError, ValueError):
-        return None
-    return text
-
-
-def _cache_store(key: str, text: str) -> None:
-    """Write the entry to a temporary file in the cache directory, then
-    rename it into place, so readers see the whole entry or none."""
-    path = _cache_path(key)
-    if not path:
-        return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ fractions; nothing on an invariant path touches floating point.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -257,12 +258,11 @@ class AuditReport:
     def ok(self) -> bool:
         return all(e.status != "fail" or e.desk_waived for e in self.entries)
 
-    def to_json(self) -> str:
-        return json.dumps([
-            {"id": e.req_id, "status": e.status, "desk_waived": e.desk_waived,
-             "witness": {k: str(v) for k, v in e.witness.items()}}
-            for e in self.entries
-        ], indent=2)
+    def to_obj(self) -> list:
+        return [{"id": e.req_id, "status": e.status,
+                 "desk_waived": e.desk_waived,
+                 "witness": {k: str(v) for k, v in e.witness.items()}}
+                for e in self.entries]
 
 
 def audit_plan(plan: CoefficientPlan) -> AuditReport:
@@ -460,6 +460,17 @@ def plan_to_obj(plan: CoefficientPlan) -> dict:
 
 def plan_to_json(plan: CoefficientPlan) -> str:
     return json.dumps(plan_to_obj(plan), indent=2)
+
+
+def plan_hash(plan: CoefficientPlan) -> str:
+    """sha256 of the plan file bytes: the hash every report records."""
+    return hashlib.sha256(plan_to_json(plan).encode()).hexdigest()
+
+
+def json_digest(obj) -> str:
+    """sha256 of obj as sorted-key JSON."""
+    doc = json.dumps(obj, sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
 
 
 def plan_from_obj(doc: dict) -> CoefficientPlan:

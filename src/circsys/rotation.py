@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -125,14 +124,10 @@ def analyze_rotation(plan, beta, m: int) -> RotationAnalysis:
         st = _stage(plan, n, m, beta)
         beta_n = Fraction(0) if st.degenerate else 1 - (beta * q - st.fb)
         lane_R = int(_position(st, a)[2].sum())
-        uncertain = 0
-        # cuts interior to an interval: v* = (j - beta q)/q with v* q_m
-        # not an integer
-        for j in range(q):
-            num = (j - beta * q) % q  # v* in units of 1/q, i.e. v* = num/q
-            v_qm = num * qm / q
-            if v_qm.denominator != 1:
-                uncertain += 1
+        # the cuts j/q_n - beta, j < q_n, fall inside a 1/q_m interval
+        # all together or not at all, as q_n divides q_m: exactly when
+        # beta q_m is not an integer
+        uncertain = 0 if qm % beta.denominator == 0 else q
         records.append(StageRotation(n, d_L, d_R, beta_n, st.degenerate,
                                      qm - lane_R, lane_R, uncertain))
     return RotationAnalysis(beta, m, tuple(records))
@@ -285,11 +280,11 @@ def build_red_zones(beta, plan, M: int, delta: Fraction) -> RedZone:
 # ---------------------------------------------------------------------------
 # reports
 
-def rotation_report_json(plan, beta, N: int, m: int) -> str:
+def rotation_report(plan, beta, N: int, m: int) -> dict:
     beta = Fraction(beta) % 1
     ana = analyze_rotation(plan, beta, m)
     part = delta_partial(beta, N, m, plan)
-    return json.dumps({
+    return {
         "beta": frac_str(beta),
         "anchor": m,
         "stages": [{
@@ -303,7 +298,7 @@ def rotation_report_json(plan, beta, N: int, m: int) -> str:
         "delta_partial_sum": frac_str(part.total),
         # never decidable from a finite prefix
         "finiteness_decidable": False,
-    }, indent=2)
+    }
 
 
 def delta_csv(plan, beta, N: int, m: int) -> str:

@@ -16,7 +16,6 @@ fresh entropy until the declared tolerances hold.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -104,15 +103,15 @@ class SpecReport:
     def failures(self):
         return [e for e in self.entries if e.status == "fail"]
 
-    def to_json(self) -> str:
-        return json.dumps([{
+    def to_obj(self) -> list:
+        return [{
             "spec": e.spec_id, "status": e.status,
             "worst_deviation": (None if e.worst_deviation is None
                                 else frac_str(e.worst_deviation)),
             "tolerance": (None if e.tolerance is None
                           else frac_str(e.tolerance)),
             "witness": {k: repr(v) for k, v in e.witness.items()},
-        } for e in self.entries], indent=2)
+        } for e in self.entries]
 
 
 @dataclass(frozen=True)
@@ -874,13 +873,12 @@ def check_T7(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
 
 
 def check_timing(built: BuiltSequence, level: int,
-                 gamma: GammaCascade | None = None) -> SpecReport:
+                 gamma: GammaCascade) -> SpecReport:
     """On the circular lift of ``built``: T1-T3 structurally, T4 as exact
-    segment distances against ``gamma`` (the plan's cascade by default),
-    T5-T7 as exact frequency counts against MU."""
+    segment distances against ``gamma``, T5-T7 as exact frequency counts
+    against MU."""
     circ = built if built.seq.flavor == CIRCULAR else lift_build(built)
     seq = circ.seq
-    gamma = gamma or gamma_cascade(seq.plan, max(2, level + 1))
     entries = []
     M1 = circ.scaffold.M(1)
     for n in range(min(level, seq.depth - 1)):

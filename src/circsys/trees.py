@@ -12,12 +12,11 @@ members it reads, so certify_continuity builds once per distinct reading.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coefficients import plan_to_obj
+from .coefficients import json_digest, plan_hash
 from .specbuild import (BuiltSequence, ToleranceProfile,
                         build_words, groups_from_tree, lift_build)
 
@@ -91,12 +90,8 @@ class TreePrefix:
     def __contains__(self, node) -> bool:
         return tuple(node) in self.nodes
 
-    def indices(self) -> tuple:
-        return tuple(n for n in range(self.horizon)
-                     if sigma_enumeration(n) in self.nodes)
-
     def members_in_order(self) -> tuple:
-        return tuple(sigma_enumeration(n) for n in self.indices())
+        return tuple(sorted(self.nodes, key=sigma_index))
 
 
 def validate_tree(tp) -> tuple:
@@ -140,11 +135,6 @@ class ReductionResult:
     exhausted: bool = False       # fewer members than stages requested
 
 
-def _hash_obj(obj) -> str:
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True).encode()).hexdigest()
-
-
 def _output_obj(built: BuiltSequence) -> dict:
     seq = built.seq
     return {
@@ -171,14 +161,10 @@ def _read_tree(tp: TreePrefix, n0: int, plan) -> tuple:
     if n0 > plan.depth - 1:
         raise TreeError(f"depth {n0} exceeds the plan's {plan.depth - 1} "
                         f"word stages")
-    members, consumed = [], []
-    for n in range(tp.horizon):
-        consumed.append(n)
-        if sigma_enumeration(n) in tp.nodes:
-            members.append(sigma_enumeration(n))
-            if len(members) == n0 + 1:
-                break
-    return tuple(members), tuple(consumed), len(members) < n0 + 1
+    members = tp.members_in_order()[:n0 + 1]
+    exhausted = len(members) < n0 + 1
+    last = tp.horizon - 1 if exhausted else sigma_index(members[-1])
+    return members, tuple(range(last + 1)), exhausted
 
 
 def _build(members: tuple, n0: int, plan, seed: int) -> tuple:
@@ -186,7 +172,7 @@ def _build(members: tuple, n0: int, plan, seed: int) -> tuple:
     odo = build_words(groups_from_tree(members), plan, seed=seed, level=n0,
                       tolerances=ToleranceProfile(j_family=1))
     circ = lift_build(odo)
-    return odo, circ, _hash_obj(_output_obj(circ))
+    return odo, circ, json_digest(_output_obj(circ))
 
 
 def reduce(tp: TreePrefix, n0: int, plan, seed: int) -> ReductionResult:
@@ -196,7 +182,7 @@ def reduce(tp: TreePrefix, n0: int, plan, seed: int) -> ReductionResult:
     odo, circ, output_hash = _build(members, n0, plan, seed)
     return ReductionResult(
         built=circ, odometer=odo, consumed=consumed,
-        output_hash=output_hash, plan_hash=_hash_obj(plan_to_obj(plan)),
+        output_hash=output_hash, plan_hash=plan_hash(plan),
         seed=seed, depth=n0, exhausted=exhausted)
 
 

@@ -4,8 +4,8 @@
 
 Writes ``tests/golden.json``: for each row name, the argv, the exit code
 and the sha256 of stdout and of stderr of one in-process
-``circsys.cli.run`` call, made from the repository root with no result
-cache.  ``tests/test_golden.py`` replays every row.
+``circsys.cli.run`` call, made from the repository root.
+``tests/test_golden.py`` replays every row.
 
 Run it only when the CLI's output is meant to change, and say in
 CHANGES.md which rows moved and why.
@@ -153,7 +153,7 @@ def _sha256(text: str) -> str:
 
 def run_row(argv) -> dict:
     """Exit code and sha256 of stdout and of stderr of one CLI call; run
-    from ROOT with CIRCSYS_CACHE unset."""
+    from ROOT."""
     from circsys.cli import run
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -165,7 +165,6 @@ def run_row(argv) -> dict:
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
-    os.environ.pop("CIRCSYS_CACHE", None)
     table = {}
     for name, argv in ROWS.items():
         row = run_row(argv)

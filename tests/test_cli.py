@@ -2,7 +2,6 @@
 
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -13,7 +12,6 @@ from circsys.coefficients import (desk_plan, extend_plan, grow_plan,
                                   plan_from_obj, plan_to_json)
 from circsys.trees import TreePrefix, tree_to_json
 
-DATA = Path(__file__).resolve().parent / "data"
 BUILD_ARGS = ["--kl", "64,4;2,2", "--eps", "1/4", "--eps", "1/8",
               "--level", "1", "--seed", "3"]
 
@@ -227,41 +225,11 @@ class TestTreesCommands:
         assert doc["output_hash"] == doc2["output_hash"]
         assert doc["handoff"]["status"].startswith("not-constructed")
 
-    def test_reduce_cache(self, capsys, tree_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("CIRCSYS_CACHE", str(tmp_path / "cache"))
-        args = ["reduce", "--tree", tree_file, "--depth", "1",
-                "--kl", "4,2;2,2", "--seed", "7"]
-        _, first = invoke(capsys, *args)
-        cached = list((tmp_path / "cache").iterdir())
-        assert len(cached) == 1
-        _, second = invoke(capsys, *args)
-        assert second == first
-
-    def test_cache_is_keyed_by_depth(self, capsys, tmp_path, monkeypatch):
-        # the manifest leaves out --depth, so its digest alone cannot key
-        # the cache
-        monkeypatch.setenv("CIRCSYS_CACHE", str(tmp_path / "cache"))
-        args = ["reduce", "--tree", str(DATA / "tree.json"),
-                "--kl", "4,2;2,2;2,2", "--seed", "7"]
-        _, first = invoke_json(capsys, *args, "--depth", "1")
-        _, second = invoke_json(capsys, *args, "--depth", "2")
-        assert (first["depth"], second["depth"]) == (1, 2)
-        assert second["manifest"] == first["manifest"]
-
-    def test_truncated_cache_entry_is_recomputed(self, capsys, tree_file,
-                                                 tmp_path, monkeypatch):
-        args = ["reduce", "--tree", tree_file, "--depth", "1",
-                "--kl", "4,2;2,2", "--seed", "7"]
-        _, cold = invoke(capsys, *args)
-        monkeypatch.setenv("CIRCSYS_CACHE", str(tmp_path / "cache"))
-        invoke(capsys, *args)
-        [entry] = (tmp_path / "cache").iterdir()
-        entry.write_text(cold[:len(cold) // 2])
-        code, out = invoke(capsys, *args)
-        assert code == 0
-        assert out == cold
-        assert entry.read_text() == cold
-        assert list((tmp_path / "cache").iterdir()) == [entry]
+    def test_reduce_prints_one_plan_hash(self, capsys, tree_file):
+        _, doc = invoke_json(capsys, "reduce", "--tree", tree_file,
+                             "--depth", "1", "--kl", "4,2;2,2", "--seed", "7")
+        assert doc["plan_hash"] == doc["handoff"]["plan_hash"] == \
+            doc["manifest"]["plan_hash"]
 
     def test_continuity_certificate(self, capsys, tree_file):
         code, doc = invoke_json(capsys, "continuity", "--tree", tree_file,

@@ -158,8 +158,8 @@ class TestAudit:
         assert ir6.witness == {"violating_stages": [0]}
 
     def test_report_json_shape(self):
-        rep = audit_plan(desk_plan())
-        doc = json.loads(rep.to_json())
+        doc = audit_plan(desk_plan()).to_obj()
+        assert json.loads(json.dumps(doc)) == doc
         assert all({"id", "status", "desk_waived"} <= set(e) for e in doc)
 
 

@@ -1,7 +1,8 @@
 """src/ holds the system: every top-level function and class in
 src/circsys/ is referenced by name in src/ (outside its own body), demos/
 or perfbench/, is a click command, or has a reason in KEEP.  Oracles and
-helpers that only tests call live in the tests."""
+helpers that only tests call live in the tests.  Nothing in src/circsys/
+reads the process environment, so no setting acts unseen by the report."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,8 @@ KEEP = {
     "swap_side_action": "test fixture: a side-swapping group action",
     "tree_to_json": "test fixture: tree files for the CLI tests",
 }
+
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
 
 
 def _modules(*dirs):
@@ -57,3 +60,12 @@ def test_every_definition_has_a_caller_or_a_reason():
     assert sorted(set(unreached) - set(KEEP)) == []
     # every KEEP entry is a definition that nothing in the system reaches
     assert sorted(unreached) == sorted(KEEP)
+
+
+def test_nothing_reads_the_environment():
+    reads = [f"{path.name}:{node.lineno}"
+             for path, tree in _modules("src/circsys")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ENV_READS
+             or isinstance(node, ast.alias) and node.name in ENV_READS]
+    assert reads == []

@@ -44,8 +44,7 @@ def runners():
 
 @pytest.mark.parametrize("workload,op", SAMPLE,
                          ids=[f"{w}-{i}" for i, (w, _) in enumerate(SAMPLE)])
-def test_pinned_digest_reproduces(workload, op, runners, monkeypatch):
-    monkeypatch.delenv("CIRCSYS_CACHE", raising=False)
+def test_pinned_digest_reproduces(workload, op, runners):
     assert op.key in PINS[workload]
     runner = runners[workload]
     outcome = runner.execute(op)

@@ -16,7 +16,7 @@ from circsys.locations import D_n, PointWindow, maturity
 from circsys.rotation import (_match, _numerator, _position, _stage,
                               analyze_rotation, build_red_zones, delta_csv,
                               delta_n, delta_partial, displacement,
-                              match_class, rotation_report_json)
+                              match_class, rotation_report)
 from circsys.systems import circular_sequence
 
 PLAN3 = desk_plan(kl=((2, 2), (2, 2), (2, 2)))
@@ -58,6 +58,13 @@ def ref_ill(beta, plan, n, m, x):
     if not (0 <= off < (st.l - 1) * q_lo and off % q_lo == r_lo):
         return False
     return ((base + d_hi - d_lo) % q_hi // sec) % st.k != t % st.k
+
+
+def ref_uncertain(beta, plan, n, m):
+    """Cuts j/q_n - beta, j < q_n, that fall inside a 1/q_m interval."""
+    q, qm = plan.q(n), plan.q(m)
+    return sum((Fraction(j) - beta * q) % q * qm / q % 1 != 0
+               for j in range(q))
 
 
 def ref_delta_n(beta, n, m, plan):
@@ -138,6 +145,18 @@ class TestDisplacement:
                 got_L = Fraction(st.lane_L_count, qm)
                 assert abs(got_L - want_L) <= Fraction(2 * plan.q(n), qm)
 
+    @pytest.mark.parametrize("plan", [PLAN3, desk_plan(kl=((3, 2), (2, 2)))],
+                             ids=["2,2;2,2;2,2", "3,2;2,2"])
+    def test_uncertain_count_matches_cut_loop(self, plan):
+        betas = sorted({Fraction(a, b) for b in range(1, 40)
+                        for a in range(b)})
+        for m in range(1, plan.depth + 1):
+            for beta in betas:
+                got = [st.uncertain_count
+                       for st in analyze_rotation(plan, beta, m).stages]
+                assert got == [ref_uncertain(beta, plan, n, m)
+                               for n in range(m)], (beta, m)
+
 
 class TestDeltas:
     def test_structural_equals_naive(self):
@@ -190,7 +209,8 @@ class TestRedZones:
 
 class TestReports:
     def test_json_report_fields(self):
-        doc = json.loads(rotation_report_json(PLAN3, Fraction(1, 3), 1, 3))
+        doc = rotation_report(PLAN3, Fraction(1, 3), 1, 3)
+        assert json.loads(json.dumps(doc)) == doc
         assert doc["anchor"] == 3
         assert len(doc["delta"]) == 1
         assert doc["finiteness_decidable"] is False

@@ -76,8 +76,8 @@ class TestBuild:
                    for i in range(3)]
         with pytest.raises(BuildError) as err:
             build_words(SC, PLAN, 4, 1, tolerances=tol, retry_budget=3)
-        assert err.value.report.to_json() == \
-            min(reports, key=lambda r: len(r.failures())).to_json()
+        assert err.value.report.to_obj() == \
+            min(reports, key=lambda r: len(r.failures())).to_obj()
 
     def test_impossible_tolerance_exhausts_budget(self):
         with pytest.raises(BuildError) as err:
@@ -117,7 +117,8 @@ class TestReports:
     def test_json_round(self):
         import json
         built = build_words(SC, PLAN, seed=0, level=1)
-        doc = json.loads(built.report.to_json())
+        doc = built.report.to_obj()
+        assert json.loads(json.dumps(doc)) == doc
         assert {e["spec"] for e in doc} == \
             {e.spec_id for e in built.report.entries}
 

@@ -69,6 +69,27 @@ class TestTreePrefix:
         assert again.horizon == t.horizon
 
 
+    def test_read_matches_the_enumeration_walk(self):
+        def walk(t, n0):
+            members, consumed = [], []
+            for n in range(t.horizon):
+                consumed.append(n)
+                if sigma_enumeration(n) in t.nodes:
+                    members.append(sigma_enumeration(n))
+                    if len(members) == n0 + 1:
+                        break
+            return tuple(members), tuple(consumed), len(members) < n0 + 1
+
+        rng = random.Random(11)
+        for _ in range(300):
+            nodes = {()}
+            for _ in range(rng.randrange(0, 8)):
+                base = rng.choice(sorted(nodes))
+                nodes.add(base + (rng.randrange(3),))
+            t = tp(*nodes, horizon=rng.choice([0, rng.randrange(60)]))
+            for n0 in (1, 2, 3):
+                assert trees._read_tree(t, n0, PLAN4) == walk(t, n0)
+
 class TestMutation:
     def test_toggle_leaf(self):
         t = tp((), (0,))
