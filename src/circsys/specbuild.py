@@ -10,8 +10,9 @@ The checker families:
 
 One builder attempt, build_attempt, samples words satisfying the
 structural constraints by construction and checks nothing.  build_words
-gates: it runs check_specs once on each seeded attempt, retrying with
-fresh entropy until the declared tolerances hold.
+gates: it runs check_specs on each seeded attempt, up to the attempt's
+first failing spec, retrying with fresh entropy until the declared
+tolerances hold.
 """
 
 from __future__ import annotations
@@ -634,8 +635,35 @@ def _check_J11_1(slots, s_prev, pairs, eps, tol):
 # ---------------------------------------------------------------------------
 # the public checker
 
+def _stage_battery(built, tol, n):
+    """Stage n's entries in report order, each check run when reached."""
+    seq, actions = built.seq, built.actions
+    st = seq.plan.stage(n)
+    eps, jt, M1 = st.eps_lunate, tol.j(n), built.scaffold.M(1)
+    founded = M1 is not None and n + 1 >= M1
+    yield _check_E1(seq, n)
+    yield _check_E2(seq, n)
+    yield _check_E3(seq, n)
+    yield _check_Q4(seq, n + 1, built.scaffold, eps)
+    yield _check_Q5(seq, n) if founded and n + 1 > M1 \
+        else SpecEntry("Q5", "not-checked")
+    yield _check_Q6(seq, n + 1, seq.plan.stage(min(n + 1,
+                    seq.plan.depth - 1)).e) \
+        if founded else SpecEntry("Q6", "not-checked")
+    yield _check_A7(actions[n + 1] if actions else None)
+    yield _check_A8(actions[n + 1] if actions else None)
+    yield _check_A9(seq, n, actions)
+    slots, _, s_prev = _slot_matrix(seq, n)
+    yield from _check_J10_J10_1(slots, s_prev, eps, st.eps_classic, jt)
+    yield _check_J11(seq, n, slots, actions, jt)
+    yield _check_J11_1(slots, s_prev, _J11_1_pairs(seq, n, actions), eps, jt)
+
+
 def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
-                = None) -> SpecReport:
+                = None, *, first_failure: bool = False) -> SpecReport:
+    """The E, Q, A and J battery of every stage, in stage order.  With
+    ``first_failure`` the report ends at its first failing entry, and no
+    later check runs: enough to reject an attempt, not to rank it."""
     tol = tolerances or desk_tolerances()
     seq = built.seq
     if seq.flavor != ODOMETER:
@@ -643,30 +671,11 @@ def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
     if seq.depth < 1:
         raise SequenceError("need at least two stages")
     entries = []
-    M1 = built.scaffold.M(1)
     for n in range(seq.depth):
-        st = seq.plan.stage(n)
-        eps = st.eps_lunate
-        jt = tol.j(n)
-        founded = M1 is not None and n + 1 >= M1
-        slots, _, s_prev = _slot_matrix(seq, n)
-        checks = [
-            _check_E1(seq, n), _check_E2(seq, n), _check_E3(seq, n),
-            _check_Q4(seq, n + 1, built.scaffold, eps),
-            _check_Q5(seq, n) if founded and n + 1 > M1
-            else SpecEntry("Q5", "not-checked"),
-            _check_Q6(seq, n + 1, seq.plan.stage(min(n + 1,
-                      seq.plan.depth - 1)).e)
-            if founded else SpecEntry("Q6", "not-checked"),
-            _check_A7(built.actions[n + 1] if built.actions else None),
-            _check_A8(built.actions[n + 1] if built.actions else None),
-            _check_A9(seq, n, built.actions),
-            *_check_J10_J10_1(slots, s_prev, eps, st.eps_classic, jt),
-            _check_J11(seq, n, slots, built.actions, jt),
-            _check_J11_1(slots, s_prev,
-                         _J11_1_pairs(seq, n, built.actions), eps, jt),
-        ]
-        entries += [_named(f"{e.spec_id}@{n}", e) for e in checks]
+        for e in _stage_battery(built, tol, n):
+            entries.append(_named(f"{e.spec_id}@{n}", e))
+            if first_failure and e.status == "fail":
+                return SpecReport(tuple(entries))
     return SpecReport(tuple(entries))
 
 
@@ -1014,20 +1023,24 @@ def build_words(tp, plan, seed: int, level: int,
                 ) -> BuiltSequence:
     """Seeded, verification-gated construction of an odometer sequence
     with class and action data derived from the tree prefix: attempts 0,
-    1, ... of build_attempt, each checked once by check_specs, until one
-    passes.  The passing attempt carries its report; an exhausted budget
-    raises BuildError with the report of the attempt that failed fewest
-    specs."""
-    best = None
+    1, ... of build_attempt, each checked by check_specs up to its first
+    failing spec, until one passes.  The passing attempt carries its
+    report, complete as nothing failed; an exhausted budget raises
+    BuildError with the full report of the first attempt that failed
+    fewest specs."""
+    if retry_budget < 1:
+        raise ValueError(f"retry budget must be at least 1, not "
+                         f"{retry_budget}")
+    failed = []
     for attempt in range(retry_budget):
         built = build_attempt(tp, plan, seed, level, style, attempt)
-        built = replace(built, report=check_specs(built, tolerances))
-        if built.report.ok():
-            return built
-        if best is None or \
-                len(built.report.failures()) < len(best.report.failures()):
-            best = built
-    raise BuildError(f"retry budget {retry_budget} exhausted", best.report)
+        report = check_specs(built, tolerances, first_failure=True)
+        if report.ok():
+            return replace(built, report=report)
+        failed.append(built)
+    best = min((check_specs(b, tolerances) for b in failed),
+               key=lambda r: len(r.failures()))
+    raise BuildError(f"retry budget {retry_budget} exhausted", best)
 
 
 def build_attempt(tp, plan, seed: int, level: int, style: str = "random",

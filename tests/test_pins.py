@@ -1,7 +1,7 @@
 """A fixed sample of the benchmark's pinned output digests.
 
 ``perfbench/data/pins.json`` pins the digest of every op the benchmark
-checks.  This replays seven of them through the benchmark's own op
+checks.  This replays ten of them through the benchmark's own op
 runner (``perfbench/workloads.py``), so a change that moves a pinned
 output fails in the test suite and not first in a benchmark run.  The
 ``spec_gate`` digests hash a whole ``build`` stdout, run manifest
@@ -23,14 +23,15 @@ PINS = wl.load_json("pins.json")
 
 def _sample() -> list:
     """(workload, op): the warm-up and first timed op of spec_gate, the
-    first timed round of reduce_certify (one op per n0 = 1, 2, 3), and two
-    betas of rotation_pointwise, all at the default seed."""
+    first two timed rounds of reduce_certify (one op per n0 = 1, 2, 3 in
+    each; their builds retry after failed attempts), and two betas of
+    rotation_pointwise, all at the default seed."""
     spec_warm, spec_rounds = wl.generate("spec_gate", wl.DEFAULT_SEED, 1)
-    _, reduce_rounds = wl.generate("reduce_certify", wl.DEFAULT_SEED, 1)
+    _, reduce_rounds = wl.generate("reduce_certify", wl.DEFAULT_SEED, 2)
     return [("spec_gate", spec_warm), ("spec_gate", spec_rounds[0][0]),
             ("rotation_pointwise", wl.pointwise_op(1)),
             ("rotation_pointwise", wl.pointwise_op(95)),
-            *(("reduce_certify", op) for op in reduce_rounds[0])]
+            *(("reduce_certify", op) for ops in reduce_rounds for op in ops)]
 
 
 SAMPLE = _sample()

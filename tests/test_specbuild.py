@@ -27,6 +27,7 @@ from circsys.systems import (CIRCULAR, FWD, REV, GroupActionTable,
                              SequenceError, circular_sequence,
                              identity_action, odometer_sequence,
                              swap_side_action, with_classes)
+from circsys.trees import TreePrefix
 
 SC = groups_from_tree([(), (0,)])
 PLAN = desk_plan(kl=((64, 4), (2, 2)),
@@ -87,6 +88,11 @@ class TestBuild:
         assert err.value.report is not None
         assert err.value.report.failures()
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_a_value_error(self, budget):
+        with pytest.raises(ValueError, match="retry budget"):
+            build_words(SC, PLAN, seed=0, level=1, retry_budget=budget)
+
     def test_class_count_is_group_bound(self):
         built = build_words(SC, PLAN, seed=0, level=1)
         assert built.seq.stage(1).num_classes() == 2
@@ -97,6 +103,96 @@ class TestBuild:
         assert act.is_free()
         for g in act.generators:
             assert all(key[1] != g[key][1] for key in g)
+
+
+def ref_build_words(tp, plan, seed, level, tolerances=None,
+                    retry_budget=32):
+    """The gate with a full check_specs on every attempt: the first
+    attempt that passes, or BuildError with the report of the first
+    attempt with strictly fewest failures."""
+    best = None
+    for attempt in range(retry_budget):
+        built = build_attempt(tp, plan, seed, level, attempt=attempt)
+        built = replace(built, report=check_specs(built, tolerances))
+        if built.report.ok():
+            return built
+        if best is None or \
+                len(built.report.failures()) < len(best.report.failures()):
+            best = built
+    raise BuildError(f"retry budget {retry_budget} exhausted", best.report)
+
+
+TREE_PLAN = desk_plan(kl=((4, 2), (2, 2), (2, 2), (2, 2)))
+
+
+@st.composite
+def tree_scaffolds(draw):
+    """The scaffold reduce reads from a criterion-11-shaped tree (4-8
+    nodes grown from the root) at n0 in 1-3: its first n0 + 1 members."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n0 = draw(st.integers(1, 3))
+    nodes = set()
+    while len(nodes) < n0 + 1:
+        nodes = {()}
+        for _ in range(rng.randrange(3, 8)):
+            base = rng.choice(sorted(nodes))
+            nodes.add(base + (rng.randrange(2),))
+    members = TreePrefix(frozenset(nodes)).members_in_order()[:n0 + 1]
+    return groups_from_tree(members), n0
+
+
+def gate_outcome(gate, *args, **kwargs):
+    try:
+        built = gate(*args, **kwargs)
+    except BuildError as exc:
+        return "exhausted", exc.report.to_obj()
+    return built.seq, built.actions, built.report.to_obj()
+
+
+class TestEarlyRejection:
+    @given(tree_scaffolds(), st.integers(0, 999))
+    @settings(max_examples=25, deadline=None)
+    def test_gate_matches_the_full_battery_gate(self, scaffold, seed):
+        sc, n0 = scaffold
+        for tol, budget in ((ToleranceProfile(j_family=1), 32),
+                            (ToleranceProfile(j_family=Fraction(0)), 3)):
+            assert gate_outcome(build_words, sc, TREE_PLAN, seed, n0,
+                                tolerances=tol, retry_budget=budget) == \
+                gate_outcome(ref_build_words, sc, TREE_PLAN, seed, n0,
+                             tolerances=tol, retry_budget=budget)
+
+    @given(tree_scaffolds(), st.integers(0, 999), st.integers(0, 7),
+           st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+    @settings(max_examples=40, deadline=None)
+    def test_report_is_the_full_report_to_its_first_failure(
+            self, scaffold, seed, attempt, j):
+        sc, n0 = scaffold
+        built = build_attempt(sc, TREE_PLAN, seed, n0, attempt=attempt)
+        tol = ToleranceProfile(j_family=j)
+        full = check_specs(built, tol).entries
+        fail = next((i for i, e in enumerate(full) if e.status == "fail"),
+                    len(full) - 1)
+        assert check_specs(built, tol, first_failure=True).entries == \
+            full[:fail + 1]
+
+    def test_rejected_attempt_skips_the_j_kernels(self, monkeypatch):
+        # the seed-0 reduce_certify round-1 op with n0 = 3: its attempt 0
+        # fails E3 at stage 0, before any J check
+        tree = TreePrefix(frozenset([(), (0,), (0, 0), (0, 0, 0), (1,)]))
+        sc = groups_from_tree(tree.members_in_order()[:4])
+        built = build_attempt(sc, TREE_PLAN, 296, 3)
+        calls = []
+        original = specbuild._prefix_pair_counts
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(specbuild, "_prefix_pair_counts", counted)
+        report = check_specs(built, ToleranceProfile(j_family=1),
+                             first_failure=True)
+        assert [e.spec_id for e in report.failures()] == ["E3@0"]
+        assert report.entries[-1].spec_id == "E3@0"
+        assert calls == []
 
 
 class TestReports:
