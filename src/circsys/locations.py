@@ -4,11 +4,13 @@ interval ordering D_n.
 
 A window is a tower position inside one top-stage word, extended
 periodically.  All location data descends through the subword grid, which
-depends only on the stage parameters, never on the symbols.
+depends only on the stage parameters, never on the symbols.  A window
+descends once, when it is built, so maturity at any stage is a lookup.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -42,9 +44,17 @@ class PointWindow:
     def __post_init__(self):
         if self.seq.flavor != CIRCULAR:
             raise ValueError("windows live over circular sequences")
-        qM = self.seq.plan.q(self.M)
-        if not 0 <= self.anchor < qM:
+        if not 0 <= self.M <= self.seq.depth:
+            raise ValueError("stage out of range")
+        if not 0 <= self.word_index < len(self.seq.stage(self.M).words):
+            raise ValueError("word index out of range")
+        plan = self.seq.plan
+        if not 0 <= self.anchor < plan.q(self.M):
             raise ValueError("anchor outside the tower")
+        # not fields: eq, hash and repr ignore them; replace() rebuilds them
+        object.__setattr__(self, "_violation",
+                           _first_violation(plan, self.M, self.anchor))
+        object.__setattr__(self, "_a", _numerator(plan, self.M, self.anchor))
 
     @property
     def word(self) -> Word:
@@ -94,27 +104,41 @@ class MaturityResult:
     violated: str | None = None   # e.g. "copy-edge@2"
 
 
-def maturity(pw: PointWindow, n: int) -> MaturityResult:
-    """Mature at n: at every level m in [n, M) the origin has a defined
-    location and its descent coordinates avoid the first/last edge bands
-    of copies, 1-subsections and 2-subsections."""
-    if not 0 <= n < pw.M:
-        raise ValueError("need n < M")
-    plan = pw.seq.plan
-    x = pw.anchor
-    for m in range(pw.M - 1, n - 1, -1):
+def _first_violation(plan, M: int, x: int):
+    """(m, reason) for the highest level m < M at which tower position x
+    breaks maturity, or None; windows keep it, so the reason is interned."""
+    for m in range(M - 1, -1, -1):
         st = plan.stage(m)
         i, j, copy, x, ok = descend(st, x)
         if not ok:
-            return MaturityResult(False, f"boundary@{m + 1}")
+            return m, sys.intern(f"boundary@{m + 1}")
         e0, e1, e2 = st.edge_bands
         if copy < e0 or copy >= (st.l - 1) - e0:
-            return MaturityResult(False, f"copy-edge@{m}")
+            return m, sys.intern(f"copy-edge@{m}")
         if j < e1 or j >= st.k - e1:
-            return MaturityResult(False, f"subsection-edge@{m}")
+            return m, sys.intern(f"subsection-edge@{m}")
         if i < e2 or i >= st.q - e2:
-            return MaturityResult(False, f"section-edge@{m}")
-    return MaturityResult(True)
+            return m, sys.intern(f"section-edge@{m}")
+    return None
+
+
+def maturity(pw: PointWindow, n: int) -> MaturityResult:
+    """Mature at n: at every level m in [n, M) the origin has a defined
+    location and its descent coordinates avoid the first/last edge bands
+    of copies, 1-subsections and 2-subsections.  A lookup: the window
+    descended once, when it was built, and kept its first violation."""
+    if not 0 <= n < pw.M:
+        raise ValueError("need n < M")
+    v = pw._violation
+    if v is None or n > v[0]:
+        return MaturityResult(True)
+    return MaturityResult(False, v[1])
+
+
+def _numerator(plan, m: int, x):
+    """a = x p_m mod q_m for tower position(s) x at anchor m."""
+    qm = plan.q(m)
+    return x * (plan.p(m) % qm) % qm
 
 
 def immature_fraction(seq, M: int, word_index: int, n: int) -> Fraction:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import frac_str, inverse_mod
-from .locations import D_n, PointWindow, descend, maturity
+from .locations import D_n, PointWindow, _numerator, descend, maturity
 
 LANE_L, LANE_R = "L", "R"
 
@@ -58,12 +58,6 @@ def _position(st: _Stage, a):
     carry = aq % st.qm >= st.T
     return (st.inv * (aq // st.qm) % st.q,
             st.inv * (st.fb + carry) % st.q, carry)
-
-
-def _numerator(plan, m: int, x):
-    """a = x p_m mod q_m for tower position(s) x at anchor m."""
-    qm = plan.q(m)
-    return x * (plan.p(m) % qm) % qm
 
 
 def _tower(plan, m: int) -> np.ndarray:
@@ -149,13 +143,15 @@ class Displacement:
 
 
 def displacement(beta, pw: PointWindow, n: int) -> Displacement:
-    plan = pw.seq.plan
+    if not 0 <= n <= pw.M:
+        raise ValueError("stage out of range")
     if n < pw.M:
         mat = maturity(pw, n)
         if not mat.mature:
             return Displacement(None, None, reason=mat.violated)
-    st = _stage(plan, n, pw.M, Fraction(beta))
-    _, d, carry = _position(st, _numerator(plan, pw.M, pw.anchor))
+    beta = beta if isinstance(beta, Fraction) else Fraction(beta)
+    st = _stage(pw.seq.plan, n, pw.M, beta)
+    _, d, carry = _position(st, pw._a)
     return Displacement(d, LANE_R if carry else LANE_L, st.degenerate)
 
 
@@ -183,8 +179,8 @@ def match_class(beta, pw: PointWindow, n: int) -> MatchClass:
     if not mat.mature:
         return MatchClass(None, reason=mat.violated)
     plan = pw.seq.plan
-    valid, j0, j1 = _match(plan, n, pw.M, Fraction(beta),
-                           _numerator(plan, pw.M, pw.anchor))
+    beta = beta if isinstance(beta, Fraction) else Fraction(beta)
+    valid, j0, j1 = _match(plan, n, pw.M, beta, pw._a)
     if not valid:
         return MatchClass(None, reason="block start in spacer region")
     if j0 == j1:

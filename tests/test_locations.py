@@ -1,13 +1,15 @@
 """Principal-block locations, maturity, and the spacer projection."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circsys.coefficients import desk_plan
-from circsys.locations import (D_n, PointWindow, immature_fraction,
-                               locate, location_tables, maturity,
-                               project_pi)
+from circsys.locations import (D_n, MaturityResult, PointWindow, descend,
+                               immature_fraction, locate, location_tables,
+                               maturity, project_pi)
 from circsys.systems import circular_sequence
 from circsys.words import word
 
@@ -19,6 +21,59 @@ def desk_circ(depth=3, kl=((2, 2), (2, 2), (2, 2))):
     k0 = plan.stage(0).k
     prewords[0] = [tuple((i + j) % 2 for j in range(k0)) for i in range(2)]
     return circular_sequence(plan, "01", prewords)
+
+
+def ref_maturity(pw: PointWindow, n: int) -> MaturityResult:
+    """Maturity by walking the descent from M - 1 down to n, level by
+    level, and returning the first violation met."""
+    if not 0 <= n < pw.M:
+        raise ValueError("need n < M")
+    plan = pw.seq.plan
+    x = pw.anchor
+    for m in range(pw.M - 1, n - 1, -1):
+        st = plan.stage(m)
+        i, j, copy, x, ok = descend(st, x)
+        if not ok:
+            return MaturityResult(False, f"boundary@{m + 1}")
+        e0, e1, e2 = st.edge_bands
+        if copy < e0 or copy >= (st.l - 1) - e0:
+            return MaturityResult(False, f"copy-edge@{m}")
+        if j < e1 or j >= st.k - e1:
+            return MaturityResult(False, f"subsection-edge@{m}")
+        if i < e2 or i >= st.q - e2:
+            return MaturityResult(False, f"section-edge@{m}")
+    return MaturityResult(True)
+
+
+class TestWindow:
+    def test_range_checked(self):
+        seq = desk_circ()                # depth 3, two words per stage
+        for M, word_index in ((-1, 0), (4, 0), (3, 2), (3, 5), (3, -1)):
+            with pytest.raises(ValueError):
+                PointWindow(seq, M, word_index, 0)
+
+    def test_identity_is_the_fields(self):
+        seq = desk_circ(depth=2, kl=((2, 2), (2, 2)))
+        pw = PointWindow(seq, 2, 1, 17)
+        assert pw == PointWindow(seq, 2, 1, 17)
+        assert pw != PointWindow(seq, 2, 1, 18)
+        assert hash(pw) == hash((seq, 2, 1, 17))
+        assert repr(pw) == (f"PointWindow(seq={seq!r}, M=2, word_index=1, "
+                            f"anchor=17)")
+        assert dataclasses.asdict(pw) == {
+            "seq": dataclasses.asdict(seq), "M": 2, "word_index": 1,
+            "anchor": 17}
+
+    def test_replace_descends_afresh(self):
+        seq = desk_circ()
+        plan = seq.plan
+        pws = [PointWindow(seq, 3, 0, x) for x in range(plan.q(3))]
+        mature = next(pw for pw in pws if maturity(pw, 0).mature)
+        immature = next(pw for pw in pws if not maturity(pw, 2).mature)
+        for x, y in ((mature, immature), (immature, mature)):
+            moved = dataclasses.replace(x, anchor=y.anchor)
+            assert [maturity(moved, n) for n in range(3)] == \
+                [maturity(y, n) for n in range(3)]
 
 
 class TestLocate:
@@ -91,6 +146,29 @@ class TestMaturity:
                 for n in range(3):
                     assert locate(pw, n).defined
         assert found > 0
+
+
+    def test_matches_walk_on_the_desk_tower(self):
+        seq = desk_circ()
+        for M in (1, 2, 3):
+            for x in range(seq.plan.q(M)):
+                pw = PointWindow(seq, M, 0, x)
+                for n in range(M):
+                    assert maturity(pw, n) == ref_maturity(pw, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(2, 4), st.integers(2, 4)),
+                    min_size=2, max_size=3),
+           st.data())
+    def test_matches_walk(self, kl, data):
+        seq = desk_circ(depth=len(kl), kl=tuple(kl))
+        M = data.draw(st.integers(1, len(kl)))
+        anchors = data.draw(st.lists(
+            st.integers(0, seq.plan.q(M) - 1), min_size=1, max_size=30))
+        for x in anchors:
+            pw = PointWindow(seq, M, 0, x)
+            for n in range(M):
+                assert maturity(pw, n) == ref_maturity(pw, n)
 
 
 class TestProjection:

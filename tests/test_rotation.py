@@ -130,6 +130,24 @@ class TestDisplacement:
                     a, b = sorted(vals)
                     assert (b - a) % q in (j1 % q, (q - j1) % q)
 
+    def test_stage_range_checked(self):
+        # the plan has stages above the window's M = 2
+        plan = desk_plan(kl=((2, 2),) * 4)
+        seq = circular_sequence(plan, "01", [[(0, 1), (1, 0)]] * 4)
+        pw = PointWindow(seq, 2, 0, 37)
+        for n in (-1, 3, 4, 5):
+            with pytest.raises(ValueError, match="stage out of range"):
+                displacement(Fraction(1, 3), pw, n)
+
+    def test_beta_forms_agree(self):
+        seq = circ3()
+        for x in range(0, PLAN3.q(3), 7):
+            pw = PointWindow(seq, 3, 0, x)
+            for forms in ((Fraction(1, 2), "1/2", 0.5), (0, Fraction(0))):
+                for n in (1, 2, 3):
+                    assert len({displacement(b, pw, n) for b in forms}) == 1
+                assert len({match_class(b, pw, 1) for b in forms}) == 1
+
     def test_lane_densities(self):
         seq = circ3()
         plan = seq.plan
