@@ -21,8 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from math import isfinite
 
 import click
 
@@ -32,7 +34,7 @@ from .coefficients import (PlanError, audit_plan, code_coefficients,
                            plan_from_json, plan_hash, plan_to_obj)
 from .words import WordIndexError, dbar, word
 from .circular import CircularParseError, parse_circular
-from .systems import SequenceError, sequence_to_json
+from .systems import SequenceError, sequence_to_obj
 from .codes import apply_code, natural_code
 from .rotation import build_red_zones, delta_csv, rotation_report
 from .specbuild import (BuildError, ToleranceProfile, build_attempt,
@@ -74,13 +76,45 @@ def _read_input(path: str) -> str:
 
 
 def _emit(ctx, payload: dict, plan=None, seed=None) -> None:
-    """Write the report under its run manifest."""
+    """Write the report under its run manifest, rendered by _render: the
+    bytes of json.dumps(doc, indent=2, sort_keys=True) plus a newline."""
     man = RunManifest(ctx.command.name,
                       dict(sorted(ctx.obj["inputs"].items())),
                       None if plan is None else plan_hash(plan),
                       seed, __version__, (ctx.obj.get("out") or "-",))
     doc = {"manifest": asdict(man) | {"digest": man.digest()}} | payload
-    _write(ctx, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(ctx, _render(doc) + "\n")
+
+
+def _render(obj, indent="\n") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) in one recursive pass, as
+    CPython runs its pure-Python encoder whenever ``indent`` is set: keys
+    sort, then print, as json coerces them; tuples print as lists."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        return "{" + inner + ("," + inner).join([
+            _render(k if isinstance(k, str) else _scalar(k)) + ": "
+            + _render(v, inner) for k, v in sorted(obj.items())]) \
+            + indent + "}" if obj else "{}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + inner + ("," + inner).join([
+            _render(v, inner) for v in obj]) + indent + "]" if obj else "[]"
+    return _scalar(obj)
+
+
+def _scalar(obj) -> str:
+    """JSON text of a number, bool or None as json writes it."""
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if not isinstance(obj, float):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                        f"serializable")
+    return float.__repr__(obj) if isfinite(obj) else \
+        "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
 
 
 def _write(ctx, text: str) -> None:
@@ -243,7 +277,7 @@ def _emit_checked(ctx, plan, seed, report, built=None, **payload):
     """A build-family report: the battery's verdict and, for a build, its
     sequence and output hash; exit 2 when a check failed."""
     if built is not None:
-        payload["sequence"] = json.loads(sequence_to_json(built.seq))
+        payload["sequence"] = sequence_to_obj(built.seq)
         payload["output_hash"] = json_digest(payload["sequence"])
     payload.update(report=report.to_obj(), ok=report.ok())
     _emit(ctx, payload, plan, seed)

@@ -128,7 +128,7 @@ def maturity(pw: PointWindow, n: int) -> MaturityResult:
     of copies, 1-subsections and 2-subsections.  A lookup: the window
     descended once, when it was built, and kept its first violation."""
     if not 0 <= n < pw.M:
-        raise ValueError("need n < M")
+        raise ValueError("need 0 <= n < M")
     v = pw._violation
     if v is None or n > v[0]:
         return MaturityResult(True)

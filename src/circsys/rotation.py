@@ -172,6 +172,8 @@ def match_class(beta, pw: PointWindow, n: int) -> MatchClass:
     """Compare the argument slot holding the point's principal n-block
     with the slot holding it after displacement; well exactly when they
     agree."""
+    if n < 0:
+        raise ValueError("stage out of range")
     if n + 1 > pw.M:
         return MatchClass(None, reason="anchor too shallow")
     # maturity at n covers every level maturity at n + 1 checks

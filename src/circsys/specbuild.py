@@ -332,7 +332,8 @@ _CHUNK_ELEMS = 1 << 16
 # Distinct deviations |c1/s1 - tn/td| differ by at least 1/(s1 s2 td): more
 # than the margin while s1 s2 td < 10^9 (k = 1024 and td = 16 give 1.7e7),
 # and more than the 2^-53 spacing of floats below 1, which _prefix_argmax's
-# exact order rests on, while s1 s2 td < 2^53.
+# exact order rests on, while s1 s2 td < 2^53.  So a row holding the exact
+# maximum keeps a float band bound above the float lower bound less it.
 _FILTER_MARGIN = 1e-9
 
 
@@ -477,52 +478,92 @@ def _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None, target=None):
     tn, td = (1, s_prev * s_prev) if target is None else \
         (target.numerator, target.denominator)
     out = []
-    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
-        if groups is not None:
-            P = np.matmul(groups, P)
-        # past the overlap, counts and j0 stay put: argmax takes j0 first
-        j0s = np.minimum(np.arange(j_lo, P.shape[2] + 1),
-                         (k - T[lo:lo + len(P)])[:, None, None])
-        devs = np.abs(P[:, :, j_lo - 1:] * np.int64(td) - j0s * tn) \
-            / (j0s * td)
-        pair, col = np.divmod(devs.reshape(len(P), -1).argmax(axis=1),
-                              devs.shape[2])
-        out += zip(P[np.arange(len(P)), pair, j_lo - 1 + col].tolist(),
-                   j0s[np.arange(len(P)), 0, col].tolist(), pair.tolist())
+    for lo, B in _prefix_pair_counts(slots, s_prev, U, V, T):
+        B = B if groups is None else np.matmul(groups, B)
+        # rows of at most _CHUNK_ELEMS deviations at a time, computed in
+        # place in one C-ordered float64 array whose rows reshape as views;
+        # the integers stay exact below 2**53
+        step = max(1, _CHUNK_ELEMS // B[0, :, j_lo - 1:].size)
+        for a in range(0, len(B), step):
+            P = B[a:a + step]
+            # counts and j0 stay put past the overlap: argmax takes j0 first
+            j0s = np.minimum(np.arange(j_lo, P.shape[2] + 1),
+                             (k - T[lo + a:lo + a + len(P)])[:, None, None])
+            devs = np.multiply(P[:, :, j_lo - 1:], float(td), order="C")
+            devs -= j0s * tn
+            np.abs(devs, out=devs)
+            devs /= j0s * td
+            pair, col = np.divmod(devs.reshape(len(P), -1).argmax(axis=1),
+                                  devs.shape[2])
+            out += zip(P[np.arange(len(P)), pair, j_lo - 1 + col].tolist(),
+                       j0s[np.arange(len(P)), 0, col].tolist(), pair.tolist())
     return np.array(out, dtype=np.int64).reshape(-1, 3).T
+
+
+def _band_bound(P, edges, over, groups, tf):
+    """Per row of a prefix-kernel block P, overlap ``over``: a bound above
+    |count / j0 - tf| over groups and j0 in [edges[0], over], for edges
+    that rise to the overlap and clamp to it.  Group sums of counts grow
+    with j0, so on a band [a, b] count / j0 lies in [P(a) / b, P(b) / a]."""
+    Pe = P[:, :, np.minimum(edges, P.shape[2]) - 1]
+    Pe = Pe if groups is None else np.matmul(groups, Pe)
+    j0 = np.minimum(edges, over[:, None])[:, None]
+    return np.maximum((Pe[:, :, 1:] / j0[:, :, :-1]).max(axis=(1, 2)) - tf,
+                      tf - (Pe[:, :, :-1] / j0[:, :, 1:]).min(axis=(1, 2)))
+
+
+def _banded_argmax(slots, s_prev, U, V, T, j_lo, live, groups=None,
+                   target=None):
+    """_prefix_argmax on the ``live`` rows that can hold the first exact
+    maximum of their window deviations: their indices, its arrays for
+    them, and every row's whole-overlap counts [r, pair], from one kernel
+    pass.  The largest live deviation at j0 = k - t bounds the maximum
+    below, and so does the exact maximum of any one row; a row whose
+    _band_bound is below the larger, less _FILTER_MARGIN, cannot hold the
+    maximum, and one that ties it survives.  A window whose every column
+    is a band edge skips the bound: all its live rows survive."""
+    npair = s_prev * s_prev
+    tf = 1 / npair if target is None else float(target)
+    over = slots.shape[1] - T
+    j_hi, edges = int(over[live].max(initial=j_lo)), [j_lo]
+    while edges[-1] < j_hi:     # each band max(1, a // 16) wide from a
+        edges.append(min(j_hi, edges[-1] + max(1, edges[-1] // 16)))
+    bounded, edges = len(edges) <= j_hi - j_lo, np.array(edges)
+    totals = np.zeros((len(U), npair), np.int32)
+    upper = np.full(len(U), np.inf)
+    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+        hi = lo + len(P)
+        totals[lo:hi] = P[:, :, -1]
+        if bounded:
+            upper[lo:hi] = _band_bound(P, edges, over[lo:hi], groups, tf)
+    rows = np.flatnonzero(live)
+    if bounded:
+        whole = totals[rows] if groups is None else totals[rows] @ groups.T
+        top = rows[[upper[rows].argmax()]]
+        c, j0, _ = _prefix_argmax(slots, s_prev, U[top], V[top], T[top], j_lo,
+                                  groups, target)
+        lower = max(np.abs(whole / over[rows, None] - tf).max(),
+                    abs(c[0] / j0[0] - tf))
+        rows = rows[upper[rows] >= lower - _FILTER_MARGIN]
+    return rows, _prefix_argmax(slots, s_prev, U[rows], V[rows], T[rows],
+                                j_lo, groups, target), totals
 
 
 def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
     """J10 over the full overlap of every shift t <= (1 - eps) k, and J10.1
     over every prefix j0 >= eps_var k of every shift t <= (1 - eps_var) k,
-    from one pass of the prefix kernel."""
+    from one pass of the prefix kernel; J10.1's first exact maximum lies
+    in the rows its band bound keeps (_banded_argmax)."""
     w, k = slots.shape
     s = w // 2
     npair = s_prev * s_prev
-    tf = 1 / npair
     eps_var = Fraction(eps_var)
     t10 = ceil((1 - Fraction(eps)) * k) - 1
     j_lo = max(1, ceil(eps_var * k))
     t101 = min(ceil((1 - eps_var) * k) - 1, k - j_lo)
     U, V, T = _grid(range(w), range(w), range(1, max(t10, t101) + 1))
-    totals = np.zeros((len(U), npair), np.int32)
-    # J10.1's per-row float filter value; -1 marks a row outside the check
-    f101 = np.full(len(U), -1.0)
-    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
-        hi = lo + len(P)
-        totals[lo:hi] = P[:, :, -1]
-        # [pair, j0 - j_lo, row]: rows are contiguous in the kernel's blocks
-        win = P[:, :, j_lo - 1:].transpose(1, 2, 0)
-        top = bot = win[0]
-        for c in win[1:]:
-            top, bot = np.maximum(top, c), np.minimum(bot, c)
-        # max over pairs and j0 of |count / j0 - 1 / npair|; past the
-        # overlap, counts and j0 stay put
-        j0s = np.minimum.outer(np.arange(j_lo, j_lo + win.shape[1], 1.0),
-                               k - T[lo:hi])
-        f101[lo:hi] = np.maximum((top / j0s).max(axis=0, initial=tf) - tf,
-                                 tf - (bot / j0s).min(axis=0, initial=tf))
-    f101[T > t101] = -1.0
+    c101, (counts, j0, pids), totals = _banded_argmax(
+        slots, s_prev, U, V, T, j_lo, T <= t101)
 
     def wit10(i):
         r, pid = divmod(i, npair)
@@ -530,12 +571,6 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
         return {"u": u, "v": v, "t": t,
                 "pair": _signed_pair(pid, s_prev, u >= s, v >= s),
                 "count": int(totals[r, pid]), "overlap": k - t}
-
-    # J10.1: the reported deviation of every row near the float maximum
-    c101 = np.flatnonzero((f101 >= 0) & (f101 >= f101.max(initial=-1.0)
-                                         - _FILTER_MARGIN))
-    counts, j0, pids = _prefix_argmax(slots, s_prev, U[c101], V[c101],
-                                      T[c101], j_lo)
 
     def wit101(i):
         u, v = int(U[c101[i]]), int(V[c101[i]])
@@ -835,7 +870,8 @@ def check_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
     """For every pair of prewords and shift t, the frequency of aligned
     slot pairs whose classes lie in one orbit of the stage-n action, on
     every prefix j0 >= eps k; each (w0, w1, t) reports the exact value at
-    its float argmax."""
+    its float argmax, among the rows the band bound keeps (_banded_argmax),
+    as a group sum of prefix counts is nondecreasing in j0."""
     classes = built.stage(n).classes
     action = built.actions[n] if built.actions else None
     if classes is None or action is None:
@@ -854,8 +890,9 @@ def check_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
     j_lo = max(1, ceil(eps * k))
     w0, w1, t = _grid(range(s), range(s),
                       range(1, min(int((1 - eps) * k), k - j_lo) + 1))
-    counts, j0, _ = _prefix_argmax(slots, s_prev, w1, w0, t, j_lo, related,
-                                   target)
+    rows, (counts, j0, _), _ = _banded_argmax(
+        slots, s_prev, w1, w0, t, j_lo, t > 0, related, target)
+    w0, w1, t = w0[rows], w1[rows], t[rows]
     return _worst_entry(
         "T6", counts, j0, (target.numerator, target.denominator), mu,
         lambda i: {"w0": int(w0[i]), "w1": int(w1[i]), "t": int(t[i]),

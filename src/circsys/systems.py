@@ -361,9 +361,9 @@ def skew_diagonal_extend(action: GroupActionTable, prewords,
 # ---------------------------------------------------------------------------
 # serialization
 
-def sequence_to_json(seq: ConstructionSequence) -> str:
+def sequence_to_obj(seq: ConstructionSequence) -> dict:
     from .coefficients import plan_to_obj
-    return json.dumps({
+    return {
         "flavor": seq.flavor,
         "plan": plan_to_obj(seq.plan),
         "stages": [{
@@ -371,4 +371,8 @@ def sequence_to_json(seq: ConstructionSequence) -> str:
             "compositions": [list(t) for t in st.compositions],
             "classes": list(st.classes) if st.classes is not None else None,
         } for st in seq.stages],
-    })
+    }
+
+
+def sequence_to_json(seq: ConstructionSequence) -> str:
+    return json.dumps(sequence_to_obj(seq))

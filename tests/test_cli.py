@@ -2,12 +2,14 @@
 
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import circsys.cli
 import circsys.specbuild
-from circsys.cli import run
+from circsys.cli import _render, run
 from circsys.coefficients import (desk_plan, extend_plan, grow_plan,
                                   plan_from_obj, plan_to_json)
 from circsys.trees import TreePrefix, tree_to_json
@@ -266,3 +268,37 @@ class TestErrors:
     def test_bad_fraction(self):
         assert run(["dbar", "--u", "01", "--v", "01", "--a", "1",
                     "--b", "1"]) == 3
+
+
+# json.dumps(indent=2, sort_keys=True) is the oracle for _render's bytes
+STRINGS = st.text() | st.sampled_from(
+    ["", '"', "\\", "/", "\n\t\r\b\f", "\x00\x1f\x7f", "\u2028",
+     "é", "\U0001f600", "\ud800"])
+SCALARS = st.one_of(
+    st.none(), st.booleans(), STRINGS,
+    st.integers() | st.sampled_from([2 ** 63, -2 ** 64, 10 ** 40]),
+    st.floats() | st.sampled_from([-0.0, 1e16, 1e-7, 5e-324,
+                                   float("nan"), float("inf"),
+                                   float("-inf")]))
+# keys of one type per dict, each coerced to a string as json coerces it
+KEYS = st.sampled_from([STRINGS, st.integers(), st.floats(), st.booleans(),
+                        st.none()])
+TREES = st.recursive(SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    KEYS.flatmap(lambda keys: st.dictionaries(keys, kids, max_size=4))),
+    max_leaves=40)
+
+
+class TestRender:
+    @given(TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_json(self, tree):
+        assert _render(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("bad", [
+        Fraction(1, 2), {(1, 2): 0}, {"a": 0, 1: 0}, [b"x"], {None: 0, 0: 1}])
+    def test_what_json_rejects_raises(self, bad):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _render(bad)

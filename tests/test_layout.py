@@ -2,7 +2,9 @@
 src/circsys/ is referenced by name in src/ (outside its own body), demos/
 or perfbench/, is a click command, or has a reason in KEEP.  Oracles and
 helpers that only tests call live in the tests.  Nothing in src/circsys/
-reads the process environment, so no setting acts unseen by the report."""
+reads the process environment, so no setting acts unseen by the report.
+Only plan_to_json, whose bytes define the plan hash, renders JSON through
+json.dumps with an indent, which runs the pure-Python encoder."""
 
 import ast
 from pathlib import Path
@@ -22,6 +24,7 @@ KEEP = {
     "identity_action": "test fixture: the trivial group action",
     "swap_side_action": "test fixture: a side-swapping group action",
     "tree_to_json": "test fixture: tree files for the CLI tests",
+    "sequence_to_json": "perfbench/tracer.py wraps it by its name string",
 }
 
 ENV_READS = {"environ", "environb", "getenv", "getenvb"}
@@ -69,3 +72,17 @@ def test_nothing_reads_the_environment():
              if isinstance(node, ast.Attribute) and node.attr in ENV_READS
              or isinstance(node, ast.alias) and node.name in ENV_READS]
     assert reads == []
+
+
+def test_only_the_plan_file_indents_through_json_dumps():
+    calls = []
+    for path, tree in _modules("src/circsys"):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            calls += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "dumps"
+                      and any(kw.arg == "indent" for kw in node.keywords)]
+    assert calls == ["coefficients.py:plan_to_json"]

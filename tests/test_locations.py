@@ -27,7 +27,7 @@ def ref_maturity(pw: PointWindow, n: int) -> MaturityResult:
     """Maturity by walking the descent from M - 1 down to n, level by
     level, and returning the first violation met."""
     if not 0 <= n < pw.M:
-        raise ValueError("need n < M")
+        raise ValueError("need 0 <= n < M")
     plan = pw.seq.plan
     x = pw.anchor
     for m in range(pw.M - 1, n - 1, -1):
@@ -134,6 +134,12 @@ class TestMaturity:
             slack = Fraction(6, plan.q(n + 1)) if plan.q(n) > 1 else 0
             bound = Fraction(1, st.l) + st.eps_classic * 6 + slack
             assert frac <= bound + Fraction(1, 2)
+
+    def test_stage_range_message_names_both_bounds(self):
+        pw = PointWindow(desk_circ(), 2, 0, 0)
+        for n in (-1, 2):
+            with pytest.raises(ValueError, match="need 0 <= n < M"):
+                maturity(pw, n)
 
     def test_mature_point_has_locations(self):
         seq = desk_circ()

@@ -139,6 +139,11 @@ class TestDisplacement:
             with pytest.raises(ValueError, match="stage out of range"):
                 displacement(Fraction(1, 3), pw, n)
 
+    def test_match_class_below_stage_0_is_out_of_range(self):
+        pw = PointWindow(circ3(), 3, 0, 100)
+        with pytest.raises(ValueError, match="stage out of range"):
+            match_class(Fraction(1, 3), pw, -1)
+
     def test_beta_forms_agree(self):
         seq = circ3()
         for x in range(0, PLAN3.q(3), 7):

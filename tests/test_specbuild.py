@@ -9,16 +9,17 @@ from math import ceil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from circsys import specbuild
 from circsys.coefficients import desk_plan
 from circsys.specbuild import (BuildError, BuiltSequence, RoundingBoundError,
                                SpecEntry, ToleranceProfile, _J11_1_pairs,
-                               _check_J10_J10_1, _check_J11, _check_J11_1,
-                               _pair_totals, _prefix_argmax,
-                               _prefix_pair_counts,
-                               _rounding_bound, _slot_matrix, build_attempt,
+                               _band_bound, _banded_argmax,
+                               _check_J10_J10_1, _check_J11,
+                               _check_J11_1, _pair_totals, _prefix_argmax,
+                               _prefix_pair_counts, _rounding_bound,
+                               _slot_matrix, _worst_entry, build_attempt,
                                build_words, check_T4, check_T5, check_T6,
                                check_T7, check_specs, check_timing,
                                desk_tolerances, gamma_cascade,
@@ -547,12 +548,12 @@ def ref_T5(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
     return SpecEntry("T5", status, worst, mu, witness)
 
 
-def ref_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
+def ref_T6_rows(built: BuiltSequence, n: int):
+    """Per T6 row (w0, w1, t), in loop order: its first exact maximum
+    deviation over the window and the j0 there."""
     seq = built.seq
     slots, s, s_prev, table, Q = _class_rows(built, n)
-    action = built.actions[n] if built.actions else None
-    if action is None:
-        return SpecEntry("T6", "not-checked")
+    action = built.actions[n]
     k = slots.shape[1]
     eps = Fraction(seq.plan.stage(n).eps_classic)
     G = len(action.elements)
@@ -562,7 +563,6 @@ def ref_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
     for a in range(2 * s_prev):
         for b in range(2 * s_prev):
             rel_table[a, b] = (table[a], table[b]) in orbit_pairs
-    worst, witness = Fraction(0), {}
     t_max = int((1 - eps) * k)
     j_lo = max(1, ceil(eps * k))
     for w0 in range(s):
@@ -574,10 +574,17 @@ def ref_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
                                           slots[w1, t:]])[j_lo - 1:]
                 j0s = np.arange(j_lo, k - t + 1)
                 c, dev = ref_first_max(cum, j0s, target)
-                if dev > worst:
-                    worst = dev
-                    witness = {"w0": w0, "w1": w1, "t": t,
-                               "j0": int(j0s[c])}
+                yield (w0, w1, t), dev, int(j0s[c])
+
+
+def ref_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
+    if not built.actions or built.actions[n] is None:
+        return SpecEntry("T6", "not-checked")
+    worst, witness = Fraction(0), {}
+    for (w0, w1, t), dev, j0 in ref_T6_rows(built, n):
+        if dev > worst:
+            worst = dev
+            witness = {"w0": w0, "w1": w1, "t": t, "j0": j0}
     status = "pass" if worst < mu else "fail"
     return SpecEntry("T6", status, worst, mu, witness)
 
@@ -727,6 +734,57 @@ def ref_prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None,
     return out
 
 
+def ref_J10_1_filter(slots, s_prev, U, V, T, j_lo, groups=None,
+                     target=None):
+    """The rows _prefix_argmax visited before the band bound, and its
+    arrays for them: every row's float maximum of |count / j0 - target|
+    over every window column and group, kept when within 1e-9 of the
+    largest."""
+    k = slots.shape[1]
+    tf = 1 / (s_prev * s_prev) if target is None else float(target)
+    f101 = np.full(len(U), -1.0)
+    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+        hi = lo + len(P)
+        if groups is not None:
+            P = np.matmul(groups, P)
+        # [group, j0 - j_lo, row]; past the overlap, counts and j0 stay put
+        win = P[:, :, j_lo - 1:].transpose(1, 2, 0)
+        top, bot = win.max(axis=0), win.min(axis=0)
+        j0s = np.minimum.outer(np.arange(j_lo, j_lo + win.shape[1], 1.0),
+                               k - T[lo:hi])
+        f101[lo:hi] = np.maximum((top / j0s).max(axis=0, initial=tf) - tf,
+                                 tf - (bot / j0s).min(axis=0, initial=tf))
+    rows = np.flatnonzero(f101 >= f101.max(initial=-1.0) - 1e-9)
+    return rows, _prefix_argmax(slots, s_prev, U[rows], V[rows], T[rows],
+                                j_lo, groups, target)
+
+
+def window_entry(rows, found, target):
+    """The first exact maximum of _prefix_argmax's arrays for ``rows``,
+    with its row, j0 and group as the witness."""
+    counts, j0, group = found
+    return _worst_entry(
+        "window", counts, j0, (target.numerator, target.denominator),
+        Fraction(1), lambda i: {"row": int(rows[i]), "j0": int(j0[i]),
+                                "group": int(group[i])})
+
+
+def assert_band_bound_exact(slots, s_prev, U, V, T, j_lo, groups=None,
+                            target=None):
+    """The band-bound rows give the full filter's worst value and witness,
+    and every row whose window reaches that value is among them."""
+    rows, found, _ = _banded_argmax(slots, s_prev, U, V, T, j_lo, T >= 0,
+                                    groups, target)
+    tf = Fraction(1, s_prev * s_prev) if target is None else target
+    want = window_entry(*ref_J10_1_filter(slots, s_prev, U, V, T, j_lo,
+                                          groups, target), tf)
+    assert_same_entry(window_entry(rows, found, tf), want)
+    per_row = ref_prefix_argmax(slots, s_prev, U, V, T, j_lo, groups, target)
+    tied = {r for r, (c, j0, _) in enumerate(per_row)
+            if abs(Fraction(c, j0) - tf) == want.worst_deviation}
+    assert tied <= set(rows.tolist())
+
+
 class TestPrefixKernel:
     @given(word_families(), CHUNKS, st.data())
     @settings(max_examples=60, deadline=None)
@@ -752,11 +810,12 @@ class TestPrefixKernel:
                         assert P[i, :, j].tolist() == counts
         assert seen == len(U)
 
-    @given(word_families(), EPS, st.data())
+    @given(word_families(), EPS, CHUNKS, st.data())
     @settings(max_examples=60, deadline=None)
-    def test_prefix_argmax_matches_per_row_loop(self, fam, eps, data):
+    def test_prefix_argmax_matches_per_row_loop(self, fam, eps, chunk, data):
         # groups of pairs and targets 1/2 and 1/3 widen the draws; equal
-        # deviations of opposite sign can round apart in float
+        # deviations of opposite sign can round apart in float; small
+        # chunks split the float work of a block into slices of rows
         slots, s, s_prev = fam
         k = slots.shape[1]
         j_lo = max(1, ceil(eps * k))
@@ -767,10 +826,25 @@ class TestPrefixKernel:
             min_size=1, max_size=3).map(np.array))
         target = data.draw(st.sampled_from(
             [None, Fraction(1, 2), Fraction(1, 3)]))
-        got = argmax_rows(_prefix_argmax(slots, s_prev, U, V, T, j_lo,
-                                         groups, target))
+        with mock.patch.object(specbuild, "_CHUNK_ELEMS",
+                               chunk or specbuild._CHUNK_ELEMS):
+            got = argmax_rows(_prefix_argmax(slots, s_prev, U, V, T, j_lo,
+                                             groups, target))
         assert got == ref_prefix_argmax(slots, s_prev, U, V, T, j_lo,
                                         groups, target)
+
+    def test_prefix_argmax_slices_a_block_by_its_own_rows(self,
+                                                         monkeypatch):
+        # at 2**7 elements the four rows are one kernel block, whose float
+        # work runs in slices of two rows, each clamped at its own overlaps
+        monkeypatch.setattr(specbuild, "_CHUNK_ELEMS", 1 << 7)
+        slots = signed_slot_matrix(
+            [[1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1]], 2)
+        U = V = np.zeros(4, np.int64)
+        T = np.array([0, 0, 4, 4])
+        assert argmax_rows(_prefix_argmax(slots, 2, U, V, T, 8)) == \
+            ref_prefix_argmax(slots, 2, U, V, T, 8) == \
+            [(8, 12, 0), (8, 12, 0), (5, 12, 2), (5, 12, 2)]
 
     def test_prefix_argmax_breaks_opposite_sign_ties_in_order(self):
         # against target 1/2, count 2 at j0 = 3 and count 2 at j0 = 6 both
@@ -798,6 +872,55 @@ class TestPrefixKernel:
         assert got == ref_prefix_argmax(slots, s_prev, U, V, T, j_lo,
                                         groups, target)
         assert got[0][1:] == (j_lo, 0)
+
+    @given(word_families(), EPS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_band_bound_keeps_the_full_filter_entry(self, fam, eps, data):
+        # k > 33 windows have more columns than band edges
+        slots, s, s_prev = fam
+        k = slots.shape[1]
+        j_lo = max(1, ceil(eps * k))
+        U, V, T = data.draw(kernel_rows(fam, k - j_lo))
+        assert_band_bound_exact(slots, s_prev, U, V, T, j_lo)
+
+    @given(word_families(), EPS, CHUNKS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_band_bound_is_an_upper_bound(self, fam, eps, chunk, data):
+        # a band bound below a row's exact maximum could prune that row
+        slots, s, s_prev = fam
+        k = slots.shape[1]
+        j_lo = max(1, ceil(eps * k))
+        U, V, T = data.draw(kernel_rows(fam, k - j_lo))
+        npair = s_prev * s_prev
+        groups = data.draw(st.none() | st.lists(
+            st.lists(st.integers(0, 1), min_size=npair, max_size=npair),
+            min_size=1, max_size=3).map(np.array))
+        target = data.draw(st.sampled_from(
+            [Fraction(1, npair), Fraction(1, 2), Fraction(1, 3)]))
+        # any increasing edges from j_lo that reach every row's overlap
+        j_hi = k - int(T.min())
+        assume(j_hi > j_lo)
+        edges = np.array([j_lo] + sorted(
+            data.draw(st.sets(st.integers(j_lo + 1, j_hi))) | {j_hi}))
+        exact = ref_prefix_argmax(slots, s_prev, U, V, T, j_lo, groups,
+                                  target)
+        with mock.patch.object(specbuild, "_CHUNK_ELEMS",
+                               chunk or specbuild._CHUNK_ELEMS):
+            for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+                bound = _band_bound(P, edges, k - T[lo:lo + len(P)], groups,
+                                    float(target))
+                for b, (c, j0, _) in zip(bound, exact[lo:]):
+                    assert b >= float(abs(Fraction(c, j0) - target)) - 1e-12
+
+    @given(opposite_sign_ties(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_band_bound_keeps_drawn_opposite_sign_ties(self, tie, data):
+        slots, s_prev, j_lo, groups, target = tie
+        rows = data.draw(kernel_rows((slots, 1, s_prev),
+                                     slots.shape[1] - j_lo))
+        U, V, T = (np.concatenate([[0], c]) for c in rows)
+        assert_band_bound_exact(slots, s_prev, U, V, T, j_lo, groups,
+                                target)
 
     def test_words_of_2_16_symbols_raise_before_any_block(self):
         # the 16-bit counters would wrap; the u-codes alone would take 2 MB
@@ -923,14 +1046,15 @@ MUS = st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(3, 10),
 
 
 @st.composite
-def class_builds(draw):
+def class_builds(draw, k_max=24):
     """Built sequences with classes at stages 1 and 2 for the frequency
-    checks at n = 1: random or constant stage-2 words, stage-2 classes or
-    none, and missing, identity or side-swapping actions."""
+    checks at n = 1: random or constant stage-2 words of length k <=
+    k_max, stage-2 classes or none, and missing, identity or
+    side-swapping actions."""
     s1 = draw(st.sampled_from([2, 4]))
     Q = draw(st.sampled_from([q for q in (1, 2, 4) if q <= s1]))
     classes1 = tuple(draw(st.permutations([i % Q for i in range(s1)])))
-    k = draw(st.integers(2, 24))
+    k = draw(st.integers(2, k_max))
     s2 = draw(st.integers(1, 3))
     slot = st.integers(0, s1 - 1)
     word_ = st.one_of(st.lists(slot, min_size=k, max_size=k),
@@ -962,6 +1086,24 @@ class TestFrequencyChecks:
         for check, ref in ((check_T5, ref_T5), (check_T6, ref_T6),
                            (check_T7, ref_T7)):
             assert_same_entry(check(built, 1, mu), ref(built, 1, mu))
+
+    @given(class_builds(k_max=64), MUS)
+    @settings(max_examples=60, deadline=None)
+    def test_T6_band_bound_keeps_the_reference_entry(self, built, mu):
+        # k > 33 windows have more columns than band edges; every row that
+        # reaches the worst value must reach _prefix_argmax
+        seen = set()
+
+        def recorded(slots, s_prev, U, V, T, *args):
+            seen.update(zip(V.tolist(), U.tolist(), T.tolist()))
+            return _prefix_argmax(slots, s_prev, U, V, T, *args)
+        with mock.patch.object(specbuild, "_prefix_argmax", recorded):
+            got = check_T6(built, 1, mu)
+        want = ref_T6(built, 1, mu)
+        assert_same_entry(got, want)
+        if want.status != "not-checked":
+            assert {row for row, dev, _ in ref_T6_rows(built, 1)
+                    if dev == want.worst_deviation} <= seen
 
     def test_missing_class_data_is_not_checked(self):
         seq = odometer_sequence(desk_plan(kl=((4, 2), (2, 2), (2, 2))), "01",
