@@ -325,8 +325,8 @@ def _class_members(classes):
                            dtype=np.int64)
 
 
-# 64-bit words in a prefix-kernel block (512 KB; 1 << 15 and 1 << 17 ran
-# slower at k = 1024), each four 16-bit counts: exact while k < 2**16
+# a kernel block's 64-bit products, four 16-bit counts each (exact while
+# k < 2**16), or derived counts: at k = 1024 1 << 15 ran slower, 1 << 17 tied
 _CHUNK_ELEMS = 1 << 16
 # float filter margin: far above the float64 error of a deviation in [0, 1].
 # Distinct deviations |c1/s1 - tn/td| differ by at least 1/(s1 s2 td): more
@@ -340,74 +340,105 @@ _FILTER_MARGIN = 1e-9
 def _grid(*ranges):
     """Flat index arrays over the product of ``ranges``, last fastest;
     int32 halves the memory of J10's grid (about 2**16 rows at k = 1024)."""
-    return tuple(g.ravel() for g in np.meshgrid(
-        *(np.arange(r.start, r.stop, dtype=np.int32) for r in ranges),
-        indexing="ij"))
+    return tuple(g.ravel() + r.start for g, r in zip(
+        np.indices([len(r) for r in ranges], np.int32), ranges))
 
 
 @lru_cache(maxsize=None)
-def _pair_codes(s_prev):
-    """Per signed slot, u- and v-codes whose product is a 1 in local pair
-    (a, b)'s 16-bit field a * S + b, S = s_prev or a multiple of 4; and
-    the fields in pair order."""
-    S = s_prev if s_prev <= 2 else -(-s_prev // 4) * 4
-    m, nw, ab = -(-S // 4), -(-s_prev * S // 4), range(s_prev)
-    u = [[(a * S // 4 == d - d % m) << 16 * (a * S % 4) for d in range(nw)]
-         for a in ab]
-    v = [[(d % m == b // 4) << 16 * (b % 4) for d in range(nw)] for b in ab]
-    fields = [a * S + b for a in ab for b in ab]
-    return (np.array(2 * u, "<u8"), np.array(2 * v, "<u8"),
-            slice(len(fields)) if S == s_prev else fields)
+def _joint_codes(s_prev):
+    """Per signed slot, u- and v-codes whose product is a 1 in field a'S + b'
+    of local pair (a'+1, b'+1), a', b' < m = s_prev - 1, S = m or a multiple
+    of 4; S; R shifts to a word, their u-code weights; slots 1..m one-hot."""
+    m = s_prev - 1
+    S = m if m <= 2 else -(-m // 4) * 4
+    mw, nw, R = -(-S // 4), -(-m * S // 4), max(1, 4 // (m * S))
+    u = [[(a * S // 4 == d - d % mw) << 16 * (a * S % 4) for d in range(nw)]
+         for a in range(m)]
+    v = [[(d % mw == b // 4) << 16 * (b % 4) for d in range(nw)]
+         for b in range(m)]
+    return (np.array(2 * ([[0] * nw] + u), "<u8"),
+            np.array(2 * ([[0] * nw] + v), "<u8"), S, R,
+            np.array([1 << 16 * m * S * i for i in range(R)], "<u8"),
+            np.tile(np.eye(s_prev, dtype=np.int64)[1:], 2))
 
 
-def _prefix_pair_counts(slots, s_prev, U, V, T):
-    """Exact prefix pair counts for the rows (U[r], V[r], T[r]).
+def _prefix_pair_counts(slots, s_prev, U, V, T, cols=None):
+    """Exact prefix pair counts for the rows (U[r], V[r], T[r]) at the
+    prefix lengths ``cols``, strictly increasing from 1 (default 1 .. k -
+    min T).  Row r pairs word U[r], shifted by T[r], with word V[r]: x
+    holds the local pair (a, b) of u's slot at x + t and v's at x, mod
+    s_prev, which names the signed pair, as every slot of a signed word
+    has that word's parity.  Yields (lo, P) for consecutive blocks of rows
+    from row lo, P[i, a s_prev + b, c] = #{x < j: (a, b) at x}, j =
+    min(cols[c], k - t).  Every J and T frequency check counts here.
 
-    Row r pairs word U[r], shifted by T[r], with word V[r]: position x
-    holds the local pair id (slot u at x + t mod s_prev) * s_prev + (slot
-    v at x mod s_prev), which names the signed pair, as every slot of a
-    signed word has that word's parity.  Yields (lo, P) for consecutive
-    blocks of rows from row lo, P[i, pair, j] = #{x <= j : x < k - t,
-    id(x) = pair} as '<u2' in a buffer the next block reuses; columns
-    j >= k - t hold the whole overlap.  Every J and T frequency check
-    counts here.  Position x adds the product of a u-code and a v-code
-    (_pair_codes), so one in-place cumsum over positions makes four counts
-    per 64-bit add (Lamport, CACM 18(8), 1975).  A block within one run of
-    consecutive shifts of one (u, v) reads its u-codes through the Hankel
-    view H[u, t, x] = cu[u, t + x]; other blocks gather them from it.
-    """
+    Only n_ab with a, b >= 1 is counted, in 16-bit fields (Lamport, CACM
+    18(8), 1975; _joint_codes); with the prefix sums Cu_a of u's slot a
+    over x + t, x < j, and Cv_b, n_a0 = Cu_a - sum_b n_ab, n_0b = Cv_b -
+    sum_a n_ab, n_00 = j - sum Cu_a - sum Cv_b + sum n_ab.  At s_prev = 2
+    that is one field: in a block inside a run longer than a block four
+    shifts share a 64-bit word, the u-code at y holding [slot at y + i is
+    1] in field i, read through the Hankel view H[u, t, x] = cu[u, t + x];
+    other blocks gather a word per row, which reads field 0.  A block sums
+    its products between the columns (np.add.reduceat), then cumsums."""
     if not len(U):
         return
     w, k = slots.shape
     if k >= 1 << 16:
         raise ValueError(f"16-bit pair counts need k < 2**16, not {k}")
-    ucode, vcode, fields = _pair_codes(s_prev)
-    nw, L = ucode.shape[1], k - int(T.min())
+    ucode, vcode, S, R, weights, onehot = _joint_codes(s_prev)
+    m, n, nw, L = s_prev - 1, len(U), ucode.shape[1], k - int(T.min())
+    cols = np.arange(1, L + 1) if cols is None else np.asarray(cols)
+    starts, ncol = np.concatenate(([0], cols)), np.arange(len(cols))
+    # pre[a - 1, w (k + 1) + y]: the x < y where word w holds local slot a
+    pre = np.zeros((m, w * (k + 1)), np.int64)
+    onehot[:, slots].cumsum(axis=2, out=pre.reshape(m, w, -1)[:, :, 1:])
+    # a block holds at most _CHUNK_ELEMS products and derived counts
+    step = max(1, _CHUNK_ELEMS // max(nw * L, R * s_prev ** 2 * len(cols)))
+    buf = np.empty(min(step, n) * L * nw, "<u8")
     # u-codes past the word are 0, so shifted-out positions count nowhere
-    cu = np.concatenate([ucode[slots], np.zeros((w, L, nw), "<u8")], 1)
+    cu = np.zeros((w, k + L + R - 1, nw), "<u8")
+    cu[:, :k] = ucode[slots]
+    if n > step:    # stop[r]: the end of row r's run; cu[u, y]: u-codes at
+        # y + i in shift i's fields (one block reads field 0 only)
+        stop = np.append(((U[1:] != U[:-1]) | (V[1:] != V[:-1]) |
+                          (T[1:] != T[:-1] + 1)).nonzero()[0] + 1, n)
+        stop = stop[stop.searchsorted(np.arange(n), "right")]
+        cu = np.ndarray((w, k + L, nw, R), cu.dtype, cu,
+                        strides=cu.strides + cu.strides[1:2]) @ weights
     H = np.ndarray((w, k + 1, L, nw), cu.dtype, cu,
                    strides=cu.strides[:2] + cu.strides[1:])
-    step = max(1, _CHUNK_ELEMS // (nw * L))
-    buf = np.empty(min(step, len(U)) * L * nw, "<u8")
-    runs = len(U) > step
-    if runs:    # stop[r]: the end of row r's run of shifts t, t + 1, ...
-        stop = np.append(np.flatnonzero((U[1:] != U[:-1]) | (V[1:] != V[:-1])
-                                        | (T[1:] != T[:-1] + 1)) + 1, len(U))
-        stop = stop[np.searchsorted(stop, np.arange(len(U)), "right")]
+    cv = vcode[slots]
     lo = 0
-    while lo < len(U):
-        # a block that starts inside a run ends with it
-        hi = min(lo + step, stop[lo] if lo and stop[lo - 1] == stop[lo]
-                 else len(U))
-        n, u, t, v, width = hi - lo, U[lo:hi], T[lo:hi], V[lo:hi], L
-        if runs and hi <= stop[lo]:
-            u, t, v = U[lo], slice(T[lo], T[lo] + n), slice(V[lo], V[lo] + 1)
-            width = k - int(T[lo])
-        out = buf[:width * n * nw].reshape(width, n, nw)
+    while lo < n:
+        inrun = n > step and stop[lo] - lo > step
+        hi = min(lo + R * step, stop[lo]) if inrun else min(lo + step, n)
+        ur, vr, tr, pack = U[lo:hi], V[lo:hi], T[lo:hi], R if inrun else 1
+        u, t, v, width = (U[lo], slice(T[lo], T[hi - 1] + 1, R),
+                          slice(V[lo], V[lo] + 1), k - int(T[lo])) \
+            if inrun else (ur, tr, vr, L)
+        out = buf[:width * -(-(hi - lo) // pack) * nw].reshape(width, -1, nw)
         np.multiply(H[u, t, :width].transpose(1, 0, 2),
-                    vcode[slots[v, :width]].transpose(1, 0, 2), out=out)
-        np.cumsum(out, axis=0, out=out)
-        yield lo, out.view("<u2")[:, :, fields].transpose(1, 2, 0)
+                    cv[v, :width].transpose(1, 0, 2), out=out)
+        # segments end at each column below the width, then at the width
+        below = int(cols.searchsorted(width))
+        seg = np.add.reduceat(out, starts[:below + 1], axis=0)
+        seg.cumsum(axis=0, out=seg)
+        # P[a, b, col, row]: row i reads fields i F .. of its word, F =
+        # 4 nw // pack, then inclusion-exclusion along a and along b
+        P = np.empty((s_prev, s_prev, len(cols), hi - lo), np.int64)
+        P[1:, 1:] = seg.view("<u2").reshape(len(seg), -1)[
+            np.minimum(ncol, below), :(hi - lo) * (4 * nw // pack)].reshape(
+                len(cols), hi - lo, -1)[:, :, :m * S].reshape(
+                    len(cols), hi - lo, m, S)[..., :m].transpose(2, 3, 0, 1)
+        j = np.minimum(cols[:, None], k - tr, out=P[0, 0])
+        at = ur * (k + 1) + tr
+        np.subtract(pre.take(at + j, axis=1), pre.take(at, axis=1)[:, None],
+                    out=P[1:, 0])
+        pre.take(vr * (k + 1) + j, axis=1, out=P[0, 1:])
+        P[0] -= np.add.reduce(P[1:], 0)
+        P[:, 0] -= np.add.reduce(P[:, 1:], 1)
+        yield lo, P.reshape(-1, len(cols), hi - lo).transpose(2, 0, 1)
         lo = hi
 
 
@@ -415,8 +446,8 @@ def _pair_totals(slots, s_prev, U, V, T):
     """Whole-overlap counts [r, a, b]: the x < k - T[r] where word U[r]
     holds local slot a at x + T[r] and word V[r] local slot b at x."""
     out = np.zeros((len(U), s_prev * s_prev), np.int64)
-    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
-        out[lo:lo + len(P)] = P[:, :, -1]
+    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T, slots.shape[1:]):
+        out[lo:lo + len(P)] = P[:, :, 0]
     return out.reshape(-1, s_prev, s_prev)
 
 
@@ -444,13 +475,13 @@ def _worst_entry(spec_id, counts, sizes, target, tol, witness_of):
     tn, td = target
     counts, sizes = np.asarray(counts, np.int64), np.asarray(sizes, np.int64)
     num = np.abs(counts * td - sizes * tn)
-    den = np.broadcast_to(sizes * td, num.shape)
+    den = sizes * td + np.zeros_like(num)
     dev = np.divide(num, den, out=np.full(num.shape, -1.0),
                     where=den > 0).ravel()
     worst, best = (0, 1), None
-    top = dev.max(initial=-1.0)
+    top = np.maximum.reduce(dev, initial=-1.0)
     if top >= 0:
-        cand = np.flatnonzero(dev >= top - _FILTER_MARGIN)
+        cand = (dev >= top - _FILTER_MARGIN).nonzero()[0]
         for i, a, b in zip(cand.tolist(), num.ravel()[cand].tolist(),
                            den.ravel()[cand].tolist()):
             if a * worst[1] > worst[0] * b:
@@ -460,56 +491,58 @@ def _worst_entry(spec_id, counts, sizes, target, tol, witness_of):
                      {} if best is None else witness_of(best))
 
 
-def _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None, target=None):
+def _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None, target=None,
+                   totals=None):
     """The prefix deviation each row (U[r], V[r], T[r]) reports: over its
     window j0 in [j_lo, k - t], the first maximum in (group, j0) order of
     the exact |count / j0 - target|.  A group sums the local pairs its row
     of the 0/1 matrix ``groups`` selects; by default every pair is its own
     group and the target is 1 / s_prev^2.  Returns the int arrays count,
-    j0 and group there, in row order.
+    j0 and group there, in row order; a row with an empty window reports
+    j0 = 0, which _worst_entry skips.  The same pass fills ``totals``, if
+    given, with the whole-overlap counts [r, pair].
 
     Each deviation is one float division of the exact integers
     |count td - j0 tn| and j0 td, that is the exact deviation correctly
     rounded.  Equal deviations are then equal floats, which argmax takes in
     order, and distinct ones keep their order (see _FILTER_MARGIN); as
     |count / j0 - target|, equal deviations of opposite sign could round
-    apart."""
+    apart.  The integers stay exact below 2**53."""
     k = slots.shape[1]
     tn, td = (1, s_prev * s_prev) if target is None else \
         (target.numerator, target.denominator)
-    out = []
-    for lo, B in _prefix_pair_counts(slots, s_prev, U, V, T):
+    over = k - T
+    # the window and one column past every overlap; past it counts and j0
+    # stay put, and argmax takes the first maximum, a j0 in the window
+    cols = np.arange(j_lo, max(j_lo - 1, k - int(T.min(initial=k))) + 2)
+    out = np.zeros((3, len(U)), np.int64)
+    for lo, B in _prefix_pair_counts(slots, s_prev, U, V, T, cols):
+        hi = lo + len(B)
+        if totals is not None:
+            totals[lo:hi] = B[:, :, -1]
         B = B if groups is None else np.matmul(groups, B)
-        # rows of at most _CHUNK_ELEMS deviations at a time, computed in
-        # place in one C-ordered float64 array whose rows reshape as views;
-        # the integers stay exact below 2**53
-        step = max(1, _CHUNK_ELEMS // B[0, :, j_lo - 1:].size)
-        for a in range(0, len(B), step):
-            P = B[a:a + step]
-            # counts and j0 stay put past the overlap: argmax takes j0 first
-            j0s = np.minimum(np.arange(j_lo, P.shape[2] + 1),
-                             (k - T[lo + a:lo + a + len(P)])[:, None, None])
-            devs = np.multiply(P[:, :, j_lo - 1:], float(td), order="C")
-            devs -= j0s * tn
-            np.abs(devs, out=devs)
-            devs /= j0s * td
-            pair, col = np.divmod(devs.reshape(len(P), -1).argmax(axis=1),
-                                  devs.shape[2])
-            out += zip(P[np.arange(len(P)), pair, j_lo - 1 + col].tolist(),
-                       j0s[np.arange(len(P)), 0, col].tolist(), pair.tolist())
-    return np.array(out, dtype=np.int64).reshape(-1, 3).T
+        j0s = np.minimum(cols, over[lo:hi, None, None])
+        devs = np.multiply(B, float(td), order="C")
+        devs -= j0s * tn
+        np.abs(devs, out=devs)
+        devs /= j0s * td
+        pair, col = np.divmod(devs.reshape(len(B), -1).argmax(axis=1),
+                              len(cols))
+        at = np.arange(len(B))
+        out[:, lo:hi] = B[at, pair, col], j0s[at, 0, col], pair
+    out[:, over < j_lo] = 0
+    return out
 
 
 def _band_bound(P, edges, over, groups, tf):
-    """Per row of a prefix-kernel block P, overlap ``over``: a bound above
-    |count / j0 - tf| over groups and j0 in [edges[0], over], for edges
-    that rise to the overlap and clamp to it.  Group sums of counts grow
-    with j0, so on a band [a, b] count / j0 lies in [P(a) / b, P(b) / a]."""
-    Pe = P[:, :, np.minimum(edges, P.shape[2]) - 1]
-    Pe = Pe if groups is None else np.matmul(groups, Pe)
-    j0 = np.minimum(edges, over[:, None])[:, None]
-    return np.maximum((Pe[:, :, 1:] / j0[:, :, :-1]).max(axis=(1, 2)) - tf,
-                      tf - (Pe[:, :, :-1] / j0[:, :, 1:]).min(axis=(1, 2)))
+    """Per row of a prefix-kernel block P read at the band ``edges``, that
+    rise to the overlap ``over`` and clamp to it: a bound above |count / j0
+    - tf| over groups and j0 in [edges[0], over].  Group sums of counts
+    grow with j0, so on a band [a, b] count / j0 is in [P(a)/b, P(b)/a]."""
+    P = (P if groups is None else np.matmul(groups, P)).transpose(2, 1, 0)
+    j0 = np.minimum(edges[:, None], over)
+    return np.maximum((P.max(axis=1)[1:] / j0[:-1]).max(axis=0) - tf,
+                      tf - (P.min(axis=1)[:-1] / j0[1:]).min(axis=0))
 
 
 def _banded_argmax(slots, s_prev, U, V, T, j_lo, live, groups=None,
@@ -517,53 +550,58 @@ def _banded_argmax(slots, s_prev, U, V, T, j_lo, live, groups=None,
     """_prefix_argmax on the ``live`` rows that can hold the first exact
     maximum of their window deviations: their indices, its arrays for
     them, and every row's whole-overlap counts [r, pair], from one kernel
-    pass.  The largest live deviation at j0 = k - t bounds the maximum
-    below, and so does the exact maximum of any one row; a row whose
-    _band_bound is below the larger, less _FILTER_MARGIN, cannot hold the
-    maximum, and one that ties it survives.  A window whose every column
-    is a band edge skips the bound: all its live rows survive."""
-    npair = s_prev * s_prev
+    pass read at the band edges.  The largest live deviation at j0 = k - t
+    bounds the maximum below, and so does the exact maximum of any one
+    row; a row whose _band_bound is below the larger, less _FILTER_MARGIN,
+    cannot hold it, and one that ties it survives.  A window whose every
+    column is an edge takes one _prefix_argmax pass over every row."""
+    k, npair = slots.shape[1], s_prev * s_prev
     tf = 1 / npair if target is None else float(target)
-    over = slots.shape[1] - T
-    j_hi, edges = int(over[live].max(initial=j_lo)), [j_lo]
+    over = k - T
+    j_hi, edges = int(np.maximum.reduce(over[live], initial=j_lo)), [j_lo]
     while edges[-1] < j_hi:     # each band max(1, a // 16) wide from a
         edges.append(min(j_hi, edges[-1] + max(1, edges[-1] // 16)))
-    bounded, edges = len(edges) <= j_hi - j_lo, np.array(edges)
     totals = np.zeros((len(U), npair), np.int32)
-    upper = np.full(len(U), np.inf)
-    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+    rows = live.nonzero()[0]
+    if len(edges) > j_hi - j_lo:    # every column an edge: one full pass
+        found = _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups, target,
+                               totals)
+        return rows, found[:, rows], totals
+    # the edges, then one column past every overlap
+    cols, upper = np.array(edges + [k + 1]), np.empty(len(U))
+    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T, cols):
         hi = lo + len(P)
         totals[lo:hi] = P[:, :, -1]
-        if bounded:
-            upper[lo:hi] = _band_bound(P, edges, over[lo:hi], groups, tf)
-    rows = np.flatnonzero(live)
-    if bounded:
-        whole = totals[rows] if groups is None else totals[rows] @ groups.T
-        top = rows[[upper[rows].argmax()]]
-        c, j0, _ = _prefix_argmax(slots, s_prev, U[top], V[top], T[top], j_lo,
-                                  groups, target)
-        lower = max(np.abs(whole / over[rows, None] - tf).max(),
-                    abs(c[0] / j0[0] - tf))
-        rows = rows[upper[rows] >= lower - _FILTER_MARGIN]
+        upper[lo:hi] = _band_bound(P[:, :, :-1], cols[:-1], over[lo:hi],
+                                   groups, tf)
+    whole = totals[rows] if groups is None else totals[rows] @ groups.T
+    top = rows[[upper[rows].argmax()]]
+    c, j0, _ = _prefix_argmax(slots, s_prev, U[top], V[top], T[top], j_lo,
+                              groups, target)
+    lower = max(np.abs(whole / over[rows, None] - tf).max(),
+                abs(c[0] / j0[0] - tf))
+    rows = rows[upper[rows] >= lower - _FILTER_MARGIN]
     return rows, _prefix_argmax(slots, s_prev, U[rows], V[rows], T[rows],
                                 j_lo, groups, target), totals
 
 
-def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
+def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol, whole=None):
     """J10 over the full overlap of every shift t <= (1 - eps) k, and J10.1
     over every prefix j0 >= eps_var k of every shift t <= (1 - eps_var) k,
     from one pass of the prefix kernel; J10.1's first exact maximum lies
-    in the rows its band bound keeps (_banded_argmax)."""
+    in the rows its band bound keeps (_banded_argmax).  The pass's t = 0
+    rows fill ``whole``, if given, with J11's counts [(u < s, v), pair]."""
     w, k = slots.shape
-    s = w // 2
-    npair = s_prev * s_prev
+    s, npair = w // 2, s_prev * s_prev
     eps_var = Fraction(eps_var)
     t10 = ceil((1 - Fraction(eps)) * k) - 1
     j_lo = max(1, ceil(eps_var * k))
     t101 = min(ceil((1 - eps_var) * k) - 1, k - j_lo)
-    U, V, T = _grid(range(w), range(w), range(1, max(t10, t101) + 1))
+    U, V, T = _grid(range(w), range(w), range(max(t10, t101, 0) + 1))
     c101, (counts, j0, pids), totals = _banded_argmax(
-        slots, s_prev, U, V, T, j_lo, T <= t101)
+        slots, s_prev, U, V, T, j_lo, (T > 0) & (T <= t101))
+    if whole is not None:
+        whole[...] = totals[(T == 0) & (U < s)]
 
     def wit10(i):
         r, pid = divmod(i, npair)
@@ -576,8 +614,8 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
         u, v = int(U[c101[i]]), int(V[c101[i]])
         return {"u": u, "v": v, "t": int(T[c101[i]]), "j0": int(j0[i]),
                 "pair": _signed_pair(pids[i], s_prev, u >= s, v >= s)}
-    # J10: the full overlap of every row with t <= t10; size 0 skips a row
-    over10 = np.where(T <= t10, k - T, 0)[:, None]
+    # J10: the full overlap of every row with 0 < t <= t10; size 0 skips
+    over10 = np.where((T > 0) & (T <= t10), k - T, 0)[:, None]
     return (_worst_entry("J10", totals, over10, (1, npair), tol, wit10),
             _worst_entry("J10.1", counts, j0, (1, npair), tol, wit101))
 
@@ -601,12 +639,12 @@ def _orbits(seq, n, actions):
     return out
 
 
-def _check_J11(seq, n, slots, actions, tol):
+def _check_J11(seq, n, slots, actions, tol, whole=None):
     """Whole-word counts of the aligned slot pairs (a, b) of every word
-    pair (u, v): the prefix kernel's t = 0 rows.  Where the stage-(n+1)
-    action has an element g taking u's class to v's, only the pairs with
-    g(class a) = class b count, against 1 / (Q C^2) (level 1); elsewhere
-    every pair counts, against 1 / s_prev^2 (level 0)."""
+    pair (u, v): the t = 0 rows of J10's pass, ``whole``, or its own.  Where
+    the stage-(n+1) action has an element g taking u's class to v's, only
+    the pairs with g(class a) = class b count, against 1 / (Q C^2) (level
+    1); elsewhere every pair counts, against 1 / s_prev^2 (level 0)."""
     s, k = len(slots) // 2, slots.shape[1]
     prev = seq.stage(n)
     s_prev, classes = prev.size, prev.classes
@@ -632,7 +670,8 @@ def _check_J11(seq, n, slots, actions, tol):
         return {"u": int(U[r]), "v": int(V[r]),
                 "pair": _signed_pair(pid, s_prev, False, int(V[r]) >= s),
                 "level": int(orbits[r][1] is not None)}
-    totals = _pair_totals(slots, s_prev, U, V, np.zeros_like(U))
+    totals = _pair_totals(slots, s_prev, U, V, np.zeros_like(U)) \
+        if whole is None else whole.reshape(-1, s_prev, s_prev)
     return _worst_entry("J11", totals, np.where(related, k, 0),
                         (1, td[:, None, None]), tol, witness)
 
@@ -688,9 +727,10 @@ def _stage_battery(built, tol, n):
     yield _check_A7(actions[n + 1] if actions else None)
     yield _check_A8(actions[n + 1] if actions else None)
     yield _check_A9(seq, n, actions)
-    slots, _, s_prev = _slot_matrix(seq, n)
-    yield from _check_J10_J10_1(slots, s_prev, eps, st.eps_classic, jt)
-    yield _check_J11(seq, n, slots, actions, jt)
+    slots, s, s_prev = _slot_matrix(seq, n)
+    whole = np.empty((2 * s * s, s_prev * s_prev), np.int64)
+    yield from _check_J10_J10_1(slots, s_prev, eps, st.eps_classic, jt, whole)
+    yield _check_J11(seq, n, slots, actions, jt, whole)
     yield _check_J11_1(slots, s_prev, _J11_1_pairs(seq, n, actions), eps, jt)
 
 

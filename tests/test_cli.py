@@ -155,6 +155,20 @@ class TestBuild:
         assert invoke(capsys, *argv, *BUILD_ARGS)[0] == 0
         assert len(calls) == count if count is not None else calls
 
+    @pytest.mark.parametrize("kl, eps", [("4,2;2,2", "3/2"),
+                                         ("64,4;2,2", "5/4")])
+    def test_eps_above_one_checks_an_empty_window(self, capsys, kl, eps):
+        # J11.1's window starts at ceil(eps k) > k: it examines nothing and
+        # reports 0 with an empty witness, as J10 does for no rows
+        code = run(["check-specs", "--kl", kl, "--eps", eps, "--eps", "1/8",
+                    "--level", "1"])
+        out, err = capsys.readouterr()
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        j11_1 = next(e for e in json.loads(out)["report"]
+                     if e["spec"] == "J11.1@0")
+        assert (j11_1["worst_deviation"], j11_1["witness"]) == ("0/1", {})
+
     def test_unsampleable_attempt_is_an_input_error(self, capsys):
         # k_1 = 3 copies cannot hold the two stage-1 words equally often
         for command in ("build", "lift", "check-specs", "check-timing"):

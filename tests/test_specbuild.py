@@ -640,10 +640,10 @@ EPS = st.sampled_from([Fraction(1, 8), Fraction(1, 5), Fraction(1, 4),
 
 
 @st.composite
-def word_families(draw):
+def word_families(draw, k_max=64):
     # s_prev = 3 pads each slot's row of counters to four fields
     s_prev = draw(st.sampled_from([2, 3, 4]))
-    k = draw(st.integers(2, 64))
+    k = draw(st.integers(2, k_max))
     s = draw(st.integers(1, 2))
     symbol = st.integers(0, s_prev - 1)
     # constant words (all-zero compositions and the like) tie massively
@@ -674,6 +674,76 @@ def kernel_rows(draw, fam, t_max):
 
 # block sizes for the kernel tests: one row, a few rows, and the default
 CHUNKS = st.sampled_from([1 << 6, 1 << 9, None])
+
+
+@st.composite
+def shift_runs(draw, fam):
+    """Rows (u, v, t) in runs of consecutive shifts of one (u, v): lone
+    rows, runs of 2-3 shifts and long runs, which small blocks split, each
+    from a drawn t, t = 0 or t = k - 1."""
+    slots = fam[0]
+    k, word = slots.shape[1], st.integers(0, len(slots) - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        u, v = draw(word), draw(word)
+        t0 = draw(st.sampled_from([0, k - 1]) | st.integers(0, k - 1))
+        n = draw(st.sampled_from([1, 2, 3]) | st.integers(1, k - t0))
+        rows += [(u, v, t) for t in range(t0, min(k, t0 + n))]
+    return [np.array(c, dtype=np.int64) for c in zip(*rows)]
+
+
+def ref_pair_codes(s_prev):
+    """Per signed slot, u- and v-codes whose product is a 1 in local pair
+    (a, b)'s 16-bit field a * S + b, S = s_prev or a multiple of 4; and
+    the fields in pair order."""
+    S = s_prev if s_prev <= 2 else -(-s_prev // 4) * 4
+    m, nw, ab = -(-S // 4), -(-s_prev * S // 4), range(s_prev)
+    u = [[(a * S // 4 == d - d % m) << 16 * (a * S % 4) for d in range(nw)]
+         for a in ab]
+    v = [[(d % m == b // 4) << 16 * (b % 4) for d in range(nw)] for b in ab]
+    fields = [a * S + b for a in ab for b in ab]
+    return (np.array(2 * u, "<u8"), np.array(2 * v, "<u8"),
+            slice(len(fields)) if S == s_prev else fields)
+
+
+def ref_prefix_pair_counts(slots, s_prev, U, V, T):
+    """The four-field kernel _prefix_pair_counts replaced, as the oracle
+    of its every column: every local pair of every row in its own 16-bit
+    field, four to a 64-bit word, and one in-place cumsum over positions.
+    Yields (lo, P) for consecutive blocks of rows from row lo, P[i, pair,
+    j] = #{x <= j : x < k - t, id(x) = pair}; a block within one run of
+    consecutive shifts of one (u, v) reads its u-codes through the Hankel
+    view H[u, t, x] = cu[u, t + x], other blocks gather them from it."""
+    if not len(U):
+        return
+    w, k = slots.shape
+    ucode, vcode, fields = ref_pair_codes(s_prev)
+    nw, L = ucode.shape[1], k - int(T.min())
+    cu = np.concatenate([ucode[slots], np.zeros((w, L, nw), "<u8")], 1)
+    H = np.ndarray((w, k + 1, L, nw), cu.dtype, cu,
+                   strides=cu.strides[:2] + cu.strides[1:])
+    step = max(1, (1 << 16) // (nw * L))
+    buf = np.empty(min(step, len(U)) * L * nw, "<u8")
+    runs = len(U) > step
+    if runs:    # stop[r]: the end of row r's run of shifts t, t + 1, ...
+        stop = np.append(np.flatnonzero((U[1:] != U[:-1]) | (V[1:] != V[:-1])
+                                        | (T[1:] != T[:-1] + 1)) + 1, len(U))
+        stop = stop[np.searchsorted(stop, np.arange(len(U)), "right")]
+    lo = 0
+    while lo < len(U):
+        # a block that starts inside a run ends with it
+        hi = min(lo + step, stop[lo] if lo and stop[lo - 1] == stop[lo]
+                 else len(U))
+        n, u, t, v, width = hi - lo, U[lo:hi], T[lo:hi], V[lo:hi], L
+        if runs and hi <= stop[lo]:
+            u, t, v = U[lo], slice(T[lo], T[lo] + n), slice(V[lo], V[lo] + 1)
+            width = k - int(T[lo])
+        out = buf[:width * n * nw].reshape(width, n, nw)
+        np.multiply(H[u, t, :width].transpose(1, 0, 2),
+                    vcode[slots[v, :width]].transpose(1, 0, 2), out=out)
+        np.cumsum(out, axis=0, out=out)
+        yield lo, out.view("<u2")[:, :, fields].transpose(1, 2, 0)
+        lo = hi
 
 
 # opposite_sign_ties' (n, c, a): a < n c divides (n c)^2, with j_lo and k
@@ -798,7 +868,7 @@ class TestPrefixKernel:
         with mock.patch.object(specbuild, "_CHUNK_ELEMS",
                                chunk or specbuild._CHUNK_ELEMS):
             for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
-                assert lo == seen and P.dtype == np.dtype("<u2")
+                assert lo == seen and P.dtype == np.int64
                 seen += len(P)
                 for i in range(len(P)):
                     u, v, t = U[lo + i], V[lo + i], T[lo + i]
@@ -835,8 +905,8 @@ class TestPrefixKernel:
 
     def test_prefix_argmax_slices_a_block_by_its_own_rows(self,
                                                          monkeypatch):
-        # at 2**7 elements the four rows are one kernel block, whose float
-        # work runs in slices of two rows, each clamped at its own overlaps
+        # at 2**7 elements each row is a kernel block of its own, whose
+        # float work is clamped at that row's overlap
         monkeypatch.setattr(specbuild, "_CHUNK_ELEMS", 1 << 7)
         slots = signed_slot_matrix(
             [[1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1]], 2)
@@ -906,7 +976,7 @@ class TestPrefixKernel:
                                   target)
         with mock.patch.object(specbuild, "_CHUNK_ELEMS",
                                chunk or specbuild._CHUNK_ELEMS):
-            for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+            for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T, edges):
                 bound = _band_bound(P, edges, k - T[lo:lo + len(P)], groups,
                                     float(target))
                 for b, (c, j0, _) in zip(bound, exact[lo:]):
@@ -941,6 +1011,70 @@ class TestPrefixKernel:
         row = np.zeros(1, np.int64)
         assert _pair_totals(slots, 2, row, row, row).tolist() == \
             [[[(1 << 16) - 1, 0], [0, 0]]]
+
+    def test_packed_shifts_reach_the_16_bit_bound_without_carry(self):
+        # shifts 0 .. 3 of one word of 2**16 - 1 ones share a 64-bit word:
+        # their joint counts 65535 .. 65532 fill its four fields, and none
+        # carries into the next
+        slots = np.ones((2, (1 << 16) - 1), np.int64)
+        row = np.zeros(4, np.int64)
+        assert _pair_totals(slots, 2, row, row, np.arange(4)).tolist() == \
+            [[[0, 0], [0, (1 << 16) - 1 - t]] for t in range(4)]
+
+    @given(word_families(k_max=70), CHUNKS | st.just(1 << 12), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_four_field_kernel(self, fam, chunk, data):
+        # every column, or drawn columns up to past the longest overlap;
+        # blocks of one word to many words per run
+        slots, s, s_prev = fam
+        k = slots.shape[1]
+        U, V, T = data.draw(shift_runs(fam))
+        cols = data.draw(st.none() | st.sets(
+            st.integers(1, k + 3), min_size=1).map(sorted).map(np.array))
+        want = np.zeros((len(U), s_prev * s_prev, k), np.int64)
+        for lo, P in ref_prefix_pair_counts(slots, s_prev, U, V, T):
+            for i, t in enumerate(T[lo:lo + len(P)]):
+                # counts stay put past the overlap
+                want[lo + i] = P[i][:, np.minimum(np.arange(k), k - t - 1)]
+        at = np.minimum(np.arange(1, k - T.min() + 1) if cols is None
+                        else cols, k) - 1
+        seen = 0
+        with mock.patch.object(specbuild, "_CHUNK_ELEMS",
+                               chunk or specbuild._CHUNK_ELEMS):
+            for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T, cols):
+                assert lo == seen
+                seen += len(P)
+                assert P.tolist() == want[lo:seen][:, :, at].tolist()
+        assert seen == len(U)
+
+    def test_a_long_run_reads_several_packed_words_per_block(
+            self, monkeypatch):
+        # at 2**7 elements a block of the 45-shift run holds 8 shifts in
+        # two words, four shifts to a word
+        monkeypatch.setattr(specbuild, "_CHUNK_ELEMS", 1 << 7)
+        word = np.random.default_rng(5).integers(0, 2, 48).tolist()
+        slots = signed_slot_matrix([word], 2)
+        T = np.arange(1, 46)
+        U = V = np.zeros_like(T)
+        want = [row for _, P in ref_prefix_pair_counts(slots, 2, U, V, T)
+                for row in P[:, :, -1].tolist()]
+        blocks = [len(P) for _, P in _prefix_pair_counts(slots, 2, U, V, T,
+                                                         [48])]
+        assert blocks == [8, 8, 8, 8, 8, 5]
+        assert _pair_totals(slots, 2, U, V, T).reshape(-1, 4).tolist() == \
+            want
+
+    def test_prefix_argmax_on_an_empty_window_examines_nothing(self):
+        # j_lo = k + 1 leaves no window column: each row reports j0 = 0,
+        # which _worst_entry skips, so J11.1 at eps 3/2 reports 0
+        slots = signed_slot_matrix([[0, 1, 1, 0, 1]], 2)
+        U, V, T = np.array([0, 0]), np.array([0, 1]), np.array([0, 2])
+        assert _prefix_argmax(slots, 2, U, V, T, 6).tolist() == \
+            [[0, 0], [0, 0], [0, 0]]
+        entry = _check_J11_1(slots, 2, [(0, 0), (0, 1)], Fraction(3, 2),
+                             Fraction(1, 8))
+        assert (entry.status, entry.worst_deviation, entry.witness) == \
+            ("pass", 0, {})
 
     @given(word_families(), CHUNKS, st.data())
     @settings(max_examples=60, deadline=None)
@@ -1086,6 +1220,20 @@ class TestFrequencyChecks:
         for check, ref in ((check_T5, ref_T5), (check_T6, ref_T6),
                            (check_T7, ref_T7)):
             assert_same_entry(check(built, 1, mu), ref(built, 1, mu))
+
+    @given(class_builds(), MUS, st.sampled_from([Fraction(1, 4),
+                                                 Fraction(3, 2)]))
+    @settings(max_examples=60, deadline=None)
+    def test_J11_reads_the_t0_rows_of_the_J10_pass(self, built, mu, eps):
+        # the battery hands J11 the whole-word counts of J10's pass; at
+        # eps 3/2 J10 and J10.1 have no shift, and the pass keeps t = 0
+        slots = _slot_matrix(built.seq, 1)[0]
+        s, s_prev = len(slots) // 2, built.seq.stage(1).size
+        whole = np.full((2 * s * s, s_prev * s_prev), -1)
+        _check_J10_J10_1(slots, s_prev, eps, eps, mu, whole)
+        assert_same_entry(
+            _check_J11(built.seq, 1, slots, built.actions, mu, whole),
+            ref_J11(built.seq, 1, slots, built.actions, mu))
 
     @given(class_builds(k_max=64), MUS)
     @settings(max_examples=60, deadline=None)
