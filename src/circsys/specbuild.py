@@ -340,8 +340,8 @@ _FILTER_MARGIN = 1e-9
 def _grid(*ranges):
     """Flat index arrays over the product of ``ranges``, last fastest;
     int32 halves the memory of J10's grid (about 2**16 rows at k = 1024)."""
-    return tuple(g.ravel() + r.start for g, r in zip(
-        np.indices([len(r) for r in ranges], np.int32), ranges))
+    return tuple(g.ravel() for g in np.meshgrid(*(np.arange(
+        r.start, r.stop, dtype=np.int32) for r in ranges), indexing="ij"))
 
 
 @lru_cache(maxsize=None)
@@ -401,8 +401,8 @@ def _prefix_pair_counts(slots, s_prev, U, V, T, cols=None):
     cu[:, :k] = ucode[slots]
     if n > step:    # stop[r]: the end of row r's run; cu[u, y]: u-codes at
         # y + i in shift i's fields (one block reads field 0 only)
-        stop = np.append(((U[1:] != U[:-1]) | (V[1:] != V[:-1]) |
-                          (T[1:] != T[:-1] + 1)).nonzero()[0] + 1, n)
+        stop = np.append(np.flatnonzero((U[1:] != U[:-1]) | (V[1:] != V[:-1])
+                                        | (T[1:] != T[:-1] + 1)) + 1, n)
         stop = stop[stop.searchsorted(np.arange(n), "right")]
         cu = np.ndarray((w, k + L, nw, R), cu.dtype, cu,
                         strides=cu.strides + cu.strides[1:2]) @ weights
@@ -424,13 +424,15 @@ def _prefix_pair_counts(slots, s_prev, U, V, T, cols=None):
         below = int(cols.searchsorted(width))
         seg = np.add.reduceat(out, starts[:below + 1], axis=0)
         seg.cumsum(axis=0, out=seg)
-        # P[a, b, col, row]: row i reads fields i F .. of its word, F =
-        # 4 nw // pack, then inclusion-exclusion along a and along b
+        # fields[col, row, f]: a column past the width reads the width's
+        # segment; row i reads the F = 4 nw // pack fields from i F, its
+        # words or one packed field; field (a - 1) S + b - 1 is n_ab
+        fields = seg.view("<u2").reshape(len(seg), -1)[np.minimum(
+            ncol, below), :(hi - lo) * (4 * nw // pack)].reshape(
+                len(cols), hi - lo, -1)
+        joint = fields[:, :, :m * S].reshape(len(cols), hi - lo, m, S)
         P = np.empty((s_prev, s_prev, len(cols), hi - lo), np.int64)
-        P[1:, 1:] = seg.view("<u2").reshape(len(seg), -1)[
-            np.minimum(ncol, below), :(hi - lo) * (4 * nw // pack)].reshape(
-                len(cols), hi - lo, -1)[:, :, :m * S].reshape(
-                    len(cols), hi - lo, m, S)[..., :m].transpose(2, 3, 0, 1)
+        P[1:, 1:] = joint[..., :m].transpose(2, 3, 0, 1)    # [a, b, col, row]
         j = np.minimum(cols[:, None], k - tr, out=P[0, 0])
         at = ur * (k + 1) + tr
         np.subtract(pre.take(at + j, axis=1), pre.take(at, axis=1)[:, None],
@@ -475,13 +477,13 @@ def _worst_entry(spec_id, counts, sizes, target, tol, witness_of):
     tn, td = target
     counts, sizes = np.asarray(counts, np.int64), np.asarray(sizes, np.int64)
     num = np.abs(counts * td - sizes * tn)
-    den = sizes * td + np.zeros_like(num)
+    den = np.broadcast_to(sizes * td, num.shape)
     dev = np.divide(num, den, out=np.full(num.shape, -1.0),
                     where=den > 0).ravel()
     worst, best = (0, 1), None
-    top = np.maximum.reduce(dev, initial=-1.0)
+    top = dev.max(initial=-1.0)
     if top >= 0:
-        cand = (dev >= top - _FILTER_MARGIN).nonzero()[0]
+        cand = np.flatnonzero(dev >= top - _FILTER_MARGIN)
         for i, a, b in zip(cand.tolist(), num.ravel()[cand].tolist(),
                            den.ravel()[cand].tolist()):
             if a * worst[1] > worst[0] * b:
@@ -558,11 +560,11 @@ def _banded_argmax(slots, s_prev, U, V, T, j_lo, live, groups=None,
     k, npair = slots.shape[1], s_prev * s_prev
     tf = 1 / npair if target is None else float(target)
     over = k - T
-    j_hi, edges = int(np.maximum.reduce(over[live], initial=j_lo)), [j_lo]
+    j_hi, edges = int(over[live].max(initial=j_lo)), [j_lo]
     while edges[-1] < j_hi:     # each band max(1, a // 16) wide from a
         edges.append(min(j_hi, edges[-1] + max(1, edges[-1] // 16)))
     totals = np.zeros((len(U), npair), np.int32)
-    rows = live.nonzero()[0]
+    rows = np.flatnonzero(live)
     if len(edges) > j_hi - j_lo:    # every column an edge: one full pass
         found = _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups, target,
                                totals)
@@ -585,12 +587,12 @@ def _banded_argmax(slots, s_prev, U, V, T, j_lo, live, groups=None,
                                 j_lo, groups, target), totals
 
 
-def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol, whole=None):
+def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
     """J10 over the full overlap of every shift t <= (1 - eps) k, and J10.1
     over every prefix j0 >= eps_var k of every shift t <= (1 - eps_var) k,
     from one pass of the prefix kernel; J10.1's first exact maximum lies
-    in the rows its band bound keeps (_banded_argmax).  The pass's t = 0
-    rows fill ``whole``, if given, with J11's counts [(u < s, v), pair]."""
+    in the rows its band bound keeps (_banded_argmax).  Returns both
+    entries and J11's whole-word counts [u < s, v, pair], the t = 0 rows."""
     w, k = slots.shape
     s, npair = w // 2, s_prev * s_prev
     eps_var = Fraction(eps_var)
@@ -600,8 +602,7 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol, whole=None):
     U, V, T = _grid(range(w), range(w), range(max(t10, t101, 0) + 1))
     c101, (counts, j0, pids), totals = _banded_argmax(
         slots, s_prev, U, V, T, j_lo, (T > 0) & (T <= t101))
-    if whole is not None:
-        whole[...] = totals[(T == 0) & (U < s)]
+    whole = totals.reshape(w, w, -1, npair)[:s, :, 0]   # [u, v, t = 0]
 
     def wit10(i):
         r, pid = divmod(i, npair)
@@ -617,7 +618,7 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol, whole=None):
     # J10: the full overlap of every row with 0 < t <= t10; size 0 skips
     over10 = np.where((T > 0) & (T <= t10), k - T, 0)[:, None]
     return (_worst_entry("J10", totals, over10, (1, npair), tol, wit10),
-            _worst_entry("J10.1", counts, j0, (1, npair), tol, wit101))
+            _worst_entry("J10.1", counts, j0, (1, npair), tol, wit101), whole)
 
 
 def _orbits(seq, n, actions):
@@ -639,9 +640,9 @@ def _orbits(seq, n, actions):
     return out
 
 
-def _check_J11(seq, n, slots, actions, tol, whole=None):
+def _check_J11(seq, n, slots, actions, tol, whole):
     """Whole-word counts of the aligned slot pairs (a, b) of every word
-    pair (u, v): the t = 0 rows of J10's pass, ``whole``, or its own.  Where
+    pair (u, v): ``whole``[u, v], from J10's pass (_check_J10_J10_1).  Where
     the stage-(n+1) action has an element g taking u's class to v's, only
     the pairs with g(class a) = class b count, against 1 / (Q C^2) (level
     1); elsewhere every pair counts, against 1 / s_prev^2 (level 0)."""
@@ -670,9 +671,8 @@ def _check_J11(seq, n, slots, actions, tol, whole=None):
         return {"u": int(U[r]), "v": int(V[r]),
                 "pair": _signed_pair(pid, s_prev, False, int(V[r]) >= s),
                 "level": int(orbits[r][1] is not None)}
-    totals = _pair_totals(slots, s_prev, U, V, np.zeros_like(U)) \
-        if whole is None else whole.reshape(-1, s_prev, s_prev)
-    return _worst_entry("J11", totals, np.where(related, k, 0),
+    return _worst_entry("J11", whole[U, V].reshape(-1, s_prev, s_prev),
+                        np.where(related, k, 0),
                         (1, td[:, None, None]), tol, witness)
 
 
@@ -727,9 +727,9 @@ def _stage_battery(built, tol, n):
     yield _check_A7(actions[n + 1] if actions else None)
     yield _check_A8(actions[n + 1] if actions else None)
     yield _check_A9(seq, n, actions)
-    slots, s, s_prev = _slot_matrix(seq, n)
-    whole = np.empty((2 * s * s, s_prev * s_prev), np.int64)
-    yield from _check_J10_J10_1(slots, s_prev, eps, st.eps_classic, jt, whole)
+    slots, _, s_prev = _slot_matrix(seq, n)
+    *j10, whole = _check_J10_J10_1(slots, s_prev, eps, st.eps_classic, jt)
+    yield from j10
     yield _check_J11(seq, n, slots, actions, jt, whole)
     yield _check_J11_1(slots, s_prev, _J11_1_pairs(seq, n, actions), eps, jt)
 

@@ -1128,7 +1128,7 @@ class TestPrefixKernel:
     @settings(max_examples=120, deadline=None)
     def test_matches_reference_checks(self, fam, eps, eps_var, tol, data):
         slots, s, s_prev = fam
-        j10, j10_1 = _check_J10_J10_1(slots, s_prev, eps, eps_var, tol)
+        j10, j10_1, _ = _check_J10_J10_1(slots, s_prev, eps, eps_var, tol)
         assert_same_entry(j10, ref_J10(slots, s, s_prev, eps, tol))
         assert_same_entry(j10_1, ref_J10_1(slots, s, s_prev, eps_var, tol))
         every = [(u, v) for u in range(s) for v in range(2 * s)]
@@ -1138,8 +1138,8 @@ class TestPrefixKernel:
 
     def test_constant_words_tie_to_first_witness(self):
         slots = signed_slot_matrix([[0] * 16, [0] * 16], 2)
-        j10, j10_1 = _check_J10_J10_1(slots, 2, Fraction(1, 4),
-                                      Fraction(1, 4), Fraction(1, 2))
+        j10, j10_1, _ = _check_J10_J10_1(slots, 2, Fraction(1, 4),
+                                         Fraction(1, 4), Fraction(1, 2))
         assert j10.worst_deviation == Fraction(3, 4)
         assert j10.witness == {"u": 0, "v": 0, "t": 1, "pair": (0, 0),
                                "count": 15, "overlap": 15}
@@ -1211,29 +1211,20 @@ def class_builds(draw, k_max=24):
 
 
 class TestFrequencyChecks:
-    @given(class_builds(), MUS)
-    @settings(max_examples=150, deadline=None)
-    def test_match_reference_checks(self, built, mu):
-        slots = _slot_matrix(built.seq, 1)[0]
-        assert_same_entry(_check_J11(built.seq, 1, slots, built.actions, mu),
-                          ref_J11(built.seq, 1, slots, built.actions, mu))
-        for check, ref in ((check_T5, ref_T5), (check_T6, ref_T6),
-                           (check_T7, ref_T7)):
-            assert_same_entry(check(built, 1, mu), ref(built, 1, mu))
-
     @given(class_builds(), MUS, st.sampled_from([Fraction(1, 4),
                                                  Fraction(3, 2)]))
-    @settings(max_examples=60, deadline=None)
-    def test_J11_reads_the_t0_rows_of_the_J10_pass(self, built, mu, eps):
-        # the battery hands J11 the whole-word counts of J10's pass; at
-        # eps 3/2 J10 and J10.1 have no shift, and the pass keeps t = 0
-        slots = _slot_matrix(built.seq, 1)[0]
-        s, s_prev = len(slots) // 2, built.seq.stage(1).size
-        whole = np.full((2 * s * s, s_prev * s_prev), -1)
-        _check_J10_J10_1(slots, s_prev, eps, eps, mu, whole)
+    @settings(max_examples=150, deadline=None)
+    def test_match_reference_checks(self, built, mu, eps):
+        # J11 reads the whole-word counts of J10's pass; at eps 3/2 J10 and
+        # J10.1 have no shift, and the pass keeps t = 0
+        slots, _, s_prev = _slot_matrix(built.seq, 1)
+        whole = _check_J10_J10_1(slots, s_prev, eps, eps, mu)[2]
         assert_same_entry(
             _check_J11(built.seq, 1, slots, built.actions, mu, whole),
             ref_J11(built.seq, 1, slots, built.actions, mu))
+        for check, ref in ((check_T5, ref_T5), (check_T6, ref_T6),
+                           (check_T7, ref_T7)):
+            assert_same_entry(check(built, 1, mu), ref(built, 1, mu))
 
     @given(class_builds(k_max=64), MUS)
     @settings(max_examples=60, deadline=None)
