@@ -10,9 +10,9 @@ descends once, when it is built, so maturity at any stage is a lookup.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import floor
 
 import numpy as np
@@ -104,21 +104,29 @@ class MaturityResult:
     violated: str | None = None   # e.g. "copy-edge@2"
 
 
+_MATURE = MaturityResult(True)
+
+
+@cache                        # frozen results, finitely many reasons
+def _immature(reason: str) -> MaturityResult:
+    return MaturityResult(False, reason)
+
+
 def _first_violation(plan, M: int, x: int):
-    """(m, reason) for the highest level m < M at which tower position x
-    breaks maturity, or None; windows keep it, so the reason is interned."""
+    """(m, shared result) for the highest level m < M at which tower
+    position x breaks maturity, or None; windows keep it."""
     for m in range(M - 1, -1, -1):
         st = plan.stage(m)
         i, j, copy, x, ok = descend(st, x)
         if not ok:
-            return m, sys.intern(f"boundary@{m + 1}")
+            return m, _immature(f"boundary@{m + 1}")
         e0, e1, e2 = st.edge_bands
         if copy < e0 or copy >= (st.l - 1) - e0:
-            return m, sys.intern(f"copy-edge@{m}")
+            return m, _immature(f"copy-edge@{m}")
         if j < e1 or j >= st.k - e1:
-            return m, sys.intern(f"subsection-edge@{m}")
+            return m, _immature(f"subsection-edge@{m}")
         if i < e2 or i >= st.q - e2:
-            return m, sys.intern(f"section-edge@{m}")
+            return m, _immature(f"section-edge@{m}")
     return None
 
 
@@ -130,9 +138,7 @@ def maturity(pw: PointWindow, n: int) -> MaturityResult:
     if not 0 <= n < pw.M:
         raise ValueError("need 0 <= n < M")
     v = pw._violation
-    if v is None or n > v[0]:
-        return MaturityResult(True)
-    return MaturityResult(False, v[1])
+    return _MATURE if v is None or n > v[0] else v[1]
 
 
 def _numerator(plan, m: int, x):

@@ -3,9 +3,9 @@ and red zones.
 
 Tower positions at anchor stage m are identified with the left endpoints
 a/q_m, a = x p_m mod q_m, of the dynamically-ordered 1/q_m intervals, so
-every per-position quantity is an integer function of a.  One kernel
-computes them with plain integer arithmetic, on a Python int for the
-pointwise API and on an int64 array for the bulk paths.
+every per-position quantity is an integer function of a.  The bulk paths
+run one kernel on an int64 array of every a; the pointwise API returns
+shared results from a bounded memo of per-(plan, anchor, beta) constants.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,10 @@ class _Stage(NamedTuple):
     T: int                    # lane R exactly when (a q_n mod q_m) >= T
     degenerate: bool          # beta a multiple of 1/q_n
 
+    def lane(self, carry):
+        """d_n in lane R where carry holds, in lane L elsewhere."""
+        return self.inv * (self.fb + carry) % self.q
+
 
 def _stage(plan, n: int, m: int, beta: Fraction) -> _Stage:
     """Kernel constants of stage n at anchor m for rotation by beta.
@@ -56,8 +61,7 @@ def _position(st: _Stage, a):
     whenever q_m q_n < 2^63."""
     aq = a * st.q
     carry = aq % st.qm >= st.T
-    return (st.inv * (aq // st.qm) % st.q,
-            st.inv * (st.fb + carry) % st.q, carry)
+    return st.inv * (aq // st.qm) % st.q, st.lane(carry), carry
 
 
 def _tower(plan, m: int) -> np.ndarray:
@@ -70,11 +74,15 @@ def _match(plan, n: int, m: int, beta: Fraction, a):
     n-block starts in a digit region of its (n+1)-block at the copy offset
     r_n, and the 1-subsection of that start after (j0) and before (j1)
     displacement."""
-    lo, hi = _stage(plan, n, m, beta), _stage(plan, n + 1, m, beta)
+    return _match_at(plan.stage(n), _stage(plan, n, m, beta),
+                     _stage(plan, n + 1, m, beta), a)
+
+
+def _match_at(st, lo: _Stage, hi: _Stage, a):
+    """_match given plan.stage(n) and the _Stage of stages n and n + 1."""
     r_lo, d_lo, _ = _position(lo, a)
     r_hi, d_hi, _ = _position(hi, a)
     base = (r_hi - r_lo) % hi.q
-    st = plan.stage(n)
     _, j1, _, r, ok = descend(st, base)
     j0 = descend(st, (base + d_hi - d_lo) % hi.q)[1]
     return ok & (r == r_lo), j0, j1
@@ -142,19 +150,6 @@ class Displacement:
         return self.value is not None
 
 
-def displacement(beta, pw: PointWindow, n: int) -> Displacement:
-    if not 0 <= n <= pw.M:
-        raise ValueError("stage out of range")
-    if n < pw.M:
-        mat = maturity(pw, n)
-        if not mat.mature:
-            return Displacement(None, None, reason=mat.violated)
-    beta = beta if isinstance(beta, Fraction) else Fraction(beta)
-    st = _stage(pw.seq.plan, n, pw.M, beta)
-    _, d, carry = _position(st, pw._a)
-    return Displacement(d, LANE_R if carry else LANE_L, st.degenerate)
-
-
 @dataclass(frozen=True)
 class MatchClass:
     kind: str | None          # well | ill | None when undefined
@@ -168,6 +163,45 @@ class MatchClass:
         return self.kind is not None
 
 
+_KERNELS: dict = {}           # (id(plan), m, beta mod 1 as num, den)
+_KERNELS_MAX = 64             # the memo is cleared rather than pass this
+
+
+def _kernel(plan, m: int, beta) -> tuple:
+    """(plan, each n <= m's _Stage and lane L, R displacements, match classes
+    by (n, j0, j1)); holds the plan, so its id stays its own while cached."""
+    beta = beta if isinstance(beta, Fraction) else Fraction(beta)
+    den = beta.denominator
+    key = (id(plan), m, beta.numerator % den, den)
+    kern = _KERNELS.get(key)
+    if kern is None:
+        if len(_KERNELS) >= _KERNELS_MAX:
+            _KERNELS.clear()
+        stages = tuple(_stage(plan, n, m, beta) for n in range(m + 1))
+        lanes = tuple((Displacement(st.lane(0), LANE_L, st.degenerate),
+                       Displacement(st.lane(1), LANE_R, st.degenerate))
+                      for st in stages)
+        kern = _KERNELS[key] = plan, stages, lanes, {}
+    return kern
+
+
+@cache                        # frozen results, finitely many reasons
+def _undefined(cls, reason: str):
+    return cls(None, None, reason=reason)
+
+
+def displacement(beta, pw: PointWindow, n: int) -> Displacement:
+    if not 0 <= n <= pw.M:
+        raise ValueError("stage out of range")
+    if n < pw.M:
+        mat = maturity(pw, n)
+        if not mat.mature:
+            return _undefined(Displacement, mat.violated)
+    _, stages, lanes, _ = _kernel(pw.seq.plan, pw.M, beta)
+    st = stages[n]
+    return lanes[n][pw._a * st.q % st.qm >= st.T]  # _position's carry test
+
+
 def match_class(beta, pw: PointWindow, n: int) -> MatchClass:
     """Compare the argument slot holding the point's principal n-block
     with the slot holding it after displacement; well exactly when they
@@ -175,19 +209,20 @@ def match_class(beta, pw: PointWindow, n: int) -> MatchClass:
     if n < 0:
         raise ValueError("stage out of range")
     if n + 1 > pw.M:
-        return MatchClass(None, reason="anchor too shallow")
+        return _undefined(MatchClass, "anchor too shallow")
     # maturity at n covers every level maturity at n + 1 checks
     mat = maturity(pw, n)
     if not mat.mature:
-        return MatchClass(None, reason=mat.violated)
-    plan = pw.seq.plan
-    beta = beta if isinstance(beta, Fraction) else Fraction(beta)
-    valid, j0, j1 = _match(plan, n, pw.M, beta, pw._a)
+        return _undefined(MatchClass, mat.violated)
+    plan, stages, _, classes = _kernel(pw.seq.plan, pw.M, beta)
+    st = plan.stage(n)
+    valid, j0, j1 = _match_at(st, *stages[n:n + 2], pw._a)
     if not valid:
-        return MatchClass(None, reason="block start in spacer region")
-    if j0 == j1:
-        return MatchClass("well", j0, j1)
-    return MatchClass("ill", j0, j1, t=plan.stage(n).k - j0)
+        return _undefined(MatchClass, "block start in spacer region")
+    if (n, j0, j1) not in classes:
+        classes[n, j0, j1] = MatchClass("well", j0, j1) if j0 == j1 \
+            else MatchClass("ill", j0, j1, t=st.k - j0)
+    return classes[n, j0, j1]
 
 
 # ---------------------------------------------------------------------------

@@ -640,16 +640,15 @@ def _orbits(seq, n, actions):
     return out
 
 
-def _check_J11(seq, n, slots, actions, tol, whole):
+def _check_J11(seq, n, slots, actions, orbits, tol, whole):
     """Whole-word counts of the aligned slot pairs (a, b) of every word
     pair (u, v): ``whole``[u, v], from J10's pass (_check_J10_J10_1).  Where
-    the stage-(n+1) action has an element g taking u's class to v's, only
+    ``orbits`` (_orbits) gives an element g taking u's class to v's, only
     the pairs with g(class a) = class b count, against 1 / (Q C^2) (level
     1); elsewhere every pair counts, against 1 / s_prev^2 (level 0)."""
     s, k = len(slots) // 2, slots.shape[1]
     prev = seq.stage(n)
     s_prev, classes = prev.size, prev.classes
-    orbits = _orbits(seq, n, actions)
     if not actions or actions[n] is None or classes is None:
         orbits = [(uv, None) for uv, _ in orbits]
     else:
@@ -676,10 +675,9 @@ def _check_J11(seq, n, slots, actions, tol, whole):
                         (1, td[:, None, None]), tol, witness)
 
 
-def _J11_1_pairs(seq, n, actions):
-    """(u, v) with u unsigned and v signed, outside one class orbit: the
-    word pairs J11.1 and T7 examine."""
-    return [uv for uv, g in _orbits(seq, n, actions) if g is None]
+def _J11_1_pairs(orbits):
+    """The (u, v) of _orbits outside one class orbit: J11.1's and T7's."""
+    return [uv for uv, g in orbits if g is None]
 
 
 def _check_J11_1(slots, s_prev, pairs, eps, tol):
@@ -730,8 +728,9 @@ def _stage_battery(built, tol, n):
     slots, _, s_prev = _slot_matrix(seq, n)
     *j10, whole = _check_J10_J10_1(slots, s_prev, eps, st.eps_classic, jt)
     yield from j10
-    yield _check_J11(seq, n, slots, actions, jt, whole)
-    yield _check_J11_1(slots, s_prev, _J11_1_pairs(seq, n, actions), eps, jt)
+    orbits = _orbits(seq, n, actions)
+    yield _check_J11(seq, n, slots, actions, orbits, jt, whole)
+    yield _check_J11_1(slots, s_prev, _J11_1_pairs(orbits), eps, jt)
 
 
 def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
@@ -946,7 +945,7 @@ def check_T7(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
         return SpecEntry("T7", "not-checked")
     slots, s, s_prev = _slot_matrix(built.seq, n)
     kinds, member = _class_members(classes)
-    pairs = _J11_1_pairs(built.seq, n, built.actions)
+    pairs = _J11_1_pairs(_orbits(built.seq, n, built.actions))
     w0, w1 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     counts = _pair_totals(slots, s_prev, w0, w1, np.zeros_like(w0)) @ member
 

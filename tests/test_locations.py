@@ -155,12 +155,17 @@ class TestMaturity:
 
 
     def test_matches_walk_on_the_desk_tower(self):
+        # results are shared: equal ones are one object
         seq = desk_circ()
+        shared = {}
         for M in (1, 2, 3):
             for x in range(seq.plan.q(M)):
                 pw = PointWindow(seq, M, 0, x)
                 for n in range(M):
-                    assert maturity(pw, n) == ref_maturity(pw, n)
+                    got = maturity(pw, n)
+                    assert got == ref_maturity(pw, n)
+                    assert shared.setdefault(got, got) is got
+        assert len(shared) > 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(2, 4), st.integers(2, 4)),

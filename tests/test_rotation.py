@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circsys import rotation
 from circsys.coefficients import desk_plan, dynamical_index
 from circsys.locations import D_n, PointWindow, maturity
-from circsys.rotation import (_match, _numerator, _position, _stage,
-                              analyze_rotation, build_red_zones, delta_csv,
-                              delta_n, delta_partial, displacement,
-                              match_class, rotation_report)
+from circsys.rotation import (Displacement, MatchClass, _match, _numerator,
+                              _position, _stage, analyze_rotation,
+                              build_red_zones, delta_csv, delta_n,
+                              delta_partial, displacement, match_class,
+                              rotation_report)
 from circsys.systems import circular_sequence
 
 PLAN3 = desk_plan(kl=((2, 2), (2, 2), (2, 2)))
@@ -42,11 +44,11 @@ def ref_position(beta, plan, n, m, x):
             frac_b != 0 and frac_v >= 1 - frac_b)
 
 
-def ref_ill(beta, plan, n, m, x):
-    """Whether tower position x is ill-matched at stage n, from ref_rd at
-    stages n and n + 1: the principal n-block must start in a digit region
-    of its (n+1)-block at copy offset r_n, in another 1-subsection after
-    displacement than before."""
+def ref_match(beta, plan, n, m, x):
+    """(j0, j1) of tower position x at stage n from ref_rd at stages n and
+    n + 1, or None where the principal n-block does not start in a digit
+    region of its (n+1)-block at copy offset r_n: the 1-subsection of that
+    start after (j0) and before (j1) displacement."""
     r_lo, d_lo = ref_rd(beta, plan, n, m, x)
     r_hi, d_hi = ref_rd(beta, plan, n + 1, m, x)
     q_lo, q_hi = plan.q(n), plan.q(n + 1)
@@ -56,8 +58,15 @@ def ref_ill(beta, plan, n, m, x):
     t, off = divmod(base, sec)
     off -= q_lo - dynamical_index(plan.p(n), q_lo, t // st.k)
     if not (0 <= off < (st.l - 1) * q_lo and off % q_lo == r_lo):
-        return False
-    return ((base + d_hi - d_lo) % q_hi // sec) % st.k != t % st.k
+        return None
+    return ((base + d_hi - d_lo) % q_hi // sec) % st.k, t % st.k
+
+
+def ref_ill(beta, plan, n, m, x):
+    """Whether tower position x is ill-matched at stage n: its block start
+    is valid and lies in another 1-subsection after displacement."""
+    jj = ref_match(beta, plan, n, m, x)
+    return jj is not None and jj[0] != jj[1]
 
 
 def ref_uncertain(beta, plan, n, m):
@@ -288,3 +297,117 @@ class TestPositionKernel:
                 got = got_valid and got_j0 != got_j1
                 assert got == bool(ill[i]) == ref_ill(beta, plan, n, m, x)
         assert delta_n(beta, 0, 2, plan) == ref_delta_n(beta, 0, 2, plan)
+
+
+def circ_over(plan):
+    """A circular sequence of two words per stage over the depth-3 plan."""
+    return circular_sequence(plan, "01", [
+        [tuple((i + j) % 2 for j in range(plan.stage(n).k)) for i in (0, 1)]
+        for n in range(3)])
+
+
+@st.composite
+def public_betas(draw):
+    """beta in each form the public API takes: a Fraction (beta >= 1 and
+    negative ones too), an "a/b" string, a float or an int.  Small
+    denominators put positions on the lane cut and make ill matches
+    common."""
+    v = draw(betas | st.builds(Fraction, st.integers(-64, 64),
+                               st.sampled_from((1, 2, 3, 4, 7, 16, 64))))
+    return draw(st.sampled_from(
+        (v, f"{v.numerator}/{v.denominator}", float(v), int(v))))
+
+
+def ref_displacement(beta, pw, n):
+    if n < pw.M and not maturity(pw, n).mature:
+        return Displacement(None, None, reason=maturity(pw, n).violated)
+    plan, x = pw.seq.plan, pw.anchor
+    _, d, lane_R = ref_position(beta, plan, n, pw.M, x)
+    return Displacement(d, "R" if lane_R else "L",
+                        (beta * plan.q(n)).denominator == 1)
+
+
+def ref_match_class(beta, pw, n):
+    if n + 1 > pw.M:
+        return MatchClass(None, reason="anchor too shallow")
+    if not maturity(pw, n).mature:
+        return MatchClass(None, reason=maturity(pw, n).violated)
+    jj = ref_match(beta, pw.seq.plan, n, pw.M, pw.anchor)
+    if jj is None:
+        return MatchClass(None, reason="block start in spacer region")
+    j0, j1 = jj
+    if j0 == j1:
+        return MatchClass("well", j0, j1)
+    return MatchClass("ill", j0, j1, t=pw.seq.plan.stage(n).k - j0)
+
+
+class TestPointwiseKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(plans=st.tuples(small_plans(), small_plans()),
+           pair=st.tuples(public_betas(), public_betas()),
+           c=st.integers(1, 2 ** 20), data=st.data())
+    def test_public_results_match_fraction_reference(self, plans, pair, c,
+                                                      data):
+        # two plans, two anchors and three betas interleaved, one of them
+        # with the first beta's denominator, and the first beta also passed
+        # as a distinct object of equal value: every call must read its own
+        # (plan, anchor, beta mod 1) constants
+        seqs = [circ_over(plan) for plan in plans]
+        value = Fraction(pair[0])
+        forms = (*pair, Fraction(value.numerator, value.denominator),
+                 value + Fraction(c, value.denominator))
+        calls = data.draw(st.lists(st.tuples(
+            st.integers(0, 1), st.integers(2, 3), st.integers(0, 2 ** 20),
+            st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
+        for which, M, x, n, form in calls:
+            plan = plans[which]
+            pw = PointWindow(seqs[which], M, 0, x % plan.q(M))
+            beta, value = forms[form], Fraction(forms[form])
+            if n <= M:
+                assert displacement(beta, pw, n) == \
+                    ref_displacement(value, pw, n)
+            assert match_class(beta, pw, n) == ref_match_class(value, pw, n)
+
+    @pytest.mark.parametrize("beta", [Fraction(1, 8), Fraction(-5, 16),
+                                      "7/3", 0.375, 2])
+    def test_every_position_of_two_interleaved_towers(self, beta):
+        # every anchor-2 position, so positions on the lane cut are met
+        seqs = [circ_over(plan)
+                for plan in (PLAN3, desk_plan(kl=((3, 2), (2, 3), (2, 2))))]
+        value = Fraction(beta)
+        for x in range(max(seq.plan.q(2) for seq in seqs)):
+            for pw in (PointWindow(seq, 2, 0, x) for seq in seqs
+                       if x < seq.plan.q(2)):
+                for n in range(3):
+                    assert displacement(beta, pw, n) == \
+                        ref_displacement(value, pw, n)
+                    assert match_class(beta, pw, n) == \
+                        ref_match_class(value, pw, n)
+
+    def test_no_stage_rebuilt_after_first_call(self, monkeypatch):
+        seq = circ3()
+        beta = Fraction(5, 7)
+        pws = [PointWindow(seq, 3, 0, x) for x in range(PLAN3.q(3))]
+        pws = [pw for pw in pws if maturity(pw, 0).mature]
+        displacement(beta, pws[0], 1)
+        calls = []
+        stage = rotation._stage
+        monkeypatch.setattr(rotation, "_stage",
+                            lambda *a: calls.append(a) or stage(*a))
+        for i in range(500):
+            pw = pws[i % len(pws)]
+            # mature windows: both calls read the kernel
+            assert displacement(beta, pw, 1 + i % 3).defined
+            match_class(beta, pw, i % 2)
+        assert calls == []
+        # a new beta builds each stage n <= M once, through the patch
+        displacement(Fraction(5, 11), pws[0], 1)
+        assert len(calls) == 4
+
+    def test_memo_stays_bounded(self):
+        pw = next(pw for pw in (PointWindow(circ3(), 3, 0, x)
+                                for x in range(PLAN3.q(3)))
+                  if maturity(pw, 1).mature)
+        for b in range(2, 2 * rotation._KERNELS_MAX + 10):
+            displacement(Fraction(1, b), pw, 1)
+            assert len(rotation._KERNELS) <= rotation._KERNELS_MAX

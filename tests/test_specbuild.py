@@ -17,7 +17,8 @@ from circsys.specbuild import (BuildError, BuiltSequence, RoundingBoundError,
                                SpecEntry, ToleranceProfile, _J11_1_pairs,
                                _band_bound, _banded_argmax,
                                _check_J10_J10_1, _check_J11,
-                               _check_J11_1, _pair_totals, _prefix_argmax,
+                               _check_J11_1, _orbits, _pair_totals,
+                               _prefix_argmax,
                                _prefix_pair_counts, _rounding_bound,
                                _slot_matrix, _worst_entry, build_attempt,
                                build_words, check_T4, check_T5, check_T6,
@@ -1170,7 +1171,7 @@ class TestPrefixKernel:
         assert j11_1.worst_deviation == Fraction(13, 172)
         assert j11_1.witness == {"u": 0, "v": 1, "j0": 258,
                                  "segment": "tail", "pair": (0, 0)}
-        pairs = _J11_1_pairs(built.seq, 0, built.actions)
+        pairs = _J11_1_pairs(_orbits(built.seq, 0, built.actions))
         assert_same_entry(replace(j11_1, spec_id="J11.1"),
                           ref_J11_1(slots, 2, 2, pairs, st0.eps_lunate, tol))
 
@@ -1220,7 +1221,8 @@ class TestFrequencyChecks:
         slots, _, s_prev = _slot_matrix(built.seq, 1)
         whole = _check_J10_J10_1(slots, s_prev, eps, eps, mu)[2]
         assert_same_entry(
-            _check_J11(built.seq, 1, slots, built.actions, mu, whole),
+            _check_J11(built.seq, 1, slots, built.actions,
+                       _orbits(built.seq, 1, built.actions), mu, whole),
             ref_J11(built.seq, 1, slots, built.actions, mu))
         for check, ref in ((check_T5, ref_T5), (check_T6, ref_T6),
                            (check_T7, ref_T7)):
