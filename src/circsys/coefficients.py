@@ -134,10 +134,6 @@ class CoefficientPlan:
     def s(self, n: int) -> int:
         return self.stages[n].s if n < self.depth else self.s_next
 
-    def j(self, n: int, i: int) -> int:
-        """Dynamical index at stage n."""
-        return dynamical_index(self.p(n), self.q(n), i)
-
 
 def desk_plan(kl=((2, 2), (2, 2)), **overrides) -> CoefficientPlan:
     """Small hand plan from a list of (k, l) pairs.

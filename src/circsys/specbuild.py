@@ -13,6 +13,11 @@ structural constraints by construction and checks nothing.  build_words
 gates: it runs check_specs on each seeded attempt, up to the attempt's
 first failing spec, retrying with fresh entropy until the declared
 tolerances hold.
+
+Both batteries run stage by stage, and every J and T frequency is counted
+by one prefix kernel (_prefix_pair_counts).  Per stage, J10, J10.1 and J11
+read one pass of it and J11.1 another; T5 and T7 read one whole-overlap
+table and T6 makes its own pass.
 """
 
 from __future__ import annotations
@@ -82,10 +87,6 @@ class SpecEntry:
     worst_deviation: Fraction | None = None
     tolerance: Fraction | None = None
     witness: dict = field(default_factory=dict)
-
-
-def _named(sid: str, e: SpecEntry) -> SpecEntry:
-    return SpecEntry(sid, e.status, e.worst_deviation, e.tolerance, e.witness)
 
 
 @dataclass(frozen=True)
@@ -675,22 +676,17 @@ def _check_J11(seq, n, slots, actions, orbits, tol, whole):
                         (1, td[:, None, None]), tol, witness)
 
 
-def _J11_1_pairs(orbits):
-    """The (u, v) of _orbits outside one class orbit: J11.1's and T7's."""
-    return [uv for uv, g in orbits if g is None]
-
-
 def _check_J11_1(slots, s_prev, pairs, eps, tol):
     """Initial and tail prefix counts of the aligned pairs (u, v): the
     prefix kernel's t = 0 rows, on the words and on their reversals."""
     k = slots.shape[1]
     s = len(slots) // 2
     j_lo = max(1, ceil(Fraction(eps) * k))
-    # row 2 s + w of both is word w backwards, whose prefixes are its tails
-    both = np.concatenate([slots, slots[:, ::-1]])
+    # row (w + s) mod 2 s is word w backwards in the same local slots, so
+    # its prefixes are w's tails
     uv = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    U, V = np.concatenate([uv, uv + 2 * s]).T
-    found = _prefix_argmax(both, s_prev, U, V, np.zeros_like(U), j_lo)
+    U, V = np.concatenate([uv, (uv + s) % (2 * s)]).T
+    found = _prefix_argmax(slots, s_prev, U, V, np.zeros_like(U), j_lo)
     # [pair, (initial, tail)]
     counts, j0, pids = found.reshape(3, 2, -1).transpose(0, 2, 1)
 
@@ -730,7 +726,8 @@ def _stage_battery(built, tol, n):
     yield from j10
     orbits = _orbits(seq, n, actions)
     yield _check_J11(seq, n, slots, actions, orbits, jt, whole)
-    yield _check_J11_1(slots, s_prev, _J11_1_pairs(orbits), eps, jt)
+    yield _check_J11_1(slots, s_prev, [uv for uv, g in orbits if g is None],
+                       eps, jt)
 
 
 def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
@@ -747,7 +744,7 @@ def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
     entries = []
     for n in range(seq.depth):
         for e in _stage_battery(built, tol, n):
-            entries.append(_named(f"{e.spec_id}@{n}", e))
+            entries.append(replace(e, spec_id=f"{e.spec_id}@{n}"))
             if first_failure and e.status == "fail":
                 return SpecReport(tuple(entries))
     return SpecReport(tuple(entries))
@@ -830,6 +827,8 @@ def check_T4(built: BuiltSequence, n: int, gamma: Fraction,
     seq = built.seq
     if seq.flavor != CIRCULAR:
         raise SequenceError("check_T4 runs on circular sequences")
+    if n < 1:       # stage n's words are read against stage n - 1's eps
+        raise ValueError("stage out of range")
     fam = seq.stage(n)
     if fam.classes is None:
         return SpecEntry("T4", "not-checked")
@@ -878,47 +877,55 @@ def check_T4(built: BuiltSequence, n: int, gamma: Fraction,
                      gamma, e.witness)
 
 
-def check_T5(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
-    """For every preword w0, word w1 (or its reverse), shift t and stage-n
-    word v, the class frequencies of w1 at the occurrences of v in w0: at
-    x + t against v at x (T5a), and at x against v at x + t (T5b)."""
+def _check_T5_T6_T7(built: BuiltSequence, n: int, mu: Fraction) -> tuple:
+    """Stage n's T5, T6 and T7 entries against ``mu``, from one stage
+    set-up.  T5: for every preword w0, word w1 (or its reverse), shift t
+    and stage-n word v, the class frequencies of w1 at the occurrences of
+    v in w0, at x + t against v at x (T5a) and at x against v at x + t
+    (T5b).  T7: T5b at t = 0 over the word pairs outside one class orbit.
+    Both read one _pair_totals pass over every signed (u, v, t).  T6: for
+    every pair of prewords and shift t, the frequency of aligned slot pairs
+    whose classes lie in one orbit of the stage-n action, on every prefix
+    j0 >= eps k; each (w0, w1, t) reports the exact value at its float
+    argmax, among the rows the band bound keeps (_banded_argmax), as a
+    group sum of prefix counts is nondecreasing in j0."""
     classes = built.stage(n).classes
     if classes is None:
-        return SpecEntry("T5", "not-checked")
+        return tuple(SpecEntry(t, "not-checked") for t in ("T5", "T6", "T7"))
     slots, s, s_prev = _slot_matrix(built.seq, n)
     k = slots.shape[1]
     eps = Fraction(built.seq.plan.stage(n).eps_classic)
     kinds, member = _class_members(classes)
-    w0, w1, t = _grid(range(s), range(2 * s),
-                      range(1, min(int((1 - eps) * k), k - 1) + 1))
-    # counts[row, v, axiom, class]; the kernel shifts its first word
-    t5a = np.swapaxes(_pair_totals(slots, s_prev, w1, w0, t), 1, 2) @ member
-    t5b = _pair_totals(slots, s_prev, w0, w1, t) @ member
-    counts = np.stack([t5a, t5b], axis=2)
+    t_max = max(0, min(int((1 - eps) * k), k - 1))
+    # tot[u, v, t, a, b]; the kernel shifts its first word u
+    tot = _pair_totals(slots, s_prev, *_grid(
+        range(2 * s), range(2 * s), range(t_max + 1))).reshape(
+            2 * s, 2 * s, t_max + 1, s_prev, s_prev)
+    # [w0, w1, t - 1, v, axiom, class]
+    c5 = np.stack([tot[:, :s, 1:].transpose(1, 0, 2, 4, 3),
+                   tot[:s, :, 1:]], axis=4) @ member
 
-    def witness(i):
-        r, v, axiom, c = np.unravel_index(i, counts.shape)
-        return {"axiom": ("T5a", "T5b")[axiom], "w0": int(w0[r]),
-                "w1": int(w1[r]), "t": int(t[r]), "v": int(v),
+    def wit5(i):
+        w0, w1, t, v, axiom, c = np.unravel_index(i, c5.shape)
+        return {"axiom": ("T5a", "T5b")[axiom], "w0": int(w0),
+                "w1": int(w1), "t": int(t) + 1, "v": int(v),
                 "class": kinds[c]}
-    return _worst_entry("T5", counts, counts.sum(axis=3, keepdims=True),
-                        (1, len(kinds)), mu, witness)
+    t5 = _worst_entry("T5", c5, c5.sum(axis=-1, keepdims=True),
+                      (1, len(kinds)), mu, wit5)
+    pairs = [uv for uv, g in _orbits(built.seq, n, built.actions)
+             if g is None]
+    w0, w1 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    c7 = tot[w0, w1, 0] @ member        # [pair, v, class]
 
-
-def check_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
-    """For every pair of prewords and shift t, the frequency of aligned
-    slot pairs whose classes lie in one orbit of the stage-n action, on
-    every prefix j0 >= eps k; each (w0, w1, t) reports the exact value at
-    its float argmax, among the rows the band bound keeps (_banded_argmax),
-    as a group sum of prefix counts is nondecreasing in j0."""
-    classes = built.stage(n).classes
+    def wit7(i):
+        r, v, c = np.unravel_index(i, c7.shape)
+        return {"w0": pairs[r][0], "w1": pairs[r][1], "v": int(v),
+                "class": kinds[c]}
+    t7 = _worst_entry("T7", c7, c7.sum(axis=-1, keepdims=True),
+                      (1, len(kinds)), mu, wit7)
     action = built.actions[n] if built.actions else None
-    if classes is None or action is None:
-        return SpecEntry("T6", "not-checked")
-    slots, s, s_prev = _slot_matrix(built.seq, n)
-    k = slots.shape[1]
-    eps = Fraction(built.seq.plan.stage(n).eps_classic)
-    kinds, member = _class_members(classes)
+    if action is None:
+        return t5, SpecEntry("T6", "not-checked"), t7
     target = min(Fraction(1), Fraction(len(action.elements), len(kinds)))
     orbit = {(cu, el[cu]) for el in action.elements for cu in el}
     linked = np.array([[((C, FWD), (D, FWD)) in orbit for D in kinds]
@@ -932,29 +939,10 @@ def check_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
     rows, (counts, j0, _), _ = _banded_argmax(
         slots, s_prev, w1, w0, t, j_lo, t > 0, related, target)
     w0, w1, t = w0[rows], w1[rows], t[rows]
-    return _worst_entry(
+    return t5, _worst_entry(
         "T6", counts, j0, (target.numerator, target.denominator), mu,
         lambda i: {"w0": int(w0[i]), "w1": int(w1[i]), "t": int(t[i]),
-                   "j0": int(j0[i])})
-
-
-def check_T7(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
-    """T5b at t = 0 over the word pairs outside one class orbit."""
-    classes = built.stage(n).classes
-    if classes is None:
-        return SpecEntry("T7", "not-checked")
-    slots, s, s_prev = _slot_matrix(built.seq, n)
-    kinds, member = _class_members(classes)
-    pairs = _J11_1_pairs(_orbits(built.seq, n, built.actions))
-    w0, w1 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    counts = _pair_totals(slots, s_prev, w0, w1, np.zeros_like(w0)) @ member
-
-    def witness(i):
-        r, v, c = np.unravel_index(i, counts.shape)
-        return {"w0": pairs[r][0], "w1": pairs[r][1], "v": int(v),
-                "class": kinds[c]}
-    return _worst_entry("T7", counts, counts.sum(axis=2, keepdims=True),
-                        (1, len(kinds)), mu, witness)
+                   "j0": int(j0[i])}), t7
 
 
 def check_timing(built: BuiltSequence, level: int,
@@ -964,21 +952,20 @@ def check_timing(built: BuiltSequence, level: int,
     against MU."""
     circ = built if built.seq.flavor == CIRCULAR else lift_build(built)
     seq = circ.seq
+    if seq.depth < 1:
+        raise SequenceError("need at least two stages")
     entries = []
     M1 = circ.scaffold.M(1)
     for n in range(min(level, seq.depth - 1)):
-        # T1: propagation; the class-founding stage is exempt
-        e = _check_Q5(seq, n) if M1 is not None and n + 1 > M1 \
-            else SpecEntry("T1", "not-checked")
-        # T2/T3: freeness and parity of the stage action
         act = circ.actions[n + 1] if circ.actions else None
-        entries += [
-            _named(f"T1@{n}", e), _named(f"T2@{n}", _check_A7(act)),
-            _named(f"T3@{n}", _check_A8(act)),
-            _named(f"T4@{n + 1}", check_T4(circ, n + 1, gamma.gamma(n + 1))),
-            _named(f"T5@{n}", check_T5(circ, n, MU)),
-            _named(f"T6@{n}", check_T6(circ, n, MU)),
-            _named(f"T7@{n}", check_T7(circ, n, MU))]
+        # T1: propagation, the class-founding stage exempt; T2/T3: freeness
+        # and parity of the stage action
+        stage = (_check_Q5(seq, n) if M1 is not None and n + 1 > M1
+                 else SpecEntry("T1", "not-checked"), _check_A7(act),
+                 _check_A8(act), check_T4(circ, n + 1, gamma.gamma(n + 1)),
+                 *_check_T5_T6_T7(circ, n, MU))
+        entries += [replace(e, spec_id=f"T{i}@{n + 1 if i == 4 else n}")
+                    for i, e in enumerate(stage, 1)]
     return SpecReport(tuple(entries))
 
 

@@ -92,6 +92,9 @@ ROWS = {
     "check-timing-pass": ["check-timing", *BUILD_ARGS],
     "check-timing-witness": ["check-timing", *WITNESS_ARGS],
     "check-timing-anchor": ["check-timing", *ANCHOR_ARGS],
+    # a level-0 build has one stage; this exited 0 with an empty report
+    "check-timing-level-0": ["check-timing", "--kl", "64,4;2,2",
+                             "--level", "0"],
     # gamma_1 = 0 and -5/16 make T4 vacuous; these exited 1 with a
     # TypeError traceback from the separated-pair search
     "check-timing-separated-gamma-zero": [

@@ -22,9 +22,9 @@ from circsys.locations import PointWindow, immature_fraction, maturity
 from circsys.rotation import (_match, _numerator, analyze_rotation,
                               build_red_zones, delta_n, displacement)
 from circsys.specbuild import (build_attempt, build_words, check_specs,
-                               check_T4, check_T5, check_T6, check_T7,
-                               check_timing, desk_tolerances, gamma_cascade,
-                               groups_from_tree, lift_build)
+                               check_T4, check_timing, desk_tolerances,
+                               gamma_cascade, groups_from_tree, lift_build,
+                               _check_T5_T6_T7)
 from circsys.systems import (circular_sequence, functor_F, functor_inverse,
                              identity_action, odometer_sequence,
                              propagate_equivalence, uniformity_report,
@@ -222,7 +222,7 @@ def test_criterion_06_rotation_laws():
     for beta in betas:
         for n in (1, 2):
             q = plan.q(n)
-            j1 = plan.j(n, 1)
+            j1 = dynamical_index(plan.p(n), plan.q(n), 1)
             vals = set()
             for x in range(qm):
                 if not mature[n][x]:
@@ -423,17 +423,16 @@ class TestCriterion09Pipeline:
 
     def test_criterion_09h_mutation_t5_t6_t7(self, level2):
         mu = Fraction(3, 10)
-        e = check_T5(level2, 1, mu)
-        assert e.status == "fail" and e.worst_deviation == Fraction(1, 2)
-        assert e.witness == {"axiom": "T5a", "w0": 0, "w1": 0, "t": 1,
-                             "v": 0, "class": 0}
-        e = check_T6(level2, 1, mu)
-        assert e.status == "fail" and e.worst_deviation == 1
-        assert e.witness == {"w0": 0, "w1": 1, "t": 1, "j0": 64}
+        t5, t6, _ = _check_T5_T6_T7(level2, 1, mu)
+        assert t5.status == "fail" and t5.worst_deviation == Fraction(1, 2)
+        assert t5.witness == {"axiom": "T5a", "w0": 0, "w1": 0, "t": 1,
+                              "v": 0, "class": 0}
+        assert t6.status == "fail" and t6.worst_deviation == 1
+        assert t6.witness == {"w0": 0, "w1": 1, "t": 1, "j0": 64}
         bad7 = replace(level2, actions=(level2.actions[0],
                                         identity_action(2),
                                         level2.actions[2]))
-        e = check_T7(bad7, 1, mu)
+        e = _check_T5_T6_T7(bad7, 1, mu)[2]
         assert e.status == "fail" and e.worst_deviation == Fraction(1, 2)
         assert e.witness == {"w0": 0, "w1": 1, "v": 0, "class": 0}
 

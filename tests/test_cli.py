@@ -175,6 +175,14 @@ class TestBuild:
             assert run([command, "--kl", "2,2;3,2", "--level", "2"]) == 3
             assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_fewer_than_two_stages_is_an_input_error(self, capsys, level):
+        # check-timing printed "ok": true with an empty report and exited 0
+        for command in ("build", "lift", "check-specs", "check-timing"):
+            assert run([command, *BUILD_ARGS[:-4], "--level", level]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and "need at least two stages" in err
+
     def test_lift_emits_circular(self, capsys):
         code, doc = invoke_json(capsys, "lift", *BUILD_ARGS)
         assert code == 0

@@ -124,7 +124,7 @@ class TestDisplacement:
         for beta in betas:
             for n in (1, 2):
                 q = plan.q(n)
-                j1 = plan.j(n, 1)
+                j1 = dynamical_index(plan.p(n), plan.q(n), 1)
                 lanes = {}
                 for x in range(plan.q(3)):
                     pw = PointWindow(seq, 3, 0, x)

@@ -14,16 +14,14 @@ from hypothesis import assume, given, settings, strategies as st
 from circsys import specbuild
 from circsys.coefficients import desk_plan
 from circsys.specbuild import (BuildError, BuiltSequence, RoundingBoundError,
-                               SpecEntry, ToleranceProfile, _J11_1_pairs,
-                               _band_bound, _banded_argmax,
-                               _check_J10_J10_1, _check_J11,
-                               _check_J11_1, _orbits, _pair_totals,
-                               _prefix_argmax,
+                               SpecEntry, ToleranceProfile, _band_bound,
+                               _banded_argmax, _check_J10_J10_1, _check_J11,
+                               _check_J11_1, _check_T5_T6_T7, _orbits,
+                               _pair_totals, _prefix_argmax,
                                _prefix_pair_counts, _rounding_bound,
                                _slot_matrix, _worst_entry, build_attempt,
-                               build_words, check_T4, check_T5, check_T6,
-                               check_T7, check_specs, check_timing,
-                               desk_tolerances, gamma_cascade,
+                               build_words, check_T4, check_specs,
+                               check_timing, desk_tolerances, gamma_cascade,
                                groups_from_tree, lift_build)
 from circsys.systems import (CIRCULAR, FWD, REV, GroupActionTable,
                              SequenceError, circular_sequence,
@@ -303,9 +301,40 @@ class TestTiming:
 
     def test_frequency_checks_run(self, separated):
         circ = lift_build(separated)
-        for chk in (check_T5, check_T6, check_T7):
-            entry = chk(circ, 1, Fraction(1, 2))
+        mu = Fraction(1, 2)
+        for entry, ref in zip(_check_T5_T6_T7(circ, 1, mu),
+                              (ref_T5, ref_T6, ref_T7)):
             assert entry.status in ("pass", "fail", "not-checked")
+            assert_same_entry(entry, ref(circ, 1, mu))
+
+    def test_T4_refuses_stage_0(self):
+        # stage 0 has no stage -1 to take eps from; plan.stage(-1) read the
+        # last stage's eps 1/32 and reported a fail
+        plan = desk_plan(kl=((4, 2), (2, 2), (2, 2)))
+        circ = lift_build(build_attempt(SC, plan, seed=0, level=2))
+        with pytest.raises(ValueError, match="stage out of range"):
+            check_T4(circ, 0, Fraction(1, 8))
+
+    def test_each_checked_stage_makes_two_kernel_passes(self, monkeypatch):
+        # T5 and T7 read one _pair_totals table; T6 makes its own
+        # _banded_argmax pass where the stage has an action
+        plan = desk_plan(kl=((4, 2), (2, 2), (2, 2), (2, 2)))
+        built = build_attempt(SC, plan, seed=3, level=3)
+        log = []
+        for name in ("_check_T5_T6_T7", "_pair_totals", "_banded_argmax"):
+            def logged(*args, _f=getattr(specbuild, name), _name=name):
+                log.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(specbuild, name, logged)
+        rep = check_timing(built, 3, gamma_cascade(plan, 3))
+        checked = {e.spec_id for e in rep.entries
+                   if e.status != "not-checked"}
+        assert {"T5@0", "T5@1", "T6@1"} <= checked
+        want = []
+        for n in (0, 1):
+            want += ["_check_T5_T6_T7", "_pair_totals"]
+            want += ["_banded_argmax"] if f"T6@{n}" in checked else []
+        assert log == want
 
 
 class TestLift:
@@ -1171,7 +1200,8 @@ class TestPrefixKernel:
         assert j11_1.worst_deviation == Fraction(13, 172)
         assert j11_1.witness == {"u": 0, "v": 1, "j0": 258,
                                  "segment": "tail", "pair": (0, 0)}
-        pairs = _J11_1_pairs(_orbits(built.seq, 0, built.actions))
+        pairs = [uv for uv, g in _orbits(built.seq, 0, built.actions)
+                 if g is None]
         assert_same_entry(replace(j11_1, spec_id="J11.1"),
                           ref_J11_1(slots, 2, 2, pairs, st0.eps_lunate, tol))
 
@@ -1224,9 +1254,9 @@ class TestFrequencyChecks:
             _check_J11(built.seq, 1, slots, built.actions,
                        _orbits(built.seq, 1, built.actions), mu, whole),
             ref_J11(built.seq, 1, slots, built.actions, mu))
-        for check, ref in ((check_T5, ref_T5), (check_T6, ref_T6),
-                           (check_T7, ref_T7)):
-            assert_same_entry(check(built, 1, mu), ref(built, 1, mu))
+        for got, ref in zip(_check_T5_T6_T7(built, 1, mu),
+                            (ref_T5, ref_T6, ref_T7)):
+            assert_same_entry(got, ref(built, 1, mu))
 
     @given(class_builds(k_max=64), MUS)
     @settings(max_examples=60, deadline=None)
@@ -1239,7 +1269,7 @@ class TestFrequencyChecks:
             seen.update(zip(V.tolist(), U.tolist(), T.tolist()))
             return _prefix_argmax(slots, s_prev, U, V, T, *args)
         with mock.patch.object(specbuild, "_prefix_argmax", recorded):
-            got = check_T6(built, 1, mu)
+            got = _check_T5_T6_T7(built, 1, mu)[1]
         want = ref_T6(built, 1, mu)
         assert_same_entry(got, want)
         if want.status != "not-checked":
@@ -1252,10 +1282,9 @@ class TestFrequencyChecks:
                                  [(0, 1), (1, 0)]])
         circ = lift_build(BuiltSequence(seq, (None, None, None), SC))
         assert check_T4(circ, 1, Fraction(1, 8)).status == "not-checked"
-        for check in (check_T5, check_T6, check_T7):
-            for n in (0, 1):
-                assert check(circ, n, Fraction(1, 4)) == \
-                    SpecEntry(check.__name__[-2:], "not-checked")
+        for n in (0, 1):
+            assert _check_T5_T6_T7(circ, n, Fraction(1, 4)) == tuple(
+                SpecEntry(t, "not-checked") for t in ("T5", "T6", "T7"))
 
     def test_pinned_uneven_classes(self):
         # three stage-1 words in classes (0, 1, 1) under two stage-2 words;
@@ -1267,7 +1296,7 @@ class TestFrequencyChecks:
         seq = with_classes(seq, (None, (0, 1, 1), (0, 1)))
         built = BuiltSequence(seq, (None, None, None), SC)
         mu = Fraction(1, 4)
-        t5, t7 = check_T5(built, 1, mu), check_T7(built, 1, mu)
+        t5, _, t7 = _check_T5_T6_T7(built, 1, mu)
         assert t5.worst_deviation == t7.worst_deviation == Fraction(1, 2)
         assert t5.witness == {"axiom": "T5b", "w0": 0, "w1": 0, "t": 1,
                               "v": 2, "class": 0}
