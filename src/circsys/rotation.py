@@ -3,9 +3,10 @@ and red zones.
 
 Tower positions at anchor stage m are identified with the left endpoints
 a/q_m, a = x p_m mod q_m, of the dynamically-ordered 1/q_m intervals, so
-every per-position quantity is an integer function of a.  The bulk paths
-run one kernel on an int64 array of every a; the pointwise API returns
-shared results from a bounded memo of per-(plan, anchor, beta) constants.
+every per-position quantity is an integer function of a.  Every path reads
+its stage constants from one bounded memo per (plan, anchor, beta): the
+bulk paths run one kernel on an int64 array of every a, and the pointwise
+API returns shared results.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import frac_str, inverse_mod
-from .locations import D_n, PointWindow, _numerator, descend, maturity
+from .locations import PointWindow, _numerator, descend, maturity
+# unused here; perfbench's tracer test asserts rotation.D_n is locations.D_n
+from .locations import D_n  # noqa: F401
 
 LANE_L, LANE_R = "L", "R"
 
@@ -69,17 +72,11 @@ def _tower(plan, m: int) -> np.ndarray:
     return _numerator(plan, m, np.arange(plan.q(m), dtype=np.int64))
 
 
-def _match(plan, n: int, m: int, beta: Fraction, a):
-    """(valid, j0, j1) at interval numerator a: whether the principal
-    n-block starts in a digit region of its (n+1)-block at the copy offset
-    r_n, and the 1-subsection of that start after (j0) and before (j1)
-    displacement."""
-    return _match_at(plan.stage(n), _stage(plan, n, m, beta),
-                     _stage(plan, n + 1, m, beta), a)
-
-
 def _match_at(st, lo: _Stage, hi: _Stage, a):
-    """_match given plan.stage(n) and the _Stage of stages n and n + 1."""
+    """(valid, j0, j1) at interval numerator a, given plan.stage(n) and the
+    _Stage of stages n and n + 1: whether the principal n-block starts in a
+    digit region of its (n+1)-block at the copy offset r_n, and the
+    1-subsection of that start after (j0) and before (j1) displacement."""
     r_lo, d_lo, _ = _position(lo, a)
     r_hi, d_hi, _ = _position(hi, a)
     base = (r_hi - r_lo) % hi.q
@@ -118,20 +115,16 @@ def analyze_rotation(plan, beta, m: int) -> RotationAnalysis:
     qm = plan.q(m)
     a = _tower(plan, m)
     records = []
-    for n in range(m):
-        q = plan.q(n)
-        p = plan.p(n)
-        d_L = D_n(beta, (p, q))
-        d_R = D_n((beta + Fraction(1, q)) % 1, (p, q))
-        st = _stage(plan, n, m, beta)
-        beta_n = Fraction(0) if st.degenerate else 1 - (beta * q - st.fb)
+    for n, st in enumerate(_kernel(plan, m, beta)[1][:m]):
+        beta_n = Fraction(0) if st.degenerate else 1 - (beta * st.q - st.fb)
         lane_R = int(_position(st, a)[2].sum())
         # the cuts j/q_n - beta, j < q_n, fall inside a 1/q_m interval
         # all together or not at all, as q_n divides q_m: exactly when
         # beta q_m is not an integer
-        uncertain = 0 if qm % beta.denominator == 0 else q
-        records.append(StageRotation(n, d_L, d_R, beta_n, st.degenerate,
-                                     qm - lane_R, lane_R, uncertain))
+        uncertain = 0 if qm % beta.denominator == 0 else st.q
+        records.append(StageRotation(n, st.lane(0), st.lane(1), beta_n,
+                                     st.degenerate, qm - lane_R, lane_R,
+                                     uncertain))
     return RotationAnalysis(beta, m, tuple(records))
 
 
@@ -233,20 +226,10 @@ def delta_n(beta, n: int, m: int, plan) -> Fraction:
     over the anchor-m tower."""
     if m <= n + 1:
         raise ValueError("need m > n + 1")
-    valid, j0, j1 = _match(plan, n, m, Fraction(beta), _tower(plan, m))
+    stages = _kernel(plan, m, beta)[1]
+    valid, j0, j1 = _match_at(plan.stage(n), *stages[n:n + 2],
+                              _tower(plan, m))
     return Fraction(int((valid & (j0 != j1)).sum()), plan.q(m))
-
-
-@dataclass(frozen=True)
-class DeltaPartial:
-    beta: Fraction
-    values: tuple             # delta_n for n < N
-    total: Fraction
-
-
-def delta_partial(beta, N: int, m: int, plan) -> DeltaPartial:
-    vals = tuple(delta_n(beta, n, m, plan) for n in range(N))
-    return DeltaPartial(Fraction(beta) % 1, vals, sum(vals, Fraction(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +270,14 @@ def build_red_zones(beta, plan, M: int, delta: Fraction) -> RedZone:
         raise ValueError("delta must be in (0, 1]")
     qM = plan.q(M)
     a = _tower(plan, M)
+    stages = _kernel(plan, M, beta)[1]
     covered = np.zeros(qM, dtype=bool)
     layers = []
     for n in range(M - 2, -1, -1):
         if Fraction(int(covered.sum()), qM) >= 1 - delta:
             break
         qn = plan.q(n)
-        valid, j0, j1 = _match(plan, n, M, beta, a)
+        valid, j0, j1 = _match_at(plan.stage(n), *stages[n:n + 2], a)
         cand = valid & (j0 != j1) & ~covered
         blocks = cand.reshape(qM // qn, qn).all(axis=1)
         idx = np.flatnonzero(blocks)
@@ -316,7 +300,7 @@ def build_red_zones(beta, plan, M: int, delta: Fraction) -> RedZone:
 def rotation_report(plan, beta, N: int, m: int) -> dict:
     beta = Fraction(beta) % 1
     ana = analyze_rotation(plan, beta, m)
-    part = delta_partial(beta, N, m, plan)
+    deltas = [delta_n(beta, n, m, plan) for n in range(N)]
     return {
         "beta": frac_str(beta),
         "anchor": m,
@@ -327,8 +311,8 @@ def rotation_report(plan, beta, N: int, m: int) -> dict:
             "lane_L": st.lane_L_count, "lane_R": st.lane_R_count,
             "uncertain": st.uncertain_count,
         } for st in ana.stages],
-        "delta": [frac_str(v) for v in part.values],
-        "delta_partial_sum": frac_str(part.total),
+        "delta": [frac_str(v) for v in deltas],
+        "delta_partial_sum": frac_str(sum(deltas, Fraction(0))),
         # never decidable from a finite prefix
         "finiteness_decidable": False,
     }

@@ -363,13 +363,13 @@ def _joint_codes(s_prev):
             np.tile(np.eye(s_prev, dtype=np.int64)[1:], 2))
 
 
-def _prefix_pair_counts(slots, s_prev, U, V, T, cols=None):
+def _prefix_pair_counts(slots, s_prev, U, V, T, cols):
     """Exact prefix pair counts for the rows (U[r], V[r], T[r]) at the
-    prefix lengths ``cols``, strictly increasing from 1 (default 1 .. k -
-    min T).  Row r pairs word U[r], shifted by T[r], with word V[r]: x
-    holds the local pair (a, b) of u's slot at x + t and v's at x, mod
-    s_prev, which names the signed pair, as every slot of a signed word
-    has that word's parity.  Yields (lo, P) for consecutive blocks of rows
+    prefix lengths ``cols``, positive and strictly increasing.  Row r
+    pairs word U[r], shifted by T[r], with word V[r]: x holds the local
+    pair (a, b) of u's slot at x + t and v's at x, mod s_prev, which names
+    the signed pair, as every slot of a signed word has that word's
+    parity.  Yields (lo, P) for consecutive blocks of rows
     from row lo, P[i, a s_prev + b, c] = #{x < j: (a, b) at x}, j =
     min(cols[c], k - t).  Every J and T frequency check counts here.
 
@@ -389,7 +389,7 @@ def _prefix_pair_counts(slots, s_prev, U, V, T, cols=None):
         raise ValueError(f"16-bit pair counts need k < 2**16, not {k}")
     ucode, vcode, S, R, weights, onehot = _joint_codes(s_prev)
     m, n, nw, L = s_prev - 1, len(U), ucode.shape[1], k - int(T.min())
-    cols = np.arange(1, L + 1) if cols is None else np.asarray(cols)
+    cols = np.asarray(cols)
     starts, ncol = np.concatenate(([0], cols)), np.arange(len(cols))
     # pre[a - 1, w (k + 1) + y]: the x < y where word w holds local slot a
     pre = np.zeros((m, w * (k + 1)), np.int64)
@@ -765,8 +765,7 @@ class GammaCascade:
         return all(v > 0 for v in self.values)
 
 
-def gamma_cascade(plan, N: int | None = None) -> GammaCascade:
-    N = plan.depth - 1 if N is None else N
+def gamma_cascade(plan, N: int) -> GammaCascade:
     st0 = plan.stage(0)
     e0 = Fraction(st0.eps_lunate)
     g = (1 - Fraction(1, 4) - e0) * (1 - Fraction(1, e0 * st0.k)) \
@@ -817,8 +816,7 @@ def _rounding_bound(q: int, size: int, nsym: int) -> Fraction:
     return q * t / (1 - t)
 
 
-def check_T4(built: BuiltSequence, n: int, gamma: Fraction,
-             eps=None) -> SpecEntry:
+def check_T4(built: BuiltSequence, n: int, gamma: Fraction) -> SpecEntry:
     """Inequivalent stage-n circular words must stay gamma-separated in
     normalized Hamming distance on every initial, tail and cross segment
     longer than eps * q_n: 1 minus the largest match frequency, which
@@ -836,8 +834,7 @@ def check_T4(built: BuiltSequence, n: int, gamma: Fraction,
         return SpecEntry("T4", "pass", witness={
             "vacuous": True, "gamma": gamma})
     q = seq.plan.q(n)
-    eps = Fraction(seq.plan.stage(n - 1).eps_lunate) if eps is None else \
-        Fraction(eps)
+    eps = Fraction(seq.plan.stage(n - 1).eps_lunate)
     ls = np.arange(int(eps * q) + 1, q + 1)
     # row i is word i and row s + i its reverse; partner[r] is row r's
     # word the other way round

@@ -1,12 +1,13 @@
 """Finite tree prefixes and the reduction to construction sequences.
 
-Trees are downward-closed sets of finite integer sequences.  The canonical
-enumeration orders sequences by weight (length plus entry sum) with lexic-
-ographic tie-break, which guarantees every prefix appears before any of
-its extensions.  The reduction builds a word family whose group scaffold
-is read off the tree members in enumeration order, then lifts it to the
-circular side; the set of enumeration indices it consults provides an
-explicit continuity bound.  The build sees the tree only through the
+Trees are downward-closed sets of finite sequences of naturals.  The
+canonical enumeration orders sequences by weight (length plus entry sum)
+with lexicographic tie-break, so every prefix comes before its extensions;
+a sequence's index is its entries written out in binary, at any weight.
+The reduction builds a word family whose group scaffold is read off the
+tree members in enumeration order, then lifts it to the circular side;
+the set of enumeration indices it consults provides an explicit
+continuity bound.  The build sees the tree only through the
 members it reads, so certify_continuity builds once per distinct reading.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .coefficients import json_digest, plan_hash
 from .specbuild import (BuiltSequence, ToleranceProfile,
@@ -26,45 +26,23 @@ class TreeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# canonical enumeration
-
-@lru_cache(maxsize=None)
-def _weight_class(w: int) -> tuple:
-    """All sequences with len + sum == w, lexicographically sorted."""
-    if w == 0:
-        return ((),)
-    out = []
-
-    def extend(prefix, budget):
-        # budget = remaining weight; appending value v costs v + 1
-        for v in range(budget):
-            node = prefix + (v,)
-            rest = budget - v - 1
-            if rest == 0:
-                out.append(node)
-            else:
-                extend(node, rest)
-    extend((), w)
-    return tuple(sorted(out))
-
+# canonical enumeration: n >= 1 in binary is a 1, then the entries of
+# sigma_n in unary (v ones each) joined by zeros.  Entry v spans v + 1 of
+# the w = len + sum units, so the weight-w sequences are the compositions
+# of w, as the w-digit numbers [2^(w-1), 2^w) are; within one weight,
+# tuple order is numeric order.
 
 def sigma_enumeration(n: int) -> tuple:
     if n < 0:
         raise TreeError("enumeration index must be non-negative")
-    w = 0
-    while True:
-        cls = _weight_class(w)
-        if n < len(cls):
-            return cls[n]
-        n -= len(cls)
-        w += 1
+    return tuple(map(len, bin(n)[3:].split("0"))) if n else ()
 
 
 def sigma_index(sigma) -> int:
     sigma = tuple(sigma)
-    w = len(sigma) + sum(sigma)
-    base = sum(len(_weight_class(v)) for v in range(w))
-    return base + _weight_class(w).index(sigma)
+    if not all(isinstance(v, int) and v >= 0 for v in sigma):
+        raise TreeError(f"{sigma} is not a sequence of natural numbers")
+    return int("1" + "0".join("1" * v for v in sigma), 2) if sigma else 0
 
 
 # ---------------------------------------------------------------------------

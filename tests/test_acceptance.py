@@ -19,8 +19,8 @@ from circsys.circular import (apply_C, apply_Cr, parse_circular,
 from circsys.codes import code_coefficients, kappa_sequence, natural_code
 from circsys.coefficients import desk_plan, dynamical_index
 from circsys.locations import PointWindow, immature_fraction, maturity
-from circsys.rotation import (_match, _numerator, analyze_rotation,
-                              build_red_zones, delta_n, displacement)
+from circsys.rotation import (analyze_rotation, build_red_zones, delta_n,
+                              displacement)
 from circsys.specbuild import (build_attempt, build_words, check_specs,
                                check_T4, check_timing, desk_tolerances,
                                gamma_cascade, groups_from_tree, lift_build,
@@ -32,7 +32,7 @@ from circsys.systems import (circular_sequence, functor_F, functor_inverse,
 from circsys.trees import (TreePrefix, certify_continuity, mutate_tree,
                            reduce, validate_tree)
 from circsys.words import reverse, unique_readability, word
-from test_rotation import ref_delta_n, ref_ill
+from test_rotation import ref_delta_n, reverify_zones
 from test_specbuild import assert_same_entry, ref_T4
 
 # criterion number -> (label, tolerance / budget note); conftest reads this
@@ -261,22 +261,7 @@ def test_criterion_07_red_zones():
                          (Fraction(5, 7), Fraction(1, 4)),
                          (Fraction(3, 16), Fraction(1, 2))]:
         rz = build_red_zones(beta, plan, 3, target)
-        claimed = set()
-        for layer in rz.layers:
-            pos = set(layer.positions().tolist())
-            assert not pos & claimed
-            claimed |= pos
-            for a in layer.blocks:
-                assert set(range(a * layer.block_size,
-                                 (a + 1) * layer.block_size)) <= pos
-            for x in pos:
-                assert ref_ill(beta, plan, layer.stage, 3, x)
-                valid, j0, j1 = _match(plan, layer.stage, 3, beta,
-                                       _numerator(plan, 3, x))
-                assert valid and j0 != j1
-        assert rz.achieved_density == Fraction(len(claimed), plan.q(3))
-        if not rz.shortfall:
-            assert rz.achieved_density >= rz.target_density
+        reverify_zones(rz, beta, plan, 3)
     _budget(start, 120)
 
 
@@ -403,10 +388,10 @@ class TestCriterion09Pipeline:
         near = list(w0)
         near[5] = 1 - near[5]
         bad = lift_build(self._tampered(plan, built, [w0, tuple(near)]))
-        e = check_T4(bad, 1, gamma_cascade(plan).gamma(1))
+        e = check_T4(bad, 1, gamma_cascade(plan, 1).gamma(1))
         assert e.status == "fail"
         assert e.witness["segment"] in ("initial", "tail", "cross")
-        assert_same_entry(e, ref_T4(bad, 1, gamma_cascade(plan).gamma(1)))
+        assert_same_entry(e, ref_T4(bad, 1, gamma_cascade(plan, 1).gamma(1)))
 
     @pytest.fixture(scope="class")
     @staticmethod

@@ -274,6 +274,13 @@ class TestErrors:
         bad.write_text("{not json")
         assert run(["reduce", "--tree", str(bad), "--depth", "1"]) == 3
 
+    @pytest.mark.parametrize("node", ["[-1]", "[0.5]", "[0, -3]"])
+    def test_tree_entry_not_a_natural_number(self, capsys, tmp_path, node):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"nodes": [[], [0], {node}]}}')
+        assert run(["reduce", "--tree", str(bad), "--depth", "1"]) == 3
+        assert "not a sequence of natural numbers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind,text", [
         ("plan", "[]"), ("plan", '{"stages": 5}'),
         ("tree", "[]"), ("tree", '{"horizon": 0}')])

@@ -14,17 +14,22 @@ from hypothesis import given, settings, strategies as st
 from circsys import rotation
 from circsys.coefficients import desk_plan, dynamical_index
 from circsys.locations import D_n, PointWindow, maturity
-from circsys.rotation import (Displacement, MatchClass, _match, _numerator,
-                              _position, _stage, analyze_rotation,
+from circsys.rotation import (Displacement, MatchClass, _match_at,
+                              _numerator, _position, _stage, analyze_rotation,
                               build_red_zones, delta_csv, delta_n,
-                              delta_partial, displacement, match_class,
-                              rotation_report)
+                              displacement, match_class, rotation_report)
 from circsys.systems import circular_sequence
 
 PLAN3 = desk_plan(kl=((2, 2), (2, 2), (2, 2)))
 # denominators past int64 once multiplied by q_3 = 2^14
 HUGE_BETAS = (Fraction(1, 2 ** 48 + 1), Fraction(1, 2 ** 50 + 1),
               Fraction(2 ** 60, 3 * 2 ** 60 + 1))
+
+
+def _match(plan, n, m, beta, a):
+    """(valid, j0, j1) at interval numerator a from fresh stage constants."""
+    return _match_at(plan.stage(n), _stage(plan, n, m, beta),
+                     _stage(plan, n + 1, m, beta), a)
 
 
 def ref_rd(beta, plan, n, m, x):
@@ -199,9 +204,9 @@ class TestDeltas:
                     ref_delta_n(beta, n, 3, PLAN3)
 
     def test_zero_beta_is_central(self):
-        part = delta_partial(0, 2, 3, PLAN3)
-        assert all(v == 0 for v in part.values)
-        assert part.total == 0
+        doc = rotation_report(PLAN3, 0, 2, 3)
+        assert [Fraction(v) for v in doc["delta"]] == [0, 0]
+        assert Fraction(doc["delta_partial_sum"]) == 0
 
     def test_anchor_precondition(self):
         with pytest.raises(ValueError):
@@ -240,6 +245,20 @@ class TestRedZones:
 
 
 class TestReports:
+    def test_stage_constants_built_once_per_kernel(self, monkeypatch):
+        # the report's lanes and densities and the CSV that follows all
+        # read the one (plan, anchor, beta) kernel: stages 0..3, once
+        calls = []
+        stage = rotation._stage
+        monkeypatch.setattr(rotation, "_stage",
+                            lambda *a: calls.append(a) or stage(*a))
+        monkeypatch.setattr(rotation, "_KERNELS", {})
+        rotation_report(PLAN3, Fraction(1, 3), 2, 3)
+        assert sorted(a[1] for a in calls) == [0, 1, 2, 3]
+        calls.clear()
+        delta_csv(PLAN3, Fraction(1, 3), 2, 3)
+        assert calls == []
+
     def test_json_report_fields(self):
         doc = rotation_report(PLAN3, Fraction(1, 3), 1, 3)
         assert json.loads(json.dumps(doc)) == doc

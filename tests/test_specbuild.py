@@ -843,7 +843,8 @@ def ref_J10_1_filter(slots, s_prev, U, V, T, j_lo, groups=None,
     k = slots.shape[1]
     tf = 1 / (s_prev * s_prev) if target is None else float(target)
     f101 = np.full(len(U), -1.0)
-    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+    cols = np.arange(1, k - T.min() + 1)
+    for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T, cols):
         hi = lo + len(P)
         if groups is not None:
             P = np.matmul(groups, P)
@@ -897,7 +898,8 @@ class TestPrefixKernel:
         seen = 0
         with mock.patch.object(specbuild, "_CHUNK_ELEMS",
                                chunk or specbuild._CHUNK_ELEMS):
-            for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T):
+            for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T,
+                                             np.arange(1, k - T.min() + 1)):
                 assert lo == seen and P.dtype == np.int64
                 seen += len(P)
                 for i in range(len(P)):
@@ -1026,10 +1028,11 @@ class TestPrefixKernel:
         # the 16-bit counters would wrap; the u-codes alone would take 2 MB
         slots = np.zeros((2, 1 << 16), np.int64)
         row = np.zeros(1, np.int64)
+        cols = np.arange(1, (1 << 16) + 1)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"2\*\*16"):
-                next(_prefix_pair_counts(slots, 2, row, row, row))
+                next(_prefix_pair_counts(slots, 2, row, row, row, cols))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1059,15 +1062,14 @@ class TestPrefixKernel:
         slots, s, s_prev = fam
         k = slots.shape[1]
         U, V, T = data.draw(shift_runs(fam))
-        cols = data.draw(st.none() | st.sets(
+        cols = data.draw(st.just(np.arange(1, k - T.min() + 1)) | st.sets(
             st.integers(1, k + 3), min_size=1).map(sorted).map(np.array))
         want = np.zeros((len(U), s_prev * s_prev, k), np.int64)
         for lo, P in ref_prefix_pair_counts(slots, s_prev, U, V, T):
             for i, t in enumerate(T[lo:lo + len(P)]):
                 # counts stay put past the overlap
                 want[lo + i] = P[i][:, np.minimum(np.arange(k), k - t - 1)]
-        at = np.minimum(np.arange(1, k - T.min() + 1) if cols is None
-                        else cols, k) - 1
+        at = np.minimum(cols, k) - 1
         seen = 0
         with mock.patch.object(specbuild, "_CHUNK_ELEMS",
                                chunk or specbuild._CHUNK_ELEMS):
@@ -1332,8 +1334,7 @@ def ref_mismatch_all_shifts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def ref_T4(built: BuiltSequence, n: int, gamma: Fraction,
-           eps=None) -> SpecEntry:
+def ref_T4(built: BuiltSequence, n: int, gamma: Fraction) -> SpecEntry:
     """Inequivalent stage-n circular words must stay gamma-separated in
     normalized Hamming distance on every initial, tail and cross segment
     longer than eps * q_n."""
@@ -1347,8 +1348,7 @@ def ref_T4(built: BuiltSequence, n: int, gamma: Fraction,
         return SpecEntry("T4", "pass", witness={
             "vacuous": True, "gamma": gamma})
     q = seq.plan.q(n)
-    eps = Fraction(seq.plan.stage(n - 1).eps_lunate) if eps is None else \
-        Fraction(eps)
+    eps = Fraction(seq.plan.stage(n - 1).eps_lunate)
     l_min = int(eps * q) + 1
     arrays = {}
     for i, w in enumerate(fam.words):
@@ -1390,9 +1390,9 @@ def ref_T4(built: BuiltSequence, n: int, gamma: Fraction,
 @st.composite
 def t4_families(draw):
     """Lifted stage-1 families of 2-4 words over "01": random, constant,
-    a base word and its one-digit edits, in random classes; an eps (None
-    takes the plan's) and a gamma that is often the exact worst distance,
-    so equality must pass."""
+    a base word and its one-digit edits, in random classes; the plan's
+    stage-0 eps, and a gamma that is often the exact worst distance, so
+    equality must pass."""
     k = draw(st.integers(2, 32))
     digit = st.integers(0, 1)
     random_ = st.integers(0, 2 ** k - 1).map(
@@ -1407,29 +1407,30 @@ def t4_families(draw):
     words = [base] + draw(st.lists(word_, min_size=s - 1, max_size=s - 1))
     classes = tuple(draw(st.lists(st.integers(0, s - 1), min_size=s,
                                   max_size=s)))
-    plan = desk_plan(kl=((k, draw(st.integers(2, 4))), (2, 2)))
+    # short segments match somewhere, so most separated cases need a
+    # large eps; as q < 10^6, 1/10^6 reads every length
+    eps = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 10 ** 6),
+                                Fraction(2, 3), Fraction(3, 4),
+                                Fraction(7, 8), Fraction(15, 16)]))
+    plan = desk_plan(kl=((k, draw(st.integers(2, 4))), (2, 2)),
+                     eps_lunate=(eps, Fraction(1, 16)))
     seq = circular_sequence(plan, "01", [words])
     seq = with_classes(seq, (None, classes))
     built = BuiltSequence(seq, (None, None), SC)
-    # short segments match somewhere, so most separated cases need a
-    # large eps
-    eps = draw(st.sampled_from([None, Fraction(0), Fraction(2, 3),
-                                Fraction(3, 4), Fraction(7, 8),
-                                Fraction(15, 16)]))
-    worst = ref_T4(built, 1, Fraction(1, 2), eps).worst_deviation
+    worst = ref_T4(built, 1, Fraction(1, 2)).worst_deviation
     gamma = draw(st.sampled_from([worst, worst, worst + Fraction(1, 997),
                                   worst - Fraction(1, 997), Fraction(1, 4),
                                   Fraction(0)]))
-    return built, gamma, eps
+    return built, gamma
 
 
 class TestT4:
     @given(t4_families())
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, family):
-        built, gamma, eps = family
-        assert_same_entry(check_T4(built, 1, gamma, eps),
-                          ref_T4(built, 1, gamma, eps))
+        built, gamma = family
+        assert_same_entry(check_T4(built, 1, gamma),
+                          ref_T4(built, 1, gamma))
 
     def test_rounding_bound(self):
         assert _rounding_bound(256, 512, 4) < Fraction(1, 10 ** 10)

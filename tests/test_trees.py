@@ -23,7 +23,61 @@ def tp(*nodes, horizon=0):
     return TreePrefix(frozenset(nodes), horizon=horizon)
 
 
+def ref_weight_class(w):
+    """All sequences with len + sum == w, lexicographically sorted, by
+    listing them: the enumeration's definition, as an oracle."""
+    if w == 0:
+        return [()]
+    out = []
+
+    def extend(prefix, budget):
+        # budget = remaining weight; appending value v costs v + 1
+        for v in range(budget):
+            node = prefix + (v,)
+            if budget - v - 1 == 0:
+                out.append(node)
+            else:
+                extend(node, budget - v - 1)
+    extend((), w)
+    return sorted(out)
+
+
+def weight(s):
+    return len(s) + sum(s)
+
+
 class TestEnumeration:
+    def test_matches_listed_weight_classes(self):
+        # weights 0 .. 15 fill exactly the indices n < 2^15
+        order = [s for w in range(16) for s in ref_weight_class(w)]
+        assert len(order) == 2 ** 15
+        assert [sigma_enumeration(n) for n in range(2 ** 15)] == order
+        assert [sigma_index(s) for s in order] == list(range(2 ** 15))
+
+    @given(st.lists(st.integers(0, 40), max_size=12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_and_tuple_order_within_a_weight(self, s, data):
+        # a permutation keeps the weight, and so does splitting an entry
+        # v into (a, v - 1 - a)
+        same = [tuple(s), tuple(data.draw(st.permutations(s)))]
+        splittable = [i for i, v in enumerate(s) if v >= 1]
+        if splittable:
+            i = data.draw(st.sampled_from(splittable))
+            a = data.draw(st.integers(0, s[i] - 1))
+            same.append(tuple(s[:i] + [a, s[i] - 1 - a] + s[i + 1:]))
+        assert len({weight(x) for x in same}) == 1
+        for x in same:
+            assert sigma_enumeration(sigma_index(x)) == x
+        assert sorted(same, key=sigma_index) == sorted(same)
+
+    @pytest.mark.parametrize("bad", [(-1,), (0, -2), (1.0,), (0, 0.5)])
+    def test_entries_must_be_natural_numbers(self, bad):
+        # (-1,) has weight 0, as () does
+        with pytest.raises(TreeError):
+            sigma_index(bad)
+        with pytest.raises(TreeError):
+            tp((), bad[:1], bad)
+
     def test_injective_with_inverse(self):
         seen = {}
         for i in range(3000):
@@ -40,8 +94,6 @@ class TestEnumeration:
                 assert sigma_index(s[:cut]) < i
 
     def test_weight_order(self):
-        def weight(s):
-            return len(s) + sum(s)
         ws = [weight(sigma_enumeration(i)) for i in range(500)]
         assert ws == sorted(ws)
 
@@ -134,6 +186,24 @@ class TestReduce:
         assert doc["status"].startswith("not-constructed")
         assert len(doc["stages"]) >= 1
         assert all("prewords" in st for st in doc["stages"])
+
+
+class TestFarNode:
+    # sigma_index((60,)) = 2^61 - 1: the reduction never reads it
+    FAR = (60,)
+
+    @pytest.mark.parametrize("nodes, n0", [
+        (((), (0,), (0, 0)), 1),
+        (((), (0,), (1,), (0, 0)), 1),
+        (((), (0,), (1,), (0, 1), (1, 0)), 2)])
+    def test_reduce_and_certificate_ignore_it(self, nodes, n0):
+        near, far = tp(*nodes), tp(*nodes, self.FAR)
+        assert far.horizon == 2 ** 61
+        a, b = reduce(near, n0, PLAN4, seed=3), reduce(far, n0, PLAN4, seed=3)
+        assert (a.output_hash, a.consumed, a.exhausted) == \
+            (b.output_hash, b.consumed, b.exhausted)
+        assert certify_continuity(near, n0, PLAN4, seed=3) == \
+            certify_continuity(far, n0, PLAN4, seed=3)
 
 
 class TestContinuity:
