@@ -86,22 +86,35 @@ def _emit(ctx, payload: dict, plan=None, seed=None) -> None:
     _write(ctx, _render(doc) + "\n")
 
 
-def _render(obj, indent="\n") -> str:
+def _render(obj, indent="\n", memo=None) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) in one recursive pass, as
     CPython runs its pure-Python encoder whenever ``indent`` is set: keys
-    sort, then print, as json coerces them; tuples print as lists."""
+    sort, then print, as json coerces them; tuples print as lists.
+    ``memo`` maps (id(container), indent) to its text for one top-level
+    call, so a container shared within the document renders once per
+    depth; the document holds every container for the whole call, so no
+    id is reused.  Strings and scalars are not memoized."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
+    if not isinstance(obj, (dict, list, tuple)):
+        return _scalar(obj)
+    memo = {} if memo is None else memo
+    key = (id(obj), indent)
+    text = memo.get(key)
+    if text is not None:
+        return text
     inner = indent + "  "
     if isinstance(obj, dict):
-        return "{" + inner + ("," + inner).join([
+        text = "{" + inner + ("," + inner).join([
             _render(k if isinstance(k, str) else _scalar(k)) + ": "
-            + _render(v, inner) for k, v in sorted(obj.items())]) \
+            + _render(v, inner, memo) for k, v in sorted(obj.items())]) \
             + indent + "}" if obj else "{}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + inner + ("," + inner).join([
-            _render(v, inner) for v in obj]) + indent + "]" if obj else "[]"
-    return _scalar(obj)
+    else:
+        text = "[" + inner + ("," + inner).join([
+            _render(v, inner, memo) for v in obj]) + indent + "]" \
+            if obj else "[]"
+    memo[key] = text
+    return text
 
 
 def _scalar(obj) -> str:

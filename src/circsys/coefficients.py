@@ -205,14 +205,6 @@ def extend_plan(plan: CoefficientPlan) -> CoefficientPlan:
                            desk_mode=desk)
 
 
-def grow_plan(stages: int, desk: bool = True) -> CoefficientPlan:
-    """A plan of ``stages`` stages grown by the desk or the floor policy."""
-    plan = CoefficientPlan(stages=(), desk_mode=desk)
-    for _ in range(stages):
-        plan = extend_plan(plan)
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # code coefficients
 

@@ -177,15 +177,15 @@ def _check_E2(seq, n):
                      witness={"multiplicity": counts[0][0] if counts else 0})
 
 
-def _check_E3(seq, n):
+def _check_E3(seq, n, texts):
     """Unique readability: no properly-offset full parse, and no word's
-    second half equal to another's first half."""
+    second half equal to another's first half.  ``texts`` are stage
+    n + 1's words written out."""
     fam = seq.stage(n + 1)
     prev = {w.materialize() for w in seq.stage(n).words}
     Kn = seq.word_length(n)
     k = len(fam.compositions[0])
-    for wi, w in enumerate(fam.words):
-        text = w.materialize()
+    for wi, text in enumerate(texts):
         for off in range(1, Kn):
             windows = range(off, len(text) - Kn + 1, Kn)
             if windows and all(text[a:a + Kn] in prev for a in windows):
@@ -193,7 +193,6 @@ def _check_E3(seq, n):
                     "stage": n + 1, "word": wi, "offset": off,
                     "kind": "offset parse"})
     half = k // 2 + 1
-    texts = [w.materialize() for w in fam.words]
     for i, wt in enumerate(texts):
         second = wt[(k - half) * Kn:]
         for j, vt in enumerate(texts):
@@ -205,13 +204,13 @@ def _check_E3(seq, n):
     return SpecEntry("E3", "pass")
 
 
-def _check_Q4(seq, n, scaffold, eps):
+def _check_Q4(seq, n, scaffold, eps, texts):
     """At the class-founding stage: classwise agreement on an initial
-    proportion of at least 1 - eps."""
+    proportion of at least 1 - eps.  ``texts`` are stage n's words
+    written out."""
     fam = seq.stage(n)
     if fam.classes is None or n != scaffold.M(1):
         return SpecEntry("Q4", "not-checked")
-    texts = [w.materialize() for w in fam.words]
     groups = {}
     for i, c in enumerate(fam.classes):
         groups.setdefault(c, []).append(i)
@@ -711,8 +710,10 @@ def _stage_battery(built, tol, n):
     founded = M1 is not None and n + 1 >= M1
     yield _check_E1(seq, n)
     yield _check_E2(seq, n)
-    yield _check_E3(seq, n)
-    yield _check_Q4(seq, n + 1, built.scaffold, eps)
+    # stage n + 1's words, written out once for E3 and Q4
+    texts = [w.materialize() for w in seq.stage(n + 1).words]
+    yield _check_E3(seq, n, texts)
+    yield _check_Q4(seq, n + 1, built.scaffold, eps, texts)
     yield _check_Q5(seq, n) if founded and n + 1 > M1 \
         else SpecEntry("Q5", "not-checked")
     yield _check_Q6(seq, n + 1, seq.plan.stage(min(n + 1,

@@ -309,21 +309,6 @@ def _perm_key(perm: dict) -> tuple:
     return tuple(sorted(perm.items()))
 
 
-def identity_action(num_classes: int) -> GroupActionTable:
-    return GroupActionTable(num_classes, ())
-
-
-def swap_side_action(num_classes: int, pattern=None) -> GroupActionTable:
-    """One involutive generator: flip the side and XOR the class id with a
-    per-class pattern (defaults to identity on class ids)."""
-    g = {}
-    for c in range(num_classes):
-        target = c if pattern is None else pattern[c]
-        g[(c, FWD)] = (target, REV)
-        g[(target, REV)] = (c, FWD)
-    return GroupActionTable(num_classes, (g,))
-
-
 def skew_diagonal_extend(action: GroupActionTable, prewords,
                          classes: tuple) -> GroupActionTable:
     """Extend a free stage-n action to stage n+1: a generator sends the
@@ -362,12 +347,16 @@ def skew_diagonal_extend(action: GroupActionTable, prewords,
 # serialization
 
 def sequence_to_obj(seq: ConstructionSequence) -> dict:
+    """JSON object of a sequence.  A sub-word shared within it, such as a
+    stage word reused across the next stage, is one shared object, so an
+    edit to one occurrence would show at every other."""
     from .coefficients import plan_to_obj
+    memo = {}
     return {
         "flavor": seq.flavor,
         "plan": plan_to_obj(seq.plan),
         "stages": [{
-            "words": [word_to_obj(w) for w in st.words],
+            "words": [word_to_obj(w, memo) for w in st.words],
             "compositions": [list(t) for t in st.compositions],
             "classes": list(st.classes) if st.classes is not None else None,
         } for st in seq.stages],

@@ -83,11 +83,6 @@ def validate_tree(tp) -> tuple:
     return True, None
 
 
-def tree_to_json(tp: TreePrefix) -> str:
-    return json.dumps({"nodes": sorted(map(list, tp.nodes)),
-                       "horizon": tp.horizon})
-
-
 def tree_from_json(text: str) -> TreePrefix:
     doc = json.loads(text)
     tp = TreePrefix(frozenset(map(tuple, doc["nodes"])),

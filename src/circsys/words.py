@@ -417,7 +417,15 @@ def unique_readability(family, probe: Word | None = None) -> ParseCertificate:
 # ---------------------------------------------------------------------------
 # JSON
 
-def word_to_obj(w: Word):
+def word_to_obj(w: Word, memo: dict | None = None):
+    """JSON object of a word tree.  ``memo`` maps id(word) to (word, obj)
+    and lives as long as the caller keeps it, one document at most (one
+    sequence_to_obj call): the entry holds the word, so no id is reused,
+    and every occurrence of a shared sub-word maps to one shared object."""
+    memo = {} if memo is None else memo
+    hit = memo.get(id(w))
+    if hit is not None:
+        return hit[1]
     if isinstance(w, Literal):
         runs = []
         for ch in w.text:
@@ -425,17 +433,20 @@ def word_to_obj(w: Word):
                 runs[-1]["n"] += 1
             else:
                 runs.append({"sym": ch, "n": 1})
-        return {"type": "literal", "runs": runs}
-    if isinstance(w, Power):
-        return {"type": "power", "n": str(w.exponent),
-                "child": word_to_obj(w.child)}
-    if isinstance(w, Concat):
-        return {"type": "concat",
-                "children": [word_to_obj(c) for c in w.children]}
-    if isinstance(w, CircularNode):
-        return {"type": "circular", "k": str(w.k), "l": str(w.l),
-                "p": str(w.p), "q": str(w.q),
-                "children": [word_to_obj(c) for c in w.children]}
-    if isinstance(w, ReversedNode):
-        return {"type": "reversed", "child": word_to_obj(w.child)}
-    raise TypeError(type(w))
+        obj = {"type": "literal", "runs": runs}
+    elif isinstance(w, Power):
+        obj = {"type": "power", "n": str(w.exponent),
+               "child": word_to_obj(w.child, memo)}
+    elif isinstance(w, Concat):
+        obj = {"type": "concat",
+               "children": [word_to_obj(c, memo) for c in w.children]}
+    elif isinstance(w, CircularNode):
+        obj = {"type": "circular", "k": str(w.k), "l": str(w.l),
+               "p": str(w.p), "q": str(w.q),
+               "children": [word_to_obj(c, memo) for c in w.children]}
+    elif isinstance(w, ReversedNode):
+        obj = {"type": "reversed", "child": word_to_obj(w.child, memo)}
+    else:
+        raise TypeError(type(w))
+    memo[id(w)] = (w, obj)
+    return obj

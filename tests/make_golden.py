@@ -24,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden.json"
 TREE = "tests/data/tree.json"              # {(), (0,), (0, 0)}
-FLOOR_PLAN = "tests/data/floor_plan.json"  # grow_plan(2, desk=False)
+FLOOR_PLAN = "tests/data/floor_plan.json"  # fixtures.grow_plan(2, desk=False)
 
 BUILD_ARGS = ["--kl", "64,4;2,2", "--eps", "1/4", "--eps", "1/8",
               "--level", "1", "--seed", "3"]

@@ -26,12 +26,12 @@ from circsys.specbuild import (build_attempt, build_words, check_specs,
                                gamma_cascade, groups_from_tree, lift_build,
                                _check_T5_T6_T7)
 from circsys.systems import (circular_sequence, functor_F, functor_inverse,
-                             identity_action, odometer_sequence,
-                             propagate_equivalence, uniformity_report,
-                             with_classes)
+                             odometer_sequence, propagate_equivalence,
+                             uniformity_report, with_classes)
 from circsys.trees import (TreePrefix, certify_continuity, mutate_tree,
                            reduce, validate_tree)
 from circsys.words import reverse, unique_readability, word
+from fixtures import identity_action
 from test_rotation import ref_delta_n, reverify_zones
 from test_specbuild import assert_same_entry, ref_T4
 

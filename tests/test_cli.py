@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 import circsys.cli
 import circsys.specbuild
 from circsys.cli import _render, run
-from circsys.coefficients import (desk_plan, extend_plan, grow_plan,
-                                  plan_from_obj, plan_to_json)
-from circsys.trees import TreePrefix, tree_to_json
+from circsys.coefficients import (desk_plan, extend_plan, plan_from_obj,
+                                  plan_to_json)
+from circsys.trees import TreePrefix
+from fixtures import grow_plan, tree_to_json
 
 BUILD_ARGS = ["--kl", "64,4;2,2", "--eps", "1/4", "--eps", "1/8",
               "--level", "1", "--seed", "3"]
@@ -323,6 +324,17 @@ class TestRender:
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_json(self, tree):
         assert _render(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @given(st.one_of(
+        st.lists(TREES, min_size=1, max_size=4),
+        KEYS.flatmap(lambda keys: st.dictionaries(keys, TREES, min_size=1,
+                                                  max_size=4))), TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_shared_object_at_two_depths(self, shared, other):
+        # one object twice at depth 1 and again at depth 3: the memo key
+        # must carry the indent
+        doc = [shared, other, shared, {"deeper": [shared]}]
+        assert _render(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("bad", [
         Fraction(1, 2), {(1, 2): 0}, {"a": 0, 1: 0}, [b"x"], {None: 0, 0: 1}])

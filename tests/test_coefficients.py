@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from circsys.coefficients import (PlanError, audit_plan, code_coefficients,
                                   desk_plan, dynamical_index, extend_plan,
-                                  grow_plan, plan_from_json, plan_to_json)
+                                  plan_from_json, plan_to_json)
+from fixtures import grow_plan
 
 coprime_pq = st.integers(2, 400).flatmap(
     lambda q: st.tuples(

@@ -20,10 +20,6 @@ KEEP = {
     "uniformity_report": "acceptance criterion 4 reads it",
     "functor_inverse": "acceptance criterion 4 reads it",
     "project_pi": "the spacer-factor projection the README lists",
-    "grow_plan": "test fixture: plans of a given depth",
-    "identity_action": "test fixture: the trivial group action",
-    "swap_side_action": "test fixture: a side-swapping group action",
-    "tree_to_json": "test fixture: tree files for the CLI tests",
     "sequence_to_json": "perfbench/tracer.py wraps it by its name string",
 }
 

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 from fractions import Fraction
@@ -25,9 +26,10 @@ from circsys.specbuild import (BuildError, BuiltSequence, RoundingBoundError,
                                groups_from_tree, lift_build)
 from circsys.systems import (CIRCULAR, FWD, REV, GroupActionTable,
                              SequenceError, circular_sequence,
-                             identity_action, odometer_sequence,
-                             swap_side_action, with_classes)
+                             odometer_sequence, with_classes)
 from circsys.trees import TreePrefix
+from circsys.words import Word
+from fixtures import identity_action, swap_side_action
 
 SC = groups_from_tree([(), (0,)])
 PLAN = desk_plan(kl=((64, 4), (2, 2)),
@@ -217,6 +219,31 @@ class TestReports:
         assert json.loads(json.dumps(doc)) == doc
         assert {e["spec"] for e in doc} == \
             {e.spec_id for e in built.report.entries}
+
+    def test_stage_words_written_out_once_per_battery(self, monkeypatch):
+        # the k = 1024 build the CLI gates: E3 and Q4 share one text of
+        # each stage-1 word per check_specs call
+        plan = desk_plan(kl=((1024, 4), (2, 2)),
+                         eps_lunate=(Fraction(1, 4), Fraction(1, 8)))
+        written, calls = Counter(), []
+
+        def materialize(self, *args, _f=Word.materialize):
+            written[id(self)] += 1
+            return _f(self, *args)
+
+        def logged(built, *args, _f=specbuild.check_specs, **kwargs):
+            written.clear()
+            rep = _f(built, *args, **kwargs)
+            calls.append(([written[id(w)] for w in built.seq.stage(1).words],
+                          "E3@0" in {e.spec_id for e in rep.entries}))
+            return rep
+        monkeypatch.setattr(Word, "materialize", materialize)
+        monkeypatch.setattr(specbuild, "check_specs", logged)
+        built = build_words(SC, plan, seed=0, level=1)
+        assert built.report.ok() and calls[-1][1]
+        for counts, reached_e3 in calls:
+            assert len(counts) == built.seq.stage(1).size
+            assert set(counts) == ({1} if reached_e3 else {0})
 
 
 class TestGamma:

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from circsys.coefficients import desk_plan
 from circsys.systems import (FWD, REV, SequenceError, base_stage,
                              circular_sequence, functor_F, functor_inverse,
-                             identity_action, odometer_sequence,
-                             propagate_equivalence, skew_diagonal_extend,
-                             swap_side_action, uniformity_report)
+                             odometer_sequence, propagate_equivalence,
+                             skew_diagonal_extend, uniformity_report)
+from fixtures import identity_action, swap_side_action
 from circsys.words import Literal
 
 

@@ -12,7 +12,8 @@ from circsys.trees import (ContinuityCertificate, TreeError, TreePrefix,
                            addable_index_above, certify_continuity,
                            chain_report, mutate_tree, realization_handoff,
                            reduce, sigma_enumeration, sigma_index,
-                           tree_from_json, tree_to_json, validate_tree)
+                           tree_from_json, validate_tree)
+from fixtures import tree_to_json
 
 PLAN = desk_plan(kl=((4, 2), (2, 2)))
 # the benchmark's reduce_certify plan

@@ -1,5 +1,6 @@
 """Structured words, the d-bar density, and readability certificates."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from circsys.circular import CircularRNode
 from circsys.words import (CircularNode, Concat, Literal, Power, ReversedNode,
                            WordIndexError, _Sectioned, dbar, reverse,
-                           unique_readability, word)
+                           unique_readability, word, word_to_obj)
 
 texts = st.text(alphabet="01be", min_size=1, max_size=40)
 
@@ -245,3 +246,92 @@ class TestReadability:
         assert cert.readable
         starts = [pos for pos, _ in cert.parse]
         assert starts == [1, 4]
+
+
+def ref_word_to_obj(w):
+    """word_to_obj without a memo: a fresh object for every occurrence."""
+    if isinstance(w, Literal):
+        runs = []
+        for ch in w.text:
+            if runs and runs[-1]["sym"] == ch:
+                runs[-1]["n"] += 1
+            else:
+                runs.append({"sym": ch, "n": 1})
+        return {"type": "literal", "runs": runs}
+    if isinstance(w, Power):
+        return {"type": "power", "n": str(w.exponent),
+                "child": ref_word_to_obj(w.child)}
+    if isinstance(w, Concat):
+        return {"type": "concat",
+                "children": [ref_word_to_obj(c) for c in w.children]}
+    if isinstance(w, CircularNode):
+        return {"type": "circular", "k": str(w.k), "l": str(w.l),
+                "p": str(w.p), "q": str(w.q),
+                "children": [ref_word_to_obj(c) for c in w.children]}
+    if isinstance(w, ReversedNode):
+        return {"type": "reversed", "child": ref_word_to_obj(w.child)}
+    raise TypeError(type(w))
+
+
+@st.composite
+def shared_words(draw):
+    """A word whose nodes take their children from the nodes made before
+    them, so one sub-word object sits in several places."""
+    pool = [Literal(draw(st.text(alphabet="01be", min_size=1, max_size=4)))
+            for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["power", "concat", "circular",
+                                     "reversed"]))
+        first = draw(st.sampled_from(pool))
+        if kind == "power":
+            node = Power(first, draw(st.integers(0, 3)))
+        elif kind == "concat":
+            node = Concat((first,) + tuple(draw(st.lists(
+                st.sampled_from(pool), max_size=3))))
+        elif kind == "reversed":
+            node = ReversedNode(first)
+        else:
+            q = first.length
+            if q == 0:
+                continue
+            k = draw(st.integers(1, 3))
+            same = st.sampled_from([w for w in pool if w.length == q])
+            node = CircularNode((first,) + tuple(draw(same)
+                                                 for _ in range(k - 1)),
+                                k=k, l=draw(st.integers(2, 3)),
+                                p=draw(st.sampled_from([
+                                    p for p in range(max(q, 2))
+                                    if math.gcd(p, q) == 1])), q=q)
+        pool.append(node)
+    return Concat(tuple(draw(st.lists(st.sampled_from(pool), min_size=2,
+                                      max_size=4))))
+
+
+def sub_words(w, seen):
+    """Every distinct node object of w, by id."""
+    if id(w) not in seen:
+        seen[id(w)] = w
+        for c in () if isinstance(w, Literal) else w._parts()[1]:
+            sub_words(c, seen)
+    return seen
+
+
+class TestToObj:
+    @given(shared_words())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_sub_words_match_the_reference(self, w):
+        memo = {}
+        obj = word_to_obj(w, memo)
+        assert json.dumps(obj, sort_keys=True) == \
+            json.dumps(ref_word_to_obj(w), sort_keys=True)
+        # one entry, and so one object, per distinct node
+        assert memo.keys() == sub_words(w, {}).keys()
+        assert word_to_obj(w, memo) is obj
+
+    def test_shared_sub_word_is_one_object(self):
+        a = Literal("01")
+        obj = word_to_obj(Concat((a, Power(a, 2), ReversedNode(a))))
+        first, power, rev = obj["children"]
+        assert power["child"] is first and rev["child"] is first
+        # without a memo each call builds afresh
+        assert word_to_obj(a) is not word_to_obj(a)
