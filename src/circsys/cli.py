@@ -22,7 +22,7 @@ import hashlib
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from math import isfinite
 
@@ -37,9 +37,9 @@ from .circular import CircularParseError, parse_circular
 from .systems import SequenceError, sequence_to_obj
 from .codes import apply_code, natural_code
 from .rotation import build_red_zones, delta_csv, rotation_report
-from .specbuild import (BuildError, ToleranceProfile, build_attempt,
-                        build_words, check_specs, check_timing,
-                        gamma_cascade, groups_from_tree, lift_build)
+from .specbuild import (J_TOLERANCE, BuildError, build_attempt, build_words,
+                        check_specs, check_timing, gamma_cascade,
+                        groups_from_tree, lift_build)
 from .trees import (TreeError, certify_continuity, realization_handoff,
                     reduce as tree_reduce, tree_from_json)
 
@@ -48,19 +48,6 @@ ANCHOR_CAP = 1 << 24      # largest tower enumerated position by position
 
 # ---------------------------------------------------------------------------
 # manifest plumbing
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    input_hashes: dict
-    plan_hash: str | None
-    seed: int | None
-    tool_version: str
-    outputs: tuple
-
-    def digest(self) -> str:
-        return json_digest(asdict(self))
-
 
 def _read_input(path: str) -> str:
     """Text of one input file, whose sha256 goes into the run manifest; a
@@ -78,11 +65,12 @@ def _read_input(path: str) -> str:
 def _emit(ctx, payload: dict, plan=None, seed=None) -> None:
     """Write the report under its run manifest, rendered by _render: the
     bytes of json.dumps(doc, indent=2, sort_keys=True) plus a newline."""
-    man = RunManifest(ctx.command.name,
-                      dict(sorted(ctx.obj["inputs"].items())),
-                      None if plan is None else plan_hash(plan),
-                      seed, __version__, (ctx.obj.get("out") or "-",))
-    doc = {"manifest": asdict(man) | {"digest": man.digest()}} | payload
+    man = {"command": ctx.command.name,
+           "input_hashes": dict(sorted(ctx.obj["inputs"].items())),
+           "plan_hash": None if plan is None else plan_hash(plan),
+           "seed": seed, "tool_version": __version__,
+           "outputs": [ctx.obj.get("out") or "-"]}
+    doc = {"manifest": man | {"digest": json_digest(man)}} | payload
     _write(ctx, _render(doc) + "\n")
 
 
@@ -90,30 +78,29 @@ def _render(obj, indent="\n", memo=None) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) in one recursive pass, as
     CPython runs its pure-Python encoder whenever ``indent`` is set: keys
     sort, then print, as json coerces them; tuples print as lists.
-    ``memo`` maps (id(container), indent) to its text for one top-level
-    call, so a container shared within the document renders once per
-    depth; the document holds every container for the whole call, so no
-    id is reused.  Strings and scalars are not memoized."""
+    ``memo`` maps (id(dict), indent) to its text for one top-level call,
+    so a dict shared within the document, as every shared sub-object of a
+    report is (word_to_obj), renders once per depth; the document holds
+    every dict for the whole call, so no id is reused.  Lists, strings and
+    scalars are not memoized, so no enclosing list's text is kept beside
+    its items'."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if not isinstance(obj, (dict, list, tuple)):
         return _scalar(obj)
     memo = {} if memo is None else memo
+    inner = indent + "  "
+    if not isinstance(obj, dict):
+        return "[" + inner + ("," + inner).join([
+            _render(v, inner, memo) for v in obj]) + indent + "]" \
+            if obj else "[]"
     key = (id(obj), indent)
     text = memo.get(key)
-    if text is not None:
-        return text
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        text = "{" + inner + ("," + inner).join([
+    if text is None:
+        text = memo[key] = "{" + inner + ("," + inner).join([
             _render(k if isinstance(k, str) else _scalar(k)) + ": "
             + _render(v, inner, memo) for k, v in sorted(obj.items())]) \
             + indent + "}" if obj else "{}"
-    else:
-        text = "[" + inner + ("," + inner).join([
-            _render(v, inner, memo) for v in obj]) + indent + "]" \
-            if obj else "[]"
-    memo[key] = text
     return text
 
 
@@ -327,16 +314,15 @@ def lift_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style):
 
 @cli.command("check-specs")
 @_with(_build_opts)
-@click.option("--j-tolerance", default=None, metavar="FRAC",
+@click.option("--j-tolerance", default=str(J_TOLERANCE), metavar="FRAC",
               help="Counting-estimate tolerance, every stage.")
 @click.pass_context
 def check_specs_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style,
                     j_tolerance):
     """Run the word-spec battery on one unchecked build attempt."""
     plan, sc = _load_build(plan_path, kl, eps, tree_path, level)
-    tol = None if j_tolerance is None else \
-        ToleranceProfile(j_family=_parse_fraction(j_tolerance))
-    report = check_specs(build_attempt(sc, plan, seed, level, style), tol)
+    report = check_specs(build_attempt(sc, plan, seed, level, style),
+                         _parse_fraction(j_tolerance))
     return _emit_checked(ctx, plan, seed, report,
                          failures=[e.spec_id for e in report.failures()])
 
@@ -506,7 +492,7 @@ def reduce_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
         "plan_hash": res.plan_hash,
         "seed": res.seed,
         "depth": res.depth,
-        "consumed": list(res.consumed),
+        "bound": res.consumed[-1],
         "exhausted": res.exhausted,
         "handoff": realization_handoff(res),
     }

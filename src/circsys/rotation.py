@@ -243,13 +243,6 @@ class ZoneLayer:
     j0: int | None            # dominant ill configuration in the layer
     t: int | None
 
-    def positions(self) -> np.ndarray:
-        if not self.blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([
-            np.arange(a * self.block_size, (a + 1) * self.block_size)
-            for a in self.blocks])
-
 
 @dataclass(frozen=True)
 class RedZone:

@@ -11,13 +11,14 @@ The checker families:
 One builder attempt, build_attempt, samples words satisfying the
 structural constraints by construction and checks nothing.  build_words
 gates: it runs check_specs on each seeded attempt, up to the attempt's
-first failing spec, retrying with fresh entropy until the declared
-tolerances hold.
+first failing spec, retrying with fresh entropy until every J check
+holds within one tolerance (J_TOLERANCE by default) and every other spec
+holds.
 
 Both batteries run stage by stage, and every J and T frequency is counted
 by one prefix kernel (_prefix_pair_counts).  Per stage, J10, J10.1 and J11
-read one pass of it and J11.1 another; T5 and T7 read one whole-overlap
-table and T6 makes its own pass.
+read one pass of it, band-pruned for J10.1 (_banded_argmax), and J11.1
+another; T5 and T7 read one whole-overlap table and T6 makes its own pass.
 """
 
 from __future__ import annotations
@@ -53,18 +54,15 @@ class GroupScaffold:
 
     nodes: tuple          # tuples of ints, discovery order
 
-    def X(self, n: int, s: int) -> tuple:
-        return tuple(x for x in self.nodes[:n + 1] if len(x) == s)
+    def generator_count(self, n: int) -> int:
+        """Length-1 nodes among the first n + 1 discovered."""
+        return sum(len(x) == 1 for x in self.nodes[:n + 1])
 
-    def generator_count(self, n: int, s: int) -> int:
-        return len(self.X(n, s))
-
-    def M(self, s: int):
-        """Least discovery index carrying a length-s node."""
-        for i, x in enumerate(self.nodes):
-            if len(x) == s:
-                return i
-        return None
+    @property
+    def M1(self):
+        """Least discovery index carrying a length-1 node, or None."""
+        return next((i for i, x in enumerate(self.nodes) if len(x) == 1),
+                    None)
 
 
 def groups_from_tree(nodes) -> GroupScaffold:
@@ -116,24 +114,8 @@ class SpecReport:
         } for e in self.entries]
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Per-family tolerances; the J functions take the stage index."""
-
-    j_family: object = None     # callable n -> Fraction
-
-    def j(self, n: int) -> Fraction:
-        if self.j_family is None:
-            return Fraction(1, 2)
-        return Fraction(self.j_family(n)) if callable(self.j_family) \
-            else Fraction(self.j_family)
-
-
+J_TOLERANCE = Fraction(1, 2)    # the J10-J11.1 tolerance, by default
 MU = Fraction(1, 4)             # the T5-T7 tolerance mu, at every stage
-
-
-def desk_tolerances() -> ToleranceProfile:
-    return ToleranceProfile()
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +186,12 @@ def _check_E3(seq, n, texts):
     return SpecEntry("E3", "pass")
 
 
-def _check_Q4(seq, n, scaffold, eps, texts):
-    """At the class-founding stage: classwise agreement on an initial
+def _check_Q4(seq, n, M1, eps, texts):
+    """At the class-founding stage M1: classwise agreement on an initial
     proportion of at least 1 - eps.  ``texts`` are stage n's words
     written out."""
     fam = seq.stage(n)
-    if fam.classes is None or n != scaffold.M(1):
+    if fam.classes is None or n != M1:
         return SpecEntry("Q4", "not-checked")
     groups = {}
     for i, c in enumerate(fam.classes):
@@ -233,11 +215,12 @@ def _check_Q4(seq, n, scaffold, eps, texts):
                      tolerance=Fraction(eps), witness=witness)
 
 
-def _check_Q5(seq, n):
-    """Above M(s) the relation must be the propagation of the previous
-    stage's relation."""
+def _check_Q5(seq, n, M1):
+    """Past the class-founding stage M1 the relation must be the
+    propagation of the previous stage's relation."""
     cur, prev = seq.stage(n + 1), seq.stage(n)
-    if cur.classes is None or prev.classes is None:
+    if M1 is None or n + 1 <= M1 or cur.classes is None or \
+            prev.classes is None:
         return SpecEntry("Q5", "not-checked")
     want = propagate_equivalence(prev.classes, cur.compositions)
     # compare as partitions (ids may be permuted)
@@ -536,29 +519,29 @@ def _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None, target=None,
     return out
 
 
-def _band_bound(P, edges, over, groups, tf):
+def _band_bound(P, edges, over, tf):
     """Per row of a prefix-kernel block P read at the band ``edges``, that
     rise to the overlap ``over`` and clamp to it: a bound above |count / j0
-    - tf| over groups and j0 in [edges[0], over].  Group sums of counts
-    grow with j0, so on a band [a, b] count / j0 is in [P(a)/b, P(b)/a]."""
-    P = (P if groups is None else np.matmul(groups, P)).transpose(2, 1, 0)
+    - tf| over pairs and j0 in [edges[0], over].  Counts grow with j0, so
+    on a band [a, b] count / j0 is in [P(a)/b, P(b)/a]."""
+    P = P.transpose(2, 1, 0)
     j0 = np.minimum(edges[:, None], over)
     return np.maximum((P.max(axis=1)[1:] / j0[:-1]).max(axis=0) - tf,
                       tf - (P.min(axis=1)[:-1] / j0[1:]).min(axis=0))
 
 
-def _banded_argmax(slots, s_prev, U, V, T, j_lo, live, groups=None,
-                   target=None):
-    """_prefix_argmax on the ``live`` rows that can hold the first exact
-    maximum of their window deviations: their indices, its arrays for
-    them, and every row's whole-overlap counts [r, pair], from one kernel
-    pass read at the band edges.  The largest live deviation at j0 = k - t
-    bounds the maximum below, and so does the exact maximum of any one
-    row; a row whose _band_bound is below the larger, less _FILTER_MARGIN,
-    cannot hold it, and one that ties it survives.  A window whose every
-    column is an edge takes one _prefix_argmax pass over every row."""
+def _banded_argmax(slots, s_prev, U, V, T, j_lo, live):
+    """J10.1's _prefix_argmax, against 1 / s_prev^2, on the ``live`` rows
+    that can hold the first exact maximum of their window deviations:
+    their indices, its arrays for them, and every row's whole-overlap
+    counts [r, pair], from one kernel pass read at the band edges.  The
+    largest live deviation at j0 = k - t bounds the maximum below, and so
+    does the exact maximum of any one row; a row whose _band_bound is
+    below the larger, less _FILTER_MARGIN, cannot hold it, and one that
+    ties it survives.  A window whose every column is an edge takes one
+    _prefix_argmax pass over every row."""
     k, npair = slots.shape[1], s_prev * s_prev
-    tf = 1 / npair if target is None else float(target)
+    tf = 1 / npair
     over = k - T
     j_hi, edges = int(over[live].max(initial=j_lo)), [j_lo]
     while edges[-1] < j_hi:     # each band max(1, a // 16) wide from a
@@ -566,25 +549,21 @@ def _banded_argmax(slots, s_prev, U, V, T, j_lo, live, groups=None,
     totals = np.zeros((len(U), npair), np.int32)
     rows = np.flatnonzero(live)
     if len(edges) > j_hi - j_lo:    # every column an edge: one full pass
-        found = _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups, target,
-                               totals)
+        found = _prefix_argmax(slots, s_prev, U, V, T, j_lo, totals=totals)
         return rows, found[:, rows], totals
     # the edges, then one column past every overlap
     cols, upper = np.array(edges + [k + 1]), np.empty(len(U))
     for lo, P in _prefix_pair_counts(slots, s_prev, U, V, T, cols):
         hi = lo + len(P)
         totals[lo:hi] = P[:, :, -1]
-        upper[lo:hi] = _band_bound(P[:, :, :-1], cols[:-1], over[lo:hi],
-                                   groups, tf)
-    whole = totals[rows] if groups is None else totals[rows] @ groups.T
+        upper[lo:hi] = _band_bound(P[:, :, :-1], cols[:-1], over[lo:hi], tf)
     top = rows[[upper[rows].argmax()]]
-    c, j0, _ = _prefix_argmax(slots, s_prev, U[top], V[top], T[top], j_lo,
-                              groups, target)
-    lower = max(np.abs(whole / over[rows, None] - tf).max(),
+    c, j0, _ = _prefix_argmax(slots, s_prev, U[top], V[top], T[top], j_lo)
+    lower = max(np.abs(totals[rows] / over[rows, None] - tf).max(),
                 abs(c[0] / j0[0] - tf))
     rows = rows[upper[rows] >= lower - _FILTER_MARGIN]
     return rows, _prefix_argmax(slots, s_prev, U[rows], V[rows], T[rows],
-                                j_lo, groups, target), totals
+                                j_lo), totals
 
 
 def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
@@ -702,20 +681,19 @@ def _check_J11_1(slots, s_prev, pairs, eps, tol):
 # ---------------------------------------------------------------------------
 # the public checker
 
-def _stage_battery(built, tol, n):
+def _stage_battery(built, jt, n):
     """Stage n's entries in report order, each check run when reached."""
     seq, actions = built.seq, built.actions
     st = seq.plan.stage(n)
-    eps, jt, M1 = st.eps_lunate, tol.j(n), built.scaffold.M(1)
+    eps, M1 = st.eps_lunate, built.scaffold.M1
     founded = M1 is not None and n + 1 >= M1
     yield _check_E1(seq, n)
     yield _check_E2(seq, n)
     # stage n + 1's words, written out once for E3 and Q4
     texts = [w.materialize() for w in seq.stage(n + 1).words]
     yield _check_E3(seq, n, texts)
-    yield _check_Q4(seq, n + 1, built.scaffold, eps, texts)
-    yield _check_Q5(seq, n) if founded and n + 1 > M1 \
-        else SpecEntry("Q5", "not-checked")
+    yield _check_Q4(seq, n + 1, M1, eps, texts)
+    yield _check_Q5(seq, n, M1)
     yield _check_Q6(seq, n + 1, seq.plan.stage(min(n + 1,
                     seq.plan.depth - 1)).e) \
         if founded else SpecEntry("Q6", "not-checked")
@@ -731,12 +709,12 @@ def _stage_battery(built, tol, n):
                        eps, jt)
 
 
-def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
-                = None, *, first_failure: bool = False) -> SpecReport:
-    """The E, Q, A and J battery of every stage, in stage order.  With
-    ``first_failure`` the report ends at its first failing entry, and no
-    later check runs: enough to reject an attempt, not to rank it."""
-    tol = tolerances or desk_tolerances()
+def check_specs(built: BuiltSequence, j_tolerance: Fraction = J_TOLERANCE,
+                *, first_failure: bool = False) -> SpecReport:
+    """The E, Q, A and J battery of every stage, in stage order, the J
+    checks against ``j_tolerance``.  With ``first_failure`` the report
+    ends at its first failing entry, and no later check runs: enough to
+    reject an attempt, not to rank it."""
     seq = built.seq
     if seq.flavor != ODOMETER:
         raise SequenceError("check_specs runs on odometer sequences")
@@ -744,7 +722,7 @@ def check_specs(built: BuiltSequence, tolerances: ToleranceProfile | None
         raise SequenceError("need at least two stages")
     entries = []
     for n in range(seq.depth):
-        for e in _stage_battery(built, tol, n):
+        for e in _stage_battery(built, j_tolerance, n):
             entries.append(replace(e, spec_id=f"{e.spec_id}@{n}"))
             if first_failure and e.status == "fail":
                 return SpecReport(tuple(entries))
@@ -760,10 +738,6 @@ class GammaCascade:
 
     def gamma(self, n: int) -> Fraction:
         return self.values[n - 1]
-
-    @property
-    def positive(self) -> bool:
-        return all(v > 0 for v in self.values)
 
 
 def gamma_cascade(plan, N: int) -> GammaCascade:
@@ -884,9 +858,8 @@ def _check_T5_T6_T7(built: BuiltSequence, n: int, mu: Fraction) -> tuple:
     Both read one _pair_totals pass over every signed (u, v, t).  T6: for
     every pair of prewords and shift t, the frequency of aligned slot pairs
     whose classes lie in one orbit of the stage-n action, on every prefix
-    j0 >= eps k; each (w0, w1, t) reports the exact value at its float
-    argmax, among the rows the band bound keeps (_banded_argmax), as a
-    group sum of prefix counts is nondecreasing in j0."""
+    j0 >= eps k: each (w0, w1, t) reports the exact value at its float
+    argmax from one _prefix_argmax pass over every row."""
     classes = built.stage(n).classes
     if classes is None:
         return tuple(SpecEntry(t, "not-checked") for t in ("T5", "T6", "T7"))
@@ -934,9 +907,8 @@ def _check_T5_T6_T7(built: BuiltSequence, n: int, mu: Fraction) -> tuple:
     j_lo = max(1, ceil(eps * k))
     w0, w1, t = _grid(range(s), range(s),
                       range(1, min(int((1 - eps) * k), k - j_lo) + 1))
-    rows, (counts, j0, _), _ = _banded_argmax(
-        slots, s_prev, w1, w0, t, j_lo, t > 0, related, target)
-    w0, w1, t = w0[rows], w1[rows], t[rows]
+    counts, j0, _ = _prefix_argmax(slots, s_prev, w1, w0, t, j_lo, related,
+                                   target)
     return t5, _worst_entry(
         "T6", counts, j0, (target.numerator, target.denominator), mu,
         lambda i: {"w0": int(w0[i]), "w1": int(w1[i]), "t": int(t[i]),
@@ -945,21 +917,19 @@ def _check_T5_T6_T7(built: BuiltSequence, n: int, mu: Fraction) -> tuple:
 
 def check_timing(built: BuiltSequence, level: int,
                  gamma: GammaCascade) -> SpecReport:
-    """On the circular lift of ``built``: T1-T3 structurally, T4 as exact
-    segment distances against ``gamma``, T5-T7 as exact frequency counts
-    against MU."""
-    circ = built if built.seq.flavor == CIRCULAR else lift_build(built)
+    """On the circular lift of the odometer build ``built``: T1-T3
+    structurally, T4 as exact segment distances against ``gamma``, T5-T7
+    as exact frequency counts against MU."""
+    circ = lift_build(built)
     seq = circ.seq
     if seq.depth < 1:
         raise SequenceError("need at least two stages")
     entries = []
-    M1 = circ.scaffold.M(1)
     for n in range(min(level, seq.depth - 1)):
         act = circ.actions[n + 1] if circ.actions else None
         # T1: propagation, the class-founding stage exempt; T2/T3: freeness
         # and parity of the stage action
-        stage = (_check_Q5(seq, n) if M1 is not None and n + 1 > M1
-                 else SpecEntry("T1", "not-checked"), _check_A7(act),
+        stage = (_check_Q5(seq, n, circ.scaffold.M1), _check_A7(act),
                  _check_A8(act), check_T4(circ, n + 1, gamma.gamma(n + 1)),
                  *_check_T5_T6_T7(circ, n, MU))
         entries += [replace(e, spec_id=f"T{i}@{n + 1 if i == 4 else n}")
@@ -1079,13 +1049,12 @@ def _sample_stage(rng, plan, n, prev_size, prev_classes, s_next, Q_next,
 
 
 def build_words(tp, plan, seed: int, level: int,
-                tolerances: ToleranceProfile | None = None,
-                retry_budget: int = 32, style: str = "random"
-                ) -> BuiltSequence:
+                j_tolerance: Fraction = J_TOLERANCE, retry_budget: int = 32,
+                style: str = "random") -> BuiltSequence:
     """Seeded, verification-gated construction of an odometer sequence
     with class and action data derived from the tree prefix: attempts 0,
     1, ... of build_attempt, each checked by check_specs up to its first
-    failing spec, until one passes.  The passing attempt carries its
+    failing spec against ``j_tolerance``, until one passes.  The passing attempt carries its
     report, complete as nothing failed; an exhausted budget raises
     BuildError with the full report of the first attempt that failed
     fewest specs."""
@@ -1095,11 +1064,11 @@ def build_words(tp, plan, seed: int, level: int,
     failed = []
     for attempt in range(retry_budget):
         built = build_attempt(tp, plan, seed, level, style, attempt)
-        report = check_specs(built, tolerances, first_failure=True)
+        report = check_specs(built, j_tolerance, first_failure=True)
         if report.ok():
             return replace(built, report=report)
         failed.append(built)
-    best = min((check_specs(b, tolerances) for b in failed),
+    best = min((check_specs(b, j_tolerance) for b in failed),
                key=lambda r: len(r.failures()))
     raise BuildError(f"retry budget {retry_budget} exhausted", best)
 
@@ -1114,7 +1083,7 @@ def build_attempt(tp, plan, seed: int, level: int, style: str = "random",
     # the scaffold is part of the consumed input, so it salts the entropy
     # stream: builds differ whenever the tree data differs
     rng = random.Random(repr((seed, attempt, scaffold.nodes)))
-    M1 = scaffold.M(1)
+    M1 = scaffold.M1
     comps_by_stage = []
     classes_by_stage = [(0, 0)]       # stage 0: one class over {1, 0}
     prev_size = 2
@@ -1156,13 +1125,13 @@ def _derive_actions(scaffold, seq, level):
     generators, one per discovered length-1 node, with later stages given
     by the skew-diagonal extension.  Generator count past the class count
     duplicates patterns (the desk surrogate for a larger free product)."""
-    M1 = scaffold.M(1)
+    M1 = scaffold.M1
     actions = [None]
     act = None
     for n in range(1, level + 1):
         fam = seq.stage(n)
         nclasses = fam.num_classes()
-        count = scaffold.generator_count(n, 1)
+        count = scaffold.generator_count(n)
         if M1 is None or n < M1 or count == 0:
             actions.append(None)
             continue

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .coefficients import json_digest, plan_hash
-from .specbuild import (BuiltSequence, ToleranceProfile,
-                        build_words, groups_from_tree, lift_build)
+from .specbuild import (BuiltSequence, build_words, groups_from_tree,
+                        lift_build)
 
 
 class TreeError(ValueError):
@@ -100,7 +101,7 @@ def tree_from_json(text: str) -> TreePrefix:
 class ReductionResult:
     built: BuiltSequence          # circular, lifted
     odometer: BuiltSequence
-    consumed: tuple               # enumeration indices consulted
+    consumed: range               # enumeration indices consulted
     output_hash: str
     plan_hash: str
     seed: int
@@ -125,7 +126,8 @@ def _output_obj(built: BuiltSequence) -> dict:
 
 def _read_tree(tp: TreePrefix, n0: int, plan) -> tuple:
     """reduce's tree read: the first n0 + 1 members in enumeration order,
-    the indices consulted to find them, and whether the horizon came first."""
+    the indices consulted to find them, and whether the horizon came first.
+    The indices are a lazy range, as a far member's index is huge."""
     ok, witness = validate_tree(tp)
     if not ok:
         raise TreeError(f"not a tree: missing initial segment {witness}")
@@ -137,13 +139,13 @@ def _read_tree(tp: TreePrefix, n0: int, plan) -> tuple:
     members = tp.members_in_order()[:n0 + 1]
     exhausted = len(members) < n0 + 1
     last = tp.horizon - 1 if exhausted else sigma_index(members[-1])
-    return members, tuple(range(last + 1)), exhausted
+    return members, range(last + 1), exhausted
 
 
 def _build(members: tuple, n0: int, plan, seed: int) -> tuple:
     """reduce's build from the members read: (odometer, lift, hash)."""
     odo = build_words(groups_from_tree(members), plan, seed=seed, level=n0,
-                      tolerances=ToleranceProfile(j_family=1))
+                      j_tolerance=Fraction(1))
     circ = lift_build(odo)
     return odo, circ, json_digest(_output_obj(circ))
 
@@ -176,13 +178,21 @@ def mutate_tree(tp: TreePrefix, index: int) -> TreePrefix:
 
 
 def addable_index_above(tp: TreePrefix, bound: int) -> int:
-    """Smallest enumeration index > bound, and at most bound + 10000, whose
-    node can be added while keeping the prefix a tree."""
-    for n in range(bound + 1, bound + 10001):
-        node = sigma_enumeration(n)
-        if node not in tp.nodes and (not node or node[:-1] in tp.nodes):
-            return n
-    raise TreeError(f"no addable node within 10000 indices above {bound}")
+    """Smallest enumeration index > bound whose node can be added while
+    keeping the prefix a tree: the root of an empty prefix, or over the
+    nodes x, the first child x + (v,) outside the prefix past the bound.
+    That child's index is x's written out, a zero (none at the root) and
+    v ones, so it grows with v; v starts where the child has fewer bits
+    than the bound."""
+    found = [0] if bound < 0 and not tp.nodes else []
+    for x in tp.nodes:
+        v = max(0, bound.bit_length() - sigma_index(x).bit_length() - 2)
+        while (n := sigma_index(x + (v,))) <= bound or x + (v,) in tp.nodes:
+            v += 1
+        found.append(n)
+    if not found:
+        raise TreeError(f"no addable node above {bound}")
+    return min(found)
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,7 @@ def certify_continuity(tp: TreePrefix, n0: int, plan,
     if exhausted:
         raise TreeError("prefix too thin to certify: the member hunt "
                         "reached the horizon, so no finite bound exists")
-    M = max(consumed)
+    M = consumed[-1]
     above = addable_index_above(tp, M)
     above_hash = output_hash(mutate_tree(tp, above))[0]
     cert_consumed = cert_hash = affected = None

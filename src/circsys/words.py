@@ -418,10 +418,11 @@ def unique_readability(family, probe: Word | None = None) -> ParseCertificate:
 # JSON
 
 def word_to_obj(w: Word, memo: dict | None = None):
-    """JSON object of a word tree.  ``memo`` maps id(word) to (word, obj)
-    and lives as long as the caller keeps it, one document at most (one
-    sequence_to_obj call): the entry holds the word, so no id is reused,
-    and every occurrence of a shared sub-word maps to one shared object."""
+    """JSON object of a word tree, a dict.  ``memo`` maps id(word) to
+    (word, obj) and lives as long as the caller keeps it, one document at
+    most (one sequence_to_obj call): the entry holds the word, so no id is
+    reused, and every occurrence of a shared sub-word maps to one shared
+    dict, which cli._render renders once per depth."""
     memo = {} if memo is None else memo
     hit = memo.get(id(w))
     if hit is not None:

@@ -21,8 +21,8 @@ from circsys.coefficients import desk_plan, dynamical_index
 from circsys.locations import PointWindow, immature_fraction, maturity
 from circsys.rotation import (analyze_rotation, build_red_zones, delta_n,
                               displacement)
-from circsys.specbuild import (build_attempt, build_words, check_specs,
-                               check_T4, check_timing, desk_tolerances,
+from circsys.specbuild import (J_TOLERANCE, build_attempt, build_words,
+                               check_specs, check_T4, check_timing,
                                gamma_cascade, groups_from_tree, lift_build,
                                _check_T5_T6_T7)
 from circsys.systems import (circular_sequence, functor_F, functor_inverse,
@@ -306,7 +306,7 @@ class TestCriterion09Pipeline:
         for seed in range(4):
             plan = desk_plan(kl=((64, 4), (2, 2)), eps_lunate=self.EPS)
             built = build_words(self.SCAFFOLD, plan, seed=seed, level=1)
-            assert check_specs(built, desk_tolerances()).ok()
+            assert check_specs(built, J_TOLERANCE).ok()
         _budget(start, 600)
 
     def test_criterion_09b_j10_decreases_in_k(self):
@@ -318,7 +318,7 @@ class TestCriterion09Pipeline:
                 plan = desk_plan(kl=((k, 4), (2, 2)), eps_lunate=self.EPS)
                 built = build_attempt(self.SCAFFOLD, plan, seed=seed,
                                       level=1)
-                rep = check_specs(built, desk_tolerances())
+                rep = check_specs(built, J_TOLERANCE)
                 devs.append(Fraction(rep.entry("J10@0").worst_deviation))
             wins += devs[0] > devs[1] > devs[2]
         assert wins >= 19, f"strict decrease in only {wins}/20 seeds"
@@ -344,7 +344,7 @@ class TestCriterion09Pipeline:
         k = 64
         bad = [tuple([0] * k), tuple([0] * (k // 2) + [1] * (k // 2))]
         rep = check_specs(self._tampered(plan, built, bad),
-                          desk_tolerances())
+                          J_TOLERANCE)
         e = rep.entry("E2@0")
         assert e.status == "fail"
         assert e.witness["multiplicities"] == [32, 64]
@@ -353,7 +353,7 @@ class TestCriterion09Pipeline:
         plan, built = level1
         bad = [tuple([0] * 64), tuple([1] * 64)]
         e = check_specs(self._tampered(plan, built, bad),
-                        desk_tolerances()).entry("E3@0")
+                        J_TOLERANCE).entry("E3@0")
         assert e.status == "fail"
         assert "kind" in e.witness and "words" in e.witness
 
@@ -362,7 +362,7 @@ class TestCriterion09Pipeline:
         comps = [tuple(t) for t in built.seq.stage(1).compositions]
         assert comps[0][0] != comps[1][0]  # words diverge at slot 0
         e = check_specs(self._tampered(plan, built, comps, classes1=(0, 0)),
-                        desk_tolerances()).entry("Q4@0")
+                        J_TOLERANCE).entry("Q4@0")
         assert e.status == "fail"
         assert e.witness["agreed"] == 0
 
@@ -377,7 +377,7 @@ class TestCriterion09Pipeline:
         }
         for spec_id, bad in cases.items():
             e = check_specs(self._tampered(plan, built, bad),
-                            desk_tolerances()).entry(spec_id)
+                            J_TOLERANCE).entry(spec_id)
             assert e.status == "fail", spec_id
             assert Fraction(e.worst_deviation) > Fraction(e.tolerance)
             assert "pair" in e.witness
@@ -424,13 +424,13 @@ class TestCriterion09Pipeline:
 
 def test_criterion_10_gamma_separation():
     start = time.monotonic()
-    from circsys.specbuild import ToleranceProfile
     plan = desk_plan(kl=((64, 4), (2, 2)),
                      eps_lunate=(Fraction(2, 5), Fraction(1, 5)))
-    tol = ToleranceProfile(
-        j_family=lambda n: Fraction(1, 2) if n == 0 else Fraction(1))
     built = build_words(groups_from_tree([(), (0,)]), plan, seed=11,
-                        level=2, tolerances=tol, style="separated")
+                        level=2, j_tolerance=Fraction(1), style="separated")
+    # built against 1 at every stage; stage 0's J checks hold against 1/2
+    for j in ("J10", "J10.1", "J11", "J11.1"):
+        assert built.report.entry(f"{j}@0").worst_deviation < J_TOLERANCE
     lifted = lift_build(built)
     cas = gamma_cascade(plan, 2)
     assert cas.gamma(1) == Fraction(2583, 10240)

@@ -19,7 +19,7 @@ DEMOS = {
     "plan_tour.py":
         "ea831a5c2571e4aaa66a9aefe0af3c19172fa3e5641a0322af388b75f88ed529",
     "reduction_pipeline.py":
-        "9e55d3487cdf9f4a18f22c35b2ec00839aa58e8c0548c2dc663f0a29c2133f83",
+        "96952a20784ca0f38db802fcafcd8d2bcf91c518522106ebd7c64781bc0fb051",
     "rotation_displacement.py":
         "025129cfa295e8ea680decbc31cea60dc05052fd66da2127cf82f3d08b703611",
 }

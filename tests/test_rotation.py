@@ -91,7 +91,8 @@ def reverify_zones(rz, beta, plan, M):
     """Claimed blocks are disjoint, whole and ill by the oracle."""
     claimed = set()
     for layer in rz.layers:
-        pos = set(layer.positions().tolist())
+        pos = {a * layer.block_size + i for a in layer.blocks
+               for i in range(layer.block_size)}
         assert not pos & claimed
         claimed |= pos
         for a in layer.blocks:

@@ -1,7 +1,12 @@
 """Sequence enumeration, tree prefixes, reduction, continuity bounds."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,7 +146,8 @@ class TestTreePrefix:
                 nodes.add(base + (rng.randrange(3),))
             t = tp(*nodes, horizon=rng.choice([0, rng.randrange(60)]))
             for n0 in (1, 2, 3):
-                assert trees._read_tree(t, n0, PLAN4) == walk(t, n0)
+                members, consumed, exhausted = trees._read_tree(t, n0, PLAN4)
+                assert (members, tuple(consumed), exhausted) == walk(t, n0)
 
 class TestMutation:
     def test_toggle_leaf(self):
@@ -205,6 +211,58 @@ class TestFarNode:
             (b.output_hash, b.consumed, b.exhausted)
         assert certify_continuity(near, n0, PLAN4, seed=3) == \
             certify_continuity(far, n0, PLAN4, seed=3)
+
+    def test_a_read_far_node_costs_no_memory_per_index(self, tmp_path):
+        # the third member (60,) is read: the consumed indices run to
+        # 2^61 - 1, and a list of them would not fit in 1 GB
+        tree = tmp_path / "far.json"
+        tree.write_text(json.dumps({"nodes": [[], [0], [60]],
+                                    "horizon": 3}))
+        root = Path(__file__).resolve().parent.parent
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from circsys.cli import run\n"
+                "sys.exit(run(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(root / "src"), os.environ.get("PYTHONPATH")])))
+        for cmd in ("reduce", "continuity"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, cmd, "--tree", str(tree),
+                 "--depth", "2", "--kl", "4,2;2,2;2,2"],
+                capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            doc = json.loads(proc.stdout)
+            assert doc["bound"] == 2 ** 61 - 1
+        # the least addable node above the bound is (0, 60)
+        assert doc["above_index"] == sigma_index((0, 60)) == \
+            2 ** 61 + 2 ** 60 - 1
+        assert doc["ok"] and doc["affected_at_consumed"]
+
+
+def ref_addable_index_above(tp, bound):
+    """addable_index_above by scanning every index above the bound."""
+    return next(n for n in itertools.count(bound + 1)
+                if sigma_enumeration(n) not in tp.nodes
+                and (not sigma_enumeration(n)
+                     or sigma_enumeration(n)[:-1] in tp.nodes))
+
+
+class TestAddable:
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 3)),
+                    max_size=9), st.integers(-1, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scan(self, grow, bound):
+        nodes = [()]
+        for parent, label in grow:
+            nodes.append(nodes[parent % len(nodes)] + (label,))
+        t = tp(*nodes)
+        assert addable_index_above(t, bound) == \
+            ref_addable_index_above(t, bound)
+
+    def test_empty_prefix(self):
+        assert addable_index_above(tp(), -1) == 0
+        with pytest.raises(TreeError, match="no addable node"):
+            addable_index_above(tp(), 0)
 
 
 class TestContinuity:
