@@ -21,7 +21,7 @@ def main():
 
     res = reduce(t, 1, plan, seed=7)
     print(f"\nreduction at depth 1, seed 7:")
-    print(f"  consumed enumeration indices: 0..{res.consumed[-1]}")
+    print(f"  consumed enumeration indices: 0..{res.bound}")
     print(f"  output hash: {res.output_hash[:16]}...")
 
     cert = certify_continuity(t, 1, plan, seed=7)

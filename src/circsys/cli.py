@@ -492,7 +492,7 @@ def reduce_cmd(ctx, plan_path, kl, eps, tree_path, n0, seed):
         "plan_hash": res.plan_hash,
         "seed": res.seed,
         "depth": res.depth,
-        "bound": res.consumed[-1],
+        "bound": res.bound,
         "exhausted": res.exhausted,
         "handoff": realization_handoff(res),
     }

@@ -1048,22 +1048,22 @@ def _sample_stage(rng, plan, n, prev_size, prev_classes, s_next, Q_next,
                      f"words")
 
 
-def build_words(tp, plan, seed: int, level: int,
+def build_words(scaffold, plan, seed: int, level: int,
                 j_tolerance: Fraction = J_TOLERANCE, retry_budget: int = 32,
                 style: str = "random") -> BuiltSequence:
     """Seeded, verification-gated construction of an odometer sequence
-    with class and action data derived from the tree prefix: attempts 0,
-    1, ... of build_attempt, each checked by check_specs up to its first
-    failing spec against ``j_tolerance``, until one passes.  The passing attempt carries its
-    report, complete as nothing failed; an exhausted budget raises
-    BuildError with the full report of the first attempt that failed
-    fewest specs."""
+    with class and action data derived from the group scaffold: attempts
+    0, 1, ... of build_attempt, each checked by check_specs up to its
+    first failing spec against ``j_tolerance``, until one passes.  The
+    passing attempt carries its report, complete as nothing failed; an
+    exhausted budget raises BuildError with the full report of the first
+    attempt that failed fewest specs."""
     if retry_budget < 1:
         raise ValueError(f"retry budget must be at least 1, not "
                          f"{retry_budget}")
     failed = []
     for attempt in range(retry_budget):
-        built = build_attempt(tp, plan, seed, level, style, attempt)
+        built = build_attempt(scaffold, plan, seed, level, style, attempt)
         report = check_specs(built, j_tolerance, first_failure=True)
         if report.ok():
             return replace(built, report=report)
@@ -1073,13 +1073,12 @@ def build_words(tp, plan, seed: int, level: int,
     raise BuildError(f"retry budget {retry_budget} exhausted", best)
 
 
-def build_attempt(tp, plan, seed: int, level: int, style: str = "random",
+def build_attempt(scaffold, plan, seed: int, level: int, style: str = "random",
                   attempt: int = 0) -> BuiltSequence:
     """One seeded attempt of the builder, unchecked (``report`` is None):
     structural constraints hold by construction, the J and T families are
     left to check_specs and check_timing.  Attempt ``attempt`` of
     build_words is this call with the same arguments."""
-    scaffold = tp if isinstance(tp, GroupScaffold) else groups_from_tree(tp)
     # the scaffold is part of the consumed input, so it salts the entropy
     # stream: builds differ whenever the tree data differs
     rng = random.Random(repr((seed, attempt, scaffold.nodes)))

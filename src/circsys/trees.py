@@ -4,15 +4,21 @@ Trees are downward-closed sets of finite sequences of naturals.  The
 canonical enumeration orders sequences by weight (length plus entry sum)
 with lexicographic tie-break, so every prefix comes before its extensions;
 a sequence's index is its entries written out in binary, at any weight.
-The reduction builds a word family whose group scaffold is read off the
-tree members in enumeration order, then lifts it to the circular side;
-the set of enumeration indices it consults provides an explicit
-continuity bound.  The build sees the tree only through the
-members it reads, so certify_continuity builds once per distinct reading.
+A TreePrefix refuses, on construction, a node set that is not downward
+closed, so a toggle that would orphan a node or add one without its
+parent raises there.  The reduction builds a word family whose group
+scaffold is read off the tree members in enumeration order, then lifts it
+to the circular side; the last enumeration index it consults is an
+explicit continuity bound.  The build sees the tree only through the
+members it reads, so certify_continuity builds once per distinct reading;
+it toggles only the prefix's own nodes and their children outside it, as
+no other toggle leaves a tree.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +59,8 @@ def sigma_index(sigma) -> int:
 class TreePrefix:
     """A finite, downward-closed set of nodes together with the stretch of
     the enumeration it describes (membership of sigma_n is known for all
-    n < horizon)."""
+    n < horizon).  A node set that is not downward closed raises, naming
+    a missing initial segment."""
 
     nodes: frozenset
     horizon: int = 0
@@ -61,6 +68,11 @@ class TreePrefix:
     def __post_init__(self):
         nodes = frozenset(tuple(x) for x in self.nodes)
         object.__setattr__(self, "nodes", nodes)
+        missing = next((x[:cut] for x in sorted(nodes, key=len)
+                        for cut in range(len(x)) if x[:cut] not in nodes),
+                       None)
+        if missing is not None:
+            raise TreeError(f"not a tree: missing initial segment {missing}")
         h = self.horizon
         if nodes:
             h = max(h, max(sigma_index(x) for x in nodes) + 1)
@@ -73,25 +85,10 @@ class TreePrefix:
         return tuple(sorted(self.nodes, key=sigma_index))
 
 
-def validate_tree(tp) -> tuple:
-    """(valid, witness): witness is a missing initial segment, or None."""
-    nodes = tp.nodes if isinstance(tp, TreePrefix) else \
-        frozenset(tuple(x) for x in tp)
-    for x in sorted(nodes, key=len):
-        for cut in range(len(x)):
-            if x[:cut] not in nodes:
-                return False, x[:cut]
-    return True, None
-
-
 def tree_from_json(text: str) -> TreePrefix:
     doc = json.loads(text)
-    tp = TreePrefix(frozenset(map(tuple, doc["nodes"])),
-                    int(doc.get("horizon", 0)))
-    ok, witness = validate_tree(tp)
-    if not ok:
-        raise TreeError(f"not a tree: missing initial segment {witness}")
-    return tp
+    return TreePrefix(frozenset(map(tuple, doc["nodes"])),
+                      int(doc.get("horizon", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +98,7 @@ def tree_from_json(text: str) -> TreePrefix:
 class ReductionResult:
     built: BuiltSequence          # circular, lifted
     odometer: BuiltSequence
-    consumed: range               # enumeration indices consulted
+    bound: int                    # last enumeration index consulted
     output_hash: str
     plan_hash: str
     seed: int
@@ -126,11 +123,8 @@ def _output_obj(built: BuiltSequence) -> dict:
 
 def _read_tree(tp: TreePrefix, n0: int, plan) -> tuple:
     """reduce's tree read: the first n0 + 1 members in enumeration order,
-    the indices consulted to find them, and whether the horizon came first.
-    The indices are a lazy range, as a far member's index is huge."""
-    ok, witness = validate_tree(tp)
-    if not ok:
-        raise TreeError(f"not a tree: missing initial segment {witness}")
+    the last index consulted to find them (every index up to it is), and
+    whether the horizon came first."""
     if n0 < 1:
         raise TreeError("need at least one stage")
     if n0 > plan.depth - 1:
@@ -139,7 +133,7 @@ def _read_tree(tp: TreePrefix, n0: int, plan) -> tuple:
     members = tp.members_in_order()[:n0 + 1]
     exhausted = len(members) < n0 + 1
     last = tp.horizon - 1 if exhausted else sigma_index(members[-1])
-    return members, range(last + 1), exhausted
+    return members, last, exhausted
 
 
 def _build(members: tuple, n0: int, plan, seed: int) -> tuple:
@@ -153,46 +147,39 @@ def _build(members: tuple, n0: int, plan, seed: int) -> tuple:
 def reduce(tp: TreePrefix, n0: int, plan, seed: int) -> ReductionResult:
     """Build the first n0 stages of the construction sequence attached to
     a tree prefix (scaffold from _read_tree) and lift them circularly."""
-    members, consumed, exhausted = _read_tree(tp, n0, plan)
+    members, bound, exhausted = _read_tree(tp, n0, plan)
     odo, circ, output_hash = _build(members, n0, plan, seed)
     return ReductionResult(
-        built=circ, odometer=odo, consumed=consumed,
+        built=circ, odometer=odo, bound=bound,
         output_hash=output_hash, plan_hash=plan_hash(plan),
         seed=seed, depth=n0, exhausted=exhausted)
 
 
 def mutate_tree(tp: TreePrefix, index: int) -> TreePrefix:
-    """Toggle membership of sigma_index; raises if the toggle would break
-    downward closure within the prefix."""
-    node = sigma_enumeration(index)
-    nodes = set(tp.nodes)
-    if node in nodes:
-        if any(x[:len(node)] == node for x in nodes if len(x) > len(node)):
-            raise TreeError(f"removing {node} would orphan a descendant")
-        nodes.discard(node)
-    else:
-        if node and node[:-1] not in nodes:
-            raise TreeError(f"adding {node} requires its parent")
-        nodes.add(node)
-    return TreePrefix(frozenset(nodes), max(tp.horizon, index + 1))
+    """Toggle membership of sigma_index; the new prefix refuses a toggle
+    that would break downward closure."""
+    return TreePrefix(tp.nodes ^ {sigma_enumeration(index)},
+                      max(tp.horizon, index + 1))
+
+
+def _outside_children(tp: TreePrefix):
+    """Indices of the nodes a toggle could add, in ascending order: the
+    root of an empty prefix, or the children x + (v,) outside the prefix
+    of its nodes x.  Such a child's index is x's written out, a zero (none
+    at the root) and v ones, so each node's children ascend with v."""
+    def children(x):
+        return (sigma_index(x + (v,)) for v in itertools.count()
+                if x + (v,) not in tp.nodes)
+    return heapq.merge(*map(children, tp.nodes)) if tp.nodes else iter((0,))
 
 
 def addable_index_above(tp: TreePrefix, bound: int) -> int:
     """Smallest enumeration index > bound whose node can be added while
-    keeping the prefix a tree: the root of an empty prefix, or over the
-    nodes x, the first child x + (v,) outside the prefix past the bound.
-    That child's index is x's written out, a zero (none at the root) and
-    v ones, so it grows with v; v starts where the child has fewer bits
-    than the bound."""
-    found = [0] if bound < 0 and not tp.nodes else []
-    for x in tp.nodes:
-        v = max(0, bound.bit_length() - sigma_index(x).bit_length() - 2)
-        while (n := sigma_index(x + (v,))) <= bound or x + (v,) in tp.nodes:
-            v += 1
-        found.append(n)
-    if not found:
+    keeping the prefix a tree."""
+    n = next((n for n in _outside_children(tp) if n > bound), None)
+    if n is None:
         raise TreeError(f"no addable node above {bound}")
-    return min(found)
+    return n
 
 
 @dataclass(frozen=True)
@@ -211,25 +198,29 @@ def certify_continuity(tp: TreePrefix, n0: int, plan,
                        seed: int = 0) -> ContinuityCertificate:
     """Re-run the reduction against mutated trees: toggling membership
     strictly above the bound must not change the output hash; toggling a
-    genuinely consumed index must.  Each mutated tree is read afresh; a
-    reading seen before in this call reuses its build, exactly, as plan,
-    seed and n0 are fixed and the build reads only the members."""
+    genuinely consumed index must.  The consumed indices tried, from the
+    bound down, are those a toggle could accept: the prefix's own nodes
+    and its outside children; any other names a node without its parent.
+    Each mutated tree is read afresh; a reading seen before in this call
+    reuses its build, exactly, as plan, seed and n0 are fixed and the
+    build reads only the members."""
     builds = {}                   # members -> output hash, for this call
     def output_hash(tree):
-        members, consumed, exhausted = _read_tree(tree, n0, plan)
+        members, bound, exhausted = _read_tree(tree, n0, plan)
         if members not in builds:
             builds[members] = _build(members, n0, plan, seed)[2]
-        return builds[members], consumed, exhausted
+        return builds[members], bound, exhausted
 
-    base_hash, consumed, exhausted = output_hash(tp)
+    base_hash, M, exhausted = output_hash(tp)
     if exhausted:
         raise TreeError("prefix too thin to certify: the member hunt "
                         "reached the horizon, so no finite bound exists")
-    M = consumed[-1]
     above = addable_index_above(tp, M)
     above_hash = output_hash(mutate_tree(tp, above))[0]
+    own = (n for n in map(sigma_index, tp.nodes) if n <= M)
+    outside = itertools.takewhile(lambda n: n <= M, _outside_children(tp))
     cert_consumed = cert_hash = affected = None
-    for idx in reversed(consumed):
+    for idx in sorted(itertools.chain(own, outside), reverse=True):
         try:
             mutated_in = mutate_tree(tp, idx)
         except TreeError:
@@ -263,9 +254,6 @@ class ChainReport:
 
 
 def chain_report(tp: TreePrefix) -> ChainReport:
-    ok, witness = validate_tree(tp)
-    if not ok:
-        raise TreeError(f"not a tree: missing initial segment {witness}")
     if not tp.nodes:
         return ChainReport(0, (), ())
     deepest = max(len(x) for x in tp.nodes)

@@ -282,6 +282,14 @@ class TestErrors:
         assert run(["reduce", "--tree", str(bad), "--depth", "1"]) == 3
         assert "not a sequence of natural numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["reduce", "continuity"])
+    def test_tree_missing_an_initial_segment(self, capsys, tmp_path, cmd):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"nodes": [[], [0, 0]]}')
+        assert run([cmd, "--tree", str(bad), "--depth", "1"]) == 3
+        assert "not a tree: missing initial segment (0,)" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("kind,text", [
         ("plan", "[]"), ("plan", '{"stages": 5}'),
         ("tree", "[]"), ("tree", '{"horizon": 0}')])

@@ -6,7 +6,8 @@ is keyed "Class.name".  Oracles and helpers that only tests call live in
 the tests.  Nothing in src/circsys/ reads the process environment, so no
 setting acts unseen by the report.  Only plan_to_json, whose bytes define
 the plan hash, renders JSON through json.dumps with an indent, which runs
-the pure-Python encoder."""
+the pure-Python encoder.  Downward closure of a tree is refused in one
+place, TreePrefix's constructor, so the rule is not copied again."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,23 @@ def test_only_the_plan_file_indents_through_json_dumps():
                       and node.func.attr == "dumps"
                       and any(kw.arg == "indent" for kw in node.keywords)]
     assert calls == ["coefficients.py:plan_to_json"]
+
+
+def _raise_sites(node, text, scope=()):
+    """The enclosing def and class names of each raise whose expression
+    holds a string constant containing ``text``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _raise_sites(child, text, scope + (child.name,))
+        elif isinstance(child, ast.Raise) and any(
+                isinstance(c, ast.Constant) and text in str(c.value)
+                for c in ast.walk(child)):
+            yield ".".join(scope)
+        else:
+            yield from _raise_sites(child, text, scope)
+
+
+def test_one_place_refuses_a_non_tree():
+    sites = [f"{path.name}:{site}" for path, tree in _modules("src/circsys")
+             for site in _raise_sites(tree, "not a tree")]
+    assert sites == ["trees.py:TreePrefix.__post_init__"]

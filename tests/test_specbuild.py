@@ -107,14 +107,14 @@ class TestBuild:
             assert all(key[1] != g[key][1] for key in g)
 
 
-def ref_build_words(tp, plan, seed, level, j_tolerance=J_TOLERANCE,
+def ref_build_words(scaffold, plan, seed, level, j_tolerance=J_TOLERANCE,
                     retry_budget=32):
     """The gate with a full check_specs on every attempt: the first
     attempt that passes, or BuildError with the report of the first
     attempt with strictly fewest failures."""
     best = None
     for attempt in range(retry_budget):
-        built = build_attempt(tp, plan, seed, level, attempt=attempt)
+        built = build_attempt(scaffold, plan, seed, level, attempt=attempt)
         built = replace(built, report=check_specs(built, j_tolerance))
         if built.report.ok():
             return built

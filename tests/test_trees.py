@@ -17,7 +17,7 @@ from circsys.trees import (ContinuityCertificate, TreeError, TreePrefix,
                            addable_index_above, certify_continuity,
                            chain_report, mutate_tree, realization_handoff,
                            reduce, sigma_enumeration, sigma_index,
-                           tree_from_json, validate_tree)
+                           tree_from_json)
 from fixtures import tree_to_json
 
 PLAN = desk_plan(kl=((4, 2), (2, 2)))
@@ -112,13 +112,12 @@ class TestTreePrefix:
         assert t.horizon > sigma_index((0, 0))
 
     def test_validate_good(self):
-        ok, witness = validate_tree(tp((), (0,), (1,)))
-        assert ok and witness is None
+        assert tp((), (0,), (1,)).nodes == {(), (0,), (1,)}
 
     def test_validate_missing_prefix(self):
-        ok, witness = validate_tree(TreePrefix(frozenset({(), (0, 0)})))
-        assert not ok
-        assert witness == (0,)
+        with pytest.raises(TreeError, match=r"not a tree: missing initial "
+                                            r"segment \(0,\)"):
+            TreePrefix({(), (0, 0)})
 
     def test_json_round_trip(self):
         t = tp((), (0,), (1,), (0, 2))
@@ -136,7 +135,7 @@ class TestTreePrefix:
                     members.append(sigma_enumeration(n))
                     if len(members) == n0 + 1:
                         break
-            return tuple(members), tuple(consumed), len(members) < n0 + 1
+            return tuple(members), consumed[-1], len(members) < n0 + 1
 
         rng = random.Random(11)
         for _ in range(300):
@@ -146,8 +145,7 @@ class TestTreePrefix:
                 nodes.add(base + (rng.randrange(3),))
             t = tp(*nodes, horizon=rng.choice([0, rng.randrange(60)]))
             for n0 in (1, 2, 3):
-                members, consumed, exhausted = trees._read_tree(t, n0, PLAN4)
-                assert (members, tuple(consumed), exhausted) == walk(t, n0)
+                assert trees._read_tree(t, n0, PLAN4) == walk(t, n0)
 
 class TestMutation:
     def test_toggle_leaf(self):
@@ -168,7 +166,7 @@ class TestReduce:
         a = reduce(t, 1, PLAN, seed=7)
         b = reduce(t, 1, PLAN, seed=7)
         assert a.output_hash == b.output_hash
-        assert a.consumed == b.consumed
+        assert a.bound == b.bound
 
     def test_seed_matters(self):
         t = tp((), (0,), (0, 0))
@@ -207,17 +205,14 @@ class TestFarNode:
         near, far = tp(*nodes), tp(*nodes, self.FAR)
         assert far.horizon == 2 ** 61
         a, b = reduce(near, n0, PLAN4, seed=3), reduce(far, n0, PLAN4, seed=3)
-        assert (a.output_hash, a.consumed, a.exhausted) == \
-            (b.output_hash, b.consumed, b.exhausted)
+        assert (a.output_hash, a.bound, a.exhausted) == \
+            (b.output_hash, b.bound, b.exhausted)
         assert certify_continuity(near, n0, PLAN4, seed=3) == \
             certify_continuity(far, n0, PLAN4, seed=3)
 
     def test_a_read_far_node_costs_no_memory_per_index(self, tmp_path):
         # the third member (60,) is read: the consumed indices run to
         # 2^61 - 1, and a list of them would not fit in 1 GB
-        tree = tmp_path / "far.json"
-        tree.write_text(json.dumps({"nodes": [[], [0], [60]],
-                                    "horizon": 3}))
         root = Path(__file__).resolve().parent.parent
         code = ("import resource, sys\n"
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -225,7 +220,10 @@ class TestFarNode:
                 "sys.exit(run(sys.argv[1:]))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
             str(root / "src"), os.environ.get("PYTHONPATH")])))
-        for cmd in ("reduce", "continuity"):
+
+        def run(cmd, nodes):
+            tree = tmp_path / "far.json"
+            tree.write_text(json.dumps({"nodes": nodes, "horizon": 3}))
             proc = subprocess.run(
                 [sys.executable, "-c", code, cmd, "--tree", str(tree),
                  "--depth", "2", "--kl", "4,2;2,2;2,2"],
@@ -233,10 +231,36 @@ class TestFarNode:
             assert proc.returncode == 0, proc.stderr.decode()
             doc = json.loads(proc.stdout)
             assert doc["bound"] == 2 ** 61 - 1
+            return doc
+
+        for cmd in ("reduce", "continuity"):
+            doc = run(cmd, [[], [0], [60]])
         # the least addable node above the bound is (0, 60)
         assert doc["above_index"] == sigma_index((0, 60)) == \
             2 ** 61 + 2 ** 60 - 1
         assert doc["ok"] and doc["affected_at_consumed"]
+        # (60,) cannot be removed under (60, 0): the walk goes on below it
+        doc = run("continuity", [[], [0], [60], [60, 0]])
+        assert doc["consumed_index"] == sigma_index((0, 59))
+
+    def test_unremovable_far_member_certifies_at_once(self, monkeypatch):
+        # removing (60,) would orphan (60, 0); below it, the first toggle
+        # a tree accepts is adding (0, 59), so the walk must not step
+        # through the ~2^61 indices between them
+        calls = []
+
+        def counting(tree, index):
+            calls.append(index)
+            if len(calls) > 10_000:
+                raise AssertionError("the walk tries indices one by one")
+            return mutate_tree(tree, index)
+        monkeypatch.setattr(trees, "mutate_tree", counting)
+        plan3 = desk_plan(kl=((4, 2), (2, 2), (2, 2)))
+        cert = certify_continuity(tp((), (0,), self.FAR, (60, 0)), 2, plan3)
+        assert cert.bound == sigma_index(self.FAR)
+        assert cert.consumed_index == sigma_index((0, 59))
+        assert cert.above_index == sigma_index((0, 60))
+        assert cert.affected and cert.unaffected
 
 
 def ref_addable_index_above(tp, bound):
@@ -287,9 +311,10 @@ class TestContinuity:
 
 
 def ref_certify(tp, n0, plan, seed=0, seen=None):
-    """certify_continuity as it was before builds were shared: one fresh
-    reduce per mutated tree.  Appends each reduction's members, read off
-    its scaffold, to ``seen``."""
+    """certify_continuity as it was before builds were shared and before
+    its walk skipped the indices no toggle accepts: one fresh reduce per
+    mutated tree, trying every index up to the bound.  Appends each
+    reduction's members, read off its scaffold, to ``seen``."""
     def run(tree):
         res = reduce(tree, n0, plan, seed)
         if seen is not None:
@@ -300,13 +325,13 @@ def ref_certify(tp, n0, plan, seed=0, seen=None):
     if base.exhausted:
         raise TreeError("prefix too thin to certify: the member hunt "
                         "reached the horizon, so no finite bound exists")
-    M = max(base.consumed)
+    M = base.bound
     above = addable_index_above(tp, M)
     up = run(mutate_tree(tp, above))
     cert_consumed = None
     cert_hash = None
     affected = None
-    for idx in reversed(base.consumed):
+    for idx in reversed(range(M + 1)):
         try:
             mutated_in = mutate_tree(tp, idx)
         except TreeError:
@@ -345,6 +370,19 @@ class TestSharedBuilds:
     def test_matches_reference(self, t, n0, seed):
         assert certify_continuity(t, n0, PLAN4, seed) == \
             ref_certify(t, n0, PLAN4, seed)
+
+    # the last member read has a descendant, so the top index is refused
+    @pytest.mark.parametrize("nodes, n0", [
+        (((), (0,), (0, 0), (1,)), 1),
+        (((), (0,), (0, 0), (0, 0, 0)), 2),
+        (((), (0,), (1,), (1, 0)), 2)])
+    def test_matches_reference_when_the_top_index_is_refused(self, nodes,
+                                                             n0):
+        t = tp(*nodes)
+        with pytest.raises(TreeError):
+            mutate_tree(t, trees._read_tree(t, n0, PLAN4)[1])
+        assert certify_continuity(t, n0, PLAN4, seed=2) == \
+            ref_certify(t, n0, PLAN4, seed=2)
 
     @pytest.mark.parametrize("nodes, n0", [
         (((), (0,), (0, 0)), 1),
