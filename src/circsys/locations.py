@@ -55,6 +55,7 @@ class PointWindow:
         object.__setattr__(self, "_violation",
                            _first_violation(plan, self.M, self.anchor))
         object.__setattr__(self, "_a", _numerator(plan, self.M, self.anchor))
+        object.__setattr__(self, "_match", None)  # rotation's match data
 
     @property
     def word(self) -> Word:

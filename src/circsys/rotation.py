@@ -6,7 +6,7 @@ a/q_m, a = x p_m mod q_m, of the dynamically-ordered 1/q_m intervals, so
 every per-position quantity is an integer function of a.  Every path reads
 its stage constants from one bounded memo per (plan, anchor, beta): the
 bulk paths run one kernel on an int64 array of every a, and the pointwise
-API returns shared results.
+API returns shared results; windows keep the beta-free half of a match.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +32,8 @@ LANE_L, LANE_R = "L", "R"
 # position kernel
 
 class _Stage(NamedTuple):
-    """Constants of stage n for the position kernel at anchor m."""
+    """Constants of stage n for the position kernel at anchor m; for n <= m
+    an int64 array a of interval numerators is exact if q_m q_n < 2^63."""
     q: int                    # q_n
     inv: int                  # p_n^{-1} mod q_n
     qm: int                   # q_m
@@ -43,6 +44,12 @@ class _Stage(NamedTuple):
     def lane(self, carry):
         """d_n in lane R where carry holds, in lane L elsewhere."""
         return self.inv * (self.fb + carry) % self.q
+
+    def index(self, a):       # r_n, the q_n-interval of a/q_m; free of beta
+        return self.inv * (a * self.q // self.qm) % self.q
+
+    def carry(self, a):       # lane R
+        return a * self.q % self.qm >= self.T
 
 
 def _stage(plan, n: int, m: int, beta: Fraction) -> _Stage:
@@ -57,32 +64,32 @@ def _stage(plan, n: int, m: int, beta: Fraction) -> _Stage:
                   -((c - bd) * qm // bd), c == 0)
 
 
-def _position(st: _Stage, a):
-    """(r_n, d_n, lane R) at interval numerator a: the dynamical index of
-    the q_n-interval holding a/q_m and the displacement beta adds to it.
-    For n <= m no product exceeds q_m q_n, so an int64 array a is exact
-    whenever q_m q_n < 2^63."""
-    aq = a * st.q
-    carry = aq % st.qm >= st.T
-    return st.inv * (aq // st.qm) % st.q, st.lane(carry), carry
-
-
 def _tower(plan, m: int) -> np.ndarray:
     """Interval numerators of all q_m tower positions at anchor m."""
     return _numerator(plan, m, np.arange(plan.q(m), dtype=np.int64))
 
 
-def _match_at(st, lo: _Stage, hi: _Stage, a):
-    """(valid, j0, j1) at interval numerator a, given plan.stage(n) and the
+def _match_base(st, lo: _Stage, hi: _Stage, a):
+    """(valid, j1, base) at interval numerator a, given plan.stage(n) and the
     _Stage of stages n and n + 1: whether the principal n-block starts in a
-    digit region of its (n+1)-block at the copy offset r_n, and the
-    1-subsection of that start after (j0) and before (j1) displacement."""
-    r_lo, d_lo, _ = _position(lo, a)
-    r_hi, d_hi, _ = _position(hi, a)
-    base = (r_hi - r_lo) % hi.q
+    digit region of its (n+1)-block at the copy offset r_n, and that start's
+    1-subsection and position.  Free of beta: reads only q, inv and qm."""
+    r_lo = lo.index(a)
+    base = (hi.index(a) - r_lo) % hi.q
     _, j1, _, r, ok = descend(st, base)
-    j0 = descend(st, (base + d_hi - d_lo) % hi.q)[1]
-    return ok & (r == r_lo), j0, j1
+    return ok & (r == r_lo), j1, base
+
+
+def _match_j0(st, lo: _Stage, hi: _Stage, a, base):
+    """j0: the 1-subsection of the start at base after displacement."""
+    d = hi.lane(hi.carry(a)) - lo.lane(lo.carry(a))
+    return descend(st, (base + d) % hi.q)[1]
+
+
+def _match_at(st, lo: _Stage, hi: _Stage, a):
+    """(valid, j0, j1) at interval numerator a: _match_base and _match_j0."""
+    valid, j1, base = _match_base(st, lo, hi, a)
+    return valid, _match_j0(st, lo, hi, a, base), j1
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +124,7 @@ def analyze_rotation(plan, beta, m: int) -> RotationAnalysis:
     records = []
     for n, st in enumerate(_kernel(plan, m, beta)[1][:m]):
         beta_n = Fraction(0) if st.degenerate else 1 - (beta * st.q - st.fb)
-        lane_R = int(_position(st, a)[2].sum())
+        lane_R = int(st.carry(a).sum())
         # the cuts j/q_n - beta, j < q_n, fall inside a 1/q_m interval
         # all together or not at all, as q_n divides q_m: exactly when
         # beta q_m is not an integer
@@ -158,23 +165,31 @@ class MatchClass:
 
 _KERNELS: dict = {}           # (id(plan), m, beta mod 1 as num, den)
 _KERNELS_MAX = 64             # the memo is cleared rather than pass this
+_last = None, None, None, None  # its front: last call's beta, plan, m, kernel
+# windows whose match data are equal share one tuple of it
+_shared = lru_cache(maxsize=4096)(lambda done: done)
 
 
 def _kernel(plan, m: int, beta) -> tuple:
     """(plan, each n <= m's _Stage and lane L, R displacements, match classes
     by (n, j0, j1)); holds the plan, so its id stays its own while cached."""
-    beta = beta if isinstance(beta, Fraction) else Fraction(beta)
-    den = beta.denominator
-    key = (id(plan), m, beta.numerator % den, den)
+    global _last
+    last_beta, last_plan, last_m, kern = _last    # one read of the front
+    if last_beta is beta and last_plan is plan and last_m == m:
+        return kern
+    frac = beta if isinstance(beta, Fraction) else Fraction(beta)
+    den = frac.denominator
+    key = (id(plan), m, frac.numerator % den, den)
     kern = _KERNELS.get(key)
     if kern is None:
         if len(_KERNELS) >= _KERNELS_MAX:
             _KERNELS.clear()
-        stages = tuple(_stage(plan, n, m, beta) for n in range(m + 1))
+        stages = tuple(_stage(plan, n, m, frac) for n in range(m + 1))
         lanes = tuple((Displacement(st.lane(0), LANE_L, st.degenerate),
                        Displacement(st.lane(1), LANE_R, st.degenerate))
                       for st in stages)
         kern = _KERNELS[key] = plan, stages, lanes, {}
+    _last = beta, plan, m, kern
     return kern
 
 
@@ -192,7 +207,7 @@ def displacement(beta, pw: PointWindow, n: int) -> Displacement:
             return _undefined(Displacement, mat.violated)
     _, stages, lanes, _ = _kernel(pw.seq.plan, pw.M, beta)
     st = stages[n]
-    return lanes[n][pw._a * st.q % st.qm >= st.T]  # _position's carry test
+    return lanes[n][pw._a * st.q % st.qm >= st.T]  # st.carry(pw._a)
 
 
 def match_class(beta, pw: PointWindow, n: int) -> MatchClass:
@@ -208,10 +223,16 @@ def match_class(beta, pw: PointWindow, n: int) -> MatchClass:
     if not mat.mature:
         return _undefined(MatchClass, mat.violated)
     plan, stages, _, classes = _kernel(pw.seq.plan, pw.M, beta)
-    st = plan.stage(n)
-    valid, j0, j1 = _match_at(st, *stages[n:n + 2], pw._a)
+    st, lo, hi = plan.stage(n), stages[n], stages[n + 1]
+    done = pw._match or (None,) * pw.M  # _match_base by stage, for any beta
+    if done[n] is None:
+        entry = (_match_base(st, lo, hi, pw._a),)
+        done = _shared(done[:n] + entry + done[n + 1:])
+        object.__setattr__(pw, "_match", done)
+    valid, j1, base = done[n]
     if not valid:
         return _undefined(MatchClass, "block start in spacer region")
+    j0 = _match_j0(st, lo, hi, pw._a, base)
     if (n, j0, j1) not in classes:
         classes[n, j0, j1] = MatchClass("well", j0, j1) if j0 == j1 \
             else MatchClass("ill", j0, j1, t=st.k - j0)

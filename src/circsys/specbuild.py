@@ -723,7 +723,9 @@ def check_specs(built: BuiltSequence, j_tolerance: Fraction = J_TOLERANCE,
     entries = []
     for n in range(seq.depth):
         for e in _stage_battery(built, j_tolerance, n):
-            entries.append(replace(e, spec_id=f"{e.spec_id}@{n}"))
+            entries.append(SpecEntry(f"{e.spec_id}@{n}", e.status,
+                                     e.worst_deviation, e.tolerance,
+                                     e.witness))
             if first_failure and e.status == "fail":
                 return SpecReport(tuple(entries))
     return SpecReport(tuple(entries))
@@ -932,7 +934,8 @@ def check_timing(built: BuiltSequence, level: int,
         stage = (_check_Q5(seq, n, circ.scaffold.M1), _check_A7(act),
                  _check_A8(act), check_T4(circ, n + 1, gamma.gamma(n + 1)),
                  *_check_T5_T6_T7(circ, n, MU))
-        entries += [replace(e, spec_id=f"T{i}@{n + 1 if i == 4 else n}")
+        entries += [SpecEntry(f"T{i}@{n + 1 if i == 4 else n}", e.status,
+                              e.worst_deviation, e.tolerance, e.witness)
                     for i, e in enumerate(stage, 1)]
     return SpecReport(tuple(entries))
 

@@ -1,6 +1,7 @@
 """Rotation displacement, ill densities, and red zones."""
 
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -15,7 +16,7 @@ from circsys import rotation
 from circsys.coefficients import desk_plan, dynamical_index
 from circsys.locations import D_n, PointWindow, maturity
 from circsys.rotation import (Displacement, MatchClass, _match_at,
-                              _numerator, _position, _stage, analyze_rotation,
+                              _numerator, _stage, analyze_rotation,
                               build_red_zones, delta_csv, delta_n,
                               displacement, match_class, rotation_report)
 from circsys.systems import circular_sequence
@@ -30,6 +31,12 @@ def _match(plan, n, m, beta, a):
     """(valid, j0, j1) at interval numerator a from fresh stage constants."""
     return _match_at(plan.stage(n), _stage(plan, n, m, beta),
                      _stage(plan, n + 1, m, beta), a)
+
+
+def _position(stage, a):
+    """(r_n, d_n, lane R) at interval numerator a from one stage's kernel."""
+    carry = stage.carry(a)
+    return stage.index(a), stage.lane(carry), carry
 
 
 def ref_rd(beta, plan, n, m, x):
@@ -431,3 +438,86 @@ class TestPointwiseKernel:
         for b in range(2, 2 * rotation._KERNELS_MAX + 10):
             displacement(Fraction(1, b), pw, 1)
             assert len(rotation._KERNELS) <= rotation._KERNELS_MAX
+
+
+class TestWindowMatchData:
+    """match_class keeps each window's beta-free match data by stage and
+    reads it under every later beta."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(plan=small_plans(), data=st.data())
+    def test_one_window_under_many_betas(self, plan, data):
+        # each window is built once and queried again under three betas of
+        # distinct values, a distinct Fraction equal to the first and the
+        # first + 1, in interleaved order
+        seq = circ_over(plan)
+        values = data.draw(st.lists(public_betas(), min_size=3, max_size=3,
+                                    unique_by=lambda b: Fraction(b) % 1))
+        first = Fraction(values[0])
+        forms = (*values, Fraction(first.numerator, first.denominator),
+                 first + 1)
+        pws = [PointWindow(seq, 2, 0, x) for x in range(plan.q(2))]
+        mature = [pw for pw in pws if maturity(pw, 0).mature] or pws
+        picked = data.draw(st.lists(st.sampled_from(mature), min_size=1,
+                                    max_size=4))
+        calls = data.draw(st.lists(st.tuples(
+            st.integers(0, len(picked) - 1), st.integers(0, 2),
+            st.integers(0, len(forms) - 1)), min_size=8, max_size=40))
+        for i, n, form in calls:
+            pw, beta = picked[i], forms[form]
+            assert displacement(beta, pw, n) == \
+                ref_displacement(Fraction(beta), pw, n)
+            assert match_class(beta, pw, n) == \
+                ref_match_class(Fraction(beta), pw, n)
+
+    def test_beta_free_part_computed_once(self, monkeypatch):
+        calls = []
+        base = rotation._match_base
+        monkeypatch.setattr(rotation, "_match_base",
+                            lambda *a: calls.append(a) or base(*a))
+        seq = circ3()
+        pws = [PointWindow(seq, 3, 0, x) for x in range(PLAN3.q(3))]
+        betas = (Fraction(1, 3), Fraction(5, 7), Fraction(1, 3) + 1,
+                 Fraction(1, 3), Fraction(3, 16))
+        for beta in betas:
+            got = [[match_class(beta, pw, n) for n in range(3)]
+                   for pw in pws]
+        assert len(calls) == sum(maturity(pw, n).mature
+                                 for pw in pws for n in range(3))
+        for pw, row in list(zip(pws, got))[::41]:
+            assert row == [ref_match_class(betas[-1], pw, n)
+                           for n in range(3)]
+
+    def test_queried_window_is_still_its_value(self):
+        seq = circ3()
+        pws = [PointWindow(seq, 3, 0, x) for x in range(PLAN3.q(3))]
+        valid = [pw for pw in pws
+                 if match_class(Fraction(1, 3), pw, 1).defined]
+        pw, other = valid[0], valid[len(valid) // 2]
+        fresh = PointWindow(seq, 3, 0, pw.anchor)
+        assert pw._match is not None and fresh._match is None
+        assert pw == fresh and hash(pw) == hash(fresh)
+        assert repr(pw) == repr(fresh)
+        moved = dataclasses.replace(pw, anchor=other.anchor)
+        assert moved._match is None
+        for beta in (Fraction(1, 3), Fraction(5, 7)):
+            for n in range(3):
+                assert match_class(beta, moved, n) == \
+                    ref_match_class(beta, moved, n) == \
+                    match_class(beta, other, n)
+
+    def test_beta_revisited_after_the_memo_turns_over(self):
+        seq = circ3()
+        pws = [pw for pw in (PointWindow(seq, 3, 0, x)
+                             for x in range(0, PLAN3.q(3), 5))
+               if maturity(pw, 0).mature]
+        beta = Fraction(3, 7)
+        first = [match_class(beta, pw, n) for pw in pws for n in range(3)]
+        for b in range(2, 2 * rotation._KERNELS_MAX + 10):
+            for pw in pws:
+                for n in range(3):
+                    match_class(Fraction(1, b), pw, n)
+        for form in (beta, Fraction(3, 7), beta + 1):
+            again = [match_class(form, pw, n) for pw in pws for n in range(3)]
+            assert again == first == [ref_match_class(beta, pw, n)
+                                      for pw in pws for n in range(3)]
