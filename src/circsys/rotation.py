@@ -81,9 +81,9 @@ def _match_base(st, lo: _Stage, hi: _Stage, a):
 
 
 def _match_j0(st, lo: _Stage, hi: _Stage, a, base):
-    """j0: the 1-subsection of the start at base after displacement."""
+    """j0: descend's 1-subsection j of the start at base after displacement."""
     d = hi.lane(hi.carry(a)) - lo.lane(lo.carry(a))
-    return descend(st, (base + d) % hi.q)[1]
+    return (base + d) % hi.q // (st.l * st.q) % st.k
 
 
 def _match_at(st, lo: _Stage, hi: _Stage, a):

@@ -18,7 +18,10 @@ holds.
 Both batteries run stage by stage, and every J and T frequency is counted
 by one prefix kernel (_prefix_pair_counts).  Per stage, J10, J10.1 and J11
 read one pass of it, band-pruned for J10.1 (_banded_argmax), and J11.1
-another; T5 and T7 read one whole-overlap table and T6 makes its own pass.
+another, unless a process-long memo of the last _J_MEMO_SIZE results, keyed
+by the stage's compositions tuple and every other input, holds the entries
+(shared on a hit, with J10's read-only whole-word counts; _stage_battery);
+T5 and T7 read one whole-overlap table and T6 makes its own pass.
 """
 
 from __future__ import annotations
@@ -290,15 +293,13 @@ def _check_A9(seq, n, actions):
 # ---------------------------------------------------------------------------
 # J-family checks
 
-def _slot_matrix(seq, n):
+def _slot_matrix(comps, s_prev):
     """Slot ids over the signed previous-stage alphabet of every signed
-    stage-(n+1) word: row w is word w, row w + s its reverse, whose slots
-    hold reversed words, id = word index + s_prev."""
-    comps = seq.stage(n + 1).compositions
-    s_prev = seq.stage(n).size
+    word of the compositions ``comps``: row w is word w, row w + s its
+    reverse, whose slots hold reversed words, id = word index + s_prev."""
     rows = [list(t) for t in comps] + \
         [[i + s_prev for i in reversed(t)] for t in comps]
-    return np.array(rows, dtype=np.int64), len(comps), s_prev
+    return np.array(rows, dtype=np.int64)
 
 
 def _class_members(classes):
@@ -619,13 +620,13 @@ def _orbits(seq, n, actions):
     return out
 
 
-def _check_J11(seq, n, slots, actions, orbits, tol, whole):
+def _check_J11(seq, n, actions, orbits, tol, whole):
     """Whole-word counts of the aligned slot pairs (a, b) of every word
     pair (u, v): ``whole``[u, v], from J10's pass (_check_J10_J10_1).  Where
     ``orbits`` (_orbits) gives an element g taking u's class to v's, only
     the pairs with g(class a) = class b count, against 1 / (Q C^2) (level
     1); elsewhere every pair counts, against 1 / s_prev^2 (level 0)."""
-    s, k = len(slots) // 2, slots.shape[1]
+    s, k = len(whole), len(seq.stage(n + 1).compositions[0])
     prev = seq.stage(n)
     s_prev, classes = prev.size, prev.classes
     if not actions or actions[n] is None or classes is None:
@@ -678,11 +679,34 @@ def _check_J11_1(slots, s_prev, pairs, eps, tol):
                         witness)
 
 
+_J_MEMO_SIZE = 32      # results each J memo keeps, least recently used out
+
+
+@lru_cache(maxsize=_J_MEMO_SIZE, typed=True)
+def _memo_J10_J10_1(comps, s_prev, eps, eps_var, tol):
+    """_check_J10_J10_1, keeping a read-only copy of ``whole``, not a view."""
+    j10, j10_1, whole = _check_J10_J10_1(_slot_matrix(comps, s_prev), s_prev,
+                                         eps, eps_var, tol)
+    whole = whole.copy()
+    whole.setflags(write=False)
+    return j10, j10_1, whole
+
+
+@lru_cache(maxsize=_J_MEMO_SIZE, typed=True)
+def _memo_J11_1(comps, s_prev, pairs, eps, tol):
+    """_check_J11_1 on the slot matrix of ``comps``."""
+    return _check_J11_1(_slot_matrix(comps, s_prev), s_prev, pairs, eps, tol)
+
+
 # ---------------------------------------------------------------------------
 # the public checker
 
 def _stage_battery(built, jt, n):
-    """Stage n's entries in report order, each check run when reached."""
+    """Stage n's entries in report order, each check run when reached.
+    J10/J10.1 and J11.1 come from process-long LRU memos of _J_MEMO_SIZE
+    results, keyed by all they read, typed: the compositions tuple itself,
+    s_prev, eps, eps_var, ``jt`` and J11.1's pairs.  A hit shares the
+    cached entries, witness dicts too, and J10's read-only ``whole``."""
     seq, actions = built.seq, built.actions
     st = seq.plan.stage(n)
     eps, M1 = st.eps_lunate, built.scaffold.M1
@@ -700,13 +724,13 @@ def _stage_battery(built, jt, n):
     yield _check_A7(actions[n + 1] if actions else None)
     yield _check_A8(actions[n + 1] if actions else None)
     yield _check_A9(seq, n, actions)
-    slots, _, s_prev = _slot_matrix(seq, n)
-    *j10, whole = _check_J10_J10_1(slots, s_prev, eps, st.eps_classic, jt)
+    comps, s_prev = seq.stage(n + 1).compositions, seq.stage(n).size
+    *j10, whole = _memo_J10_J10_1(comps, s_prev, eps, st.eps_classic, jt)
     yield from j10
     orbits = _orbits(seq, n, actions)
-    yield _check_J11(seq, n, slots, actions, orbits, jt, whole)
-    yield _check_J11_1(slots, s_prev, [uv for uv, g in orbits if g is None],
-                       eps, jt)
+    yield _check_J11(seq, n, actions, orbits, jt, whole)
+    yield _memo_J11_1(comps, s_prev, tuple(uv for uv, g in orbits
+                                           if g is None), eps, jt)
 
 
 def check_specs(built: BuiltSequence, j_tolerance: Fraction = J_TOLERANCE,
@@ -865,8 +889,9 @@ def _check_T5_T6_T7(built: BuiltSequence, n: int, mu: Fraction) -> tuple:
     classes = built.stage(n).classes
     if classes is None:
         return tuple(SpecEntry(t, "not-checked") for t in ("T5", "T6", "T7"))
-    slots, s, s_prev = _slot_matrix(built.seq, n)
-    k = slots.shape[1]
+    s_prev = built.stage(n).size
+    slots = _slot_matrix(built.stage(n + 1).compositions, s_prev)
+    s, k = len(slots) // 2, slots.shape[1]
     eps = Fraction(built.seq.plan.stage(n).eps_classic)
     kinds, member = _class_members(classes)
     t_max = max(0, min(int((1 - eps) * k), k - 1))

@@ -323,6 +323,11 @@ class TestPositionKernel:
                                                    _numerator(plan, m, x))
                 got = got_valid and got_j0 != got_j1
                 assert got == bool(ill[i]) == ref_ill(beta, plan, n, m, x)
+                # j0 and j1 agree too, as ints and in the arrays
+                if got_valid:
+                    assert (got_j0, got_j1) == (j0[i], j1[i]) == \
+                        ref_match(beta, plan, n, m, x)
+                    assert type(got_j0) is int
         assert delta_n(beta, 0, 2, plan) == ref_delta_n(beta, 0, 2, plan)
 
 

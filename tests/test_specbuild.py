@@ -194,6 +194,76 @@ class TestEarlyRejection:
         assert calls == []
 
 
+def clear_j_memos():
+    specbuild._memo_J10_J10_1.cache_clear()
+    specbuild._memo_J11_1.cache_clear()
+
+
+class TestJMemo:
+    @given(tree_scaffolds(), st.integers(0, 999), st.integers(0, 7),
+           st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+    @settings(max_examples=40, deadline=None)
+    def test_warm_memo_report_equals_a_cold_one(self, scaffold, seed,
+                                                attempt, j):
+        # the seed's other attempts fill the memos with results that
+        # stages of this attempt can hit
+        sc, n0 = scaffold
+        for other in set(range(8)) - {attempt}:
+            check_specs(build_attempt(sc, TREE_PLAN, seed, n0,
+                                      attempt=other), j)
+        built = build_attempt(sc, TREE_PLAN, seed, n0, attempt=attempt)
+        warm = check_specs(built, j)
+        clear_j_memos()
+        assert repr(check_specs(built, j)) == repr(warm)
+
+    def test_keys_separate_tolerance_and_eps(self):
+        # one composition tuple under two values of each of eps, eps_var
+        # and the tolerance, whose int and Fraction forms print apart
+        comps = build_attempt(SC, PLAN, seed=0, level=1).stage(1).compositions
+        slots, pairs = _slot_matrix(comps, 2), ((0, 1), (1, 0))
+        q, e, h = Fraction(1, 4), Fraction(1, 8), Fraction(1, 2)
+        variants = [(q, e, h), (e, e, h), (q, q, h), (q, e, Fraction(0)),
+                    (q, e, Fraction(1)), (q, e, 1)]
+        seen = set()
+        for eps, eps_var, tol in variants * 2:
+            got = specbuild._memo_J10_J10_1(comps, 2, eps, eps_var, tol)
+            want = _check_J10_J10_1(slots, 2, eps, eps_var, tol)
+            for g, w in zip(got[:2], want):
+                assert_same_entry(g, w)
+            assert np.array_equal(got[2], want[2])
+            got11 = specbuild._memo_J11_1(comps, 2, pairs, eps, tol)
+            assert_same_entry(got11,
+                              _check_J11_1(slots, 2, pairs, eps, tol))
+            seen.add(repr((got[:2], got11)))
+        assert len(seen) == len(variants)
+        for memo, keys in ((specbuild._memo_J10_J10_1, len(variants)),
+                           (specbuild._memo_J11_1, len(variants) - 1)):
+            info = memo.cache_info()
+            assert (info.misses, info.hits) == (keys, 2 * len(variants) - keys)
+
+    def test_a_hit_skips_the_kernel_and_shares_read_only_counts(
+            self, monkeypatch):
+        built = build_attempt(SC, PLAN, seed=0, level=1)
+        want = check_specs(built)
+        calls = []
+        original = specbuild._prefix_pair_counts
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(specbuild, "_prefix_pair_counts", counted)
+        assert repr(check_specs(built)) == repr(want) and calls == []
+        st0 = PLAN.stage(0)
+        whole = specbuild._memo_J10_J10_1(
+            built.stage(1).compositions, built.stage(0).size,
+            st0.eps_lunate, st0.eps_classic, J_TOLERANCE)[2]
+        assert specbuild._memo_J10_J10_1.cache_info().misses == \
+            built.seq.depth
+        assert whole.base is None and not whole.flags.writeable
+        with pytest.raises(ValueError):
+            whole[0, 0, 0] = 0
+
+
 class TestReports:
     def test_entry_ids_cover_families(self):
         built = build_words(SC, PLAN, seed=0, level=1)
@@ -559,7 +629,8 @@ def _class_rows(built, n):
     """Per signed stage-n word: its (class, side); plus slot matrices of
     stage n+1."""
     seq = built.seq
-    slots, s, s_prev = _slot_matrix(seq, n)
+    s, s_prev = built.stage(n + 1).size, built.stage(n).size
+    slots = _slot_matrix(built.stage(n + 1).compositions, s_prev)
     classes = built.stage(n).classes
     Q = len(set(classes))
     table = [(classes[i], FWD) for i in range(s_prev)] + \
@@ -1142,6 +1213,7 @@ class TestPrefixKernel:
                               seed=3, level=2)
         want = check_specs(built)
         monkeypatch.setattr(specbuild, "_CHUNK_ELEMS", 1 << 6)
+        clear_j_memos()     # else the second battery reads the memos
         got = check_specs(built)
         assert repr(got) == repr(want)
         ids = [e.spec_id for e in got.entries if e.spec_id[0] == "J"]
@@ -1258,10 +1330,11 @@ class TestFrequencyChecks:
     def test_match_reference_checks(self, built, mu, eps):
         # J11 reads the whole-word counts of J10's pass; at eps 3/2 J10 and
         # J10.1 have no shift, and the pass keeps t = 0
-        slots, _, s_prev = _slot_matrix(built.seq, 1)
+        s_prev = built.stage(1).size
+        slots = _slot_matrix(built.stage(2).compositions, s_prev)
         whole = _check_J10_J10_1(slots, s_prev, eps, eps, mu)[2]
         assert_same_entry(
-            _check_J11(built.seq, 1, slots, built.actions,
+            _check_J11(built.seq, 1, built.actions,
                        _orbits(built.seq, 1, built.actions), mu, whole),
             ref_J11(built.seq, 1, slots, built.actions, mu))
         for got, ref in zip(_check_T5_T6_T7(built, 1, mu),
