@@ -333,12 +333,9 @@ def check_specs_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style,
 def check_timing_cmd(ctx, plan_path, kl, eps, tree_path, seed, level, style):
     """Run the timing battery and cascade bounds on one unchecked attempt."""
     plan, sc = _load_build(plan_path, kl, eps, tree_path, level)
-    gc = gamma_cascade(plan, level)
-    report = check_timing(build_attempt(sc, plan, seed, level, style), level,
-                          gamma=gc)
-    return _emit_checked(
-        ctx, plan, seed, report,
-        gamma=[frac_str(gc.gamma(n)) for n in range(1, level + 1)])
+    report = check_timing(build_attempt(sc, plan, seed, level, style))
+    return _emit_checked(ctx, plan, seed, report, gamma=[
+        frac_str(g) for g in gamma_cascade(plan, level).values])
 
 
 @cli.command("dbar")

@@ -237,12 +237,6 @@ class AuditEntry:
 class AuditReport:
     entries: tuple[AuditEntry, ...]
 
-    def entry(self, req_id: str) -> AuditEntry:
-        for e in self.entries:
-            if e.req_id == req_id:
-                return e
-        raise KeyError(req_id)
-
     def ok(self) -> bool:
         return all(e.status != "fail" or e.desk_waived for e in self.entries)
 

@@ -11,17 +11,19 @@ The checker families:
 One builder attempt, build_attempt, samples words satisfying the
 structural constraints by construction and checks nothing.  build_words
 gates: it runs check_specs on each seeded attempt, up to the attempt's
-first failing spec, retrying with fresh entropy until every J check
-holds within one tolerance (J_TOLERANCE by default) and every other spec
-holds.
+first failing spec, retrying with fresh entropy, at most RETRY_BUDGET
+times, until every J check holds within one tolerance (J_TOLERANCE by
+default) and every other spec holds.
 
-Both batteries run stage by stage, and every J and T frequency is counted
-by one prefix kernel (_prefix_pair_counts).  Per stage, J10, J10.1 and J11
-read one pass of it, band-pruned for J10.1 (_banded_argmax), and J11.1
-another, unless a process-long memo of the last _J_MEMO_SIZE results, keyed
-by the stage's compositions tuple and every other input, holds the entries
-(shared on a hit, with J10's read-only whole-word counts; _stage_battery);
-T5 and T7 read one whole-overlap table and T6 makes its own pass.
+One table, SPECS, declares every spec: its id in each battery (T1-T3 are
+Q5, A7 and A8), the offset of its printed stage, when it applies and its
+check.  One runner, _run, serves check_specs and check_timing: stage by
+stage it prints each row as spec@stage, reports not-checked where the row
+does not apply, and makes what checks share once per stage (_Stage).
+Every J and T frequency is counted by one prefix kernel
+(_prefix_pair_counts): per stage, one pass for J10, J10.1 and J11 and one
+for J11.1, each behind a process-long memo keyed by all it reads, and one
+for T5 and T7 and one for T6.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil
 
 import numpy as np
@@ -94,12 +96,6 @@ class SpecEntry:
 class SpecReport:
     entries: tuple
 
-    def entry(self, spec_id: str) -> SpecEntry:
-        for e in self.entries:
-            if e.spec_id == spec_id:
-                return e
-        raise KeyError(spec_id)
-
     def ok(self) -> bool:
         return all(e.status != "fail" for e in self.entries)
 
@@ -119,6 +115,7 @@ class SpecReport:
 
 J_TOLERANCE = Fraction(1, 2)    # the J10-J11.1 tolerance, by default
 MU = Fraction(1, 4)             # the T5-T7 tolerance mu, at every stage
+RETRY_BUDGET = 32               # build_words' attempts before it gives up
 
 
 # ---------------------------------------------------------------------------
@@ -142,34 +139,33 @@ class BuiltSequence:
 
 
 # ---------------------------------------------------------------------------
-# E / Q / A checks
+# E / Q / A checks, each on a _Stage where its SPECS row applies
 
-def _check_E1(seq, n):
-    lens = {len(t) for t in seq.stage(n + 1).compositions}
+def _check_E1(st):
+    lens = {len(t) for t in st.comps}
     if len(lens) == 1:
         return SpecEntry("E1", "pass")
     return SpecEntry("E1", "fail", witness={"lengths": sorted(lens)})
 
 
-def _check_E2(seq, n):
-    counts = _grid_occurrences(seq, n)
-    for w in range(seq.stage(n).size):
+def _check_E2(st):
+    counts = _grid_occurrences(st.seq, st.n)
+    for w in range(st.s_prev):
         vals = {row[w] for row in counts}
         if len(vals) > 1:
             return SpecEntry("E2", "fail", witness={
-                "stage": n + 1, "word": w, "multiplicities": sorted(vals)})
+                "stage": st.n + 1, "word": w, "multiplicities": sorted(vals)})
     return SpecEntry("E2", "pass",
                      witness={"multiplicity": counts[0][0] if counts else 0})
 
 
-def _check_E3(seq, n, texts):
+def _check_E3(st):
     """Unique readability: no properly-offset full parse, and no word's
-    second half equal to another's first half.  ``texts`` are stage
-    n + 1's words written out."""
-    fam = seq.stage(n + 1)
+    second half equal to another's first half."""
+    seq, n, texts = st.seq, st.n, st.texts
     prev = {w.materialize() for w in seq.stage(n).words}
     Kn = seq.word_length(n)
-    k = len(fam.compositions[0])
+    k = len(st.comps[0])
     for wi, text in enumerate(texts):
         for off in range(1, Kn):
             windows = range(off, len(text) - Kn + 1, Kn)
@@ -189,15 +185,12 @@ def _check_E3(seq, n, texts):
     return SpecEntry("E3", "pass")
 
 
-def _check_Q4(seq, n, M1, eps, texts):
-    """At the class-founding stage M1: classwise agreement on an initial
-    proportion of at least 1 - eps.  ``texts`` are stage n's words
-    written out."""
-    fam = seq.stage(n)
-    if fam.classes is None or n != M1:
-        return SpecEntry("Q4", "not-checked")
+def _check_Q4(st):
+    """At the class-founding stage n + 1 = M1: classwise agreement on an
+    initial proportion of at least 1 - eps_n."""
+    texts, eps = st.texts, Fraction(st.plan_stage.eps_lunate)
     groups = {}
-    for i, c in enumerate(fam.classes):
+    for i, c in enumerate(st.classes[1]):
         groups.setdefault(c, []).append(i)
     L = len(texts[0])
     worst = Fraction(1)
@@ -211,80 +204,66 @@ def _check_Q4(seq, n, M1, eps, texts):
         prop = Fraction(agreed, L)
         if prop < worst:
             worst, witness = prop, {"class": c, "agreed": agreed, "length": L}
-    if worst >= 1 - Fraction(eps):
+    if worst >= 1 - eps:
         return SpecEntry("Q4", "pass", worst_deviation=1 - worst,
-                         tolerance=Fraction(eps))
+                         tolerance=eps)
     return SpecEntry("Q4", "fail", worst_deviation=1 - worst,
-                     tolerance=Fraction(eps), witness=witness)
+                     tolerance=eps, witness=witness)
 
 
-def _check_Q5(seq, n, M1):
+def _check_Q5(st):
     """Past the class-founding stage M1 the relation must be the
     propagation of the previous stage's relation."""
-    cur, prev = seq.stage(n + 1), seq.stage(n)
-    if M1 is None or n + 1 <= M1 or cur.classes is None or \
-            prev.classes is None:
-        return SpecEntry("Q5", "not-checked")
-    want = propagate_equivalence(prev.classes, cur.compositions)
+    prev, cur = st.classes
+    want = propagate_equivalence(prev, st.comps)
     # compare as partitions (ids may be permuted)
     seen = {}
-    for a, b in zip(want, cur.classes):
+    for a, b in zip(want, cur):
         if seen.setdefault(a, b) != b:
-            return SpecEntry("Q5", "fail", witness={"stage": n + 1})
-    if len(set(want)) != len(set(cur.classes)):
-        return SpecEntry("Q5", "fail", witness={"stage": n + 1,
+            return SpecEntry("Q5", "fail", witness={"stage": st.n + 1})
+    if len(set(want)) != len(set(cur)):
+        return SpecEntry("Q5", "fail", witness={"stage": st.n + 1,
                                                 "kind": "class count"})
     return SpecEntry("Q5", "pass")
 
 
-def _check_Q6(seq, n, e_n):
-    """The level-1 relation refines the trivial one in 2^e(n) classes."""
-    fam = seq.stage(n)
-    if fam.classes is None:
-        return SpecEntry("Q6", "not-checked")
-    got = len(set(fam.classes))
-    if got == 2 ** e_n:
+def _check_Q6(st):
+    """The level-1 relation of stage n + 1 refines the trivial one in
+    2^e(n + 1) classes."""
+    plan = st.seq.plan
+    want = 2 ** plan.stage(min(st.n + 1, plan.depth - 1)).e
+    got = len(set(st.classes[1]))
+    if got == want:
         return SpecEntry("Q6", "pass", witness={"classes": got})
     return SpecEntry("Q6", "fail", witness={"classes": got,
-                                            "expected": 2 ** e_n})
+                                            "expected": want})
 
 
-def _check_A7(action):
-    if action is None:
-        return SpecEntry("A7", "not-checked")
-    if action.is_free():
+def _check_A7(st):
+    if st.actions[1].is_free():
         return SpecEntry("A7", "pass")
     return SpecEntry("A7", "fail", witness={"kind": "not free"})
 
 
-def _check_A8(action):
-    if action is None:
-        return SpecEntry("A8", "not-checked")
-    for g in action.generators:
+def _check_A8(st):
+    for g in st.actions[1].generators:
         for (c, side), (_, nside) in g.items():
             if side == nside:
                 return SpecEntry("A8", "fail", witness={"class": c})
     return SpecEntry("A8", "pass")
 
 
-def _check_A9(seq, n, actions):
+def _check_A9(st):
     """The stage-(n+1) action restricted to the old generators must be
     the skew-diagonal extension of the stage-n action."""
-    prev_act, cur_act = actions[n], actions[n + 1]
-    if prev_act is None or cur_act is None:
-        return SpecEntry("A9", "not-checked")
-    prev = seq.stage(n)
-    if prev.classes is None:
-        return SpecEntry("A9", "not-checked")
+    prev_act, cur_act = st.actions
     try:
-        want = skew_diagonal_extend(prev_act, seq.stage(n + 1).compositions,
-                                    prev.classes)
+        want = skew_diagonal_extend(prev_act, st.comps, st.classes[0])
     except SequenceError as err:
         return SpecEntry("A9", "fail", witness={"error": str(err)})
-    old = len(prev_act.generators)
     if want.num_classes != cur_act.num_classes:
         return SpecEntry("A9", "fail", witness={"kind": "class count"})
-    for gi in range(old):
+    for gi in range(len(prev_act.generators)):
         if want.generators[gi] != cur_act.generators[gi]:
             return SpecEntry("A9", "fail", witness={"generator": gi})
     return SpecEntry("A9", "pass")
@@ -606,8 +585,7 @@ def _orbits(seq, n, actions):
     element of the stage-(n+1) action taking u's signed class to v's, or
     None when none does or class data is missing."""
     cur = seq.stage(n + 1)
-    s = cur.size
-    act = actions[n + 1] if actions else None
+    s, act = cur.size, actions[n + 1]
     out = []
     for u in range(s):
         for v in range(2 * s):
@@ -629,7 +607,7 @@ def _check_J11(seq, n, actions, orbits, tol, whole):
     s, k = len(whole), len(seq.stage(n + 1).compositions[0])
     prev = seq.stage(n)
     s_prev, classes = prev.size, prev.classes
-    if not actions or actions[n] is None or classes is None:
+    if actions[n] is None or classes is None:
         orbits = [(uv, None) for uv, _ in orbits]
     else:
         kinds, member = _class_members(classes)
@@ -696,63 +674,6 @@ def _memo_J10_J10_1(comps, s_prev, eps, eps_var, tol):
 def _memo_J11_1(comps, s_prev, pairs, eps, tol):
     """_check_J11_1 on the slot matrix of ``comps``."""
     return _check_J11_1(_slot_matrix(comps, s_prev), s_prev, pairs, eps, tol)
-
-
-# ---------------------------------------------------------------------------
-# the public checker
-
-def _stage_battery(built, jt, n):
-    """Stage n's entries in report order, each check run when reached.
-    J10/J10.1 and J11.1 come from process-long LRU memos of _J_MEMO_SIZE
-    results, keyed by all they read, typed: the compositions tuple itself,
-    s_prev, eps, eps_var, ``jt`` and J11.1's pairs.  A hit shares the
-    cached entries, witness dicts too, and J10's read-only ``whole``."""
-    seq, actions = built.seq, built.actions
-    st = seq.plan.stage(n)
-    eps, M1 = st.eps_lunate, built.scaffold.M1
-    founded = M1 is not None and n + 1 >= M1
-    yield _check_E1(seq, n)
-    yield _check_E2(seq, n)
-    # stage n + 1's words, written out once for E3 and Q4
-    texts = [w.materialize() for w in seq.stage(n + 1).words]
-    yield _check_E3(seq, n, texts)
-    yield _check_Q4(seq, n + 1, M1, eps, texts)
-    yield _check_Q5(seq, n, M1)
-    yield _check_Q6(seq, n + 1, seq.plan.stage(min(n + 1,
-                    seq.plan.depth - 1)).e) \
-        if founded else SpecEntry("Q6", "not-checked")
-    yield _check_A7(actions[n + 1] if actions else None)
-    yield _check_A8(actions[n + 1] if actions else None)
-    yield _check_A9(seq, n, actions)
-    comps, s_prev = seq.stage(n + 1).compositions, seq.stage(n).size
-    *j10, whole = _memo_J10_J10_1(comps, s_prev, eps, st.eps_classic, jt)
-    yield from j10
-    orbits = _orbits(seq, n, actions)
-    yield _check_J11(seq, n, actions, orbits, jt, whole)
-    yield _memo_J11_1(comps, s_prev, tuple(uv for uv, g in orbits
-                                           if g is None), eps, jt)
-
-
-def check_specs(built: BuiltSequence, j_tolerance: Fraction = J_TOLERANCE,
-                *, first_failure: bool = False) -> SpecReport:
-    """The E, Q, A and J battery of every stage, in stage order, the J
-    checks against ``j_tolerance``.  With ``first_failure`` the report
-    ends at its first failing entry, and no later check runs: enough to
-    reject an attempt, not to rank it."""
-    seq = built.seq
-    if seq.flavor != ODOMETER:
-        raise SequenceError("check_specs runs on odometer sequences")
-    if seq.depth < 1:
-        raise SequenceError("need at least two stages")
-    entries = []
-    for n in range(seq.depth):
-        for e in _stage_battery(built, j_tolerance, n):
-            entries.append(SpecEntry(f"{e.spec_id}@{n}", e.status,
-                                     e.worst_deviation, e.tolerance,
-                                     e.witness))
-            if first_failure and e.status == "fail":
-                return SpecReport(tuple(entries))
-    return SpecReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +751,7 @@ def check_T4(built: BuiltSequence, n: int, gamma: Fraction) -> SpecEntry:
         raise ValueError("stage out of range")
     fam = seq.stage(n)
     if fam.classes is None:
-        return SpecEntry("T4", "not-checked")
+        raise SequenceError("check_T4 needs the stage's classes")
     if gamma <= 0:
         return SpecEntry("T4", "pass", witness={
             "vacuous": True, "gamma": gamma})
@@ -875,30 +796,13 @@ def check_T4(built: BuiltSequence, n: int, gamma: Fraction) -> SpecEntry:
                      gamma, e.witness)
 
 
-def _check_T5_T6_T7(built: BuiltSequence, n: int, mu: Fraction) -> tuple:
-    """Stage n's T5, T6 and T7 entries against ``mu``, from one stage
-    set-up.  T5: for every preword w0, word w1 (or its reverse), shift t
-    and stage-n word v, the class frequencies of w1 at the occurrences of
-    v in w0, at x + t against v at x (T5a) and at x against v at x + t
-    (T5b).  T7: T5b at t = 0 over the word pairs outside one class orbit.
-    Both read one _pair_totals pass over every signed (u, v, t).  T6: for
-    every pair of prewords and shift t, the frequency of aligned slot pairs
-    whose classes lie in one orbit of the stage-n action, on every prefix
-    j0 >= eps k: each (w0, w1, t) reports the exact value at its float
-    argmax from one _prefix_argmax pass over every row."""
-    classes = built.stage(n).classes
-    if classes is None:
-        return tuple(SpecEntry(t, "not-checked") for t in ("T5", "T6", "T7"))
-    s_prev = built.stage(n).size
-    slots = _slot_matrix(built.stage(n + 1).compositions, s_prev)
-    s, k = len(slots) // 2, slots.shape[1]
-    eps = Fraction(built.seq.plan.stage(n).eps_classic)
-    kinds, member = _class_members(classes)
-    t_max = max(0, min(int((1 - eps) * k), k - 1))
-    # tot[u, v, t, a, b]; the kernel shifts its first word u
-    tot = _pair_totals(slots, s_prev, *_grid(
-        range(2 * s), range(2 * s), range(t_max + 1))).reshape(
-            2 * s, 2 * s, t_max + 1, s_prev, s_prev)
+def _check_T5(st):
+    """For every preword w0, word w1 (or its reverse), shift t and stage-n
+    word v, the class frequencies of w1 at the occurrences of v in w0, at
+    x + t against v at x (T5a) and at x against v at x + t (T5b), against
+    mu = ``st.tol``."""
+    _, kinds, member, tot = st.frequency
+    s = len(tot) // 2
     # [w0, w1, t - 1, v, axiom, class]
     c5 = np.stack([tot[:, :s, 1:].transpose(1, 0, 2, 4, 3),
                    tot[:s, :, 1:]], axis=4) @ member
@@ -908,22 +812,20 @@ def _check_T5_T6_T7(built: BuiltSequence, n: int, mu: Fraction) -> tuple:
         return {"axiom": ("T5a", "T5b")[axiom], "w0": int(w0),
                 "w1": int(w1), "t": int(t) + 1, "v": int(v),
                 "class": kinds[c]}
-    t5 = _worst_entry("T5", c5, c5.sum(axis=-1, keepdims=True),
-                      (1, len(kinds)), mu, wit5)
-    pairs = [uv for uv, g in _orbits(built.seq, n, built.actions)
-             if g is None]
-    w0, w1 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    c7 = tot[w0, w1, 0] @ member        # [pair, v, class]
+    return _worst_entry("T5", c5, c5.sum(axis=-1, keepdims=True),
+                        (1, len(kinds)), st.tol, wit5)
 
-    def wit7(i):
-        r, v, c = np.unravel_index(i, c7.shape)
-        return {"w0": pairs[r][0], "w1": pairs[r][1], "v": int(v),
-                "class": kinds[c]}
-    t7 = _worst_entry("T7", c7, c7.sum(axis=-1, keepdims=True),
-                      (1, len(kinds)), mu, wit7)
-    action = built.actions[n] if built.actions else None
-    if action is None:
-        return t5, SpecEntry("T6", "not-checked"), t7
+
+def _check_T6(st):
+    """For every pair of prewords and shift t, the frequency of aligned
+    slot pairs whose classes lie in one orbit of the stage-n action, on
+    every prefix j0 >= eps k, against mu = ``st.tol``: each (w0, w1, t)
+    reports the exact value at its float argmax from one _prefix_argmax
+    pass over every row."""
+    slots, kinds, member, _ = st.frequency
+    action, s_prev = st.actions[0], st.s_prev
+    s, k = len(slots) // 2, slots.shape[1]
+    eps = Fraction(st.plan_stage.eps_classic)
     target = min(Fraction(1), Fraction(len(action.elements), len(kinds)))
     orbit = {(cu, el[cu]) for el in action.elements for cu in el}
     linked = np.array([[((C, FWD), (D, FWD)) in orbit for D in kinds]
@@ -936,33 +838,157 @@ def _check_T5_T6_T7(built: BuiltSequence, n: int, mu: Fraction) -> tuple:
                       range(1, min(int((1 - eps) * k), k - j_lo) + 1))
     counts, j0, _ = _prefix_argmax(slots, s_prev, w1, w0, t, j_lo, related,
                                    target)
-    return t5, _worst_entry(
-        "T6", counts, j0, (target.numerator, target.denominator), mu,
+    return _worst_entry(
+        "T6", counts, j0, (target.numerator, target.denominator), st.tol,
         lambda i: {"w0": int(w0[i]), "w1": int(w1[i]), "t": int(t[i]),
-                   "j0": int(j0[i])}), t7
+                   "j0": int(j0[i])})
 
 
-def check_timing(built: BuiltSequence, level: int,
-                 gamma: GammaCascade) -> SpecReport:
-    """On the circular lift of the odometer build ``built``: T1-T3
-    structurally, T4 as exact segment distances against ``gamma``, T5-T7
-    as exact frequency counts against MU."""
-    circ = lift_build(built)
-    seq = circ.seq
-    if seq.depth < 1:
+def _check_T7(st):
+    """T5b at t = 0 over the word pairs outside one class orbit, against
+    mu = ``st.tol``."""
+    _, kinds, member, tot = st.frequency
+    pairs = st.unrelated
+    w0, w1 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    c7 = tot[w0, w1, 0] @ member        # [pair, v, class]
+
+    def wit7(i):
+        r, v, c = np.unravel_index(i, c7.shape)
+        return {"w0": pairs[r][0], "w1": pairs[r][1], "v": int(v),
+                "class": kinds[c]}
+    return _worst_entry("T7", c7, c7.sum(axis=-1, keepdims=True),
+                        (1, len(kinds)), st.tol, wit7)
+
+
+# ---------------------------------------------------------------------------
+# the spec table and the two batteries that run it
+
+class _Stage:
+    """Stage n of ``built`` as one battery's checks read it; ``tol`` is the
+    tolerance of its frequency checks, J or T5-T7.  What several checks
+    share is made once, when first read."""
+
+    def __init__(self, built: BuiltSequence, n: int, tol: Fraction):
+        self.built, self.seq, self.n, self.tol = built, built.seq, n, tol
+        self.plan_stage = built.seq.plan.stage(n)
+        self.s_prev = built.stage(n).size
+        self.comps = built.stage(n + 1).compositions
+        self.classes = (built.stage(n).classes, built.stage(n + 1).classes)
+        self.actions = built.actions[n:n + 2]
+        self.classed = tuple(c is not None for c in self.classes)
+        self.acting = tuple(a is not None for a in self.actions)
+        M1 = built.scaffold.M1      # stage n + 1 founds the classes, or
+        self.founding = n + 1 == M1     # is at or past their founding
+        self.founded = M1 is not None and n + 1 >= M1
+
+    @cached_property
+    def texts(self):            # E3, Q4: stage n + 1's words written out
+        return [w.materialize() for w in self.seq.stage(self.n + 1).words]
+
+    @cached_property
+    def orbits(self):           # J11
+        return _orbits(self.seq, self.n, self.built.actions)
+
+    @cached_property
+    def unrelated(self):        # J11.1, T7: the pairs outside one orbit
+        return tuple(uv for uv, g in self.orbits if g is None)
+
+    @cached_property
+    def j10(self):      # J10's memoized pass: J10, J10.1, J11's counts
+        ps = self.plan_stage
+        return _memo_J10_J10_1(self.comps, self.s_prev, ps.eps_lunate,
+                               ps.eps_classic, self.tol)
+
+    @cached_property
+    def frequency(self):
+        """What T5, T6 and T7 share: stage n + 1's slot matrix, stage n's
+        _class_members, and the whole-overlap counts tot[u, v, t, a, b] of
+        every signed (u, v) and shift t <= (1 - eps) k, one _pair_totals
+        pass that T5 and T7 read; the kernel shifts its first word u."""
+        s_prev, slots = self.s_prev, _slot_matrix(self.comps, self.s_prev)
+        s, k = len(slots) // 2, slots.shape[1]
+        eps = Fraction(self.plan_stage.eps_classic)
+        t_max = max(0, min(int((1 - eps) * k), k - 1))
+        tot = _pair_totals(slots, s_prev, *_grid(
+            range(2 * s), range(2 * s), range(t_max + 1))).reshape(
+                2 * s, 2 * s, t_max + 1, s_prev, s_prev)
+        return slots, *_class_members(self.classes[0]), tot
+
+
+def _always(st):
+    return True
+
+
+# Every spec, in report order: its id in check_specs and in check_timing
+# (None where a battery lacks it; T1-T3 are Q5, A7 and A8), the offset of
+# its printed stage from the battery's stage n, whether it applies at
+# stage n, and its check.
+SPECS = (
+    ("E1", None, 0, _always, _check_E1),
+    ("E2", None, 0, _always, _check_E2),
+    ("E3", None, 0, _always, _check_E3),
+    ("Q4", None, 0, lambda st: st.founding and st.classed[1], _check_Q4),
+    ("Q5", "T1", 0, lambda st: st.founded and not st.founding
+     and all(st.classed), _check_Q5),
+    ("Q6", None, 0, lambda st: st.founded and st.classed[1], _check_Q6),
+    ("A7", "T2", 0, lambda st: st.acting[1], _check_A7),
+    ("A8", "T3", 0, lambda st: st.acting[1], _check_A8),
+    ("A9", None, 0, lambda st: all(st.acting) and st.classed[0], _check_A9),
+    ("J10", None, 0, _always, lambda st: st.j10[0]),
+    ("J10.1", None, 0, _always, lambda st: st.j10[1]),
+    ("J11", None, 0, _always, lambda st: _check_J11(
+        st.seq, st.n, st.built.actions, st.orbits, st.tol, st.j10[2])),
+    ("J11.1", None, 0, _always, lambda st: _memo_J11_1(
+        st.comps, st.s_prev, st.unrelated, st.plan_stage.eps_lunate,
+        st.tol)),
+    (None, "T4", 1, lambda st: st.classed[1], lambda st: check_T4(
+        st.built, st.n + 1, gamma_cascade(st.seq.plan, st.n + 1).gamma(
+            st.n + 1))),
+    (None, "T5", 0, lambda st: st.classed[0], _check_T5),
+    (None, "T6", 0, lambda st: st.classed[0] and st.acting[0], _check_T6),
+    (None, "T7", 0, lambda st: st.classed[0], _check_T7),
+)
+
+
+def _run(built, battery, stages, tol, first_failure=False) -> SpecReport:
+    """The report of ``battery`` (0 check_specs, 1 check_timing) on the
+    ``stages``: at each, every SPECS row with an id in it, in table order,
+    printed id@stage; a row that does not apply is not-checked and runs
+    no check.  ``first_failure`` ends the report at its first failure."""
+    if built.depth < 1:
         raise SequenceError("need at least two stages")
     entries = []
-    for n in range(min(level, seq.depth - 1)):
-        act = circ.actions[n + 1] if circ.actions else None
-        # T1: propagation, the class-founding stage exempt; T2/T3: freeness
-        # and parity of the stage action
-        stage = (_check_Q5(seq, n, circ.scaffold.M1), _check_A7(act),
-                 _check_A8(act), check_T4(circ, n + 1, gamma.gamma(n + 1)),
-                 *_check_T5_T6_T7(circ, n, MU))
-        entries += [SpecEntry(f"T{i}@{n + 1 if i == 4 else n}", e.status,
-                              e.worst_deviation, e.tolerance, e.witness)
-                    for i, e in enumerate(stage, 1)]
+    for n in stages:
+        st = _Stage(built, n, tol)
+        for row in SPECS:
+            name, (offset, applies, check) = row[battery], row[2:]
+            if name is None:
+                continue
+            label = f"{name}@{n + offset}"
+            e = check(st) if applies(st) else SpecEntry(label, "not-checked")
+            entries.append(SpecEntry(label, e.status, e.worst_deviation,
+                                     e.tolerance, e.witness))
+            if first_failure and e.status == "fail":
+                return SpecReport(tuple(entries))
     return SpecReport(tuple(entries))
+
+
+def check_specs(built: BuiltSequence, j_tolerance: Fraction = J_TOLERANCE,
+                *, first_failure: bool = False) -> SpecReport:
+    """The E, Q, A and J battery of every stage, in stage order, the J
+    checks against ``j_tolerance``.  With ``first_failure`` the report
+    ends at its first failing entry, and no later check runs: enough to
+    reject an attempt, not to rank it."""
+    if built.seq.flavor != ODOMETER:
+        raise SequenceError("check_specs runs on odometer sequences")
+    return _run(built, 0, range(built.depth), j_tolerance, first_failure)
+
+
+def check_timing(built: BuiltSequence) -> SpecReport:
+    """On the circular lift of the odometer build ``built``, at every stage
+    n below depth - 1: T1-T3 structurally, T4 as exact segment distances
+    against the cascade's gamma_(n+1), T5-T7 as frequencies against MU."""
+    return _run(lift_build(built), 1, range(built.depth - 1), MU)
 
 
 # ---------------------------------------------------------------------------
@@ -1077,20 +1103,17 @@ def _sample_stage(rng, plan, n, prev_size, prev_classes, s_next, Q_next,
 
 
 def build_words(scaffold, plan, seed: int, level: int,
-                j_tolerance: Fraction = J_TOLERANCE, retry_budget: int = 32,
+                j_tolerance: Fraction = J_TOLERANCE,
                 style: str = "random") -> BuiltSequence:
     """Seeded, verification-gated construction of an odometer sequence
     with class and action data derived from the group scaffold: attempts
-    0, 1, ... of build_attempt, each checked by check_specs up to its
-    first failing spec against ``j_tolerance``, until one passes.  The
-    passing attempt carries its report, complete as nothing failed; an
-    exhausted budget raises BuildError with the full report of the first
-    attempt that failed fewest specs."""
-    if retry_budget < 1:
-        raise ValueError(f"retry budget must be at least 1, not "
-                         f"{retry_budget}")
+    0 to RETRY_BUDGET - 1 of build_attempt, each checked by check_specs up
+    to its first failing spec against ``j_tolerance``, until one passes.
+    The passing attempt carries its report, complete as nothing failed;
+    an exhausted budget raises BuildError with the full report of the
+    first attempt that failed fewest specs."""
     failed = []
-    for attempt in range(retry_budget):
+    for attempt in range(RETRY_BUDGET):
         built = build_attempt(scaffold, plan, seed, level, style, attempt)
         report = check_specs(built, j_tolerance, first_failure=True)
         if report.ok():
@@ -1098,7 +1121,7 @@ def build_words(scaffold, plan, seed: int, level: int,
         failed.append(built)
     best = min((check_specs(b, j_tolerance) for b in failed),
                key=lambda r: len(r.failures()))
-    raise BuildError(f"retry budget {retry_budget} exhausted", best)
+    raise BuildError(f"retry budget {RETRY_BUDGET} exhausted", best)
 
 
 def build_attempt(scaffold, plan, seed: int, level: int, style: str = "random",
@@ -1121,7 +1144,7 @@ def build_attempt(scaffold, plan, seed: int, level: int, style: str = "random",
             if (M1 is not None and n + 1 >= M1) else 1
         Q_next = min(Q_next, s_next)
         if style == "separated" and n == 0:
-            gamma = gamma_cascade(plan, max(1, level)).gamma(1)
+            gamma = gamma_cascade(plan, 1).gamma(1)
             comps = _search_separated_pair(rng, plan, scaffold, gamma,
                                            plan.stage(0).k)
             classes = (0, 1)
@@ -1162,13 +1185,9 @@ def _derive_actions(scaffold, seq, level):
         if M1 is None or n < M1 or count == 0:
             actions.append(None)
             continue
-        if n == M1 or act is None:
-            act = None
-            gens = ()
-        else:
-            act = skew_diagonal_extend(act, fam.compositions,
-                                       seq.stage(n - 1).classes)
-            gens = act.generators
+        # the class-founding stage M1 starts the action afresh
+        gens = () if act is None else skew_diagonal_extend(
+            act, fam.compositions, seq.stage(n - 1).classes).generators
         while len(gens) < count:
             gens = gens + (_shift_swap_generator(
                 nclasses, len(gens) % nclasses),)

@@ -1,4 +1,5 @@
-"""Plans, group actions and tree files that only the tests build."""
+"""Plans, group actions and tree files that only the tests build, and
+report lookups that only the tests make."""
 
 import json
 
@@ -28,6 +29,14 @@ def swap_side_action(num_classes: int, pattern=None) -> GroupActionTable:
         g[(c, FWD)] = (target, REV)
         g[(target, REV)] = (c, FWD)
     return GroupActionTable(num_classes, (g,))
+
+
+def entry(report, spec_id: str):
+    """The entry of a SpecReport or an AuditReport with id ``spec_id``."""
+    for e in report.entries:
+        if spec_id == getattr(e, "spec_id", getattr(e, "req_id", None)):
+            return e
+    raise KeyError(spec_id)
 
 
 def tree_to_json(tp: TreePrefix) -> str:

@@ -24,14 +24,14 @@ from circsys.rotation import (analyze_rotation, build_red_zones, delta_n,
 from circsys.specbuild import (J_TOLERANCE, build_attempt, build_words,
                                check_specs, check_T4, check_timing,
                                gamma_cascade, groups_from_tree, lift_build,
-                               _check_T5_T6_T7)
+                               _Stage, _check_T5, _check_T6, _check_T7)
 from circsys.systems import (circular_sequence, functor_F, functor_inverse,
                              odometer_sequence, propagate_equivalence,
                              uniformity_report, with_classes)
 from circsys.trees import (TreePrefix, certify_continuity, mutate_tree,
                            reduce)
 from circsys.words import reverse, unique_readability, word
-from fixtures import identity_action
+from fixtures import entry, identity_action
 from test_rotation import ref_delta_n, reverify_zones
 from test_specbuild import assert_same_entry, ref_T4
 
@@ -319,7 +319,7 @@ class TestCriterion09Pipeline:
                 built = build_attempt(self.SCAFFOLD, plan, seed=seed,
                                       level=1)
                 rep = check_specs(built, J_TOLERANCE)
-                devs.append(Fraction(rep.entry("J10@0").worst_deviation))
+                devs.append(Fraction(entry(rep, "J10@0").worst_deviation))
             wins += devs[0] > devs[1] > devs[2]
         assert wins >= 19, f"strict decrease in only {wins}/20 seeds"
         _budget(start, 600)
@@ -345,15 +345,15 @@ class TestCriterion09Pipeline:
         bad = [tuple([0] * k), tuple([0] * (k // 2) + [1] * (k // 2))]
         rep = check_specs(self._tampered(plan, built, bad),
                           J_TOLERANCE)
-        e = rep.entry("E2@0")
+        e = entry(rep, "E2@0")
         assert e.status == "fail"
         assert e.witness["multiplicities"] == [32, 64]
 
     def test_criterion_09d_mutation_e3(self, level1):
         plan, built = level1
         bad = [tuple([0] * 64), tuple([1] * 64)]
-        e = check_specs(self._tampered(plan, built, bad),
-                        J_TOLERANCE).entry("E3@0")
+        e = entry(check_specs(self._tampered(plan, built, bad),
+                              J_TOLERANCE), "E3@0")
         assert e.status == "fail"
         assert "kind" in e.witness and "words" in e.witness
 
@@ -361,8 +361,9 @@ class TestCriterion09Pipeline:
         plan, built = level1
         comps = [tuple(t) for t in built.seq.stage(1).compositions]
         assert comps[0][0] != comps[1][0]  # words diverge at slot 0
-        e = check_specs(self._tampered(plan, built, comps, classes1=(0, 0)),
-                        J_TOLERANCE).entry("Q4@0")
+        e = entry(check_specs(self._tampered(plan, built, comps,
+                                             classes1=(0, 0)), J_TOLERANCE),
+                  "Q4@0")
         assert e.status == "fail"
         assert e.witness["agreed"] == 0
 
@@ -376,8 +377,8 @@ class TestCriterion09Pipeline:
                         tuple([1] * (k // 2) + [0] * (k // 2))],
         }
         for spec_id, bad in cases.items():
-            e = check_specs(self._tampered(plan, built, bad),
-                            J_TOLERANCE).entry(spec_id)
+            e = entry(check_specs(self._tampered(plan, built, bad),
+                                  J_TOLERANCE), spec_id)
             assert e.status == "fail", spec_id
             assert Fraction(e.worst_deviation) > Fraction(e.tolerance)
             assert "pair" in e.witness
@@ -408,7 +409,8 @@ class TestCriterion09Pipeline:
 
     def test_criterion_09h_mutation_t5_t6_t7(self, level2):
         mu = Fraction(3, 10)
-        t5, t6, _ = _check_T5_T6_T7(level2, 1, mu)
+        stage = _Stage(level2, 1, mu)
+        t5, t6 = _check_T5(stage), _check_T6(stage)
         assert t5.status == "fail" and t5.worst_deviation == Fraction(1, 2)
         assert t5.witness == {"axiom": "T5a", "w0": 0, "w1": 0, "t": 1,
                               "v": 0, "class": 0}
@@ -417,7 +419,7 @@ class TestCriterion09Pipeline:
         bad7 = replace(level2, actions=(level2.actions[0],
                                         identity_action(2),
                                         level2.actions[2]))
-        e = _check_T5_T6_T7(bad7, 1, mu)[2]
+        e = _check_T7(_Stage(bad7, 1, mu))
         assert e.status == "fail" and e.worst_deviation == Fraction(1, 2)
         assert e.witness == {"w0": 0, "w1": 1, "v": 0, "class": 0}
 
@@ -430,7 +432,7 @@ def test_criterion_10_gamma_separation():
                         level=2, j_tolerance=Fraction(1), style="separated")
     # built against 1 at every stage; stage 0's J checks hold against 1/2
     for j in ("J10", "J10.1", "J11", "J11.1"):
-        assert built.report.entry(f"{j}@0").worst_deviation < J_TOLERANCE
+        assert entry(built.report, f"{j}@0").worst_deviation < J_TOLERANCE
     lifted = lift_build(built)
     cas = gamma_cascade(plan, 2)
     assert cas.gamma(1) == Fraction(2583, 10240)
@@ -446,7 +448,7 @@ def test_criterion_10_gamma_separation():
     e2 = check_T4(lifted, 2, cas.gamma(2))
     assert e2.status == "pass"
 
-    rep = check_timing(built, level=1, gamma=cas)
+    rep = check_timing(built)
     assert rep.ok()
     _budget(start, 300)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from circsys.coefficients import (PlanError, audit_plan, code_coefficients,
                                   desk_plan, dynamical_index, extend_plan,
                                   plan_from_json, plan_to_json)
-from fixtures import grow_plan
+from fixtures import entry, grow_plan
 
 coprime_pq = st.integers(2, 400).flatmap(
     lambda q: st.tuples(
@@ -91,9 +91,9 @@ class TestGrowth:
         # bound passes the desk divisor 4 but not the floor's 16
         loose = replace(again, stages=tuple(replace(x, mu=2 * x.mu)
                                             for x in again.stages))
-        assert audit_plan(loose).entry("NR4").status == "fail"
-        assert audit_plan(replace(loose, desk_mode=True)) \
-            .entry("NR4").status == "pass"
+        assert entry(audit_plan(loose), "NR4").status == "fail"
+        assert entry(audit_plan(replace(loose, desk_mode=True)),
+                     "NR4").status == "pass"
 
     def test_bad_recursion_rejected(self):
         doc = json.loads(plan_to_json(desk_plan()))
@@ -148,14 +148,14 @@ class TestAudit:
         # square root is no longer exact arithmetic
         p = 10 ** 9 + 7
         plan = desk_plan(kl=((p * p, 2),), s=(1,))
-        assert audit_plan(plan).entry("IR6").witness == \
+        assert entry(audit_plan(plan), "IR6").witness == \
             {"violating_stages": []}
 
     def test_IR6_square_beyond_float_range(self):
         # k_0 = (2 * 10^200)^2 cannot be converted to a float at all
         plan = desk_plan(kl=(((2 * 10 ** 200) ** 2, 2), (11 ** 2, 2)),
                          s=(1, 1))
-        ir6 = audit_plan(plan).entry("IR6")
+        ir6 = entry(audit_plan(plan), "IR6")
         assert ir6.witness == {"violating_stages": [0]}
 
     def test_report_json_shape(self):

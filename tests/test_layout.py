@@ -2,7 +2,8 @@
 src/circsys/, and every method and property of its classes other than
 dunders, is referenced by name in src/ (outside its own body), demos/ or
 perfbench/, is a click command, or has a reason in KEEP, where a member
-is keyed "Class.name".  Oracles and helpers that only tests call live in
+is keyed "Class.name".  A member counts as referenced only through an
+attribute (x.name): a local variable of the same name does not reach it.  Oracles and helpers that only tests call live in
 the tests.  Nothing in src/circsys/ reads the process environment, so no
 setting acts unseen by the report.  Only plan_to_json, whose bytes define
 the plan hash, renders JSON through json.dumps with an indent, which runs
@@ -59,20 +60,21 @@ def _definitions(tree):
 
 
 def test_every_definition_has_a_caller_or_a_reason():
-    refs = {}
+    names, attrs = {}, {}
     for path, tree in _modules("src/circsys", "demos", "perfbench"):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.setdefault(node.id, []).append((path, node.lineno))
+                names.setdefault(node.id, []).append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
-                refs.setdefault(node.attr, []).append((path, node.lineno))
+                attrs.setdefault(node.attr, []).append((path, node.lineno))
     unreached = []
     for path, tree in _modules("src/circsys"):
         for key, node in _definitions(tree):
             own = range(node.lineno, node.end_lineno + 1)
+            refs = attrs.get(node.name, []) + \
+                ([] if "." in key else names.get(node.name, []))
             if not (_is_command(node) or any(
-                    p != path or line not in own
-                    for p, line in refs.get(node.name, ()))):
+                    p != path or line not in own for p, line in refs)):
                 unreached.append(key)
     assert sorted(set(unreached) - set(KEEP)) == []
     # every KEEP entry is a definition that nothing in the system reaches

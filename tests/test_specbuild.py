@@ -1,5 +1,6 @@
 """Verification-gated word construction and the spec/timing batteries."""
 
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from circsys import specbuild
+from circsys.cli import run
 from circsys.coefficients import desk_plan
 from circsys.specbuild import (J_TOLERANCE, BuildError, BuiltSequence,
-                               RoundingBoundError, SpecEntry, _band_bound,
+                               RoundingBoundError, SpecEntry, _Stage,
+                               _band_bound,
                                _banded_argmax, _check_J10_J10_1, _check_J11,
-                               _check_J11_1, _check_T5_T6_T7, _orbits,
-                               _pair_totals, _prefix_argmax,
+                               _check_J11_1, _check_T5, _check_T6, _check_T7,
+                               _orbits, _pair_totals, _prefix_argmax,
                                _prefix_pair_counts, _rounding_bound,
                                _slot_matrix, _worst_entry, build_attempt,
                                build_words, check_T4, check_specs,
@@ -29,7 +32,8 @@ from circsys.systems import (CIRCULAR, FWD, REV, GroupActionTable,
                              odometer_sequence, with_classes)
 from circsys.trees import TreePrefix
 from circsys.words import Word
-from fixtures import identity_action, swap_side_action
+from fixtures import entry, identity_action, swap_side_action
+from test_golden import TABLE as GOLDEN_TABLE
 
 SC = groups_from_tree([(), (0,)])
 PLAN = desk_plan(kl=((64, 4), (2, 2)),
@@ -77,23 +81,18 @@ class TestBuild:
         tol = Fraction(0)
         reports = [check_specs(build_attempt(SC, PLAN, 4, 1, attempt=i), tol)
                    for i in range(3)]
-        with pytest.raises(BuildError) as err:
-            build_words(SC, PLAN, 4, 1, j_tolerance=tol, retry_budget=3)
+        with pytest.raises(BuildError) as err, \
+                mock.patch.object(specbuild, "RETRY_BUDGET", 3):
+            build_words(SC, PLAN, 4, 1, j_tolerance=tol)
         assert err.value.report.to_obj() == \
             min(reports, key=lambda r: len(r.failures())).to_obj()
 
     def test_impossible_tolerance_exhausts_budget(self):
-        with pytest.raises(BuildError) as err:
-            build_words(SC, PLAN, seed=0, level=1,
-                        j_tolerance=Fraction(0),
-                        retry_budget=3)
+        with pytest.raises(BuildError) as err, \
+                mock.patch.object(specbuild, "RETRY_BUDGET", 3):
+            build_words(SC, PLAN, seed=0, level=1, j_tolerance=Fraction(0))
         assert err.value.report is not None
         assert err.value.report.failures()
-
-    @pytest.mark.parametrize("budget", [0, -1])
-    def test_budget_below_one_is_a_value_error(self, budget):
-        with pytest.raises(ValueError, match="retry budget"):
-            build_words(SC, PLAN, seed=0, level=1, retry_budget=budget)
 
     def test_class_count_is_group_bound(self):
         built = build_words(SC, PLAN, seed=0, level=1)
@@ -107,13 +106,12 @@ class TestBuild:
             assert all(key[1] != g[key][1] for key in g)
 
 
-def ref_build_words(scaffold, plan, seed, level, j_tolerance=J_TOLERANCE,
-                    retry_budget=32):
-    """The gate with a full check_specs on every attempt: the first
-    attempt that passes, or BuildError with the report of the first
-    attempt with strictly fewest failures."""
+def ref_build_words(scaffold, plan, seed, level, j_tolerance=J_TOLERANCE):
+    """The gate with a full check_specs on every attempt: the first of
+    RETRY_BUDGET attempts that passes, or BuildError with the report of
+    the first attempt with strictly fewest failures."""
     best = None
-    for attempt in range(retry_budget):
+    for attempt in range(specbuild.RETRY_BUDGET):
         built = build_attempt(scaffold, plan, seed, level, attempt=attempt)
         built = replace(built, report=check_specs(built, j_tolerance))
         if built.report.ok():
@@ -121,7 +119,8 @@ def ref_build_words(scaffold, plan, seed, level, j_tolerance=J_TOLERANCE,
         if best is None or \
                 len(built.report.failures()) < len(best.report.failures()):
             best = built
-    raise BuildError(f"retry budget {retry_budget} exhausted", best.report)
+    raise BuildError(f"retry budget {specbuild.RETRY_BUDGET} exhausted",
+                     best.report)
 
 
 TREE_PLAN = desk_plan(kl=((4, 2), (2, 2), (2, 2), (2, 2)))
@@ -157,10 +156,11 @@ class TestEarlyRejection:
     def test_gate_matches_the_full_battery_gate(self, scaffold, seed):
         sc, n0 = scaffold
         for tol, budget in ((Fraction(1), 32), (Fraction(0), 3)):
-            assert gate_outcome(build_words, sc, TREE_PLAN, seed, n0,
-                                j_tolerance=tol, retry_budget=budget) == \
-                gate_outcome(ref_build_words, sc, TREE_PLAN, seed, n0,
-                             j_tolerance=tol, retry_budget=budget)
+            with mock.patch.object(specbuild, "RETRY_BUDGET", budget):
+                assert gate_outcome(build_words, sc, TREE_PLAN, seed, n0,
+                                    j_tolerance=tol) == \
+                    gate_outcome(ref_build_words, sc, TREE_PLAN, seed, n0,
+                                 j_tolerance=tol)
 
     @given(tree_scaffolds(), st.integers(0, 999), st.integers(0, 7),
            st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
@@ -337,7 +337,7 @@ class TestTiming:
     def test_stage_0_J_checks_stay_below_one_half(self, separated):
         # built against 1 at every stage, the anchor's stage-0 J checks
         # still hold against 1/2
-        worst = [separated.report.entry(f"{j}@0").worst_deviation
+        worst = [entry(separated.report, f"{j}@0").worst_deviation
                  for j in ("J10", "J10.1", "J11", "J11.1")]
         assert worst == [Fraction(1, 5), Fraction(25, 76), Fraction(1, 4),
                          Fraction(23, 116)]
@@ -346,16 +346,16 @@ class TestTiming:
     def test_T4_level1_meets_cascade(self, separated):
         gc = gamma_cascade(SEP_PLAN, 2)
         circ = lift_build(separated)
-        entry = check_T4(circ, 1, gc.gamma(1))
-        assert entry.status == "pass"
-        assert Fraction(entry.worst_deviation) >= gc.gamma(1)
+        t4 = check_T4(circ, 1, gc.gamma(1))
+        assert t4.status == "pass"
+        assert Fraction(t4.worst_deviation) >= gc.gamma(1)
 
     def test_T4_frozen_pin_matches_reference(self, separated):
         gc = gamma_cascade(SEP_PLAN, 2)
         circ = lift_build(separated)
-        entry = check_T4(circ, 1, gc.gamma(1))
-        assert entry.worst_deviation == Fraction(12, 47)
-        assert_same_entry(entry, ref_T4(circ, 1, gc.gamma(1)))
+        t4 = check_T4(circ, 1, gc.gamma(1))
+        assert t4.worst_deviation == Fraction(12, 47)
+        assert_same_entry(t4, ref_T4(circ, 1, gc.gamma(1)))
         # the separation is >= gamma, so equality passes
         assert check_T4(circ, 1, Fraction(12, 47)).status == "pass"
         assert check_T4(circ, 1, Fraction(12, 47) + Fraction(1, 997)) \
@@ -363,9 +363,9 @@ class TestTiming:
 
     def test_T4_vacuous_on_nonpositive_gamma(self, separated):
         gc = gamma_cascade(SEP_PLAN, 2)
-        entry = check_T4(lift_build(separated), 2, gc.gamma(2))
-        assert entry.status == "pass"
-        assert "vacuous" in str(entry.witness).lower() or \
+        t4 = check_T4(lift_build(separated), 2, gc.gamma(2))
+        assert t4.status == "pass"
+        assert "vacuous" in str(t4.witness).lower() or \
             gc.gamma(2) <= 0
 
     @pytest.mark.parametrize("kl, gamma_1", [
@@ -392,8 +392,7 @@ class TestTiming:
         assert [sum(c) for c in comps] == [k // 2] * 2
 
     def test_battery_shape(self, separated):
-        gc = gamma_cascade(SEP_PLAN, 2)
-        rep = check_timing(separated, level=1, gamma=gc)
+        rep = check_timing(separated)
         ids = {e.spec_id for e in rep.entries}
         assert {"T1@0", "T2@0", "T3@0", "T4@1", "T5@0", "T6@0",
                 "T7@0"} <= ids
@@ -402,10 +401,11 @@ class TestTiming:
     def test_frequency_checks_run(self, separated):
         circ = lift_build(separated)
         mu = Fraction(1, 2)
-        for entry, ref in zip(_check_T5_T6_T7(circ, 1, mu),
-                              (ref_T5, ref_T6, ref_T7)):
-            assert entry.status in ("pass", "fail", "not-checked")
-            assert_same_entry(entry, ref(circ, 1, mu))
+        for check, ref in ((_check_T5, ref_T5), (_check_T6, ref_T6),
+                           (_check_T7, ref_T7)):
+            got = check(_Stage(circ, 1, mu))
+            assert got.status in ("pass", "fail")
+            assert_same_entry(got, ref(circ, 1, mu))
 
     def test_T4_refuses_stage_0(self):
         # stage 0 has no stage -1 to take eps from; plan.stage(-1) read the
@@ -417,24 +417,168 @@ class TestTiming:
 
     def test_each_checked_stage_makes_two_kernel_passes(self, monkeypatch):
         # T5 and T7 read one _pair_totals table; T6 makes its own
-        # _prefix_argmax pass where the stage has an action
+        # _prefix_argmax pass where the stage has an action; the battery
+        # builds a slot matrix only in that one stage set-up
         plan = desk_plan(kl=((4, 2), (2, 2), (2, 2), (2, 2)))
         built = build_attempt(SC, plan, seed=3, level=3)
         log = []
-        for name in ("_check_T5_T6_T7", "_pair_totals", "_prefix_argmax"):
+        for name in ("_slot_matrix", "_pair_totals", "_prefix_argmax"):
             def logged(*args, _f=getattr(specbuild, name), _name=name):
                 log.append(_name)
                 return _f(*args)
             monkeypatch.setattr(specbuild, name, logged)
-        rep = check_timing(built, 3, gamma_cascade(plan, 3))
+        rep = check_timing(built)
         checked = {e.spec_id for e in rep.entries
                    if e.status != "not-checked"}
         assert {"T5@0", "T5@1", "T6@1"} <= checked
         want = []
         for n in (0, 1):
-            want += ["_check_T5_T6_T7", "_pair_totals"]
+            want += ["_slot_matrix", "_pair_totals"]
             want += ["_prefix_argmax"] if f"T6@{n}" in checked else []
         assert log == want
+
+
+class TestFailPaths:
+    """One tampered copy of a level-2 build per Q and A spec whose fail
+    path no other test reaches.  T1-T3 are the Q5, A7 and A8 rows, so the
+    same copies fail them through check_timing."""
+
+    @staticmethod
+    def base(level=2):
+        plan = desk_plan(kl=((4, 2),) + ((2, 2),) * level)
+        return build_attempt(SC, plan, seed=0, level=level)
+
+    @staticmethod
+    def with_stage1_action(built, action):
+        return replace(built, actions=(None, action) + built.actions[2:])
+
+    @staticmethod
+    def merged(built):
+        """``built`` with its stage-1 classes merged into one class."""
+        classes = [built.stage(n).classes for n in range(built.depth + 1)]
+        classes[1] = (0,) * len(classes[1])
+        return replace(built, seq=with_classes(built.seq, classes))
+
+    def test_merged_classes_fail_Q6_Q5_and_T1(self):
+        rep = check_specs(self.merged(self.base()))
+        for spec, witness in (("Q6@0", {"classes": 1, "expected": 2}),
+                              ("Q5@1", {"stage": 2})):
+            e = entry(rep, spec)
+            assert (e.status, e.witness) == ("fail", witness)
+        # check_timing checks the stages below depth - 1, and T1 is exempt
+        # at the class-founding stage 1, so T1@1 needs a level-3 build
+        e = entry(check_timing(self.merged(self.base(level=3))), "T1@1")
+        assert (e.status, e.witness) == ("fail", {"stage": 2})
+
+    def test_non_free_action_fails_A7_and_T2(self):
+        built = self.base()
+        g = dict(built.actions[1].generators[0])
+        action = GroupActionTable(2, (g,))
+        # fixed on class 0 after construction, g fixes 2 of the 4 signed
+        # classes
+        g[(0, FWD)], g[(0, REV)] = (0, FWD), (0, REV)
+        bad = self.with_stage1_action(built, action)
+        for rep, spec in ((check_specs(bad), "A7@0"),
+                          (check_timing(bad), "T2@0")):
+            e = entry(rep, spec)
+            assert (e.status, e.witness) == ("fail", {"kind": "not free"})
+
+    def test_side_keeping_generator_fails_A8_and_T3(self):
+        # the constructor refuses a generator that keeps sides, so only a
+        # dict mutated after construction reaches A8's fail path; this one
+        # swaps the classes and still acts freely
+        built = self.base()
+        action = GroupActionTable(2, (dict(built.actions[1].generators[0]),))
+        action.generators[0].update({(0, FWD): (1, FWD), (1, FWD): (0, FWD),
+                                     (0, REV): (1, REV), (1, REV): (0, REV)})
+        bad = self.with_stage1_action(built, action)
+        specs, timing = check_specs(bad), check_timing(bad)
+        assert entry(specs, "A7@0").status == "pass"
+        for rep, spec in ((specs, "A8@0"), (timing, "T3@0")):
+            e = entry(rep, spec)
+            assert (e.status, e.witness) == ("fail", {"class": 0})
+
+    def test_altered_stage2_generator_fails_A9(self):
+        built = self.base()
+        bad = replace(built, actions=built.actions[:2] + (
+            swap_side_action(2, (1, 0)),))
+        e = entry(check_specs(bad), "A9@1")
+        assert (e.status, e.witness) == ("fail", {"generator": 0})
+
+
+# ---------------------------------------------------------------------------
+# which spec runs at which stage, written by hand from the definitions:
+# Q4 at the class-founding stage n + 1 = M1, Q5 (T1) past it and Q6 at or
+# past it, each where the stages it reads have classes; A7 and A8 (T2, T3)
+# where stage n + 1 has an action, A9 where stages n and n + 1 have one and
+# stage n has classes; T4 where stage n + 1 has classes, T5 and T7 where
+# stage n has them, T6 where stage n also has an action; E and J always.
+
+SPEC_IDS = ("E1", "E2", "E3", "Q4", "Q5", "Q6", "A7", "A8", "A9", "J10",
+            "J10.1", "J11", "J11.1")
+TIMING_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
+BATTERY_COMMANDS = ("build", "lift", "check-specs", "check-timing")
+# Golden rows that print a battery: the stages it covers and the (spec,
+# stage) pairs it skips.  Every golden build has the scaffold {(), (0,)}:
+# M1 = 1, classes at every stage and an action at every stage but 0.
+GOLDEN_RUNS = dict.fromkeys(
+    ["build-k1024", "build-k1024-no-gate", "build-gate-fails", "lift",
+     "check-specs-pass", "check-specs-k1024", "check-specs-j-tolerance",
+     "build-separated-gamma-negative", "lift-separated-gamma-negative"],
+    (1, {"Q5@0", "A9@0"})) | {
+    "check-specs-witness": (3, {"Q5@0", "A9@0", "Q4@1", "Q4@2"}),
+    "check-timing-witness": (2, {"T1@0", "T6@0"}),
+    "check-timing-anchor": (1, {"T1@0", "T6@0"}),
+    # check_timing checks only the stages below depth - 1, so none at
+    # level 1; ROADMAP item 5 makes it check every stage
+    "check-timing-pass": (0, set()),
+    "check-timing-separated-gamma-zero": (0, set()),
+}
+
+
+def runs(timing, stages, skipped):
+    """(id@stage, whether it runs) of every entry of a battery's report."""
+    ids = [f"{s}@{n + (s == 'T4')}" for n in range(stages)
+           for s in (TIMING_IDS if timing else SPEC_IDS)]
+    return [(i, i not in skipped) for i in ids]
+
+
+def report_runs(report):
+    return [(e.spec_id, e.status != "not-checked") for e in report.entries]
+
+
+class TestApplicability:
+    def test_golden_rows_cover_every_printed_battery(self):
+        assert set(GOLDEN_RUNS) == {
+            name for name, row in GOLDEN_TABLE.items()
+            if row["argv"][0] in BATTERY_COMMANDS and row["exit"] != 3}
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_golden_build(self, name, capsys):
+        argv = GOLDEN_TABLE[name]["argv"]
+        run(list(argv))
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert [(e["spec"], e["status"] != "not-checked") for e in report] \
+            == runs(argv[0] == "check-timing", *GOLDEN_RUNS[name])
+
+    def test_a_scaffold_without_generators_founds_no_classes(self):
+        # M1 is None: one class per stage and no action anywhere
+        built = build_attempt(groups_from_tree([()]), TREE_PLAN, 0, 3)
+        skipped = {f"{s}@{n}" for n in range(3)
+                   for s in ("Q4", "Q5", "Q6", "A7", "A8", "A9")}
+        assert report_runs(check_specs(built)) == runs(False, 3, skipped)
+        skipped = {f"T{i}@{n}" for n in range(2) for i in (1, 2, 3, 6)}
+        assert report_runs(check_timing(built)) == runs(True, 2, skipped)
+
+    def test_a_stage_without_classes_skips_T4_to_T7(self):
+        seq = odometer_sequence(desk_plan(kl=((4, 2), (2, 2), (2, 2))), "01",
+                                [[(0, 1, 0, 1), (1, 0, 1, 0)],
+                                 [(0, 1), (1, 0)]])
+        seq = with_classes(seq, (None, (0, 1), None))
+        built = BuiltSequence(seq, (None, None, None), SC)
+        # stage 0 has no classes (T5-T7) and stage 1 has (T4)
+        assert report_runs(check_timing(built)) == runs(
+            True, 1, {"T1@0", "T2@0", "T3@0", "T5@0", "T6@0", "T7@0"})
 
 
 class TestLift:
@@ -1220,8 +1364,8 @@ class TestPrefixKernel:
         assert ids == [f"{j}@{n}" for n in (0, 1)
                        for j in ("J10", "J10.1", "J11", "J11.1")]
         # a level-1 J11 row with a witness and a failing J10 are among them
-        assert got.entry("J11@1").witness["level"] == 1
-        assert got.entry("J10@1").status == "fail"
+        assert entry(got, "J11@1").witness["level"] == 1
+        assert entry(got, "J10@1").status == "fail"
 
     def test_prefix_argmax_ignores_columns_past_the_overlap(self):
         # row (0, 0, 8) sees every pair twice in its 8-symbol overlap, so
@@ -1264,7 +1408,7 @@ class TestPrefixKernel:
                          eps_lunate=(Fraction(1, 4), Fraction(1, 8)))
         built = build_words(SC, plan, seed=0, level=1)
         rep = built.report
-        j10, j10_1 = rep.entry("J10@0"), rep.entry("J10.1@0")
+        j10, j10_1 = entry(rep, "J10@0"), entry(rep, "J10.1@0")
         assert j10.worst_deviation == Fraction(53, 460)
         assert j10.witness == {"u": 2, "v": 0, "t": 679, "pair": (2, 0),
                                "count": 126, "overlap": 345}
@@ -1278,7 +1422,7 @@ class TestPrefixKernel:
                           ref_J10(slots, 2, 2, st0.eps_lunate, tol))
         assert_same_entry(replace(j10_1, spec_id="J10.1"),
                           ref_J10_1(slots, 2, 2, st0.eps_classic, tol))
-        j11_1 = rep.entry("J11.1@0")
+        j11_1 = entry(rep, "J11.1@0")
         assert j11_1.worst_deviation == Fraction(13, 172)
         assert j11_1.witness == {"u": 0, "v": 1, "j0": 258,
                                  "segment": "tail", "pair": (0, 0)}
@@ -1337,26 +1481,31 @@ class TestFrequencyChecks:
             _check_J11(built.seq, 1, built.actions,
                        _orbits(built.seq, 1, built.actions), mu, whole),
             ref_J11(built.seq, 1, slots, built.actions, mu))
-        for got, ref in zip(_check_T5_T6_T7(built, 1, mu),
-                            (ref_T5, ref_T6, ref_T7)):
-            assert_same_entry(got, ref(built, 1, mu))
+        stage = _Stage(built, 1, mu)
+        assert_same_entry(_check_T5(stage), ref_T5(built, 1, mu))
+        assert_same_entry(_check_T7(stage), ref_T7(built, 1, mu))
+        if built.actions[1] is not None:    # else T6 does not apply
+            assert_same_entry(_check_T6(stage), ref_T6(built, 1, mu))
 
     @given(class_builds(k_max=64), MUS)
     @settings(max_examples=60, deadline=None)
     def test_T6_matches_the_reference_on_long_windows(self, built, mu):
         # k up to 64: windows of more columns than class_builds' default
-        assert_same_entry(_check_T5_T6_T7(built, 1, mu)[1],
+        assume(built.actions[1] is not None)
+        assert_same_entry(_check_T6(_Stage(built, 1, mu)),
                           ref_T6(built, 1, mu))
 
     def test_missing_class_data_is_not_checked(self):
+        # the battery reports T4-T7 not-checked; check_T4 itself refuses
         seq = odometer_sequence(desk_plan(kl=((4, 2), (2, 2), (2, 2))), "01",
                                 [[(0, 1, 0, 1), (1, 0, 1, 0)],
                                  [(0, 1), (1, 0)]])
-        circ = lift_build(BuiltSequence(seq, (None, None, None), SC))
-        assert check_T4(circ, 1, Fraction(1, 8)).status == "not-checked"
-        for n in (0, 1):
-            assert _check_T5_T6_T7(circ, n, Fraction(1, 4)) == tuple(
-                SpecEntry(t, "not-checked") for t in ("T5", "T6", "T7"))
+        built = BuiltSequence(seq, (None, None, None), SC)
+        assert check_timing(built).entries == tuple(
+            SpecEntry(f"T{i}@{1 if i == 4 else 0}", "not-checked")
+            for i in range(1, 8))
+        with pytest.raises(SequenceError, match="classes"):
+            check_T4(lift_build(built), 1, Fraction(1, 8))
 
     def test_pinned_uneven_classes(self):
         # three stage-1 words in classes (0, 1, 1) under two stage-2 words;
@@ -1368,7 +1517,8 @@ class TestFrequencyChecks:
         seq = with_classes(seq, (None, (0, 1, 1), (0, 1)))
         built = BuiltSequence(seq, (None, None, None), SC)
         mu = Fraction(1, 4)
-        t5, _, t7 = _check_T5_T6_T7(built, 1, mu)
+        t5, t7 = (check(_Stage(built, 1, mu)) for check in (_check_T5,
+                                                            _check_T7))
         assert t5.worst_deviation == t7.worst_deviation == Fraction(1, 2)
         assert t5.witness == {"axiom": "T5b", "w0": 0, "w1": 0, "t": 1,
                               "v": 2, "class": 0}
