@@ -9,17 +9,20 @@ The checker families:
   T1-T7    timing conditions on the lifted circular families
 
 One builder attempt, build_attempt, samples words satisfying the
-structural constraints by construction and checks nothing.  build_words
-gates: it runs check_specs on each seeded attempt, up to the attempt's
-first failing spec, retrying with fresh entropy, at most RETRY_BUDGET
-times, until every J check holds within one tolerance (J_TOLERANCE by
-default) and every other spec holds.
+structural constraints by construction and checks nothing; in the same
+loop it gives each stage its classes and action, read off the group
+scaffold, which no check reads.  build_words gates: it runs check_specs
+on each seeded attempt, up to the attempt's first failing spec, retrying
+with fresh entropy, at most RETRY_BUDGET times, until every J check holds
+within one tolerance (J_TOLERANCE by default) and every other spec holds.
 
 One table, SPECS, declares every spec: its id in each battery (T1-T3 are
 Q5, A7 and A8), the offset of its printed stage, when it applies and its
-check.  One runner, _run, serves check_specs and check_timing: stage by
-stage it prints each row as spec@stage, reports not-checked where the row
-does not apply, and makes what checks share once per stage (_Stage).
+check.  A row applies by the classes and actions the build carries: the
+class-founding stage is the first that acts.  One runner, _run, serves
+check_specs and check_timing: stage by stage it prints each row as
+spec@stage, reports not-checked where the row does not apply, and makes
+what checks share once per stage (_Stage).
 Every J and T frequency is counted by one prefix kernel
 (_prefix_pair_counts): per stage, one pass for J10, J10.1 and J11 and one
 for J11.1, each behind a process-long memo keyed by all it reads, and one
@@ -62,12 +65,6 @@ class GroupScaffold:
     def generator_count(self, n: int) -> int:
         """Length-1 nodes among the first n + 1 discovered."""
         return sum(len(x) == 1 for x in self.nodes[:n + 1])
-
-    @property
-    def M1(self):
-        """Least discovery index carrying a length-1 node, or None."""
-        return next((i for i, x in enumerate(self.nodes) if len(x) == 1),
-                    None)
 
 
 def groups_from_tree(nodes) -> GroupScaffold:
@@ -123,11 +120,10 @@ RETRY_BUDGET = 32               # build_words' attempts before it gives up
 
 @dataclass(frozen=True)
 class BuiltSequence:
-    """A construction sequence plus its class actions and provenance."""
+    """A construction sequence plus its class actions and spec report."""
 
     seq: ConstructionSequence
     actions: tuple               # per stage: GroupActionTable | None
-    scaffold: GroupScaffold
     report: SpecReport | None = None
 
     def stage(self, n: int) -> StageFamily:
@@ -186,8 +182,8 @@ def _check_E3(st):
 
 
 def _check_Q4(st):
-    """At the class-founding stage n + 1 = M1: classwise agreement on an
-    initial proportion of at least 1 - eps_n."""
+    """At the class-founding stage n + 1, the first that acts: classwise
+    agreement on an initial proportion of at least 1 - eps_n."""
     texts, eps = st.texts, Fraction(st.plan_stage.eps_lunate)
     groups = {}
     for i, c in enumerate(st.classes[1]):
@@ -212,8 +208,8 @@ def _check_Q4(st):
 
 
 def _check_Q5(st):
-    """Past the class-founding stage M1 the relation must be the
-    propagation of the previous stage's relation."""
+    """Past the class-founding stage, where stages n and n + 1 both act,
+    the relation must be the propagation of the previous stage's."""
     prev, cur = st.classes
     want = propagate_equivalence(prev, st.comps)
     # compare as partitions (ids may be permuted)
@@ -230,13 +226,17 @@ def _check_Q5(st):
 def _check_Q6(st):
     """The level-1 relation of stage n + 1 refines the trivial one in
     2^e(n + 1) classes."""
-    plan = st.seq.plan
-    want = 2 ** plan.stage(min(st.n + 1, plan.depth - 1)).e
+    want = _class_count(st.seq.plan, st.n + 1)
     got = len(set(st.classes[1]))
     if got == want:
         return SpecEntry("Q6", "pass", witness={"classes": got})
     return SpecEntry("Q6", "fail", witness={"classes": got,
                                             "expected": want})
+
+
+def _class_count(plan, m):
+    """2^e(m), stage m's level-1 class count once classes are founded."""
+    return 2 ** plan.stage(min(m, plan.depth - 1)).e
 
 
 def _check_A7(st):
@@ -291,12 +291,13 @@ def _class_members(classes):
 # a kernel block's 64-bit products, four 16-bit counts each (exact while
 # k < 2**16), or derived counts: at k = 1024 1 << 15 ran slower, 1 << 17 tied
 _CHUNK_ELEMS = 1 << 16
-# float filter margin: far above the float64 error of a deviation in [0, 1].
-# Distinct deviations |c1/s1 - tn/td| differ by at least 1/(s1 s2 td): more
-# than the margin while s1 s2 td < 10^9 (k = 1024 and td = 16 give 1.7e7),
-# and more than the 2^-53 spacing of floats below 1, which _prefix_argmax's
-# exact order rests on, while s1 s2 td < 2^53.  So a row holding the exact
-# maximum keeps a float band bound above the float lower bound less it.
+# float filter margin: far above the float64 error of a deviation in [0, 1],
+# so the entry holding the exact maximum stays within it of the float
+# maximum, and a row holding it keeps a float band bound above the float
+# lower bound less it.  The margin only keeps near-ties for an exact
+# re-check; distinct deviations |c1/s1 - tn/td| differ by at least
+# 1/(s1 s2 td), more than the margin while s1 s2 td < 10^9 (k = 1024 and
+# td = 16 give 1.7e7), so that figure sizes the re-check, not correctness.
 _FILTER_MARGIN = 1e-9
 
 
@@ -472,10 +473,14 @@ def _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None, target=None,
     rounded.  Equal deviations are then equal floats, which argmax takes in
     order, and distinct ones keep their order (see _FILTER_MARGIN); as
     |count / j0 - target|, equal deviations of opposite sign could round
-    apart.  The integers stay exact below 2**53."""
+    apart.  Distinct deviations differ by at least 1 / (k^2 td), more than
+    the 2^-53 spacing of floats below 1 while k^2 td < 2^53, which is
+    checked; the integers then stay exact too."""
     k = slots.shape[1]
     tn, td = (1, s_prev * s_prev) if target is None else \
         (target.numerator, target.denominator)
+    if k * k * td >= 2 ** 53:
+        raise ValueError(f"k^2 td = {k * k * td} reaches 2**53")
     over = k - T
     # the window and one column past every overlap; past it counts and j0
     # stay put, and argmax takes the first maximum, a j0 in the window
@@ -710,8 +715,7 @@ def gamma_cascade(plan, N: int) -> GammaCascade:
 def lift_build(built: BuiltSequence) -> BuiltSequence:
     """Rebuild circularly; the class-level action tables carry over
     unchanged (the skew-diagonal rule acts on class tuples either way)."""
-    return BuiltSequence(functor_F(built.seq), built.actions,
-                         built.scaffold, built.report)
+    return replace(built, seq=functor_F(built.seq))
 
 
 class RoundingBoundError(ArithmeticError):
@@ -877,9 +881,6 @@ class _Stage:
         self.actions = built.actions[n:n + 2]
         self.classed = tuple(c is not None for c in self.classes)
         self.acting = tuple(a is not None for a in self.actions)
-        M1 = built.scaffold.M1      # stage n + 1 founds the classes, or
-        self.founding = n + 1 == M1     # is at or past their founding
-        self.founded = M1 is not None and n + 1 >= M1
 
     @cached_property
     def texts(self):            # E3, Q4: stage n + 1's words written out
@@ -927,10 +928,10 @@ SPECS = (
     ("E1", None, 0, _always, _check_E1),
     ("E2", None, 0, _always, _check_E2),
     ("E3", None, 0, _always, _check_E3),
-    ("Q4", None, 0, lambda st: st.founding and st.classed[1], _check_Q4),
-    ("Q5", "T1", 0, lambda st: st.founded and not st.founding
-     and all(st.classed), _check_Q5),
-    ("Q6", None, 0, lambda st: st.founded and st.classed[1], _check_Q6),
+    ("Q4", None, 0, lambda st: st.acting == (False, True) and st.classed[1],
+     _check_Q4),
+    ("Q5", "T1", 0, lambda st: all(st.acting) and all(st.classed), _check_Q5),
+    ("Q6", None, 0, lambda st: st.acting[1] and st.classed[1], _check_Q6),
     ("A7", "T2", 0, lambda st: st.acting[1], _check_A7),
     ("A8", "T3", 0, lambda st: st.acting[1], _check_A8),
     ("A9", None, 0, lambda st: all(st.acting) and st.classed[0], _check_A9),
@@ -994,7 +995,7 @@ def check_timing(built: BuiltSequence) -> SpecReport:
 # ---------------------------------------------------------------------------
 # the builder
 
-def _search_separated_pair(rng, plan, scaffold, gamma, k):
+def _search_separated_pair(rng, plan, gamma, k):
     """Hill-climb a pair of balanced digit words whose circular lifts stay
     gamma-separated on every long initial/tail/cross segment, including
     against their own reversals: 8 restarts of at most 2500 swaps."""
@@ -1003,7 +1004,7 @@ def _search_separated_pair(rng, plan, scaffold, gamma, k):
     def t4_margin(d0, d1):
         seq = circular_sequence(plan, "01", [[tuple(d0), tuple(d1)]])
         seq = with_classes(seq, (None, (0, 1)))
-        e = check_T4(BuiltSequence(seq, (None, None), scaffold), 1, gamma)
+        e = check_T4(BuiltSequence(seq, (None, None)), 1, gamma)
         return e.worst_deviation
 
     for _ in range(8):
@@ -1032,15 +1033,16 @@ def _search_separated_pair(rng, plan, scaffold, gamma, k):
                      f"{float(m):.4f} < {float(gamma):.4f})")
 
 
-def _sample_stage(rng, plan, n, prev_size, prev_classes, s_next, Q_next,
-                  prefix_lock: bool):
-    """Compositions and classes for stage n+1.
+def _sample_stage(rng, plan, n, prev_classes, Q_next, prefix_lock: bool):
+    """Compositions and classes for stage n+1, in Q_next classes or one
+    per word if there are fewer words.
 
     Each class fixes a slot pattern over previous-stage classes; members
     fill the slots with class members so that every previous word appears
     exactly k/prev_size times.  With prefix_lock, members of a class agree
     on the leading slots (the class-founding stage)."""
-    k = plan.stage(n).k
+    k, prev_size, s_next = plan.stage(n).k, len(prev_classes), plan.s(n + 1)
+    Q_next = min(Q_next, s_next)
     if k % prev_size:
         raise BuildError(f"k_{n} = {k} not divisible by |W_{n}| = "
                          f"{prev_size}")
@@ -1129,36 +1131,44 @@ def build_attempt(scaffold, plan, seed: int, level: int, style: str = "random",
     """One seeded attempt of the builder, unchecked (``report`` is None):
     structural constraints hold by construction, the J and T families are
     left to check_specs and check_timing.  Attempt ``attempt`` of
-    build_words is this call with the same arguments."""
+    build_words is this call with the same arguments.
+
+    Stage n + 1 acts exactly when the scaffold's first n + 2 nodes hold a
+    length-1 node: then in 2^e(n + 1) classes (or one per word), with one
+    side-swapping generator per such node, repeating patterns past the
+    class count (the desk surrogate for a larger free product); else in
+    one (two at the separated style's stage 1).  The first stage that
+    acts founds the classes, its words prefix-locked, and starts the
+    action afresh; each later one extends it skew-diagonally."""
     # the scaffold is part of the consumed input, so it salts the entropy
     # stream: builds differ whenever the tree data differs
     rng = random.Random(repr((seed, attempt, scaffold.nodes)))
-    M1 = scaffold.M1
     comps_by_stage = []
     classes_by_stage = [(0, 0)]       # stage 0: one class over {1, 0}
-    prev_size = 2
-    prev_classes = (0, 0)
+    actions, act = [None], None
     for n in range(level):
-        s_next = plan.s(n + 1)
-        Q_next = 2 ** plan.stage(min(n + 1, plan.depth - 1)).e \
-            if (M1 is not None and n + 1 >= M1) else 1
-        Q_next = min(Q_next, s_next)
+        count, prev = scaffold.generator_count(n + 1), classes_by_stage[-1]
         if style == "separated" and n == 0:
             gamma = gamma_cascade(plan, 1).gamma(1)
-            comps = _search_separated_pair(rng, plan, scaffold, gamma,
-                                           plan.stage(0).k)
+            comps = _search_separated_pair(rng, plan, gamma, plan.stage(0).k)
             classes = (0, 1)
         else:
             comps, classes = _sample_stage(
-                rng, plan, n, prev_size, prev_classes, s_next, Q_next,
-                prefix_lock=(M1 is not None and n + 1 == M1))
+                rng, plan, n, prev, _class_count(plan, n + 1) if count else 1,
+                prefix_lock=count > 0 and act is None)
+        if count:
+            gens = () if act is None else \
+                skew_diagonal_extend(act, comps, prev).generators
+            Q = len(set(classes))
+            while len(gens) < count:
+                gens += (_shift_swap_generator(Q, len(gens) % Q),)
+            act = GroupActionTable(Q, gens)
         comps_by_stage.append(comps)
         classes_by_stage.append(classes)
-        prev_size, prev_classes = len(comps), classes
+        actions.append(act)
     seq = with_classes(odometer_sequence(plan, "01", comps_by_stage),
                        classes_by_stage)
-    actions = _derive_actions(scaffold, seq, level)
-    return BuiltSequence(seq, actions, scaffold)
+    return BuiltSequence(seq, tuple(actions))
 
 
 def _shift_swap_generator(nclasses: int, j: int) -> dict:
@@ -1168,29 +1178,3 @@ def _shift_swap_generator(nclasses: int, j: int) -> dict:
         g[(c, FWD)] = ((c + j) % nclasses, REV)
         g[(c, REV)] = ((c - j) % nclasses, FWD)
     return g
-
-
-def _derive_actions(scaffold, seq, level):
-    """Level-1 group actions per stage: canonical side-swapping
-    generators, one per discovered length-1 node, with later stages given
-    by the skew-diagonal extension.  Generator count past the class count
-    duplicates patterns (the desk surrogate for a larger free product)."""
-    M1 = scaffold.M1
-    actions = [None]
-    act = None
-    for n in range(1, level + 1):
-        fam = seq.stage(n)
-        nclasses = fam.num_classes()
-        count = scaffold.generator_count(n)
-        if M1 is None or n < M1 or count == 0:
-            actions.append(None)
-            continue
-        # the class-founding stage M1 starts the action afresh
-        gens = () if act is None else skew_diagonal_extend(
-            act, fam.compositions, seq.stage(n - 1).classes).generators
-        while len(gens) < count:
-            gens = gens + (_shift_swap_generator(
-                nclasses, len(gens) % nclasses),)
-        act = GroupActionTable(nclasses, gens)
-        actions.append(act)
-    return tuple(actions)

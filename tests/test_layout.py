@@ -8,10 +8,16 @@ the tests.  Nothing in src/circsys/ reads the process environment, so no
 setting acts unseen by the report.  Only plan_to_json, whose bytes define
 the plan hash, renders JSON through json.dumps with an indent, which runs
 the pure-Python encoder.  Downward closure of a tree is refused in one
-place, TreePrefix's constructor, so the rule is not copied again."""
+place, TreePrefix's constructor, so the rule is not copied again.  The
+group scaffold's rule, generator_count, is read in one place, the
+builder, and a build does not carry its scaffold: the checks decide
+where they apply from the build's own classes and actions."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from circsys.specbuild import BuiltSequence
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,3 +128,13 @@ def test_one_place_refuses_a_non_tree():
     sites = [f"{path.name}:{site}" for path, tree in _modules("src/circsys")
              for site in _raise_sites(tree, "not a tree")]
     assert sites == ["trees.py:TreePrefix.__post_init__"]
+
+
+def test_one_place_reads_the_scaffold_rule():
+    sites = [f"{path.name}:{fn.name}" for path, tree in _modules("src/circsys")
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "generator_count"]
+    assert sites == ["specbuild.py:build_attempt"]
+    assert "scaffold" not in {f.name for f in fields(BuiltSequence)}

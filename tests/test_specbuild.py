@@ -44,9 +44,11 @@ SEP_PLAN = desk_plan(kl=((64, 4), (2, 2)),
 
 class TestScaffold:
     def test_shape(self):
-        assert SC.M1 == 1
         assert [SC.generator_count(n) for n in (0, 1, 2)] == [0, 1, 1]
-        assert groups_from_tree([()]).M1 is None
+        assert [groups_from_tree([()]).generator_count(n)
+                for n in (0, 1)] == [0, 0]
+        assert [groups_from_tree([(), (0,), (0, 0), (1,)]).generator_count(
+            n) for n in range(5)] == [0, 1, 1, 2, 2]
 
     def test_parent_before_child_required(self):
         with pytest.raises(ValueError):
@@ -379,7 +381,7 @@ class TestTiming:
         assert gamma_cascade(plan, 1).gamma(1) == gamma_1
         k = plan.stage(0).k
         with mock.patch.object(specbuild, "check_T4") as t4:
-            got = specbuild._search_separated_pair(random.Random(5), plan, SC,
+            got = specbuild._search_separated_pair(random.Random(5), plan,
                                                    gamma_1, k)
         t4.assert_not_called()
         rng, want = random.Random(5), [0] * (k // 2) + [1] * (k // 2)
@@ -508,8 +510,9 @@ class TestFailPaths:
 
 # ---------------------------------------------------------------------------
 # which spec runs at which stage, written by hand from the definitions:
-# Q4 at the class-founding stage n + 1 = M1, Q5 (T1) past it and Q6 at or
-# past it, each where the stages it reads have classes; A7 and A8 (T2, T3)
+# Q4 at the class-founding stage n + 1, the first that acts, Q5 (T1) where
+# stages n and n + 1 act and Q6 where n + 1 acts, each where the stages it
+# reads have classes; A7 and A8 (T2, T3)
 # where stage n + 1 has an action, A9 where stages n and n + 1 have one and
 # stage n has classes; T4 where stage n + 1 has classes, T5 and T7 where
 # stage n has them, T6 where stage n also has an action; E and J always.
@@ -520,7 +523,8 @@ TIMING_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7")
 BATTERY_COMMANDS = ("build", "lift", "check-specs", "check-timing")
 # Golden rows that print a battery: the stages it covers and the (spec,
 # stage) pairs it skips.  Every golden build has the scaffold {(), (0,)}:
-# M1 = 1, classes at every stage and an action at every stage but 0.
+# classes at every stage and an action at every stage but 0, so stage 1
+# founds the classes.
 GOLDEN_RUNS = dict.fromkeys(
     ["build-k1024", "build-k1024-no-gate", "build-gate-fails", "lift",
      "check-specs-pass", "check-specs-k1024", "check-specs-j-tolerance",
@@ -562,7 +566,7 @@ class TestApplicability:
             == runs(argv[0] == "check-timing", *GOLDEN_RUNS[name])
 
     def test_a_scaffold_without_generators_founds_no_classes(self):
-        # M1 is None: one class per stage and no action anywhere
+        # no length-1 node: one class per stage and no action anywhere
         built = build_attempt(groups_from_tree([()]), TREE_PLAN, 0, 3)
         skipped = {f"{s}@{n}" for n in range(3)
                    for s in ("Q4", "Q5", "Q6", "A7", "A8", "A9")}
@@ -570,15 +574,48 @@ class TestApplicability:
         skipped = {f"T{i}@{n}" for n in range(2) for i in (1, 2, 3, 6)}
         assert report_runs(check_timing(built)) == runs(True, 2, skipped)
 
-    def test_a_stage_without_classes_skips_T4_to_T7(self):
+    @staticmethod
+    def without_actions(classes):
+        """A hand-built two-stage build with ``classes`` and no action."""
         seq = odometer_sequence(desk_plan(kl=((4, 2), (2, 2), (2, 2))), "01",
                                 [[(0, 1, 0, 1), (1, 0, 1, 0)],
                                  [(0, 1), (1, 0)]])
-        seq = with_classes(seq, (None, (0, 1), None))
-        built = BuiltSequence(seq, (None, None, None), SC)
+        return BuiltSequence(with_classes(seq, classes), (None, None, None))
+
+    def test_a_stage_without_classes_skips_T4_to_T7(self):
+        built = self.without_actions((None, (0, 1), None))
         # stage 0 has no classes (T5-T7) and stage 1 has (T4)
         assert report_runs(check_timing(built)) == runs(
             True, 1, {"T1@0", "T2@0", "T3@0", "T5@0", "T6@0", "T7@0"})
+
+    def test_classes_without_actions_found_nothing(self):
+        # the class rules read the build's actions: with classes at every
+        # stage but no action, no stage founds classes, so Q4-Q6 skip
+        built = self.without_actions(((0, 0), (0, 1), (0, 1)))
+        skipped = {f"{s}@{n}" for n in range(2)
+                   for s in ("Q4", "Q5", "Q6", "A7", "A8", "A9")}
+        assert report_runs(check_specs(built)) == runs(False, 2, skipped)
+
+    @given(st.one_of(st.tuples(st.just(groups_from_tree([()])),
+                               st.integers(1, 3)), tree_scaffolds()),
+           st.integers(0, 999), st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_builder_and_checker_agree_on_the_founding_stage(
+            self, scaffold, seed, attempt):
+        # the builder gives stage m an action exactly when the scaffold
+        # counts a generator there, and the checks find the founding
+        # stage, where Q4 runs, as the first stage that acts
+        sc, n0 = scaffold
+        built = build_attempt(sc, TREE_PLAN, seed, n0, attempt=attempt)
+        acting = [m for m in range(n0 + 1) if sc.generator_count(m) > 0]
+        for m in range(n0 + 1):
+            assert (built.actions[m] is not None) == (m in acting)
+            want = min(2 ** TREE_PLAN.stage(min(m, TREE_PLAN.depth - 1)).e,
+                       TREE_PLAN.s(m)) if m in acting else 1
+            assert built.stage(m).num_classes() == want
+        q4 = [e.spec_id for e in check_specs(built).entries
+              if e.spec_id.startswith("Q4") and e.status != "not-checked"]
+        assert q4 == [f"Q4@{m - 1}" for m in acting[:1]]
 
 
 class TestLift:
@@ -1319,6 +1356,17 @@ class TestPrefixKernel:
         assert _pair_totals(slots, 2, U, V, T).reshape(-1, 4).tolist() == \
             want
 
+    def test_prefix_argmax_refuses_a_target_past_float_order(self):
+        # at k = 128 and td = 2**40, k^2 td = 2**54: distinct deviations
+        # can round to one float, so the first-maximum order is not exact
+        slots = signed_slot_matrix([[0, 1] * 64], 2)
+        zero = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            _prefix_argmax(slots, 2, zero, zero, zero, 1,
+                           target=Fraction(1, 2 ** 40))
+        _prefix_argmax(slots, 2, zero, zero, zero, 1,
+                       target=Fraction(1, 2 ** 38))
+
     def test_prefix_argmax_on_an_empty_window_examines_nothing(self):
         # j_lo = k + 1 leaves no window column: each row reports j0 = 0,
         # which _worst_entry skips, so J11.1 at eps 3/2 reports 0
@@ -1464,7 +1512,7 @@ def class_builds(draw, k_max=24):
     seq = odometer_sequence(
         plan, "01", [[(i % 2, i // 2) for i in range(s1)], comps2])
     seq = with_classes(seq, (None, classes1, classes2))
-    return BuiltSequence(seq, (None, draw(action), draw(action)), SC)
+    return BuiltSequence(seq, (None, draw(action), draw(action)))
 
 
 class TestFrequencyChecks:
@@ -1500,7 +1548,7 @@ class TestFrequencyChecks:
         seq = odometer_sequence(desk_plan(kl=((4, 2), (2, 2), (2, 2))), "01",
                                 [[(0, 1, 0, 1), (1, 0, 1, 0)],
                                  [(0, 1), (1, 0)]])
-        built = BuiltSequence(seq, (None, None, None), SC)
+        built = BuiltSequence(seq, (None, None, None))
         assert check_timing(built).entries == tuple(
             SpecEntry(f"T{i}@{1 if i == 4 else 0}", "not-checked")
             for i in range(1, 8))
@@ -1515,7 +1563,7 @@ class TestFrequencyChecks:
                                              [(1, 1, 0, 1, 2, 2, 0, 0),
                                               (2, 2, 1, 0, 2, 1, 2, 2)]])
         seq = with_classes(seq, (None, (0, 1, 1), (0, 1)))
-        built = BuiltSequence(seq, (None, None, None), SC)
+        built = BuiltSequence(seq, (None, None, None))
         mu = Fraction(1, 4)
         t5, t7 = (check(_Stage(built, 1, mu)) for check in (_check_T5,
                                                             _check_T7))
@@ -1636,7 +1684,7 @@ def t4_families(draw):
                      eps_lunate=(eps, Fraction(1, 16)))
     seq = circular_sequence(plan, "01", [words])
     seq = with_classes(seq, (None, classes))
-    built = BuiltSequence(seq, (None, None), SC)
+    built = BuiltSequence(seq, (None, None))
     worst = ref_T4(built, 1, Fraction(1, 2)).worst_deviation
     gamma = draw(st.sampled_from([worst, worst, worst + Fraction(1, 997),
                                   worst - Fraction(1, 997), Fraction(1, 4),

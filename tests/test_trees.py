@@ -314,11 +314,11 @@ def ref_certify(tp, n0, plan, seed=0, seen=None):
     """certify_continuity as it was before builds were shared and before
     its walk skipped the indices no toggle accepts: one fresh reduce per
     mutated tree, trying every index up to the bound.  Appends each
-    reduction's members, read off its scaffold, to ``seen``."""
+    reduction's members, as trees._read_tree reads them, to ``seen``."""
     def run(tree):
         res = reduce(tree, n0, plan, seed)
         if seen is not None:
-            seen.append(res.odometer.scaffold.nodes)
+            seen.append(tuple(trees._read_tree(tree, n0, plan)[0]))
         return res
 
     base = run(tp)
