@@ -24,9 +24,9 @@ check_specs and check_timing: stage by stage it prints each row as
 spec@stage, reports not-checked where the row does not apply, and makes
 what checks share once per stage (_Stage).
 Every J and T frequency is counted by one prefix kernel
-(_prefix_pair_counts): per stage, one pass for J10, J10.1 and J11 and one
-for J11.1, each behind a process-long memo keyed by all it reads, and one
-for T5 and T7 and one for T6.
+(_prefix_pair_counts): per stage, one pass for J10, J10.1 and J11, one for
+J11.1, one for T5 and T7 and one for T6.  What the J checks and A7 derive
+from a stage lives in one process-long table keyed by all it reads.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ import numpy as np
 from .coefficients import frac_str
 from .systems import (ConstructionSequence, StageFamily, GroupActionTable,
                       odometer_sequence, functor_F, propagate_equivalence,
-                      skew_diagonal_extend, with_classes, _grid_occurrences,
-                      FWD, REV, ODOMETER, CIRCULAR, SequenceError)
+                      skew_diagonal_extend, with_classes, is_free, _closure,
+                      _grid_occurrences, FWD, REV, ODOMETER, CIRCULAR,
+                      SequenceError)
 
 
 class BuildError(RuntimeError):
@@ -113,6 +114,7 @@ class SpecReport:
 J_TOLERANCE = Fraction(1, 2)    # the J10-J11.1 tolerance, by default
 MU = Fraction(1, 4)             # the T5-T7 tolerance mu, at every stage
 RETRY_BUDGET = 32               # build_words' attempts before it gives up
+_STAGE_MEMO_SIZE = 64           # _stage_table's entries, LRU out
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,7 @@ def _class_count(plan, m):
 
 
 def _check_A7(st):
-    if st.actions[1].is_free():
+    if st.entry.free:
         return SpecEntry("A7", "pass")
     return SpecEntry("A7", "fail", witness={"kind": "not free"})
 
@@ -556,7 +558,7 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
     over every prefix j0 >= eps_var k of every shift t <= (1 - eps_var) k,
     from one pass of the prefix kernel; J10.1's first exact maximum lies
     in the rows its band bound keeps (_banded_argmax).  Returns both
-    entries and J11's whole-word counts [u < s, v, pair], the t = 0 rows."""
+    entries and J11's whole-word counts [u < s, v, pair], a read-only copy."""
     w, k = slots.shape
     s, npair = w // 2, s_prev * s_prev
     eps_var = Fraction(eps_var)
@@ -566,7 +568,8 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
     U, V, T = _grid(range(w), range(w), range(max(t10, t101, 0) + 1))
     c101, (counts, j0, pids), totals = _banded_argmax(
         slots, s_prev, U, V, T, j_lo, (T > 0) & (T <= t101))
-    whole = totals.reshape(w, w, -1, npair)[:s, :, 0]   # [u, v, t = 0]
+    whole = totals.reshape(w, w, -1, npair)[:s, :, 0].copy()  # t = 0
+    whole.setflags(write=False)
 
     def wit10(i):
         r, pid = divmod(i, npair)
@@ -585,34 +588,32 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
             _worst_entry("J10.1", counts, j0, (1, npair), tol, wit101), whole)
 
 
-def _orbits(seq, n, actions):
-    """Per word pair (u, v), u unsigned and v signed, in loop order: the
-    element of the stage-(n+1) action taking u's signed class to v's, or
-    None when none does or class data is missing."""
-    cur = seq.stage(n + 1)
-    s, act = cur.size, actions[n + 1]
+def _orbits(s, classes, action):
+    """Per pair (u, v) of the s stage-(n+1) words, u unsigned and v signed:
+    the element of their ``action`` (its content) taking u's signed class
+    to v's, or None when none does or the ``classes`` or action are None."""
+    elements = None if classes is None or action is None else \
+        _closure(*action)
     out = []
     for u in range(s):
         for v in range(2 * s):
             g = None
-            if cur.classes is not None and act is not None:
-                cu = (cur.classes[u], FWD)
-                cv = (cur.classes[v % s], REV if v >= s else FWD)
-                g = next((el for el in act.elements if el[cu] == cv), None)
+            if elements is not None:
+                cu = (classes[u], FWD)
+                cv = (classes[v % s], REV if v >= s else FWD)
+                g = next((el for el in elements if el[cu] == cv), None)
             out.append(((u, v), g))
     return out
 
 
-def _check_J11(seq, n, actions, orbits, tol, whole):
+def _check_J11(whole, orbits, k, s_prev, classes, tol):
     """Whole-word counts of the aligned slot pairs (a, b) of every word
-    pair (u, v): ``whole``[u, v], from J10's pass (_check_J10_J10_1).  Where
-    ``orbits`` (_orbits) gives an element g taking u's class to v's, only
-    the pairs with g(class a) = class b count, against 1 / (Q C^2) (level
-    1); elsewhere every pair counts, against 1 / s_prev^2 (level 0)."""
-    s, k = len(whole), len(seq.stage(n + 1).compositions[0])
-    prev = seq.stage(n)
-    s_prev, classes = prev.size, prev.classes
-    if actions[n] is None or classes is None:
+    pair (u, v) of length k: ``whole``[u, v], from J10's pass.  Where stage
+    n acts, with ``classes``, and ``orbits`` gives a g taking u's class to
+    v's, only the pairs with g(class a) = class b count, against 1 / (Q C^2)
+    (level 1); elsewhere every pair counts, against 1 / s_prev^2 (level 0)."""
+    s = len(whole)
+    if classes is None:
         orbits = [(uv, None) for uv, _ in orbits]
     else:
         kinds, member = _class_members(classes)
@@ -660,25 +661,6 @@ def _check_J11_1(slots, s_prev, pairs, eps, tol):
                                      pairs[r][1] >= s)}
     return _worst_entry("J11.1", counts, j0, (1, s_prev * s_prev), tol,
                         witness)
-
-
-_J_MEMO_SIZE = 32      # results each J memo keeps, least recently used out
-
-
-@lru_cache(maxsize=_J_MEMO_SIZE, typed=True)
-def _memo_J10_J10_1(comps, s_prev, eps, eps_var, tol):
-    """_check_J10_J10_1, keeping a read-only copy of ``whole``, not a view."""
-    j10, j10_1, whole = _check_J10_J10_1(_slot_matrix(comps, s_prev), s_prev,
-                                         eps, eps_var, tol)
-    whole = whole.copy()
-    whole.setflags(write=False)
-    return j10, j10_1, whole
-
-
-@lru_cache(maxsize=_J_MEMO_SIZE, typed=True)
-def _memo_J11_1(comps, s_prev, pairs, eps, tol):
-    """_check_J11_1 on the slot matrix of ``comps``."""
-    return _check_J11_1(_slot_matrix(comps, s_prev), s_prev, pairs, eps, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +834,7 @@ def _check_T7(st):
     """T5b at t = 0 over the word pairs outside one class orbit, against
     mu = ``st.tol``."""
     _, kinds, member, tot = st.frequency
-    pairs = st.unrelated
+    pairs = st.entry.unrelated
     w0, w1 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     c7 = tot[w0, w1, 0] @ member        # [pair, v, class]
 
@@ -866,6 +848,47 @@ def _check_T7(st):
 
 # ---------------------------------------------------------------------------
 # the spec table and the two batteries that run it
+
+class _StageEntry:
+    """What a battery derives from stage n's content, the _stage_table key:
+    stage n + 1's compositions, s_prev, both stages' classes and action
+    contents, eps, eps_var and the tolerance.  Each is made when first read."""
+
+    def __init__(self, *key):
+        (self.comps, self.s_prev, self.classes, self.actions, self.eps,
+         self.eps_var, self.tol) = key
+
+    @cached_property
+    def j10(self):      # J10, J10.1 and J11's whole-word counts
+        return _check_J10_J10_1(_slot_matrix(self.comps, self.s_prev),
+                                self.s_prev, self.eps, self.eps_var, self.tol)
+
+    @cached_property
+    def free(self):         # A7
+        return is_free(_closure(*self.actions[1]))
+
+    @cached_property
+    def orbits(self):       # J11
+        return _orbits(len(self.comps), self.classes[1], self.actions[1])
+
+    @cached_property
+    def unrelated(self):    # J11.1, T7: the pairs outside one orbit
+        return tuple(uv for uv, g in self.orbits if g is None)
+
+    @cached_property
+    def j11(self):
+        return _check_J11(self.j10[2], self.orbits, len(self.comps[0]),
+                          self.s_prev, self.actions[0] and self.classes[0],
+                          self.tol)
+
+    @cached_property
+    def j11_1(self):
+        return _check_J11_1(_slot_matrix(self.comps, self.s_prev),
+                            self.s_prev, self.unrelated, self.eps, self.tol)
+
+
+_stage_table = lru_cache(maxsize=_STAGE_MEMO_SIZE, typed=True)(_StageEntry)
+
 
 class _Stage:
     """Stage n of ``built`` as one battery's checks read it; ``tol`` is the
@@ -887,18 +910,10 @@ class _Stage:
         return [w.materialize() for w in self.seq.stage(self.n + 1).words]
 
     @cached_property
-    def orbits(self):           # J11
-        return _orbits(self.seq, self.n, self.built.actions)
-
-    @cached_property
-    def unrelated(self):        # J11.1, T7: the pairs outside one orbit
-        return tuple(uv for uv, g in self.orbits if g is None)
-
-    @cached_property
-    def j10(self):      # J10's memoized pass: J10, J10.1, J11's counts
-        ps = self.plan_stage
-        return _memo_J10_J10_1(self.comps, self.s_prev, ps.eps_lunate,
-                               ps.eps_classic, self.tol)
+    def entry(self):            # the _stage_table entry of this stage
+        return _stage_table(self.comps, self.s_prev, self.classes, tuple(
+            a and a.content for a in self.actions), self.plan_stage.eps_lunate,
+            self.plan_stage.eps_classic, self.tol)
 
     @cached_property
     def frequency(self):
@@ -935,13 +950,10 @@ SPECS = (
     ("A7", "T2", 0, lambda st: st.acting[1], _check_A7),
     ("A8", "T3", 0, lambda st: st.acting[1], _check_A8),
     ("A9", None, 0, lambda st: all(st.acting) and st.classed[0], _check_A9),
-    ("J10", None, 0, _always, lambda st: st.j10[0]),
-    ("J10.1", None, 0, _always, lambda st: st.j10[1]),
-    ("J11", None, 0, _always, lambda st: _check_J11(
-        st.seq, st.n, st.built.actions, st.orbits, st.tol, st.j10[2])),
-    ("J11.1", None, 0, _always, lambda st: _memo_J11_1(
-        st.comps, st.s_prev, st.unrelated, st.plan_stage.eps_lunate,
-        st.tol)),
+    ("J10", None, 0, _always, lambda st: st.entry.j10[0]),
+    ("J10.1", None, 0, _always, lambda st: st.entry.j10[1]),
+    ("J11", None, 0, _always, lambda st: st.entry.j11),
+    ("J11.1", None, 0, _always, lambda st: st.entry.j11_1),
     (None, "T4", 1, lambda st: st.classed[1], lambda st: check_T4(
         st.built, st.n + 1, gamma_cascade(st.seq.plan, st.n + 1).gamma(
             st.n + 1))),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .coefficients import CoefficientPlan
 from .words import Concat, word, word_to_obj
@@ -21,6 +21,7 @@ ODOMETER = "odometer"
 CIRCULAR = "circular"
 
 GROUP_CLOSURE_CAP = 4096
+_EXTEND_MEMO_SIZE = 32      # skew_diagonal_extend's results kept, LRU out
 
 
 class SequenceError(ValueError):
@@ -277,32 +278,35 @@ class GroupActionTable:
 
     @cached_property
     def elements(self) -> tuple:
-        """Closure of the generators under composition (capped), computed
-        once per table."""
-        ident = {(c, s): (c, s) for c in range(self.num_classes)
-                 for s in (FWD, REV)}
-        frontier = [ident]
-        seen = {_perm_key(ident): ident}
-        while frontier:
-            cur = frontier.pop()
-            for g in self.generators:
-                nxt = {x: g[cur[x]] for x in cur}
-                key = _perm_key(nxt)
-                if key not in seen:
-                    if len(seen) >= GROUP_CLOSURE_CAP:
-                        raise SequenceError("group closure exceeds cap")
-                    seen[key] = nxt
-                    frontier.append(nxt)
-        return tuple(seen.values())
+        """_closure of the generators, computed once per table."""
+        return _closure(self.num_classes, self.generators)
 
-    def is_free(self) -> bool:
-        """Free: no element other than the identity fixes any signed
-        class."""
-        for el in self.elements:
-            fixed = sum(el[x] == x for x in el)
-            if 0 < fixed < 2 * self.num_classes:
-                return False
-        return True
+    @property
+    def content(self) -> tuple:
+        """The table as it stands, hashable: class count, generator items."""
+        return self.num_classes, tuple(map(_perm_key, self.generators))
+
+
+def _closure(num_classes, generators) -> tuple:
+    """The elements that generators, dicts or their items, make, capped."""
+    generators = list(map(dict, generators))
+    ident = {(c, s): (c, s) for c in range(num_classes) for s in (FWD, REV)}
+    frontier = [ident]
+    seen = {_perm_key(ident): ident}
+    while frontier:
+        cur = frontier.pop()
+        for g in generators:
+            nxt = {x: g[cur[x]] for x in cur}
+            if seen.setdefault(_perm_key(nxt), nxt) is nxt:
+                if len(seen) > GROUP_CLOSURE_CAP:
+                    raise SequenceError("group closure exceeds cap")
+                frontier.append(nxt)
+    return tuple(seen.values())
+
+
+def is_free(elements) -> bool:
+    """Free: no element other than the identity fixes any signed class."""
+    return all(sum(el[x] == x for x in el) in (0, len(el)) for el in elements)
 
 
 def _perm_key(perm: dict) -> tuple:
@@ -313,8 +317,16 @@ def skew_diagonal_extend(action: GroupActionTable, prewords,
                          classes: tuple) -> GroupActionTable:
     """Extend a free stage-n action to stage n+1: a generator sends the
     interleaving of a preword to the mirrored interleaving of the moved
-    preword, so on class keys it acts slotwise and flips the side."""
-    if not action.is_free():
+    preword, so on class keys it acts slotwise and flips the side.  Calls
+    equal in the action's content and the tuples of prewords and classes
+    share one table, which callers must not mutate."""
+    return _extend(action.content, tuple(map(tuple, prewords)),
+                   tuple(classes))
+
+
+@lru_cache(maxsize=_EXTEND_MEMO_SIZE)
+def _extend(content, prewords, classes) -> GroupActionTable:
+    if not is_free(_closure(*content)):
         raise SequenceError("input action is not free")
     next_classes = propagate_equivalence(classes, prewords)
     keys = {}
@@ -323,7 +335,7 @@ def skew_diagonal_extend(action: GroupActionTable, prewords,
     num_next = len(set(next_classes))
     key_to_class = {v: k for k, v in keys.items()}
     gens = []
-    for g in action.generators:
+    for g in map(dict, content[1]):
         ng = {}
         for nc, key in keys.items():
             for side in (FWD, REV):
@@ -338,7 +350,7 @@ def skew_diagonal_extend(action: GroupActionTable, prewords,
                 ng[(nc, side)] = (key_to_class[mkey], msides.pop())
         gens.append(ng)
     out = GroupActionTable(num_next, tuple(gens))
-    if not out.is_free():
+    if not is_free(out.elements):
         raise SequenceError("extension lost freeness")
     return out
 

@@ -1,18 +1,18 @@
-"""Clears the J-check memos before each test; prints one verdict line per
-acceptance criterion after the run."""
+"""Clears the builder's stage table and extension memo before each test;
+prints one verdict line per acceptance criterion after the run."""
 
 import re
 
 import pytest
 
-from circsys import specbuild
+from circsys import specbuild, systems
 
 
 @pytest.fixture(autouse=True)
-def _clear_j_memos():
+def _clear_builder_memos():
     # a memo hit skips the prefix kernel, which a test may count or patch
-    specbuild._memo_J10_J10_1.cache_clear()
-    specbuild._memo_J11_1.cache_clear()
+    specbuild._stage_table.cache_clear()
+    systems._extend.cache_clear()
 
 _CRIT = re.compile(r"test_acceptance\.py::.*criterion_(\d+)")
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from circsys import specbuild
+from circsys import specbuild, systems
 from circsys.cli import run
 from circsys.coefficients import desk_plan
 from circsys.specbuild import (J_TOLERANCE, BuildError, BuiltSequence,
@@ -28,7 +28,7 @@ from circsys.specbuild import (J_TOLERANCE, BuildError, BuiltSequence,
                                check_timing, gamma_cascade, groups_from_tree,
                                lift_build)
 from circsys.systems import (CIRCULAR, FWD, REV, GroupActionTable,
-                             SequenceError, circular_sequence,
+                             SequenceError, circular_sequence, is_free,
                              odometer_sequence, with_classes)
 from circsys.trees import TreePrefix
 from circsys.words import Word
@@ -103,7 +103,7 @@ class TestBuild:
     def test_actions_free_and_side_swapping(self):
         built = build_words(SC, PLAN, seed=0, level=1)
         act = built.actions[1]
-        assert act.is_free()
+        assert is_free(act.elements)
         for g in act.generators:
             assert all(key[1] != g[key][1] for key in g)
 
@@ -197,8 +197,26 @@ class TestEarlyRejection:
 
 
 def clear_j_memos():
-    specbuild._memo_J10_J10_1.cache_clear()
-    specbuild._memo_J11_1.cache_clear()
+    specbuild._stage_table.cache_clear()
+    systems._extend.cache_clear()
+
+
+def relabelled(built, rename=lambda c, Q: Q - 1 - c):
+    """``built`` with class c of every stage's Q classes renamed Q - 1 - c,
+    the same partitions under other ids, or ``rename``(c, Q)."""
+    return replace(built, seq=with_classes(built.seq, [
+        st.classes and tuple(rename(c, max(st.classes) + 1)
+                             for c in st.classes)
+        for st in built.seq.stages]))
+
+
+def reacted(built):
+    """``built`` with every action replaced by one generator that swaps
+    sides and sends class c to c + 1 mod Q: the builder's first generator
+    sends c to c."""
+    return replace(built, actions=tuple(a and swap_side_action(
+        a.num_classes, [(c + 1) % a.num_classes for c in range(
+            a.num_classes)]) for a in built.actions))
 
 
 class TestJMemo:
@@ -207,41 +225,78 @@ class TestJMemo:
     @settings(max_examples=40, deadline=None)
     def test_warm_memo_report_equals_a_cold_one(self, scaffold, seed,
                                                 attempt, j):
-        # the seed's other attempts fill the memos with results that
-        # stages of this attempt can hit
+        # the seed's other attempts fill the memo with entries that stages
+        # of this attempt can hit, and its relabelled, merged and reacted
+        # copies with entries of equal compositions under other classes or
+        # actions
         sc, n0 = scaffold
         for other in set(range(8)) - {attempt}:
             check_specs(build_attempt(sc, TREE_PLAN, seed, n0,
                                       attempt=other), j)
         built = build_attempt(sc, TREE_PLAN, seed, n0, attempt=attempt)
-        warm = check_specs(built, j)
-        clear_j_memos()
-        assert repr(check_specs(built, j)) == repr(warm)
+        copies = (built, relabelled(built), relabelled(built, lambda c, Q: 0),
+                  reacted(built))
+        warm = [repr(check_specs(b, j)) for b in copies]
+        for b, want in zip(copies, warm):
+            clear_j_memos()
+            assert repr(check_specs(b, j)) == want
 
     def test_keys_separate_tolerance_and_eps(self):
         # one composition tuple under two values of each of eps, eps_var
         # and the tolerance, whose int and Fraction forms print apart
         comps = build_attempt(SC, PLAN, seed=0, level=1).stage(1).compositions
-        slots, pairs = _slot_matrix(comps, 2), ((0, 1), (1, 0))
+        slots = _slot_matrix(comps, 2)
         q, e, h = Fraction(1, 4), Fraction(1, 8), Fraction(1, 2)
         variants = [(q, e, h), (e, e, h), (q, q, h), (q, e, Fraction(0)),
                     (q, e, Fraction(1)), (q, e, 1)]
         seen = set()
         for eps, eps_var, tol in variants * 2:
-            got = specbuild._memo_J10_J10_1(comps, 2, eps, eps_var, tol)
+            got = specbuild._stage_table(comps, 2, (None, None),
+                                         (None, None), eps, eps_var, tol)
             want = _check_J10_J10_1(slots, 2, eps, eps_var, tol)
-            for g, w in zip(got[:2], want):
+            for g, w in zip(got.j10[:2], want):
                 assert_same_entry(g, w)
-            assert np.array_equal(got[2], want[2])
-            got11 = specbuild._memo_J11_1(comps, 2, pairs, eps, tol)
-            assert_same_entry(got11,
-                              _check_J11_1(slots, 2, pairs, eps, tol))
-            seen.add(repr((got[:2], got11)))
+            assert np.array_equal(got.j10[2], want[2])
+            assert_same_entry(got.j11_1, _check_J11_1(
+                slots, 2, got.unrelated, eps, tol))
+            seen.add(repr((got.j10[:2], got.j11_1)))
         assert len(seen) == len(variants)
-        for memo, keys in ((specbuild._memo_J10_J10_1, len(variants)),
-                           (specbuild._memo_J11_1, len(variants) - 1)):
-            info = memo.cache_info()
-            assert (info.misses, info.hits) == (keys, 2 * len(variants) - keys)
+        info = specbuild._stage_table.cache_info()
+        assert (info.misses, info.hits) == (len(variants), len(variants))
+
+    def test_keys_separate_classes_and_actions(self):
+        # stage 0 of one level-1 build under other stage-1 class ids, under
+        # other generators, and under a table equal to its own but built
+        # afresh, whose entry it shares
+        built = build_attempt(SC, PLAN, seed=0, level=1)
+        act = built.actions[1]
+        copy = GroupActionTable(act.num_classes,
+                                tuple(dict(g) for g in act.generators))
+        entries = [_Stage(b, 0, J_TOLERANCE).entry for b in (
+            built, relabelled(built), reacted(built),
+            replace(built, actions=(None, copy)))]
+        assert entries[3] is entries[0]
+        assert len({id(x) for x in entries}) == 3
+        assert specbuild._stage_table.cache_info().misses == 3
+        for b, got in zip((built, relabelled(built), reacted(built)),
+                          entries):
+            assert_same_entry(got.j11, ref_J11(
+                b.seq, 0, _slot_matrix(got.comps, 2), b.actions,
+                J_TOLERANCE))
+
+    def test_mutated_generator_reports_its_own_verdict(self):
+        # a battery reads the table, then one generator dict is changed in
+        # place to fix class 0: the next battery keys the new content
+        built = TestFailPaths.base()
+        g = dict(built.actions[1].generators[0])
+        bad = TestFailPaths.with_stage1_action(
+            built, GroupActionTable(2, (g,)))
+        assert entry(check_specs(bad), "A7@0").status == "pass"
+        g[(0, FWD)], g[(0, REV)] = (0, FWD), (0, REV)
+        warm = check_specs(bad)
+        assert entry(warm, "A7@0").status == "fail"
+        clear_j_memos()
+        assert repr(check_specs(bad)) == repr(warm)
 
     def test_a_hit_skips_the_kernel_and_shares_read_only_counts(
             self, monkeypatch):
@@ -255,11 +310,8 @@ class TestJMemo:
             return original(*args)
         monkeypatch.setattr(specbuild, "_prefix_pair_counts", counted)
         assert repr(check_specs(built)) == repr(want) and calls == []
-        st0 = PLAN.stage(0)
-        whole = specbuild._memo_J10_J10_1(
-            built.stage(1).compositions, built.stage(0).size,
-            st0.eps_lunate, st0.eps_classic, J_TOLERANCE)[2]
-        assert specbuild._memo_J10_J10_1.cache_info().misses == \
+        whole = _Stage(built, 0, J_TOLERANCE).entry.j10[2]
+        assert specbuild._stage_table.cache_info().misses == \
             built.seq.depth
         assert whole.base is None and not whole.flags.writeable
         with pytest.raises(ValueError):
@@ -1474,8 +1526,7 @@ class TestPrefixKernel:
         assert j11_1.worst_deviation == Fraction(13, 172)
         assert j11_1.witness == {"u": 0, "v": 1, "j0": 258,
                                  "segment": "tail", "pair": (0, 0)}
-        pairs = [uv for uv, g in _orbits(built.seq, 0, built.actions)
-                 if g is None]
+        pairs = _Stage(built, 0, tol).entry.unrelated
         assert_same_entry(replace(j11_1, spec_id="J11.1"),
                           ref_J11_1(slots, 2, 2, pairs, st0.eps_lunate, tol))
 
@@ -1525,9 +1576,11 @@ class TestFrequencyChecks:
         s_prev = built.stage(1).size
         slots = _slot_matrix(built.stage(2).compositions, s_prev)
         whole = _check_J10_J10_1(slots, s_prev, eps, eps, mu)[2]
+        classes, act = built.stage(2).classes, built.actions[2]
+        orbits = _orbits(len(slots) // 2, classes, act and act.content)
         assert_same_entry(
-            _check_J11(built.seq, 1, built.actions,
-                       _orbits(built.seq, 1, built.actions), mu, whole),
+            _check_J11(whole, orbits, slots.shape[1], s_prev,
+                       built.actions[1] and built.stage(1).classes, mu),
             ref_J11(built.seq, 1, slots, built.actions, mu))
         stage = _Stage(built, 1, mu)
         assert_same_entry(_check_T5(stage), ref_T5(built, 1, mu))

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circsys.coefficients import desk_plan
-from circsys.systems import (FWD, REV, SequenceError, base_stage,
-                             circular_sequence, functor_F, functor_inverse,
-                             odometer_sequence, propagate_equivalence,
-                             skew_diagonal_extend, uniformity_report)
+from circsys.systems import (FWD, REV, GroupActionTable, SequenceError,
+                             base_stage, circular_sequence, functor_F,
+                             functor_inverse, is_free, odometer_sequence,
+                             propagate_equivalence, skew_diagonal_extend,
+                             uniformity_report)
 from fixtures import identity_action, swap_side_action
 from circsys.words import Literal
 
@@ -128,7 +129,7 @@ class TestActions:
         act = swap_side_action(2)
         for c in range(2):
             assert act.generators[0][(c, FWD)] == (c, REV)
-        assert act.is_free()
+        assert is_free(act.elements)
         g = act.generators[0]
         for key in g:
             assert g[g[key]] == key
@@ -141,14 +142,20 @@ class TestActions:
         prewords = [(0, 1, 0, 1), (1, 0, 1, 0)]
         act = swap_side_action(2, pattern=[1, 0])
         ext = skew_diagonal_extend(act, prewords, classes)
-        assert ext.is_free()
+        assert is_free(ext.elements)
         g = ext.generators[0]
         # generators swap sides
         assert all(key[1] != g[key][1] for key in g)
+        # list prewords and classes read as their tuples, and an equal
+        # table built afresh hits the memo
+        again = GroupActionTable(2, (dict(act.generators[0]),))
+        assert skew_diagonal_extend(again, [list(p) for p in prewords],
+                                    list(classes)) is ext
 
     def test_extension_demands_closed_family(self):
         classes = (0, 1)
         prewords = [(0, 0, 0, 0)]  # image preword (1,1,1,1) is missing
         act = swap_side_action(2, pattern=[1, 0])
-        with pytest.raises(SequenceError):
-            skew_diagonal_extend(act, prewords, classes)
+        for _ in range(2):      # a failed call is not memoized
+            with pytest.raises(SequenceError, match="missing"):
+                skew_diagonal_extend(act, prewords, classes)
