@@ -42,9 +42,8 @@ import numpy as np
 from .coefficients import frac_str
 from .systems import (ConstructionSequence, StageFamily, GroupActionTable,
                       odometer_sequence, functor_F, propagate_equivalence,
-                      skew_diagonal_extend, with_classes, is_free, _closure,
-                      _grid_occurrences, FWD, REV, ODOMETER, CIRCULAR,
-                      SequenceError)
+                      skew_diagonal_extend, with_classes, _grid_occurrences,
+                      FWD, REV, ODOMETER, CIRCULAR, SequenceError)
 
 
 class BuildError(RuntimeError):
@@ -249,7 +248,7 @@ def _check_A7(st):
 
 def _check_A8(st):
     for g in st.actions[1].generators:
-        for (c, side), (_, nside) in g.items():
+        for (c, side), (_, nside) in g:
             if side == nside:
                 return SpecEntry("A8", "fail", witness={"class": c})
     return SpecEntry("A8", "pass")
@@ -590,10 +589,10 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
 
 def _orbits(s, classes, action):
     """Per pair (u, v) of the s stage-(n+1) words, u unsigned and v signed:
-    the element of their ``action`` (its content) taking u's signed class
-    to v's, or None when none does or the ``classes`` or action are None."""
+    the element of their ``action`` taking u's signed class to v's, or
+    None when none does or the ``classes`` or action are None."""
     elements = None if classes is None or action is None else \
-        _closure(*action)
+        action.elements
     out = []
     for u in range(s):
         for v in range(2 * s):
@@ -850,9 +849,9 @@ def _check_T7(st):
 # the spec table and the two batteries that run it
 
 class _StageEntry:
-    """What a battery derives from stage n's content, the _stage_table key:
-    stage n + 1's compositions, s_prev, both stages' classes and action
-    contents, eps, eps_var and the tolerance.  Each is made when first read."""
+    """What a battery derives from stage n, the _stage_table key: stage
+    n + 1's compositions, s_prev, both stages' classes and actions, eps,
+    eps_var and the tolerance.  Each is made when first read."""
 
     def __init__(self, *key):
         (self.comps, self.s_prev, self.classes, self.actions, self.eps,
@@ -865,7 +864,7 @@ class _StageEntry:
 
     @cached_property
     def free(self):         # A7
-        return is_free(_closure(*self.actions[1]))
+        return self.actions[1].free
 
     @cached_property
     def orbits(self):       # J11
@@ -911,9 +910,9 @@ class _Stage:
 
     @cached_property
     def entry(self):            # the _stage_table entry of this stage
-        return _stage_table(self.comps, self.s_prev, self.classes, tuple(
-            a and a.content for a in self.actions), self.plan_stage.eps_lunate,
-            self.plan_stage.eps_classic, self.tol)
+        return _stage_table(self.comps, self.s_prev, self.classes,
+                            self.actions, self.plan_stage.eps_lunate,
+                            self.plan_stage.eps_classic, self.tol)
 
     @cached_property
     def frequency(self):

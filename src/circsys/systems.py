@@ -259,74 +259,69 @@ FWD, REV = 0, 1
 
 @dataclass(frozen=True)
 class GroupActionTable:
-    """Action of a finite group on the signed classes of one stage.
+    """Action of a finite group on the signed classes of one stage, a value.
     A signed class is (class id, side); side REV marks reversed words.
-    Generators must swap sides."""
+    Each generator, given as a dict or its items, is held as its items
+    sorted, so equal tables compare and hash alike and none changes after
+    construction.  Generators must swap sides."""
 
     num_classes: int
-    generators: tuple             # each: dict (c, side) -> (c, side)
+    generators: tuple       # each: sorted items ((c, side), (c, side)), ...
 
     def __post_init__(self):
-        for g in self.generators:
+        gens = tuple(tuple(sorted(dict(g).items())) for g in self.generators)
+        object.__setattr__(self, "generators", gens)
+        for g in gens:
             if len(g) != 2 * self.num_classes:
                 raise SequenceError("generator must act on every signed class")
-            if sorted(g.values()) != sorted(g.keys()):
+            if sorted(y for _, y in g) != [x for x, _ in g]:
                 raise SequenceError("generator is not a bijection")
-            if any(side == nside for (_, side), (_, nside) in g.items()):
+            if any(side == nside for (_, side), (_, nside) in g):
                 raise SequenceError("generator must swap forward and "
                                     "reversed classes")
 
+    def __hash__(self):         # a stage-table key hashes it on every lookup
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.num_classes, self.generators))
+
     @cached_property
     def elements(self) -> tuple:
-        """_closure of the generators, computed once per table."""
-        return _closure(self.num_classes, self.generators)
+        """The group the generators make, each element a dict over the
+        signed classes, computed once per table, capped."""
+        gens = list(map(dict, self.generators))
+        ident = {(c, s): (c, s) for c in range(self.num_classes)
+                 for s in (FWD, REV)}
+        frontier = [ident]
+        seen = {tuple(ident.values()): ident}     # every key order is ident's
+        while frontier:
+            cur = frontier.pop()
+            for g in gens:
+                nxt = {x: g[cur[x]] for x in cur}
+                if seen.setdefault(tuple(nxt.values()), nxt) is nxt:
+                    if len(seen) > GROUP_CLOSURE_CAP:
+                        raise SequenceError("group closure exceeds cap")
+                    frontier.append(nxt)
+        return tuple(seen.values())
 
-    @property
-    def content(self) -> tuple:
-        """The table as it stands, hashable: class count, generator items."""
-        return self.num_classes, tuple(map(_perm_key, self.generators))
-
-
-def _closure(num_classes, generators) -> tuple:
-    """The elements that generators, dicts or their items, make, capped."""
-    generators = list(map(dict, generators))
-    ident = {(c, s): (c, s) for c in range(num_classes) for s in (FWD, REV)}
-    frontier = [ident]
-    seen = {_perm_key(ident): ident}
-    while frontier:
-        cur = frontier.pop()
-        for g in generators:
-            nxt = {x: g[cur[x]] for x in cur}
-            if seen.setdefault(_perm_key(nxt), nxt) is nxt:
-                if len(seen) > GROUP_CLOSURE_CAP:
-                    raise SequenceError("group closure exceeds cap")
-                frontier.append(nxt)
-    return tuple(seen.values())
-
-
-def is_free(elements) -> bool:
-    """Free: no element other than the identity fixes any signed class."""
-    return all(sum(el[x] == x for x in el) in (0, len(el)) for el in elements)
-
-
-def _perm_key(perm: dict) -> tuple:
-    return tuple(sorted(perm.items()))
-
-
-def skew_diagonal_extend(action: GroupActionTable, prewords,
-                         classes: tuple) -> GroupActionTable:
-    """Extend a free stage-n action to stage n+1: a generator sends the
-    interleaving of a preword to the mirrored interleaving of the moved
-    preword, so on class keys it acts slotwise and flips the side.  Calls
-    equal in the action's content and the tuples of prewords and classes
-    share one table, which callers must not mutate."""
-    return _extend(action.content, tuple(map(tuple, prewords)),
-                   tuple(classes))
+    @cached_property
+    def free(self) -> bool:
+        """No element other than the identity fixes any signed class."""
+        return all(sum(el[x] == x for x in el) in (0, len(el))
+                   for el in self.elements)
 
 
 @lru_cache(maxsize=_EXTEND_MEMO_SIZE)
-def _extend(content, prewords, classes) -> GroupActionTable:
-    if not is_free(_closure(*content)):
+def skew_diagonal_extend(action: GroupActionTable, prewords: tuple,
+                         classes: tuple) -> GroupActionTable:
+    """Extend a free stage-n action to stage n+1: a generator sends the
+    interleaving of a preword to the mirrored interleaving of the moved
+    preword, so on class keys it acts slotwise and flips the side.  The
+    prewords (a tuple of tuples) and classes are tuples; equal calls share
+    one table, the last _EXTEND_MEMO_SIZE kept."""
+    if not action.free:
         raise SequenceError("input action is not free")
     next_classes = propagate_equivalence(classes, prewords)
     keys = {}
@@ -335,7 +330,7 @@ def _extend(content, prewords, classes) -> GroupActionTable:
     num_next = len(set(next_classes))
     key_to_class = {v: k for k, v in keys.items()}
     gens = []
-    for g in map(dict, content[1]):
+    for g in map(dict, action.generators):
         ng = {}
         for nc, key in keys.items():
             for side in (FWD, REV):
@@ -350,7 +345,7 @@ def _extend(content, prewords, classes) -> GroupActionTable:
                 ng[(nc, side)] = (key_to_class[mkey], msides.pop())
         gens.append(ng)
     out = GroupActionTable(num_next, tuple(gens))
-    if not is_free(out.elements):
+    if not out.free:
         raise SequenceError("extension lost freeness")
     return out
 

@@ -115,8 +115,7 @@ def _output_obj(built: BuiltSequence) -> dict:
         "classes": [None if st.classes is None else list(st.classes)
                     for st in seq.stages],
         "actions": [None if a is None else
-                    [sorted([list(k), list(v)] for k, v in g.items())
-                     for g in a.generators]
+                    [[[list(k), list(v)] for k, v in g] for g in a.generators]
                     for a in built.actions],
     }
 

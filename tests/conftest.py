@@ -5,14 +5,12 @@ import re
 
 import pytest
 
-from circsys import specbuild, systems
+from fixtures import clear_builder_memos
 
 
 @pytest.fixture(autouse=True)
 def _clear_builder_memos():
-    # a memo hit skips the prefix kernel, which a test may count or patch
-    specbuild._stage_table.cache_clear()
-    systems._extend.cache_clear()
+    clear_builder_memos()
 
 _CRIT = re.compile(r"test_acceptance\.py::.*criterion_(\d+)")
 

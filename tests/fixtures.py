@@ -1,8 +1,9 @@
-"""Plans, group actions and tree files that only the tests build, and
-report lookups that only the tests make."""
+"""Plans, group actions and tree files that only the tests build, report
+lookups that only the tests make, and the clearing of the builder's memos."""
 
 import json
 
+from circsys import specbuild, systems
 from circsys.coefficients import CoefficientPlan, extend_plan
 from circsys.systems import FWD, REV, GroupActionTable
 from circsys.trees import TreePrefix
@@ -29,6 +30,24 @@ def swap_side_action(num_classes: int, pattern=None) -> GroupActionTable:
         g[(c, FWD)] = (target, REV)
         g[(target, REV)] = (c, FWD)
     return GroupActionTable(num_classes, (g,))
+
+
+def unchecked_action(num_classes: int, gens) -> GroupActionTable:
+    """A table of the generators ``gens``, dicts, stored as the constructor
+    stores them but never checked: the constructor refuses one that keeps
+    a side, so only such a table reaches A8's fail path."""
+    act = object.__new__(GroupActionTable)
+    object.__setattr__(act, "num_classes", num_classes)
+    object.__setattr__(act, "generators", tuple(
+        tuple(sorted(g.items())) for g in gens))
+    return act
+
+
+def clear_builder_memos():
+    """Empty every process-long memo whose hit skips work a test may count
+    or patch: the stage table and the skew-diagonal extensions."""
+    specbuild._stage_table.cache_clear()
+    systems.skew_diagonal_extend.cache_clear()
 
 
 def entry(report, spec_id: str):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from circsys import specbuild, systems
+from circsys import specbuild
 from circsys.cli import run
 from circsys.coefficients import desk_plan
 from circsys.specbuild import (J_TOLERANCE, BuildError, BuiltSequence,
@@ -28,11 +28,13 @@ from circsys.specbuild import (J_TOLERANCE, BuildError, BuiltSequence,
                                check_timing, gamma_cascade, groups_from_tree,
                                lift_build)
 from circsys.systems import (CIRCULAR, FWD, REV, GroupActionTable,
-                             SequenceError, circular_sequence, is_free,
-                             odometer_sequence, with_classes)
+                             SequenceError, circular_sequence,
+                             odometer_sequence, skew_diagonal_extend,
+                             with_classes)
 from circsys.trees import TreePrefix
 from circsys.words import Word
-from fixtures import entry, identity_action, swap_side_action
+from fixtures import (clear_builder_memos, entry, identity_action,
+                      swap_side_action, unchecked_action)
 from test_golden import TABLE as GOLDEN_TABLE
 
 SC = groups_from_tree([(), (0,)])
@@ -103,9 +105,9 @@ class TestBuild:
     def test_actions_free_and_side_swapping(self):
         built = build_words(SC, PLAN, seed=0, level=1)
         act = built.actions[1]
-        assert is_free(act.elements)
+        assert act.free
         for g in act.generators:
-            assert all(key[1] != g[key][1] for key in g)
+            assert all(x[1] != y[1] for x, y in g)
 
 
 def ref_build_words(scaffold, plan, seed, level, j_tolerance=J_TOLERANCE):
@@ -196,11 +198,6 @@ class TestEarlyRejection:
         assert calls == []
 
 
-def clear_j_memos():
-    specbuild._stage_table.cache_clear()
-    systems._extend.cache_clear()
-
-
 def relabelled(built, rename=lambda c, Q: Q - 1 - c):
     """``built`` with class c of every stage's Q classes renamed Q - 1 - c,
     the same partitions under other ids, or ``rename``(c, Q)."""
@@ -238,7 +235,7 @@ class TestJMemo:
                   reacted(built))
         warm = [repr(check_specs(b, j)) for b in copies]
         for b, want in zip(copies, warm):
-            clear_j_memos()
+            clear_builder_memos()
             assert repr(check_specs(b, j)) == want
 
     def test_keys_separate_tolerance_and_eps(self):
@@ -285,18 +282,38 @@ class TestJMemo:
                 J_TOLERANCE))
 
     def test_mutated_generator_reports_its_own_verdict(self):
-        # a battery reads the table, then one generator dict is changed in
-        # place to fix class 0: the next battery keys the new content
+        # a generator cannot be changed in place; a free table and a
+        # non-free one on one build each get their own A7 verdict, warm
+        # after the other and equal to a cold report
         built = TestFailPaths.base()
-        g = dict(built.actions[1].generators[0])
-        bad = TestFailPaths.with_stage1_action(
-            built, GroupActionTable(2, (g,)))
-        assert entry(check_specs(bad), "A7@0").status == "pass"
-        g[(0, FWD)], g[(0, REV)] = (0, FWD), (0, REV)
-        warm = check_specs(bad)
-        assert entry(warm, "A7@0").status == "fail"
-        clear_j_memos()
-        assert repr(check_specs(bad)) == repr(warm)
+        with pytest.raises(TypeError):
+            built.actions[1].generators[0][(0, FWD)] = (0, FWD)
+        bad = TestFailPaths.with_stage1_action(built, TestFailPaths.not_free())
+        for first, second, status in ((built, bad, "fail"),
+                                      (bad, built, "pass")):
+            check_specs(first)
+            warm = check_specs(second)
+            assert entry(warm, "A7@0").status == status
+            clear_builder_memos()
+            assert repr(check_specs(second)) == repr(warm)
+
+    def test_equal_tables_share_one_entry_and_one_extension(self):
+        # one generator as a dict in two insertion orders and as its items
+        # is one value: one stage-table entry, one extension
+        built = TestFailPaths.base()
+        clear_builder_memos()
+        items = built.actions[1].generators[0]
+        tables = [GroupActionTable(2, (g,)) for g in (
+            dict(items), dict(reversed(items)), tuple(reversed(items)))]
+        assert tables[0] == tables[1] == tables[2]
+        assert len({hash(t) for t in tables}) == 1
+        entries = {_Stage(TestFailPaths.with_stage1_action(built, t), 0,
+                          J_TOLERANCE).entry for t in tables}
+        exts = {skew_diagonal_extend(t, built.stage(2).compositions,
+                                     built.stage(1).classes) for t in tables}
+        assert len(entries) == len(exts) == 1
+        assert specbuild._stage_table.cache_info().misses == 1
+        assert skew_diagonal_extend.cache_info().misses == 1
 
     def test_a_hit_skips_the_kernel_and_shares_read_only_counts(
             self, monkeypatch):
@@ -507,6 +524,16 @@ class TestFailPaths:
         return replace(built, actions=(None, action) + built.actions[2:])
 
     @staticmethod
+    def not_free():
+        """Two side-swapping generators on Q = 2 classes whose group, of 8
+        elements, is not free: g1 flips every side, g2 cycles (0, FWD) to
+        (0, REV) to (1, FWD) to (1, REV)."""
+        g1 = {(c, s): (c, 1 - s) for c in range(2) for s in (FWD, REV)}
+        g2 = {(0, FWD): (0, REV), (1, FWD): (1, REV),
+              (0, REV): (1, FWD), (1, REV): (0, FWD)}
+        return GroupActionTable(2, (g1, g2))
+
+    @staticmethod
     def merged(built):
         """``built`` with its stage-1 classes merged into one class."""
         classes = [built.stage(n).classes for n in range(built.depth + 1)]
@@ -525,13 +552,9 @@ class TestFailPaths:
         assert (e.status, e.witness) == ("fail", {"stage": 2})
 
     def test_non_free_action_fails_A7_and_T2(self):
-        built = self.base()
-        g = dict(built.actions[1].generators[0])
-        action = GroupActionTable(2, (g,))
-        # fixed on class 0 after construction, g fixes 2 of the 4 signed
-        # classes
-        g[(0, FWD)], g[(0, REV)] = (0, FWD), (0, REV)
-        bad = self.with_stage1_action(built, action)
+        action = self.not_free()
+        assert len(action.elements) == 8
+        bad = self.with_stage1_action(self.base(), action)
         for rep, spec in ((check_specs(bad), "A7@0"),
                           (check_timing(bad), "T2@0")):
             e = entry(rep, spec)
@@ -539,13 +562,13 @@ class TestFailPaths:
 
     def test_side_keeping_generator_fails_A8_and_T3(self):
         # the constructor refuses a generator that keeps sides, so only a
-        # dict mutated after construction reaches A8's fail path; this one
-        # swaps the classes and still acts freely
-        built = self.base()
-        action = GroupActionTable(2, (dict(built.actions[1].generators[0]),))
-        action.generators[0].update({(0, FWD): (1, FWD), (1, FWD): (0, FWD),
-                                     (0, REV): (1, REV), (1, REV): (0, REV)})
-        bad = self.with_stage1_action(built, action)
+        # table past it reaches A8's fail path; this one swaps the classes
+        # and still acts freely
+        g = {(0, FWD): (1, FWD), (1, FWD): (0, FWD),
+             (0, REV): (1, REV), (1, REV): (0, REV)}
+        with pytest.raises(SequenceError, match="swap"):
+            GroupActionTable(2, (g,))
+        bad = self.with_stage1_action(self.base(), unchecked_action(2, (g,)))
         specs, timing = check_specs(bad), check_timing(bad)
         assert entry(specs, "A7@0").status == "pass"
         for rep, spec in ((specs, "A8@0"), (timing, "T3@0")):
@@ -1457,7 +1480,7 @@ class TestPrefixKernel:
                               seed=3, level=2)
         want = check_specs(built)
         monkeypatch.setattr(specbuild, "_CHUNK_ELEMS", 1 << 6)
-        clear_j_memos()     # else the second battery reads the memos
+        clear_builder_memos()     # else the second battery reads the memos
         got = check_specs(built)
         assert repr(got) == repr(want)
         ids = [e.spec_id for e in got.entries if e.spec_id[0] == "J"]
@@ -1577,7 +1600,7 @@ class TestFrequencyChecks:
         slots = _slot_matrix(built.stage(2).compositions, s_prev)
         whole = _check_J10_J10_1(slots, s_prev, eps, eps, mu)[2]
         classes, act = built.stage(2).classes, built.actions[2]
-        orbits = _orbits(len(slots) // 2, classes, act and act.content)
+        orbits = _orbits(len(slots) // 2, classes, act)
         assert_same_entry(
             _check_J11(whole, orbits, slots.shape[1], s_prev,
                        built.actions[1] and built.stage(1).classes, mu),

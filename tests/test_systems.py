@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from circsys.coefficients import desk_plan
 from circsys.systems import (FWD, REV, GroupActionTable, SequenceError,
                              base_stage, circular_sequence, functor_F,
-                             functor_inverse, is_free, odometer_sequence,
+                             functor_inverse, odometer_sequence,
                              propagate_equivalence, skew_diagonal_extend,
                              uniformity_report)
 from fixtures import identity_action, swap_side_action
@@ -127,10 +127,10 @@ class TestPropagation:
 class TestActions:
     def test_swap_side_is_free_involution(self):
         act = swap_side_action(2)
+        g = dict(act.generators[0])
         for c in range(2):
-            assert act.generators[0][(c, FWD)] == (c, REV)
-        assert is_free(act.elements)
-        g = act.generators[0]
+            assert g[(c, FWD)] == (c, REV)
+        assert act.free
         for key in g:
             assert g[g[key]] == key
 
@@ -139,22 +139,19 @@ class TestActions:
 
     def test_skew_extension_acts_and_stays_free(self):
         classes = (0, 1)
-        prewords = [(0, 1, 0, 1), (1, 0, 1, 0)]
+        prewords = ((0, 1, 0, 1), (1, 0, 1, 0))
         act = swap_side_action(2, pattern=[1, 0])
         ext = skew_diagonal_extend(act, prewords, classes)
-        assert is_free(ext.elements)
-        g = ext.generators[0]
+        assert ext.free
         # generators swap sides
-        assert all(key[1] != g[key][1] for key in g)
-        # list prewords and classes read as their tuples, and an equal
-        # table built afresh hits the memo
+        assert all(x[1] != y[1] for x, y in ext.generators[0])
+        # an equal table built afresh hits the memo
         again = GroupActionTable(2, (dict(act.generators[0]),))
-        assert skew_diagonal_extend(again, [list(p) for p in prewords],
-                                    list(classes)) is ext
+        assert skew_diagonal_extend(again, prewords, classes) is ext
 
     def test_extension_demands_closed_family(self):
         classes = (0, 1)
-        prewords = [(0, 0, 0, 0)]  # image preword (1,1,1,1) is missing
+        prewords = ((0, 0, 0, 0),)  # image preword (1,1,1,1) is missing
         act = swap_side_action(2, pattern=[1, 0])
         for _ in range(2):      # a failed call is not memoized
             with pytest.raises(SequenceError, match="missing"):
