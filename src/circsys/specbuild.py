@@ -11,10 +11,11 @@ The checker families:
 One builder attempt, build_attempt, samples words satisfying the
 structural constraints by construction and checks nothing; in the same
 loop it gives each stage its classes and action, read off the group
-scaffold, which no check reads.  build_words gates: it runs check_specs
-on each seeded attempt, up to the attempt's first failing spec, retrying
-with fresh entropy, at most RETRY_BUDGET times, until every J check holds
-within one tolerance (J_TOLERANCE by default) and every other spec holds.
+scaffold, which no check reads.  build_words gates that loop: once stage
+n + 1 is sampled it runs stage n's check_specs battery, and the first
+failing spec drops the attempt, retrying with fresh entropy, at most
+RETRY_BUDGET times, until every J check holds within one tolerance
+(J_TOLERANCE by default) and every other spec holds.
 
 One table, SPECS, declares every spec: its id in each battery (T1-T3 are
 Q5, A7 and A8), the offset of its printed stage, when it applies and its
@@ -26,7 +27,8 @@ what checks share once per stage (_Stage).
 Every J and T frequency is counted by one prefix kernel
 (_prefix_pair_counts): per stage, one pass for J10, J10.1 and J11, one for
 J11.1, one for T5 and T7 and one for T6.  What the J checks and A7 derive
-from a stage lives in one process-long table keyed by all it reads.
+from a stage lives in one process-long table keyed by all it reads; E3
+and Q4 read another, of stage n's words alone (_family_table).
 """
 
 from __future__ import annotations
@@ -41,9 +43,10 @@ import numpy as np
 
 from .coefficients import frac_str
 from .systems import (ConstructionSequence, StageFamily, GroupActionTable,
-                      odometer_sequence, functor_F, propagate_equivalence,
+                      base_stage, functor_F, propagate_equivalence,
                       skew_diagonal_extend, with_classes, _grid_occurrences,
                       FWD, REV, ODOMETER, CIRCULAR, SequenceError)
+from .words import Concat
 
 
 class BuildError(RuntimeError):
@@ -157,55 +160,74 @@ def _check_E2(st):
 
 
 def _check_E3(st):
-    """Unique readability: no properly-offset full parse, and no word's
-    second half equal to another's first half."""
-    seq, n, texts = st.seq, st.n, st.texts
-    prev = {w.materialize() for w in seq.stage(n).words}
-    Kn = seq.word_length(n)
-    k = len(st.comps[0])
-    for wi, text in enumerate(texts):
-        for off in range(1, Kn):
-            windows = range(off, len(text) - Kn + 1, Kn)
-            if windows and all(text[a:a + Kn] in prev for a in windows):
+    """Unique readability, on stage n + 1's slots as stage n's canonical
+    ids (_Stage.family): no word parses at an offset 0 < off < K_n, with
+    every consecutive slot pair in good[off], and no word's last
+    k // 2 + 1 slots start a word (another, where that is all of k)."""
+    rows, good, _ = st.family
+    for wi, r in enumerate(rows):
+        pairs = set(zip(r, r[1:]))
+        for off in range(1, len(good)):
+            if pairs and pairs <= good[off]:
                 return SpecEntry("E3", "fail", witness={
-                    "stage": n + 1, "word": wi, "offset": off,
+                    "stage": st.n + 1, "word": wi, "offset": off,
                     "kind": "offset parse"})
+    k = len(rows[0])
     half = k // 2 + 1
-    for i, wt in enumerate(texts):
-        second = wt[(k - half) * Kn:]
-        for j, vt in enumerate(texts):
-            if i == j and half >= k:
-                continue
-            if vt.startswith(second):
+    for i, r in enumerate(rows):
+        second = r[k - half:]
+        for j, v in enumerate(rows):
+            if (i != j or half < k) and v[:len(second)] == second:
                 return SpecEntry("E3", "fail", witness={
-                    "stage": n + 1, "words": (i, j), "kind": "half overlap"})
+                    "stage": st.n + 1, "words": (i, j),
+                    "kind": "half overlap"})
     return SpecEntry("E3", "pass")
 
 
 def _check_Q4(st):
     """At the class-founding stage n + 1, the first that acts: classwise
-    agreement on an initial proportion of at least 1 - eps_n."""
-    texts, eps = st.texts, Fraction(st.plan_stage.eps_lunate)
-    groups = {}
+    agreement on an initial proportion of at least 1 - eps_n.  A word
+    agrees with its class's first on m K_n symbols and the common prefix
+    of the stage-n words at the first slot m whose ids differ."""
+    (rows, good, lcp), eps = st.family, Fraction(st.plan_stage.eps_lunate)
+    groups, K = {}, len(good)
     for i, c in enumerate(st.classes[1]):
         groups.setdefault(c, []).append(i)
-    L = len(texts[0])
-    worst = Fraction(1)
+    L = least = K * len(rows[0])
     witness = {}
     for c, members in groups.items():
-        ref = texts[members[0]]
+        ref = rows[members[0]]
         agreed = L
         for i in members[1:]:
-            d = next((d for d in range(L) if texts[i][d] != ref[d]), L)
+            d = next((m * K + lcp[min(a, b), max(a, b)] for m, (a, b) in
+                      enumerate(zip(rows[i], ref)) if a != b), L)
             agreed = min(agreed, d)
-        prop = Fraction(agreed, L)
-        if prop < worst:
-            worst, witness = prop, {"class": c, "agreed": agreed, "length": L}
-    if worst >= 1 - eps:
-        return SpecEntry("Q4", "pass", worst_deviation=1 - worst,
-                         tolerance=eps)
-    return SpecEntry("Q4", "fail", worst_deviation=1 - worst,
-                     tolerance=eps, witness=witness)
+        if agreed < least:
+            least, witness = agreed, {"class": c, "agreed": agreed,
+                                      "length": L}
+    worst = Fraction(least, L)
+    ok = worst >= 1 - eps
+    return SpecEntry("Q4", "pass" if ok else "fail", 1 - worst, eps,
+                     {} if ok else witness)
+
+
+@lru_cache(maxsize=_STAGE_MEMO_SIZE)
+def _family_table(texts, K):
+    """What E3 and Q4 read of a stage-n family, its words' texts, all of
+    length K = K_n: each word's canonical id, the first index with an equal
+    text; good[off], the id pairs (a, b) whose window a[off:] + b[:off] is
+    a stage-n text; lcp[a, b], the common prefix of the texts of ids a < b."""
+    if {len(t) for t in texts} != {K}:
+        raise SequenceError(f"stage words not all of length K_n = {K}")
+    first = {}
+    ids = tuple(first.setdefault(t, i) for i, t in enumerate(texts))
+    reps = tuple(first.values())
+    good = tuple(frozenset((a, b) for a in reps for b in reps
+                           if texts[a][off:] + texts[b][:off] in first)
+                 for off in range(K))
+    lcp = {(a, b): next(d for d in range(K) if texts[a][d] != texts[b][d])
+           for a in reps for b in reps if a < b}
+    return ids, good, lcp
 
 
 def _check_Q5(st):
@@ -848,14 +870,20 @@ def _check_T7(st):
 # ---------------------------------------------------------------------------
 # the spec table and the two batteries that run it
 
+def _exact(x):
+    """x as its type and ints: no Fraction.__hash__, 1 is not Fraction(1)."""
+    return type(x), *x.as_integer_ratio()
+
+
 class _StageEntry:
     """What a battery derives from stage n, the _stage_table key: stage
-    n + 1's compositions, s_prev, both stages' classes and actions, eps,
-    eps_var and the tolerance.  Each is made when first read."""
+    n + 1's compositions, s_prev, both stages' classes and actions, and
+    _exact eps, eps_var and tolerance.  Each is made when first read."""
 
     def __init__(self, *key):
         (self.comps, self.s_prev, self.classes, self.actions, self.eps,
-         self.eps_var, self.tol) = key
+         self.eps_var, self.tol) = key[:4] + tuple(
+             kind(Fraction(p, q)) for kind, p, q in key[4:])
 
     @cached_property
     def j10(self):      # J10, J10.1 and J11's whole-word counts
@@ -886,7 +914,7 @@ class _StageEntry:
                             self.s_prev, self.unrelated, self.eps, self.tol)
 
 
-_stage_table = lru_cache(maxsize=_STAGE_MEMO_SIZE, typed=True)(_StageEntry)
+_stage_table = lru_cache(maxsize=_STAGE_MEMO_SIZE)(_StageEntry)
 
 
 class _Stage:
@@ -905,14 +933,18 @@ class _Stage:
         self.acting = tuple(a is not None for a in self.actions)
 
     @cached_property
-    def texts(self):            # E3, Q4: stage n + 1's words written out
-        return [w.materialize() for w in self.seq.stage(self.n + 1).words]
+    def family(self):   # E3, Q4: stage n + 1's slots as ids, good and lcp
+        ids, good, lcp = _family_table(tuple(
+            w.materialize() for w in self.built.stage(self.n).words),
+            self.seq.word_length(self.n))
+        return [tuple(map(ids.__getitem__, c)) for c in self.comps], good, lcp
 
     @cached_property
     def entry(self):            # the _stage_table entry of this stage
         return _stage_table(self.comps, self.s_prev, self.classes,
-                            self.actions, self.plan_stage.eps_lunate,
-                            self.plan_stage.eps_classic, self.tol)
+                            self.actions, _exact(self.plan_stage.eps_lunate),
+                            _exact(self.plan_stage.eps_classic),
+                            _exact(self.tol))
 
     @cached_property
     def frequency(self):
@@ -969,13 +1001,10 @@ def _run(built, battery, stages, tol, first_failure=False) -> SpecReport:
     no check.  ``first_failure`` ends the report at its first failure."""
     if built.depth < 1:
         raise SequenceError("need at least two stages")
-    entries = []
+    entries, rows = [], [(r[battery], *r[2:]) for r in SPECS if r[battery]]
     for n in stages:
         st = _Stage(built, n, tol)
-        for row in SPECS:
-            name, (offset, applies, check) = row[battery], row[2:]
-            if name is None:
-                continue
+        for name, offset, applies, check in rows:
             label = f"{name}@{n + offset}"
             e = check(st) if applies(st) else SpecEntry(label, "not-checked")
             entries.append(SpecEntry(label, e.status, e.worst_deviation,
@@ -985,15 +1014,13 @@ def _run(built, battery, stages, tol, first_failure=False) -> SpecReport:
     return SpecReport(tuple(entries))
 
 
-def check_specs(built: BuiltSequence, j_tolerance: Fraction = J_TOLERANCE,
-                *, first_failure: bool = False) -> SpecReport:
+def check_specs(built: BuiltSequence,
+                j_tolerance: Fraction = J_TOLERANCE) -> SpecReport:
     """The E, Q, A and J battery of every stage, in stage order, the J
-    checks against ``j_tolerance``.  With ``first_failure`` the report
-    ends at its first failing entry, and no later check runs: enough to
-    reject an attempt, not to rank it."""
+    checks against ``j_tolerance``."""
     if built.seq.flavor != ODOMETER:
         raise SequenceError("check_specs runs on odometer sequences")
-    return _run(built, 0, range(built.depth), j_tolerance, first_failure)
+    return _run(built, 0, range(built.depth), j_tolerance)
 
 
 def check_timing(built: BuiltSequence) -> SpecReport:
@@ -1081,8 +1108,8 @@ def _sample_stage(rng, plan, n, prev_classes, Q_next, prefix_lock: bool):
                 slots[p] = w
         return tuple(slots)
 
-    eps = Fraction(plan.stage(n).eps_lunate)
-    lock = ceil((1 - eps) * k) if prefix_lock else 0
+    lock = ceil((1 - Fraction(plan.stage(n).eps_lunate)) * k) \
+        if prefix_lock else 0
     for _ in range(256):
         comps, classes = [], []
         base = [c for c in sorted(members) for _ in range(k // Q_prev)]
@@ -1120,29 +1147,40 @@ def build_words(scaffold, plan, seed: int, level: int,
                 style: str = "random") -> BuiltSequence:
     """Seeded, verification-gated construction of an odometer sequence
     with class and action data derived from the group scaffold: attempts
-    0 to RETRY_BUDGET - 1 of build_attempt, each checked by check_specs up
-    to its first failing spec against ``j_tolerance``, until one passes.
-    The passing attempt carries its report, complete as nothing failed;
-    an exhausted budget raises BuildError with the full report of the
-    first attempt that failed fewest specs."""
-    failed = []
+    0 to RETRY_BUDGET - 1 of build_attempt, checked as they are built:
+    once stage n + 1 is sampled, stage n's check_specs battery runs against
+    ``j_tolerance``, and its first failing spec drops the attempt.  The
+    passing attempt carries its batteries as its report; an exhausted
+    budget raises BuildError with the full report of the first attempt,
+    rebuilt, that failed fewest specs."""
+    args = scaffold, plan, seed, level, style
     for attempt in range(RETRY_BUDGET):
-        built = build_attempt(scaffold, plan, seed, level, style, attempt)
-        report = check_specs(built, j_tolerance, first_failure=True)
-        if report.ok():
-            return replace(built, report=report)
-        failed.append(built)
-    best = min((check_specs(b, j_tolerance) for b in failed),
-               key=lambda r: len(r.failures()))
+        entries = ()
+        for built in _attempt_stages(*args, attempt):
+            report = _run(built, 0, [built.depth - 1], j_tolerance, True)
+            entries += report.entries
+            if not report.ok():
+                break
+        else:
+            return replace(built, report=SpecReport(entries))
+    best = min((check_specs(build_attempt(*args, a), j_tolerance)
+                for a in range(RETRY_BUDGET)), key=lambda r: len(r.failures()))
     raise BuildError(f"retry budget {RETRY_BUDGET} exhausted", best)
 
 
 def build_attempt(scaffold, plan, seed: int, level: int, style: str = "random",
                   attempt: int = 0) -> BuiltSequence:
-    """One seeded attempt of the builder, unchecked (``report`` is None):
-    structural constraints hold by construction, the J and T families are
-    left to check_specs and check_timing.  Attempt ``attempt`` of
-    build_words is this call with the same arguments.
+    """Attempt ``attempt`` of build_words, unchecked (``report`` is None):
+    _attempt_stages run to its last stage."""
+    *_, built = _attempt_stages(scaffold, plan, seed, level, style, attempt)
+    return built
+
+
+def _attempt_stages(scaffold, plan, seed, level, style, attempt):
+    """The stage loop of one attempt: it yields the build of stages 0 to
+    n + 1 once stage n + 1 holds its words, classes and action.  The
+    structural constraints hold by construction; the J and T families are
+    left to check_specs and check_timing.
 
     Stage n + 1 acts exactly when the scaffold's first n + 2 nodes hold a
     length-1 node: then in 2^e(n + 1) classes (or one per word), with one
@@ -1151,14 +1189,15 @@ def build_attempt(scaffold, plan, seed: int, level: int, style: str = "random",
     one (two at the separated style's stage 1).  The first stage that
     acts founds the classes, its words prefix-locked, and starts the
     action afresh; each later one extends it skew-diagonally."""
+    if level < 1:
+        raise SequenceError("need at least two stages")
     # the scaffold is part of the consumed input, so it salts the entropy
     # stream: builds differ whenever the tree data differs
     rng = random.Random(repr((seed, attempt, scaffold.nodes)))
-    comps_by_stage = []
-    classes_by_stage = [(0, 0)]       # stage 0: one class over {1, 0}
+    stages = [StageFamily(base_stage("01").words, classes=(0, 0))]  # one class
     actions, act = [None], None
     for n in range(level):
-        count, prev = scaffold.generator_count(n + 1), classes_by_stage[-1]
+        count, prev = scaffold.generator_count(n + 1), stages[-1].classes
         if style == "separated" and n == 0:
             gamma = gamma_cascade(plan, 1).gamma(1)
             comps = _search_separated_pair(rng, plan, gamma, plan.stage(0).k)
@@ -1174,12 +1213,12 @@ def build_attempt(scaffold, plan, seed: int, level: int, style: str = "random",
             while len(gens) < count:
                 gens += (_shift_swap_generator(Q, len(gens) % Q),)
             act = GroupActionTable(Q, gens)
-        comps_by_stage.append(comps)
-        classes_by_stage.append(classes)
+        # as odometer_sequence makes it: stage-n words shared, not copied
+        stages.append(StageFamily(tuple(Concat(tuple(
+            stages[-1].words[i] for i in c)) for c in comps), comps, classes))
         actions.append(act)
-    seq = with_classes(odometer_sequence(plan, "01", comps_by_stage),
-                       classes_by_stage)
-    return BuiltSequence(seq, tuple(actions))
+        yield BuiltSequence(ConstructionSequence(ODOMETER, plan, tuple(
+            stages)), tuple(actions))
 
 
 def _shift_swap_generator(nclasses: int, j: int) -> dict:

@@ -1,4 +1,4 @@
-"""Clears the builder's stage table and extension memo before each test;
+"""Clears the builder's process-long memos before each test;
 prints one verdict line per acceptance criterion after the run."""
 
 import re

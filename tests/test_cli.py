@@ -135,26 +135,28 @@ class TestBuild:
         assert invoke(capsys, "check-specs", *BUILD_ARGS)[0] == 0
         assert invoke(capsys, "check-timing", *BUILD_ARGS)[0] == 0
 
-    # None: one call per gated attempt, at least one
-    @pytest.mark.parametrize("argv, count", [
-        (["check-specs"], 1),
-        (["check-timing"], 0),
-        (["build", "--no-gate"], 1),
-        (["build"], None),
-        (["lift"], None),
+    # (check_specs batteries, check_timing batteries) each command runs;
+    # None: one per stage the gate checks, at least one
+    @pytest.mark.parametrize("argv, counts", [
+        (["check-specs"], (1, 0)),
+        (["check-timing"], (0, 1)),
+        (["build", "--no-gate"], (1, 0)),
+        (["build"], (None, 0)),
+        (["lift"], (None, 0)),
     ], ids=["check-specs", "check-timing", "build-no-gate", "build", "lift"])
     def test_each_command_runs_the_battery_it_prints(
-            self, capsys, monkeypatch, argv, count):
-        calls = []
-        original = circsys.specbuild.check_specs
+            self, capsys, monkeypatch, argv, counts):
+        batteries = []
+        original = circsys.specbuild._run
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(circsys.specbuild, "check_specs", counted)
-        monkeypatch.setattr(circsys.cli, "check_specs", counted)
+        def counted(built, battery, *args):
+            batteries.append(battery)
+            return original(built, battery, *args)
+        monkeypatch.setattr(circsys.specbuild, "_run", counted)
         assert invoke(capsys, *argv, *BUILD_ARGS)[0] == 0
-        assert len(calls) == count if count is not None else calls
+        specs, timing = batteries.count(0), batteries.count(1)
+        assert timing == counts[1]
+        assert specs == counts[0] if counts[0] is not None else specs
 
     @pytest.mark.parametrize("kl, eps", [("4,2;2,2", "3/2"),
                                          ("64,4;2,2", "5/4")])

@@ -10,8 +10,9 @@ the plan hash, renders JSON through json.dumps with an indent, which runs
 the pure-Python encoder.  Downward closure of a tree is refused in one
 place, TreePrefix's constructor, so the rule is not copied again.  The
 group scaffold's rule, generator_count, is read in one place, the
-builder, and a build does not carry its scaffold: the checks decide
-where they apply from the build's own classes and actions."""
+builder's stage loop, which both build_attempt and build_words' gate run,
+and a build does not carry its scaffold: the checks decide where they
+apply from the build's own classes and actions."""
 
 import ast
 from dataclasses import fields
@@ -130,11 +131,22 @@ def test_one_place_refuses_a_non_tree():
     assert sites == ["trees.py:TreePrefix.__post_init__"]
 
 
+def _call_sites(name):
+    """The enclosing def of each call of a function named ``name``."""
+    return [f"{path.name}:{fn.name}" for path, tree in _modules("src/circsys")
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            == name]
+
+
 def test_one_place_reads_the_scaffold_rule():
-    sites = [f"{path.name}:{fn.name}" for path, tree in _modules("src/circsys")
-             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-             for node in ast.walk(fn) if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None))
-             == "generator_count"]
-    assert sites == ["specbuild.py:build_attempt"]
+    assert _call_sites("generator_count") == ["specbuild.py:_attempt_stages"]
     assert "scaffold" not in {f.name for f in fields(BuiltSequence)}
+
+
+def test_one_stage_loop_samples_every_build():
+    # build_attempt and build_words' gate both run _attempt_stages
+    assert _call_sites("_sample_stage") == ["specbuild.py:_attempt_stages"]
+    assert sorted(_call_sites("_attempt_stages")) == [
+        "specbuild.py:build_attempt", "specbuild.py:build_words"]

@@ -19,7 +19,8 @@ from circsys.coefficients import desk_plan
 from circsys.specbuild import (J_TOLERANCE, BuildError, BuiltSequence,
                                RoundingBoundError, SpecEntry, _Stage,
                                _band_bound,
-                               _banded_argmax, _check_J10_J10_1, _check_J11,
+                               _banded_argmax, _check_E3, _check_J10_J10_1,
+                               _check_J11, _check_Q4,
                                _check_J11_1, _check_T5, _check_T6, _check_T7,
                                _orbits, _pair_totals, _prefix_argmax,
                                _prefix_pair_counts, _rounding_bound,
@@ -90,6 +91,15 @@ class TestBuild:
             build_words(SC, PLAN, 4, 1, j_tolerance=tol)
         assert err.value.report.to_obj() == \
             min(reports, key=lambda r: len(r.failures())).to_obj()
+
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_fewer_than_two_stages_is_refused_before_sampling(
+            self, monkeypatch, level):
+        monkeypatch.setattr(specbuild, "_sample_stage", None)
+        for build in (build_words, build_attempt):
+            with pytest.raises(SequenceError,
+                               match="need at least two stages"):
+                build(SC, PLAN, 0, level)
 
     def test_impossible_tolerance_exhausts_budget(self):
         with pytest.raises(BuildError) as err, \
@@ -171,31 +181,86 @@ class TestEarlyRejection:
     @settings(max_examples=40, deadline=None)
     def test_report_is_the_full_report_to_its_first_failure(
             self, scaffold, seed, attempt, j):
+        # the gate's two readings of an attempt: _run with first_failure
+        # stops the full report at its first failure, and each stage's
+        # battery on the build of stages 0 to n + 1 that the gate checks is
+        # that stage's battery of the whole attempt
         sc, n0 = scaffold
         built = build_attempt(sc, TREE_PLAN, seed, n0, attempt=attempt)
         full = check_specs(built, j).entries
         fail = next((i for i, e in enumerate(full) if e.status == "fail"),
                     len(full) - 1)
-        assert check_specs(built, j, first_failure=True).entries == \
+        assert specbuild._run(built, 0, range(n0), j, True).entries == \
             full[:fail + 1]
+        prefixes = list(specbuild._attempt_stages(sc, TREE_PLAN, seed, n0,
+                                                  "random", attempt))
+        assert prefixes[-1] == built and len(prefixes) == n0
+        for n, prefix in enumerate(prefixes):
+            assert prefix.seq.stages == built.seq.stages[:n + 2]
+            assert prefix.actions == built.actions[:n + 2]
+            assert specbuild._run(prefix, 0, [n], j).entries == \
+                specbuild._run(built, 0, [n], j).entries
+
+    # the seed-0 reduce_certify round-1 op with n0 = 3
+    REJECTED_TREE = TreePrefix(frozenset([(), (0,), (0, 0), (0, 0, 0), (1,)]))
+
+    @classmethod
+    def gate_log(cls, monkeypatch, seed, budget):
+        """build_words on REJECTED_TREE's depth-3 scaffold at ``seed``
+        against 1 with ``budget`` attempts: its outcome, and a log of the
+        stages it samples (n for stage n + 1), "kernel" per prefix-kernel
+        pass and "rebuild" per build_attempt (an exhausted budget's)."""
+        sc = groups_from_tree(cls.REJECTED_TREE.members_in_order()[:4])
+        log = []
+        for name, entry_of in (("_sample_stage", lambda args: args[2]),
+                               ("_prefix_pair_counts", lambda _: "kernel"),
+                               ("build_attempt", lambda _: "rebuild")):
+            def logged(*args, _f=getattr(specbuild, name), _e=entry_of,
+                       **kwargs):
+                log.append(_e(args))
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(specbuild, name, logged)
+        with mock.patch.object(specbuild, "RETRY_BUDGET", budget):
+            outcome = gate_outcome(build_words, sc, TREE_PLAN, seed, 3,
+                                   j_tolerance=Fraction(1))
+        monkeypatch.undo()
+        with mock.patch.object(specbuild, "RETRY_BUDGET", budget):
+            assert outcome == gate_outcome(ref_build_words, sc, TREE_PLAN,
+                                           seed, 3, j_tolerance=Fraction(1))
+        return outcome, log
 
     def test_rejected_attempt_skips_the_j_kernels(self, monkeypatch):
-        # the seed-0 reduce_certify round-1 op with n0 = 3: its attempt 0
-        # fails E3 at stage 0, before any J check
-        tree = TreePrefix(frozenset([(), (0,), (0, 0), (0, 0, 0), (1,)]))
-        sc = groups_from_tree(tree.members_in_order()[:4])
-        built = build_attempt(sc, TREE_PLAN, 296, 3)
-        calls = []
-        original = specbuild._prefix_pair_counts
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-        monkeypatch.setattr(specbuild, "_prefix_pair_counts", counted)
-        report = check_specs(built, Fraction(1), first_failure=True)
+        # attempt 0 at seed 296 fails E3 at stage 0, before any J check:
+        # the gate samples stage 1 alone, and only the exhausted budget's
+        # check_specs, on the attempt rebuilt, runs a kernel
+        outcome, log = self.gate_log(monkeypatch, 296, 1)
+        assert outcome[0] == "exhausted"
+        assert [e["spec"] for e in outcome[1] if e["status"] == "fail"][0] \
+            == "E3@0"
+        assert log.index("rebuild") == 1 and log[0] == 0
+        assert "kernel" in log
+        built = build_attempt(
+            groups_from_tree(self.REJECTED_TREE.members_in_order()[:4]),
+            TREE_PLAN, 296, 3)
+        monkeypatch.setattr(specbuild, "_prefix_pair_counts", None)
+        report = specbuild._run(built, 0, range(3), Fraction(1), True)
         assert [e.spec_id for e in report.failures()] == ["E3@0"]
         assert report.entries[-1].spec_id == "E3@0"
-        assert calls == []
+
+    def test_depth_3_attempts_rejected_at_stage_1(self, monkeypatch):
+        # at seed 4 attempts 0 and 1 fail E3 at stage 1 and attempt 2
+        # passes: the gate samples stages 1 and 2 of each rejected attempt
+        # and every stage of the passing one, and matches the full-battery
+        # gate, passing and with its budget spent at 2
+        outcome, log = self.gate_log(monkeypatch, 4, 32)
+        assert outcome[2] and all(e["status"] != "fail" for e in outcome[2])
+        assert [x for x in log if x != "kernel"] == [0, 1, 0, 1, 0, 1, 2]
+        outcome, log = self.gate_log(monkeypatch, 4, 2)
+        assert outcome[0] == "exhausted"
+        assert [e["spec"] for e in outcome[1] if e["status"] == "fail"] == \
+            ["E3@1"]
+        assert [x for x in log[:log.index("rebuild")] if x != "kernel"] == \
+            [0, 1, 0, 1]
 
 
 def relabelled(built, rename=lambda c, Q: Q - 1 - c):
@@ -248,8 +313,11 @@ class TestJMemo:
                     (q, e, Fraction(1)), (q, e, 1)]
         seen = set()
         for eps, eps_var, tol in variants * 2:
+            numbers = map(specbuild._exact, (eps, eps_var, tol))
             got = specbuild._stage_table(comps, 2, (None, None),
-                                         (None, None), eps, eps_var, tol)
+                                         (None, None), *numbers)
+            assert (got.eps, got.eps_var, got.tol) == (eps, eps_var, tol)
+            assert type(got.tol) is type(tol)
             want = _check_J10_J10_1(slots, 2, eps, eps_var, tol)
             for g, w in zip(got.j10[:2], want):
                 assert_same_entry(g, w)
@@ -359,29 +427,30 @@ class TestReports:
             {e.spec_id for e in built.report.entries}
 
     def test_stage_words_written_out_once_per_battery(self, monkeypatch):
-        # the k = 1024 build the CLI gates: E3 and Q4 share one text of
-        # each stage-1 word per check_specs call
-        plan = desk_plan(kl=((1024, 4), (2, 2)),
-                         eps_lunate=(Fraction(1, 4), Fraction(1, 8)))
-        written, calls = Counter(), []
+        # check_specs writes out no stage-(n+1) word: E3 and Q4 read stage
+        # n + 1's compositions and one text of each stage-n word per
+        # battery, so on the k = 1024 build the CLI gates and on a level-3
+        # build no top-stage word is written out, in the gate or in
+        # check_specs, and check_specs writes each lower one out once
+        written = []
 
         def materialize(self, *args, _f=Word.materialize):
-            written[id(self)] += 1
+            written.append(self)        # held, so no id is reused
             return _f(self, *args)
-
-        def logged(built, *args, _f=specbuild.check_specs, **kwargs):
-            written.clear()
-            rep = _f(built, *args, **kwargs)
-            calls.append(([written[id(w)] for w in built.seq.stage(1).words],
-                          "E3@0" in {e.spec_id for e in rep.entries}))
-            return rep
         monkeypatch.setattr(Word, "materialize", materialize)
-        monkeypatch.setattr(specbuild, "check_specs", logged)
-        built = build_words(SC, plan, seed=0, level=1)
-        assert built.report.ok() and calls[-1][1]
-        for counts, reached_e3 in calls:
-            assert len(counts) == built.seq.stage(1).size
-            assert set(counts) == ({1} if reached_e3 else {0})
+        plan = desk_plan(kl=((1024, 4), (2, 2)),
+                         eps_lunate=(Fraction(1, 4), Fraction(1, 8)))
+        for built, j in ((build_words(SC, plan, seed=0, level=1), J_TOLERANCE),
+                         (build_words(SC, TREE_PLAN, seed=4, level=3,
+                                      j_tolerance=Fraction(1)), Fraction(1))):
+            top = built.stage(built.depth).words
+            assert not any(w is x for w in top for x in written)
+            written.clear()
+            assert check_specs(built, j).ok()
+            for n in range(built.depth + 1):
+                assert [sum(w is x for x in written)
+                        for w in built.stage(n).words] == \
+                    [int(n < built.depth)] * built.stage(n).size
 
 
 class TestGamma:
@@ -691,6 +760,169 @@ class TestApplicability:
         q4 = [e.spec_id for e in check_specs(built).entries
               if e.spec_id.startswith("Q4") and e.status != "not-checked"]
         assert q4 == [f"Q4@{m - 1}" for m in acting[:1]]
+
+
+# ---------------------------------------------------------------------------
+# reference E3 and Q4 on written-out text: every stage-(n+1) word and every
+# stage-n word as a string, windows of length K_n = word_length(n).  They
+# define the entries the composition checks must reproduce.
+
+def ref_E3(stage):
+    """Unique readability: no properly-offset full parse, and no word's
+    second half equal to another's first half."""
+    seq, n = stage.seq, stage.n
+    texts = [w.materialize() for w in seq.stage(n + 1).words]
+    prev = {w.materialize() for w in seq.stage(n).words}
+    Kn = seq.word_length(n)
+    k = len(stage.comps[0])
+    for wi, text in enumerate(texts):
+        for off in range(1, Kn):
+            windows = range(off, len(text) - Kn + 1, Kn)
+            if windows and all(text[a:a + Kn] in prev for a in windows):
+                return SpecEntry("E3", "fail", witness={
+                    "stage": n + 1, "word": wi, "offset": off,
+                    "kind": "offset parse"})
+    half = k // 2 + 1
+    for i, wt in enumerate(texts):
+        second = wt[(k - half) * Kn:]
+        for j, vt in enumerate(texts):
+            if i == j and half >= k:
+                continue
+            if vt.startswith(second):
+                return SpecEntry("E3", "fail", witness={
+                    "stage": n + 1, "words": (i, j), "kind": "half overlap"})
+    return SpecEntry("E3", "pass")
+
+
+def ref_Q4(stage):
+    """Classwise agreement of the stage-(n+1) texts on an initial
+    proportion of at least 1 - eps_n."""
+    texts = [w.materialize() for w in stage.seq.stage(stage.n + 1).words]
+    eps = Fraction(stage.plan_stage.eps_lunate)
+    groups = {}
+    for i, c in enumerate(stage.classes[1]):
+        groups.setdefault(c, []).append(i)
+    L = len(texts[0])
+    worst = Fraction(1)
+    witness = {}
+    for c, members in groups.items():
+        ref = texts[members[0]]
+        agreed = L
+        for i in members[1:]:
+            d = next((d for d in range(L) if texts[i][d] != ref[d]), L)
+            agreed = min(agreed, d)
+        prop = Fraction(agreed, L)
+        if prop < worst:
+            worst, witness = prop, {"class": c, "agreed": agreed, "length": L}
+    if worst >= 1 - eps:
+        return SpecEntry("Q4", "pass", worst_deviation=1 - worst,
+                         tolerance=eps)
+    return SpecEntry("Q4", "fail", worst_deviation=1 - worst,
+                     tolerance=eps, witness=witness)
+
+
+def hand_built(symbols, *comps, classes=None):
+    """An odometer build on TREE_PLAN from base ``symbols`` and the
+    compositions of stages 1, 2, ..., with no action, and ``classes`` (or
+    classes 0, 1, 0, ...) at every stage past 0."""
+    seq = odometer_sequence(TREE_PLAN, symbols, comps)
+    classes = classes or [tuple(i % 2 for i in range(len(c))) for c in comps]
+    return BuiltSequence(with_classes(seq, [None, *classes]),
+                         (None,) * (len(comps) + 1))
+
+
+@st.composite
+def hand_builds(draw):
+    """Hand-built builds of 1-3 stages past 0 (k = 4, 2, 2): base symbols,
+    one possibly two long, so stage-0 words may repeat or disagree with
+    word_length(0) = 1; 1-4 words a stage over 1-3 of the previous, so
+    texts repeat, periodic words parse at offsets and words overlap by
+    halves; 1-2 classes a stage."""
+    symbols = draw(st.lists(st.sampled_from(["0", "1", "0", "1", "10"]),
+                            min_size=1, max_size=3))
+    comps, size = [], len(symbols)
+    for n in range(draw(st.integers(1, 3))):
+        use = st.integers(0, draw(st.integers(1, min(3, size))) - 1)
+        comps.append(draw(st.lists(st.tuples(*[use] * TREE_PLAN.stage(n).k),
+                                   min_size=1, max_size=4)))
+        size = len(comps[-1])
+    return hand_built(symbols, *comps, classes=[
+        tuple(draw(st.lists(st.integers(0, 1), min_size=len(c),
+                            max_size=len(c)))) for c in comps])
+
+
+@st.composite
+def attempt_builds(draw):
+    sc, n0 = draw(tree_scaffolds())
+    return build_attempt(sc, TREE_PLAN, draw(st.integers(0, 999)), n0,
+                         attempt=draw(st.integers(0, 7)))
+
+
+class TestReadability:
+    """E3 and Q4 read compositions and the stage-n table; the text
+    versions above define their entries."""
+
+    @given(st.one_of(hand_builds(), attempt_builds()))
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_text_oracles(self, built):
+        for n in range(built.depth):
+            stage = _Stage(built, n, J_TOLERANCE)
+            if {len(w) for w in built.stage(n).words} != \
+                    {built.seq.word_length(n)}:
+                # no build whose stage-n words are not all of length K_n
+                # reaches either check: both refuse it
+                for check in (_check_E3, _check_Q4):
+                    with pytest.raises(SequenceError, match="not all of"):
+                        check(_Stage(built, n, J_TOLERANCE))
+                break
+            assert_same_entry(_check_E3(stage), ref_E3(stage))
+            assert_same_entry(_check_Q4(stage), ref_Q4(stage))
+
+    @pytest.mark.parametrize("symbols, comps, witness", [
+        # stage 1's 0011 and 0110: 0011 0011 holds 0110 at offset 1, and
+        # 0110 0110 holds 0011 at offset 3
+        ("01", [[(0, 0, 1, 1), (0, 1, 1, 0)], [(0, 0), (1, 1)]],
+         {"stage": 2, "word": 0, "offset": 1, "kind": "offset parse"}),
+        ("01", [[(0, 0, 1, 1), (0, 1, 1, 0)], [(1, 0), (1, 1)]],
+         {"stage": 2, "word": 1, "offset": 3, "kind": "offset parse"}),
+        # the last three slots of word 0 start word 1
+        ("01", [[(0, 1, 1, 1), (1, 1, 1, 0)]],
+         {"stage": 1, "words": (0, 1), "kind": "half overlap"}),
+        # equal texts: stage 0's two words are both 0, and stage 1's two
+        # are both 0011, so words (0, 1) and (1, 0) of stage 2 are equal
+        ("00", [[(0, 1, 0, 1), (1, 1, 0, 0)]],
+         {"stage": 1, "words": (0, 0), "kind": "half overlap"}),
+        ("01", [[(0, 0, 1, 1), (0, 0, 1, 1)], [(0, 1), (1, 0)]],
+         {"stage": 2, "words": (0, 1), "kind": "half overlap"}),
+    ])
+    def test_each_E3_branch_fails(self, symbols, comps, witness):
+        built = hand_built(symbols, *comps)
+        stage = _Stage(built, len(comps) - 1, J_TOLERANCE)
+        got = _check_E3(stage)
+        assert (got.status, got.witness) == ("fail", witness)
+        assert_same_entry(got, ref_E3(stage))
+
+    @pytest.mark.parametrize("comps1, comps2, agreed", [
+        # equal texts 0011 0011 agree throughout
+        ([(0, 0, 1, 1), (0, 0, 1, 1)], [(0, 1), (1, 0)], 8),
+        # 0011 0110 and 0011 0011; 0110 0011 and 0011 0011
+        ([(0, 0, 1, 1), (0, 1, 1, 0)], [(0, 1), (0, 0)], 5),
+        ([(0, 0, 1, 1), (0, 1, 1, 0)], [(1, 0), (0, 0)], 1),
+    ])
+    def test_Q4_reads_the_common_prefix_at_the_first_differing_slot(
+            self, comps1, comps2, agreed):
+        built = hand_built("01", comps1, comps2, classes=[(0, 1), (0, 0)])
+        stage = _Stage(built, 1, J_TOLERANCE)
+        got = _check_Q4(stage)
+        assert got.worst_deviation == 1 - Fraction(agreed, 8)
+        assert got.witness.get("agreed", 8) == agreed
+        assert_same_entry(got, ref_Q4(stage))
+
+    def test_words_of_another_length_are_refused(self):
+        # stage 0's words 0 and 10 are not all of length word_length(0) = 1
+        built = hand_built(["0", "10"], [(0, 1, 0, 1), (1, 0, 1, 0)])
+        with pytest.raises(SequenceError, match="not all of length K_n = 1"):
+            check_specs(built)
 
 
 class TestLift:
