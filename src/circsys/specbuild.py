@@ -17,13 +17,13 @@ failing spec drops the attempt, retrying with fresh entropy, at most
 RETRY_BUDGET times, until every J check holds within one tolerance
 (J_TOLERANCE by default) and every other spec holds.
 
-One table, SPECS, declares every spec: its id in each battery (T1-T3 are
-Q5, A7 and A8), the offset of its printed stage, when it applies and its
-check.  A row applies by the classes and actions the build carries: the
-class-founding stage is the first that acts.  One runner, _run, serves
-check_specs and check_timing: stage by stage it prints each row as
-spec@stage, reports not-checked where the row does not apply, and makes
-what checks share once per stage (_Stage).
+SPECS alone names each spec: its id in each battery (T1-T3 are Q5, A7 and
+A8), the offset of its printed stage, when it applies and its check, which
+returns an unnamed Verdict.  A row applies by the classes and actions the
+build carries: the class-founding stage is the first that acts.  One
+runner, _run, serves check_specs and check_timing and makes each SpecEntry
+once: it names each verdict spec@stage, reports not-checked where the row
+does not apply, and makes what checks share once per stage (_Stage).
 Every J and T frequency is counted by one prefix kernel
 (_prefix_pair_counts): per stage, one pass for J10, J10.1 and J11, one for
 J11.1, one for T5 and T7 and one for T6.  What the J checks and A7 derive
@@ -34,6 +34,7 @@ and Q4 read another, of stage n's words alone (_family_table).
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -43,10 +44,10 @@ import numpy as np
 
 from .coefficients import frac_str
 from .systems import (ConstructionSequence, StageFamily, GroupActionTable,
-                      base_stage, functor_F, propagate_equivalence,
-                      skew_diagonal_extend, with_classes, _grid_occurrences,
-                      FWD, REV, ODOMETER, CIRCULAR, SequenceError)
-from .words import Concat
+                      base_stage, functor_F, odometer_stage,
+                      propagate_equivalence, skew_diagonal_extend,
+                      with_classes, _grid_occurrences, FWD, REV, ODOMETER,
+                      CIRCULAR, SequenceError)
 
 
 class BuildError(RuntimeError):
@@ -82,6 +83,11 @@ def groups_from_tree(nodes) -> GroupScaffold:
 
 # ---------------------------------------------------------------------------
 # reports
+
+# What a check finds: SpecEntry's fields but the id, status pass or fail.
+# A check returns it unnamed, and _run names it.
+Verdict = namedtuple("Verdict", "status worst_deviation tolerance witness")
+
 
 @dataclass(frozen=True)
 class SpecEntry:
@@ -144,8 +150,8 @@ class BuiltSequence:
 def _check_E1(st):
     lens = {len(t) for t in st.comps}
     if len(lens) == 1:
-        return SpecEntry("E1", "pass")
-    return SpecEntry("E1", "fail", witness={"lengths": sorted(lens)})
+        return Verdict("pass", None, None, {})
+    return Verdict("fail", None, None, {"lengths": sorted(lens)})
 
 
 def _check_E2(st):
@@ -153,10 +159,10 @@ def _check_E2(st):
     for w in range(st.s_prev):
         vals = {row[w] for row in counts}
         if len(vals) > 1:
-            return SpecEntry("E2", "fail", witness={
+            return Verdict("fail", None, None, {
                 "stage": st.n + 1, "word": w, "multiplicities": sorted(vals)})
-    return SpecEntry("E2", "pass",
-                     witness={"multiplicity": counts[0][0] if counts else 0})
+    return Verdict("pass", None, None,
+                   {"multiplicity": counts[0][0] if counts else 0})
 
 
 def _check_E3(st):
@@ -169,7 +175,7 @@ def _check_E3(st):
         pairs = set(zip(r, r[1:]))
         for off in range(1, len(good)):
             if pairs and pairs <= good[off]:
-                return SpecEntry("E3", "fail", witness={
+                return Verdict("fail", None, None, {
                     "stage": st.n + 1, "word": wi, "offset": off,
                     "kind": "offset parse"})
     k = len(rows[0])
@@ -178,10 +184,10 @@ def _check_E3(st):
         second = r[k - half:]
         for j, v in enumerate(rows):
             if (i != j or half < k) and v[:len(second)] == second:
-                return SpecEntry("E3", "fail", witness={
+                return Verdict("fail", None, None, {
                     "stage": st.n + 1, "words": (i, j),
                     "kind": "half overlap"})
-    return SpecEntry("E3", "pass")
+    return Verdict("pass", None, None, {})
 
 
 def _check_Q4(st):
@@ -207,8 +213,8 @@ def _check_Q4(st):
                                       "length": L}
     worst = Fraction(least, L)
     ok = worst >= 1 - eps
-    return SpecEntry("Q4", "pass" if ok else "fail", 1 - worst, eps,
-                     {} if ok else witness)
+    return Verdict("pass" if ok else "fail", 1 - worst, eps,
+                   {} if ok else witness)
 
 
 @lru_cache(maxsize=_STAGE_MEMO_SIZE)
@@ -239,11 +245,11 @@ def _check_Q5(st):
     seen = {}
     for a, b in zip(want, cur):
         if seen.setdefault(a, b) != b:
-            return SpecEntry("Q5", "fail", witness={"stage": st.n + 1})
+            return Verdict("fail", None, None, {"stage": st.n + 1})
     if len(set(want)) != len(set(cur)):
-        return SpecEntry("Q5", "fail", witness={"stage": st.n + 1,
-                                                "kind": "class count"})
-    return SpecEntry("Q5", "pass")
+        return Verdict("fail", None, None, {"stage": st.n + 1,
+                                            "kind": "class count"})
+    return Verdict("pass", None, None, {})
 
 
 def _check_Q6(st):
@@ -252,9 +258,8 @@ def _check_Q6(st):
     want = _class_count(st.seq.plan, st.n + 1)
     got = len(set(st.classes[1]))
     if got == want:
-        return SpecEntry("Q6", "pass", witness={"classes": got})
-    return SpecEntry("Q6", "fail", witness={"classes": got,
-                                            "expected": want})
+        return Verdict("pass", None, None, {"classes": got})
+    return Verdict("fail", None, None, {"classes": got, "expected": want})
 
 
 def _class_count(plan, m):
@@ -264,16 +269,16 @@ def _class_count(plan, m):
 
 def _check_A7(st):
     if st.entry.free:
-        return SpecEntry("A7", "pass")
-    return SpecEntry("A7", "fail", witness={"kind": "not free"})
+        return Verdict("pass", None, None, {})
+    return Verdict("fail", None, None, {"kind": "not free"})
 
 
 def _check_A8(st):
     for g in st.actions[1].generators:
         for (c, side), (_, nside) in g:
             if side == nside:
-                return SpecEntry("A8", "fail", witness={"class": c})
-    return SpecEntry("A8", "pass")
+                return Verdict("fail", None, None, {"class": c})
+    return Verdict("pass", None, None, {})
 
 
 def _check_A9(st):
@@ -283,13 +288,13 @@ def _check_A9(st):
     try:
         want = skew_diagonal_extend(prev_act, st.comps, st.classes[0])
     except SequenceError as err:
-        return SpecEntry("A9", "fail", witness={"error": str(err)})
+        return Verdict("fail", None, None, {"error": str(err)})
     if want.num_classes != cur_act.num_classes:
-        return SpecEntry("A9", "fail", witness={"kind": "class count"})
+        return Verdict("fail", None, None, {"kind": "class count"})
     for gi in range(len(prev_act.generators)):
         if want.generators[gi] != cur_act.generators[gi]:
-            return SpecEntry("A9", "fail", witness={"generator": gi})
-    return SpecEntry("A9", "pass")
+            return Verdict("fail", None, None, {"generator": gi})
+    return Verdict("pass", None, None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +451,24 @@ def _signed_pair(local_pair, s_prev, u_rev, v_rev):
     return (a + s_prev * u_rev, b + s_prev * v_rev)
 
 
-def _worst_entry(spec_id, counts, sizes, target, tol, witness_of):
-    """The entry of a frequency check whose deviations are the
-    |counts / sizes - target| of its entries, flat in the check's loop
-    order; ``target`` is (numerator, denominator), each an int or an array
-    broadcast against ``counts``.  Entries of size 0 are skipped, which is
-    how a check masks one out.
+def _worst_entry(counts, sizes, target, tol, witness_of):
+    """A frequency check's verdict: pass while _worst is below ``tol``."""
+    worst, witness = _worst(counts, sizes, target, witness_of)
+    return Verdict("pass" if worst < tol else "fail", worst, tol, witness)
+
+
+def _worst(counts, sizes, target, witness_of):
+    """The largest |counts / sizes - target| of the entries, flat in the
+    check's loop order, and its witness; ``target`` is (numerator,
+    denominator), each an int or an array broadcast against ``counts``.
+    Entries of size 0 are skipped, which is how a check masks one out.
 
     Each deviation is held as the integers num = |count td - size tn| and
     den = size td, exact in int64 for counts below 2**31.  Floats only pick
     candidates: every entry within _FILTER_MARGIN of the float maximum is
     re-checked by cross-multiplication, in flat order with a strict ">"
     from 0.  The first exact maximum wins and reports ``witness_of(flat
-    index)``; with no nonzero deviation the worst is 0 and the witness
-    empty.
-    """
+    index)``; with no nonzero deviation the worst is 0, the witness {}."""
     tn, td = target
     counts, sizes = np.asarray(counts, np.int64), np.asarray(sizes, np.int64)
     num = np.abs(counts * td - sizes * tn)
@@ -475,9 +483,7 @@ def _worst_entry(spec_id, counts, sizes, target, tol, witness_of):
                            den.ravel()[cand].tolist()):
             if a * worst[1] > worst[0] * b:
                 worst, best = (a, b), i
-    worst = Fraction(*worst)
-    return SpecEntry(spec_id, "pass" if worst < tol else "fail", worst, tol,
-                     {} if best is None else witness_of(best))
+    return Fraction(*worst), {} if best is None else witness_of(best)
 
 
 def _prefix_argmax(slots, s_prev, U, V, T, j_lo, groups=None, target=None,
@@ -579,7 +585,7 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
     over every prefix j0 >= eps_var k of every shift t <= (1 - eps_var) k,
     from one pass of the prefix kernel; J10.1's first exact maximum lies
     in the rows its band bound keeps (_banded_argmax).  Returns both
-    entries and J11's whole-word counts [u < s, v, pair], a read-only copy."""
+    verdicts and J11's whole-word counts [u < s, v, pair], a read-only copy."""
     w, k = slots.shape
     s, npair = w // 2, s_prev * s_prev
     eps_var = Fraction(eps_var)
@@ -605,8 +611,8 @@ def _check_J10_J10_1(slots, s_prev, eps, eps_var, tol):
                 "pair": _signed_pair(pids[i], s_prev, u >= s, v >= s)}
     # J10: the full overlap of every row with 0 < t <= t10; size 0 skips
     over10 = np.where((T > 0) & (T <= t10), k - T, 0)[:, None]
-    return (_worst_entry("J10", totals, over10, (1, npair), tol, wit10),
-            _worst_entry("J10.1", counts, j0, (1, npair), tol, wit101), whole)
+    return (_worst_entry(totals, over10, (1, npair), tol, wit10),
+            _worst_entry(counts, j0, (1, npair), tol, wit101), whole)
 
 
 def _orbits(s, classes, action):
@@ -655,9 +661,9 @@ def _check_J11(whole, orbits, k, s_prev, classes, tol):
         return {"u": int(U[r]), "v": int(V[r]),
                 "pair": _signed_pair(pid, s_prev, False, int(V[r]) >= s),
                 "level": int(orbits[r][1] is not None)}
-    return _worst_entry("J11", whole[U, V].reshape(-1, s_prev, s_prev),
-                        np.where(related, k, 0),
-                        (1, td[:, None, None]), tol, witness)
+    return _worst_entry(whole[U, V].reshape(-1, s_prev, s_prev),
+                        np.where(related, k, 0), (1, td[:, None, None]), tol,
+                        witness)
 
 
 def _check_J11_1(slots, s_prev, pairs, eps, tol):
@@ -680,8 +686,7 @@ def _check_J11_1(slots, s_prev, pairs, eps, tol):
                 "segment": ("initial", "tail")[seg],
                 "pair": _signed_pair(pids[r, seg], s_prev, False,
                                      pairs[r][1] >= s)}
-    return _worst_entry("J11.1", counts, j0, (1, s_prev * s_prev), tol,
-                        witness)
+    return _worst_entry(counts, j0, (1, s_prev * s_prev), tol, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +750,11 @@ def _rounding_bound(q: int, size: int, nsym: int) -> Fraction:
     return q * t / (1 - t)
 
 
-def check_T4(built: BuiltSequence, n: int, gamma: Fraction) -> SpecEntry:
+def check_T4(built: BuiltSequence, n: int, gamma: Fraction) -> Verdict:
     """Inequivalent stage-n circular words must stay gamma-separated in
     normalized Hamming distance on every initial, tail and cross segment
     longer than eps * q_n: 1 minus the largest match frequency, which
-    _worst_entry picks from match counts flat in (pair, segment, length)
-    order."""
+    _worst picks from match counts flat in (pair, segment, length) order."""
     seq = built.seq
     if seq.flavor != CIRCULAR:
         raise SequenceError("check_T4 runs on circular sequences")
@@ -760,8 +764,7 @@ def check_T4(built: BuiltSequence, n: int, gamma: Fraction) -> SpecEntry:
     if fam.classes is None:
         raise SequenceError("check_T4 needs the stage's classes")
     if gamma <= 0:
-        return SpecEntry("T4", "pass", witness={
-            "vacuous": True, "gamma": gamma})
+        return Verdict("pass", None, None, {"vacuous": True, "gamma": gamma})
     q = seq.plan.q(n)
     eps = Fraction(seq.plan.stage(n - 1).eps_lunate)
     ls = np.arange(int(eps * q) + 1, q + 1)
@@ -797,10 +800,9 @@ def check_T4(built: BuiltSequence, n: int, gamma: Fraction) -> SpecEntry:
         p, seg, li = np.unravel_index(k, counts.shape)
         return {"pair": pairs[p], "segment": ("initial", "tail", "cross")[seg],
                 "length": int(ls[li])}
-    e = _worst_entry("T4", counts, ls, (0, 1), 1, witness)
-    worst = 1 - e.worst_deviation
-    return SpecEntry("T4", "pass" if worst >= gamma else "fail", worst,
-                     gamma, e.witness)
+    match, witness = _worst(counts, ls, (0, 1), witness)
+    worst = 1 - match
+    return Verdict("pass" if worst >= gamma else "fail", worst, gamma, witness)
 
 
 def _check_T5(st):
@@ -819,8 +821,8 @@ def _check_T5(st):
         return {"axiom": ("T5a", "T5b")[axiom], "w0": int(w0),
                 "w1": int(w1), "t": int(t) + 1, "v": int(v),
                 "class": kinds[c]}
-    return _worst_entry("T5", c5, c5.sum(axis=-1, keepdims=True),
-                        (1, len(kinds)), st.tol, wit5)
+    return _worst_entry(c5, c5.sum(axis=-1, keepdims=True), (1, len(kinds)),
+                        st.tol, wit5)
 
 
 def _check_T6(st):
@@ -846,7 +848,7 @@ def _check_T6(st):
     counts, j0, _ = _prefix_argmax(slots, s_prev, w1, w0, t, j_lo, related,
                                    target)
     return _worst_entry(
-        "T6", counts, j0, (target.numerator, target.denominator), st.tol,
+        counts, j0, (target.numerator, target.denominator), st.tol,
         lambda i: {"w0": int(w0[i]), "w1": int(w1[i]), "t": int(t[i]),
                    "j0": int(j0[i])})
 
@@ -863,8 +865,8 @@ def _check_T7(st):
         r, v, c = np.unravel_index(i, c7.shape)
         return {"w0": pairs[r][0], "w1": pairs[r][1], "v": int(v),
                 "class": kinds[c]}
-    return _worst_entry("T7", c7, c7.sum(axis=-1, keepdims=True),
-                        (1, len(kinds)), st.tol, wit7)
+    return _worst_entry(c7, c7.sum(axis=-1, keepdims=True), (1, len(kinds)),
+                        st.tol, wit7)
 
 
 # ---------------------------------------------------------------------------
@@ -967,9 +969,8 @@ def _always(st):
 
 
 # Every spec, in report order: its id in check_specs and in check_timing
-# (None where a battery lacks it; T1-T3 are Q5, A7 and A8), the offset of
-# its printed stage from the battery's stage n, whether it applies at
-# stage n, and its check.
+# (None where a battery lacks it), the offset of its printed stage from
+# the battery's stage n, whether it applies there, and its Verdict check.
 SPECS = (
     ("E1", None, 0, _always, _check_E1),
     ("E2", None, 0, _always, _check_E2),
@@ -997,8 +998,8 @@ SPECS = (
 def _run(built, battery, stages, tol, first_failure=False) -> SpecReport:
     """The report of ``battery`` (0 check_specs, 1 check_timing) on the
     ``stages``: at each, every SPECS row with an id in it, in table order,
-    printed id@stage; a row that does not apply is not-checked and runs
-    no check.  ``first_failure`` ends the report at its first failure."""
+    its verdict named id@stage; a row that does not apply is not-checked
+    and runs no check.  ``first_failure`` ends at the first failure."""
     if built.depth < 1:
         raise SequenceError("need at least two stages")
     entries, rows = [], [(r[battery], *r[2:]) for r in SPECS if r[battery]]
@@ -1006,9 +1007,9 @@ def _run(built, battery, stages, tol, first_failure=False) -> SpecReport:
         st = _Stage(built, n, tol)
         for name, offset, applies, check in rows:
             label = f"{name}@{n + offset}"
-            e = check(st) if applies(st) else SpecEntry(label, "not-checked")
-            entries.append(SpecEntry(label, e.status, e.worst_deviation,
-                                     e.tolerance, e.witness))
+            e = SpecEntry(label, *check(st)) if applies(st) else \
+                SpecEntry(label, "not-checked")
+            entries.append(e)
             if first_failure and e.status == "fail":
                 return SpecReport(tuple(entries))
     return SpecReport(tuple(entries))
@@ -1213,9 +1214,7 @@ def _attempt_stages(scaffold, plan, seed, level, style, attempt):
             while len(gens) < count:
                 gens += (_shift_swap_generator(Q, len(gens) % Q),)
             act = GroupActionTable(Q, gens)
-        # as odometer_sequence makes it: stage-n words shared, not copied
-        stages.append(StageFamily(tuple(Concat(tuple(
-            stages[-1].words[i] for i in c)) for c in comps), comps, classes))
+        stages.append(odometer_stage(stages[-1], comps, classes))
         actions.append(act)
         yield BuiltSequence(ConstructionSequence(ODOMETER, plan, tuple(
             stages)), tuple(actions))

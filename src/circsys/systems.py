@@ -100,18 +100,22 @@ def _check_indices(tup, n: int, k: int, size: int, what: str) -> None:
                             f"index outside [0, {size})")
 
 
+def odometer_stage(prev, comps: tuple, classes=None) -> StageFamily:
+    """Odometer stage n + 1 over stage n ``prev``, its indices unchecked:
+    word i concatenates the prev words comps[i] names, shared, not copied."""
+    return StageFamily(tuple(Concat(tuple(prev.words[i] for i in c))
+                             for c in comps), comps, classes)
+
+
 def odometer_sequence(plan, symbols, compositions_by_stage) -> ConstructionSequence:
     """Build an odometer-flavor sequence from base symbols and, per stage,
     a list of k_n-tuples of previous-stage word indices."""
     stages = [base_stage(symbols)]
     for n, comps in enumerate(compositions_by_stage):
-        prev = stages[-1]
-        k = plan.stage(n).k
-        words = []
+        comps, k = tuple(map(tuple, comps)), plan.stage(n).k
         for tup in comps:
-            _check_indices(tup, n, k, prev.size, "composition")
-            words.append(Concat(tuple(prev.words[i] for i in tup)))
-        stages.append(StageFamily(tuple(words), tuple(map(tuple, comps))))
+            _check_indices(tup, n, k, stages[-1].size, "composition")
+        stages.append(odometer_stage(stages[-1], comps))
     return ConstructionSequence(ODOMETER, plan, tuple(stages))
 
 

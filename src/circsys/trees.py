@@ -97,7 +97,6 @@ def tree_from_json(text: str) -> TreePrefix:
 @dataclass(frozen=True)
 class ReductionResult:
     built: BuiltSequence          # circular, lifted
-    odometer: BuiltSequence
     bound: int                    # last enumeration index consulted
     output_hash: str
     plan_hash: str
@@ -136,22 +135,20 @@ def _read_tree(tp: TreePrefix, n0: int, plan) -> tuple:
 
 
 def _build(members: tuple, n0: int, plan, seed: int) -> tuple:
-    """reduce's build from the members read: (odometer, lift, hash)."""
-    odo = build_words(groups_from_tree(members), plan, seed=seed, level=n0,
-                      j_tolerance=Fraction(1))
-    circ = lift_build(odo)
-    return odo, circ, json_digest(_output_obj(circ))
+    """reduce's build from the members read, lifted: (lift, hash)."""
+    circ = lift_build(build_words(groups_from_tree(members), plan, seed=seed,
+                                  level=n0, j_tolerance=Fraction(1)))
+    return circ, json_digest(_output_obj(circ))
 
 
 def reduce(tp: TreePrefix, n0: int, plan, seed: int) -> ReductionResult:
     """Build the first n0 stages of the construction sequence attached to
     a tree prefix (scaffold from _read_tree) and lift them circularly."""
     members, bound, exhausted = _read_tree(tp, n0, plan)
-    odo, circ, output_hash = _build(members, n0, plan, seed)
-    return ReductionResult(
-        built=circ, odometer=odo, bound=bound,
-        output_hash=output_hash, plan_hash=plan_hash(plan),
-        seed=seed, depth=n0, exhausted=exhausted)
+    circ, output_hash = _build(members, n0, plan, seed)
+    return ReductionResult(built=circ, bound=bound, output_hash=output_hash,
+                           plan_hash=plan_hash(plan), seed=seed, depth=n0,
+                           exhausted=exhausted)
 
 
 def mutate_tree(tp: TreePrefix, index: int) -> TreePrefix:
@@ -207,7 +204,7 @@ def certify_continuity(tp: TreePrefix, n0: int, plan,
     def output_hash(tree):
         members, bound, exhausted = _read_tree(tree, n0, plan)
         if members not in builds:
-            builds[members] = _build(members, n0, plan, seed)[2]
+            builds[members] = _build(members, n0, plan, seed)[1]
         return builds[members], bound, exhausted
 
     base_hash, M, exhausted = output_hash(tp)

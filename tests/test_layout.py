@@ -12,9 +12,14 @@ place, TreePrefix's constructor, so the rule is not copied again.  The
 group scaffold's rule, generator_count, is read in one place, the
 builder's stage loop, which both build_attempt and build_words' gate run,
 and a build does not carry its scaffold: the checks decide where they
-apply from the build's own classes and actions."""
+apply from the build's own classes and actions.  SPECS alone names the
+specs in specbuild.py: a check returns an unnamed verdict, and _run alone
+makes a SpecEntry.  One function, systems.odometer_stage, composes an
+odometer stage over the previous one, for odometer_sequence and the
+builder's stage loop alike, so specbuild.py makes no Concat itself."""
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -150,3 +155,26 @@ def test_one_stage_loop_samples_every_build():
     assert _call_sites("_sample_stage") == ["specbuild.py:_attempt_stages"]
     assert sorted(_call_sites("_attempt_stages")) == [
         "specbuild.py:build_attempt", "specbuild.py:build_words"]
+
+
+SPEC_ID = re.compile(r"E[1-3]|Q[4-6]|A[7-9]|J1[01](\.1)?|T[1-7]")
+
+
+def test_only_SPECS_names_a_spec():
+    assert sorted(set(_call_sites("SpecEntry"))) == ["specbuild.py:_run"]
+    tree = ast.parse((ROOT / "src/circsys/specbuild.py").read_text())
+    table = next(node for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["SPECS"])
+
+    def ids(node):
+        return [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)
+                and isinstance(c.value, str) and SPEC_ID.fullmatch(c.value)]
+    assert len(ids(table)) == len(set(ids(table))) == 20
+    assert len(ids(tree)) == len(ids(table))
+
+
+def test_one_odometer_stage_constructor():
+    assert sorted(_call_sites("odometer_stage")) == [
+        "specbuild.py:_attempt_stages", "systems.py:odometer_sequence"]
+    assert [s for s in _call_sites("Concat")
+            if s.startswith("specbuild.py")] == []

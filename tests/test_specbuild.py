@@ -17,7 +17,8 @@ from circsys import specbuild
 from circsys.cli import run
 from circsys.coefficients import desk_plan
 from circsys.specbuild import (J_TOLERANCE, BuildError, BuiltSequence,
-                               RoundingBoundError, SpecEntry, _Stage,
+                               RoundingBoundError, SpecEntry, Verdict,
+                               _Stage,
                                _band_bound,
                                _banded_argmax, _check_E3, _check_J10_J10_1,
                                _check_J11, _check_Q4,
@@ -765,7 +766,7 @@ class TestApplicability:
 # ---------------------------------------------------------------------------
 # reference E3 and Q4 on written-out text: every stage-(n+1) word and every
 # stage-n word as a string, windows of length K_n = word_length(n).  They
-# define the entries the composition checks must reproduce.
+# define the verdicts the composition checks must reproduce.
 
 def ref_E3(stage):
     """Unique readability: no properly-offset full parse, and no word's
@@ -779,7 +780,7 @@ def ref_E3(stage):
         for off in range(1, Kn):
             windows = range(off, len(text) - Kn + 1, Kn)
             if windows and all(text[a:a + Kn] in prev for a in windows):
-                return SpecEntry("E3", "fail", witness={
+                return Verdict("fail", None, None, {
                     "stage": n + 1, "word": wi, "offset": off,
                     "kind": "offset parse"})
     half = k // 2 + 1
@@ -789,9 +790,9 @@ def ref_E3(stage):
             if i == j and half >= k:
                 continue
             if vt.startswith(second):
-                return SpecEntry("E3", "fail", witness={
+                return Verdict("fail", None, None, {
                     "stage": n + 1, "words": (i, j), "kind": "half overlap"})
-    return SpecEntry("E3", "pass")
+    return Verdict("pass", None, None, {})
 
 
 def ref_Q4(stage):
@@ -815,10 +816,8 @@ def ref_Q4(stage):
         if prop < worst:
             worst, witness = prop, {"class": c, "agreed": agreed, "length": L}
     if worst >= 1 - eps:
-        return SpecEntry("Q4", "pass", worst_deviation=1 - worst,
-                         tolerance=eps)
-    return SpecEntry("Q4", "fail", worst_deviation=1 - worst,
-                     tolerance=eps, witness=witness)
+        return Verdict("pass", 1 - worst, eps, {})
+    return Verdict("fail", 1 - worst, eps, witness)
 
 
 def hand_built(symbols, *comps, classes=None):
@@ -936,7 +935,7 @@ class TestLift:
 
 # ---------------------------------------------------------------------------
 # reference J-family checks: one bincount or one-hot cumsum per (u, v, t).
-# They are independent of the batched prefix kernel and define the entries
+# They are independent of the batched prefix kernel and define the verdicts
 # (deviation, witness, tie-break) the kernel-based checks must reproduce.
 
 def _parity_pairs(s_prev, u_rev, v_rev):
@@ -979,7 +978,7 @@ def ref_J10(slots, s, s_prev, eps, tol):
                                             pid % (2 * s_prev)),
                                    "count": int(counts[pid]), "overlap": k - t}
     status = "pass" if worst < tol else "fail"
-    return SpecEntry("J10", status, worst, tol, witness)
+    return Verdict(status, worst, tol, witness)
 
 
 def ref_J10_1(slots, s, s_prev, eps, tol):
@@ -1010,7 +1009,7 @@ def ref_J10_1(slots, s, s_prev, eps, tol):
                                "pair": (pid // (2 * s_prev),
                                         pid % (2 * s_prev))}
     status = "pass" if worst < tol else "fail"
-    return SpecEntry("J10.1", status, worst, tol, witness)
+    return Verdict(status, worst, tol, witness)
 
 
 def ref_J11_1(slots, s, s_prev, pairs, eps, tol):
@@ -1040,12 +1039,12 @@ def ref_J11_1(slots, s, s_prev, pairs, eps, tol):
                            "pair": (pid // (2 * s_prev),
                                     pid % (2 * s_prev))}
     status = "pass" if worst < tol else "fail"
-    return SpecEntry("J11.1", status, worst, tol, witness)
+    return Verdict(status, worst, tol, witness)
 
 
 # reference J11 and T5-T7: one bincount or Python loop per word pair,
 # shift and symbol, with a Fraction per entry.  Like the J references above
-# they share nothing with the prefix kernel or _worst_entry.
+# they share nothing with the prefix kernel or _worst.
 
 def _signed_class(classes, s_classes: int, signed_id: int, s_prev: int):
     """(class id, side) of a signed stage-n word id."""
@@ -1110,7 +1109,7 @@ def ref_J11(seq, n, slots, actions, tol):
                             witness = {"u": ui, "v": vi, "pair": (a, b),
                                        "level": level}
     status = "pass" if worst < tol else "fail"
-    return SpecEntry("J11", status, worst, tol, witness)
+    return Verdict(status, worst, tol, witness)
 
 
 def _class_rows(built, n):
@@ -1126,7 +1125,7 @@ def _class_rows(built, n):
     return slots, s, s_prev, table, Q
 
 
-def ref_T5(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
+def ref_T5(built: BuiltSequence, n: int, mu: Fraction) -> Verdict:
     seq = built.seq
     slots, s, s_prev, table, Q = _class_rows(built, n)
     k = slots.shape[1]
@@ -1164,7 +1163,7 @@ def ref_T5(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
                                            "w1": w1, "t": t, "v": v,
                                            "class": C}
     status = "pass" if worst < mu else "fail"
-    return SpecEntry("T5", status, worst, mu, witness)
+    return Verdict(status, worst, mu, witness)
 
 
 def ref_T6_rows(built: BuiltSequence, n: int):
@@ -1196,19 +1195,19 @@ def ref_T6_rows(built: BuiltSequence, n: int):
                 yield (w0, w1, t), dev, int(j0s[c])
 
 
-def ref_T6(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
+def ref_T6(built: BuiltSequence, n: int, mu: Fraction) -> Verdict:
     if not built.actions or built.actions[n] is None:
-        return SpecEntry("T6", "not-checked")
+        return Verdict("not-checked", None, None, {})
     worst, witness = Fraction(0), {}
     for (w0, w1, t), dev, j0 in ref_T6_rows(built, n):
         if dev > worst:
             worst = dev
             witness = {"w0": w0, "w1": w1, "t": t, "j0": j0}
     status = "pass" if worst < mu else "fail"
-    return SpecEntry("T6", status, worst, mu, witness)
+    return Verdict(status, worst, mu, witness)
 
 
-def ref_T7(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
+def ref_T7(built: BuiltSequence, n: int, mu: Fraction) -> Verdict:
     slots, s, s_prev, table, Q = _class_rows(built, n)
     action = built.actions[n + 1] if built.actions else None
     cur = built.stage(n + 1)
@@ -1238,7 +1237,7 @@ def ref_T7(built: BuiltSequence, n: int, mu: Fraction) -> SpecEntry:
                         worst = dev
                         witness = {"w0": w0, "w1": w1, "v": v, "class": C}
     status = "pass" if worst < mu else "fail"
-    return SpecEntry("T7", status, worst, mu, witness)
+    return Verdict(status, worst, mu, witness)
 
 
 def signed_slot_matrix(words, s_prev):
@@ -1451,7 +1450,7 @@ def window_entry(rows, found, target):
     with its row, j0 and group as the witness."""
     counts, j0, group = found
     return _worst_entry(
-        "window", counts, j0, (target.numerator, target.denominator),
+        counts, j0, (target.numerator, target.denominator),
         Fraction(1), lambda i: {"row": int(rows[i]), "j0": int(j0[i]),
                                 "group": int(group[i])})
 
@@ -1676,7 +1675,7 @@ class TestPrefixKernel:
 
     def test_prefix_argmax_on_an_empty_window_examines_nothing(self):
         # j_lo = k + 1 leaves no window column: each row reports j0 = 0,
-        # which _worst_entry skips, so J11.1 at eps 3/2 reports 0
+        # which _worst skips, so J11.1 at eps 3/2 reports 0
         slots = signed_slot_matrix([[0, 1, 1, 0, 1]], 2)
         U, V, T = np.array([0, 0]), np.array([0, 1]), np.array([0, 2])
         assert _prefix_argmax(slots, 2, U, V, T, 6).tolist() == \
@@ -1773,17 +1772,17 @@ class TestPrefixKernel:
         fam = built.seq.stage(1)
         slots = signed_slot_matrix(fam.compositions, 2)
         st0, tol = plan.stage(0), J_TOLERANCE
-        assert_same_entry(replace(j10, spec_id="J10"),
-                          ref_J10(slots, 2, 2, st0.eps_lunate, tol))
-        assert_same_entry(replace(j10_1, spec_id="J10.1"),
-                          ref_J10_1(slots, 2, 2, st0.eps_classic, tol))
+        assert_same_entry(j10, SpecEntry(
+            "J10@0", *ref_J10(slots, 2, 2, st0.eps_lunate, tol)))
+        assert_same_entry(j10_1, SpecEntry(
+            "J10.1@0", *ref_J10_1(slots, 2, 2, st0.eps_classic, tol)))
         j11_1 = entry(rep, "J11.1@0")
         assert j11_1.worst_deviation == Fraction(13, 172)
         assert j11_1.witness == {"u": 0, "v": 1, "j0": 258,
                                  "segment": "tail", "pair": (0, 0)}
         pairs = _Stage(built, 0, tol).entry.unrelated
-        assert_same_entry(replace(j11_1, spec_id="J11.1"),
-                          ref_J11_1(slots, 2, 2, pairs, st0.eps_lunate, tol))
+        assert_same_entry(j11_1, SpecEntry(
+            "J11.1@0", *ref_J11_1(slots, 2, 2, pairs, st0.eps_lunate, tol)))
 
 
 MUS = st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(3, 10),
@@ -1884,7 +1883,7 @@ class TestFrequencyChecks:
 
 
 # ---------------------------------------------------------------------------
-# T4: the per-pair FFT loop that preceded _worst_entry, kept as the oracle
+# T4: the per-pair FFT loop that preceded _worst, kept as the oracle
 
 def _sym_array(w) -> np.ndarray:
     return np.frombuffer(w.materialize().encode("latin1"), dtype=np.uint8)
@@ -1910,7 +1909,7 @@ def ref_mismatch_all_shifts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def ref_T4(built: BuiltSequence, n: int, gamma: Fraction) -> SpecEntry:
+def ref_T4(built: BuiltSequence, n: int, gamma: Fraction) -> Verdict:
     """Inequivalent stage-n circular words must stay gamma-separated in
     normalized Hamming distance on every initial, tail and cross segment
     longer than eps * q_n."""
@@ -1919,10 +1918,9 @@ def ref_T4(built: BuiltSequence, n: int, gamma: Fraction) -> SpecEntry:
         raise SequenceError("check_T4 runs on circular sequences")
     fam = seq.stage(n)
     if fam.classes is None:
-        return SpecEntry("T4", "not-checked")
+        return Verdict("not-checked", None, None, {})
     if gamma <= 0:
-        return SpecEntry("T4", "pass", witness={
-            "vacuous": True, "gamma": gamma})
+        return Verdict("pass", None, None, {"vacuous": True, "gamma": gamma})
     q = seq.plan.q(n)
     eps = Fraction(seq.plan.stage(n - 1).eps_lunate)
     l_min = int(eps * q) + 1
@@ -1959,8 +1957,7 @@ def ref_T4(built: BuiltSequence, n: int, gamma: Fraction) -> SpecEntry:
                 witness = {"pair": ((i, si), (j, sj)), "segment": "cross",
                            "length": int(ls[bad])}
     status = "pass" if worst >= gamma else "fail"
-    return SpecEntry("T4", status, worst_deviation=worst,
-                     tolerance=gamma, witness=witness)
+    return Verdict(status, worst, gamma, witness)
 
 
 @st.composite
