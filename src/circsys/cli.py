@@ -76,31 +76,36 @@ def _emit(ctx, payload: dict, plan=None, seed=None) -> None:
 
 def _render(obj, indent="\n", memo=None) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) in one recursive pass, as
-    CPython runs its pure-Python encoder whenever ``indent`` is set: keys
+    CPython runs its pure-Python encoder whenever ``indent`` is set; with
+    ``indent`` None, the compact json.dumps(obj, sort_keys=True).  Keys
     sort, then print, as json coerces them; tuples print as lists.
     ``memo`` maps (id(dict), indent) to its text for one top-level call,
     so a dict shared within the document, as every shared sub-object of a
     report is (word_to_obj), renders once per depth; the document holds
     every dict for the whole call, so no id is reused.  Lists, strings and
     scalars are not memoized, so no enclosing list's text is kept beside
-    its items'."""
+    its items'.  A list item that is an int (not a bool), a str or a dict
+    already in the memo is written without a recursive call."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if not isinstance(obj, (dict, list, tuple)):
         return _scalar(obj)
     memo = {} if memo is None else memo
-    inner = indent + "  "
+    inner = indent and indent + "  "
+    pre, sep, post = (inner, "," + inner, indent) if indent else ("", ", ", "")
     if not isinstance(obj, dict):
-        return "[" + inner + ("," + inner).join([
-            _render(v, inner, memo) for v in obj]) + indent + "]" \
-            if obj else "[]"
+        return "[" + pre + sep.join([
+            int.__repr__(v) if type(v) is int else
+            encode_basestring_ascii(v) if type(v) is str else
+            memo.get((id(v), inner)) or _render(v, inner, memo)
+            for v in obj]) + post + "]" if obj else "[]"
     key = (id(obj), indent)
     text = memo.get(key)
     if text is None:
-        text = memo[key] = "{" + inner + ("," + inner).join([
+        text = memo[key] = "{" + pre + sep.join([
             _render(k if isinstance(k, str) else _scalar(k)) + ": "
             + _render(v, inner, memo) for k, v in sorted(obj.items())]) \
-            + indent + "}" if obj else "{}"
+            + post + "}" if obj else "{}"
     return text
 
 
@@ -275,10 +280,13 @@ def _gated_build(sc, plan, seed, level, style):
 
 def _emit_checked(ctx, plan, seed, report, built=None, **payload):
     """A build-family report: the battery's verdict and, for a build, its
-    sequence and output hash; exit 2 when a check failed."""
+    sequence and output hash, the sha256 of _render's compact mode, which
+    writes each shared word dict once (json_digest keeps the C encoder for
+    documents without shared sub-objects); exit 2 when a check failed."""
     if built is not None:
-        payload["sequence"] = sequence_to_obj(built.seq)
-        payload["output_hash"] = json_digest(payload["sequence"])
+        payload["sequence"] = seq = sequence_to_obj(built.seq)
+        payload["output_hash"] = hashlib.sha256(
+            _render(seq, None).encode()).hexdigest()
     payload.update(report=report.to_obj(), ok=report.ok())
     _emit(ctx, payload, plan, seed)
     return 0 if report.ok() else 2

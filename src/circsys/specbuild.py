@@ -993,6 +993,8 @@ SPECS = (
     (None, "T6", 0, lambda st: st.classed[0] and st.acting[0], _check_T6),
     (None, "T7", 0, lambda st: st.classed[0], _check_T7),
 )
+# each battery's rows, (id, offset, applies, check), made once from SPECS
+_ROWS = tuple(tuple((r[b], *r[2:]) for r in SPECS if r[b]) for b in (0, 1))
 
 
 def _run(built, battery, stages, tol, first_failure=False) -> SpecReport:
@@ -1002,10 +1004,10 @@ def _run(built, battery, stages, tol, first_failure=False) -> SpecReport:
     and runs no check.  ``first_failure`` ends at the first failure."""
     if built.depth < 1:
         raise SequenceError("need at least two stages")
-    entries, rows = [], [(r[battery], *r[2:]) for r in SPECS if r[battery]]
+    entries = []
     for n in stages:
         st = _Stage(built, n, tol)
-        for name, offset, applies, check in rows:
+        for name, offset, applies, check in _ROWS[battery]:
             label = f"{name}@{n + offset}"
             e = SpecEntry(label, *check(st)) if applies(st) else \
                 SpecEntry(label, "not-checked")

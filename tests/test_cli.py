@@ -5,13 +5,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import circsys.cli
 import circsys.specbuild
 from circsys.cli import _render, run
-from circsys.coefficients import (desk_plan, extend_plan, plan_from_obj,
-                                  plan_to_json)
+from circsys.coefficients import (desk_plan, extend_plan, json_digest,
+                                  plan_from_obj, plan_to_json)
 from circsys.trees import TreePrefix
 from fixtures import grow_plan, tree_to_json
 
@@ -310,7 +310,8 @@ class TestErrors:
                     "--b", "1"]) == 3
 
 
-# json.dumps(indent=2, sort_keys=True) is the oracle for _render's bytes
+# json.dumps(sort_keys=True), with indent=2 or compact, is the oracle for
+# _render's bytes
 STRINGS = st.text() | st.sampled_from(
     ["", '"', "\\", "/", "\n\t\r\b\f", "\x00\x1f\x7f", "\u2028",
      "é", "\U0001f600", "\ud800"])
@@ -331,20 +332,24 @@ TREES = st.recursive(SCALARS, lambda kids: st.one_of(
 
 class TestRender:
     @given(TREES)
+    @example([True, False, 1, "s", {"k": [None, 0.5, ()]}, []])
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_json(self, tree):
         assert _render(tree) == json.dumps(tree, indent=2, sort_keys=True)
+        assert _render(tree, None) == json.dumps(tree, sort_keys=True)
 
     @given(st.one_of(
         st.lists(TREES, min_size=1, max_size=4),
         KEYS.flatmap(lambda keys: st.dictionaries(keys, TREES, min_size=1,
                                                   max_size=4))), TREES)
+    @example({"k": [{"n": 1}]}, 0)
     @settings(max_examples=200, deadline=None)
     def test_shared_object_at_two_depths(self, shared, other):
         # one object twice at depth 1 and again at depth 3: the memo key
         # must carry the indent
         doc = [shared, other, shared, {"deeper": [shared]}]
         assert _render(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        assert _render(doc, None) == json.dumps(doc, sort_keys=True)
 
     @pytest.mark.parametrize("bad", [
         Fraction(1, 2), {(1, 2): 0}, {"a": 0, 1: 0}, [b"x"], {None: 0, 0: 1}])
@@ -353,3 +358,18 @@ class TestRender:
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             _render(bad)
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True)
+        with pytest.raises(TypeError):
+            _render(bad, None)
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--kl", "1024,4;2,2", "--eps", "1/4", "--eps", "1/8",
+         "--level", "1"],
+        ["lift"] + BUILD_ARGS])
+    def test_output_hash_is_the_C_encoders_digest(self, capsys, argv):
+        # json_digest runs CPython's C encoder: the oracle for the hash
+        # that _render's compact mode writes
+        code, doc = invoke_json(capsys, *argv)
+        assert code == 0
+        assert doc["output_hash"] == json_digest(doc["sequence"])

@@ -16,7 +16,9 @@ apply from the build's own classes and actions.  SPECS alone names the
 specs in specbuild.py: a check returns an unnamed verdict, and _run alone
 makes a SpecEntry.  One function, systems.odometer_stage, composes an
 odometer stage over the previous one, for odometer_sequence and the
-builder's stage loop alike, so specbuild.py makes no Concat itself."""
+builder's stage loop alike, so specbuild.py makes no Concat itself.
+cli.py makes no json.dumps call: _render writes every report and its
+output hash, so the CLI has one JSON writer."""
 
 import ast
 import re
@@ -178,3 +180,7 @@ def test_one_odometer_stage_constructor():
         "specbuild.py:_attempt_stages", "systems.py:odometer_sequence"]
     assert [s for s in _call_sites("Concat")
             if s.startswith("specbuild.py")] == []
+
+
+def test_the_cli_has_one_json_writer():
+    assert [s for s in _call_sites("dumps") if s.startswith("cli.py")] == []
