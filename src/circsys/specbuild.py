@@ -24,11 +24,12 @@ build carries: the class-founding stage is the first that acts.  One
 runner, _run, serves check_specs and check_timing and makes each SpecEntry
 once: it names each verdict spec@stage, reports not-checked where the row
 does not apply, and makes what checks share once per stage (_Stage).
-Every J and T frequency is counted by one prefix kernel
-(_prefix_pair_counts): per stage, one pass for J10, J10.1 and J11, one for
-J11.1, one for T5 and T7 and one for T6.  What the J checks and A7 derive
-from a stage lives in one process-long table keyed by all it reads; E3
-and Q4 read another, of stage n's words alone (_family_table).
+Every J and T frequency is counted by one prefix kernel, as exact float32
+products of 0/1 rows (_prefix_pair_counts): per stage, one pass for J10,
+J10.1 and J11, one for J11.1, one for T5 and T7 and one for T6.  What the
+J checks and A7 derive from a stage lives in one process-long table keyed
+by all it reads; E3 and Q4 read another, of stage n's words alone
+(_family_table).
 """
 
 from __future__ import annotations
@@ -316,9 +317,13 @@ def _class_members(classes):
                            dtype=np.int64)
 
 
-# a kernel block's 64-bit products, four 16-bit counts each (exact while
-# k < 2**16), or derived counts: at k = 1024 1 << 15 ran slower, 1 << 17 tied
+# a kernel block's float32 products or derived counts: on spec_gate's calls
+# 1 << 15 took 15.0 ms, 1 << 16 11.9, 1 << 17 11.0 (+1.6 MB), 1 << 18 12.1
 _CHUNK_ELEMS = 1 << 16
+# the kernel takes band products while the columns average _BAND_MIN or more
+# positions apart: on a full (u, v, t) grid at k = 1024, 4 apart took 63 ms
+# (113 as cumsums), 2 apart 114 (151) at s_prev = 2, 1521 (900) at 4
+_BAND_MIN = 4
 # float filter margin: far above the float64 error of a deviation in [0, 1],
 # so the entry holding the exact maximum stays within it of the float
 # maximum, and a row holding it keeps a float band bound above the float
@@ -331,27 +336,9 @@ _FILTER_MARGIN = 1e-9
 
 def _grid(*ranges):
     """Flat index arrays over the product of ``ranges``, last fastest;
-    int32 halves the memory of J10's grid (about 2**16 rows at k = 1024)."""
+    int32 halves the memory of J10's grid (about 65 536 rows at k = 1024)."""
     return tuple(g.ravel() for g in np.meshgrid(*(np.arange(
         r.start, r.stop, dtype=np.int32) for r in ranges), indexing="ij"))
-
-
-@lru_cache(maxsize=None)
-def _joint_codes(s_prev):
-    """Per signed slot, u- and v-codes whose product is a 1 in field a'S + b'
-    of local pair (a'+1, b'+1), a', b' < m = s_prev - 1, S = m or a multiple
-    of 4; S; R shifts to a word, their u-code weights; slots 1..m one-hot."""
-    m = s_prev - 1
-    S = m if m <= 2 else -(-m // 4) * 4
-    mw, nw, R = -(-S // 4), -(-m * S // 4), max(1, 4 // (m * S))
-    u = [[(a * S // 4 == d - d % mw) << 16 * (a * S % 4) for d in range(nw)]
-         for a in range(m)]
-    v = [[(d % mw == b // 4) << 16 * (b % 4) for d in range(nw)]
-         for b in range(m)]
-    return (np.array(2 * ([[0] * nw] + u), "<u8"),
-            np.array(2 * ([[0] * nw] + v), "<u8"), S, R,
-            np.array([1 << 16 * m * S * i for i in range(R)], "<u8"),
-            np.tile(np.eye(s_prev, dtype=np.int64)[1:], 2))
 
 
 def _prefix_pair_counts(slots, s_prev, U, V, T, cols):
@@ -364,67 +351,61 @@ def _prefix_pair_counts(slots, s_prev, U, V, T, cols):
     from row lo, P[i, a s_prev + b, c] = #{x < j: (a, b) at x}, j =
     min(cols[c], k - t).  Every J and T frequency check counts here.
 
-    Only n_ab with a, b >= 1 is counted, in 16-bit fields (Lamport, CACM
-    18(8), 1975; _joint_codes); with the prefix sums Cu_a of u's slot a
-    over x + t, x < j, and Cv_b, n_a0 = Cu_a - sum_b n_ab, n_0b = Cv_b -
-    sum_a n_ab, n_00 = j - sum Cu_a - sum Cv_b + sum n_ab.  At s_prev = 2
-    that is one field: in a block inside a run longer than a block four
-    shifts share a 64-bit word, the u-code at y holding [slot at y + i is
-    1] in field i, read through the Hankel view H[u, t, x] = cu[u, t + x];
-    other blocks gather a word per row, which reads field 0.  A block sums
-    its products between the columns (np.add.reduceat), then cumsums."""
+    Only n_ab with a, b >= 1 is counted, a dot product of 0/1 rows
+    (Fischer & Paterson, 1974): n_ab = sum_{x < j} hot[u, a - 1, x + t]
+    hot[v, b - 1, x], hot[w, a - 1, y] = [word w holds local slot a at y
+    < k].  Its partial sums are integers at most k < 2**24, exact in
+    float32 in any order, on any BLAS and thread count.  With few columns
+    one float32 accumulator adds, band by band in order, the matrix
+    products of rows (u, a, t), for every u and t from min(T) to max(T),
+    and columns (v, b); with many, each block of rows takes elementwise
+    products and a cumsum.  With the prefix sums Cu_a of u's slot a over
+    x + t, x < j, and Cv_b, n_a0 = Cu_a - sum_b n_ab, n_0b = Cv_b - sum_a
+    n_ab, n_00 = j - sum Cu_a - sum Cv_b + sum n_ab."""
     if not len(U):
         return
     w, k = slots.shape
-    if k >= 1 << 16:
-        raise ValueError(f"16-bit pair counts need k < 2**16, not {k}")
-    ucode, vcode, S, R, weights, onehot = _joint_codes(s_prev)
-    m, n, nw, L = s_prev - 1, len(U), ucode.shape[1], k - int(T.min())
-    cols = np.asarray(cols)
-    starts, ncol = np.concatenate(([0], cols)), np.arange(len(cols))
+    if k >= 1 << 24:
+        raise ValueError(f"float32 pair counts need k < 2**24, not {k}")
+    m, n, cols, t0 = s_prev - 1, len(U), np.asarray(cols), int(T.min())
+    hits = slots % s_prev == np.arange(1, s_prev)[:, None, None]
     # pre[a - 1, w (k + 1) + y]: the x < y where word w holds local slot a
-    pre = np.zeros((m, w * (k + 1)), np.int64)
-    onehot[:, slots].cumsum(axis=2, out=pre.reshape(m, w, -1)[:, :, 1:])
-    # a block holds at most _CHUNK_ELEMS products and derived counts
-    step = max(1, _CHUNK_ELEMS // max(nw * L, R * s_prev ** 2 * len(cols)))
-    buf = np.empty(min(step, n) * L * nw, "<u8")
-    # u-codes past the word are 0, so shifted-out positions count nowhere
-    cu = np.zeros((w, k + L + R - 1, nw), "<u8")
-    cu[:, :k] = ucode[slots]
-    if n > step:    # stop[r]: the end of row r's run; cu[u, y]: u-codes at
-        # y + i in shift i's fields (one block reads field 0 only)
-        stop = np.append(np.flatnonzero((U[1:] != U[:-1]) | (V[1:] != V[:-1])
-                                        | (T[1:] != T[:-1] + 1)) + 1, n)
-        stop = stop[stop.searchsorted(np.arange(n), "right")]
-        cu = np.ndarray((w, k + L, nw, R), cu.dtype, cu,
-                        strides=cu.strides + cu.strides[1:2]) @ weights
-    H = np.ndarray((w, k + 1, L, nw), cu.dtype, cu,
-                   strides=cu.strides[:2] + cu.strides[1:])
-    cv = vcode[slots]
-    lo = 0
-    while lo < n:
-        inrun = n > step and stop[lo] - lo > step
-        hi = min(lo + R * step, stop[lo]) if inrun else min(lo + step, n)
-        ur, vr, tr, pack = U[lo:hi], V[lo:hi], T[lo:hi], R if inrun else 1
-        u, t, v, width = (U[lo], slice(T[lo], T[hi - 1] + 1, R),
-                          slice(V[lo], V[lo] + 1), k - int(T[lo])) \
-            if inrun else (ur, tr, vr, L)
-        out = buf[:width * -(-(hi - lo) // pack) * nw].reshape(width, -1, nw)
-        np.multiply(H[u, t, :width].transpose(1, 0, 2),
-                    cv[v, :width].transpose(1, 0, 2), out=out)
-        # segments end at each column below the width, then at the width
-        below = int(cols.searchsorted(width))
-        seg = np.add.reduceat(out, starts[:below + 1], axis=0)
-        seg.cumsum(axis=0, out=seg)
-        # fields[col, row, f]: a column past the width reads the width's
-        # segment; row i reads the F = 4 nw // pack fields from i F, its
-        # words or one packed field; field (a - 1) S + b - 1 is n_ab
-        fields = seg.view("<u2").reshape(len(seg), -1)[np.minimum(
-            ncol, below), :(hi - lo) * (4 * nw // pack)].reshape(
-                len(cols), hi - lo, -1)
-        joint = fields[:, :, :m * S].reshape(len(cols), hi - lo, m, S)
+    pre = np.zeros((m, w, k + 1), np.int64)
+    hits.cumsum(axis=2, out=pre[:, :, 1:])
+    pre = pre.reshape(m, -1)
+    hot = np.zeros((w, m, 2 * k), np.float32)
+    hot[:, :, :k] = hits.transpose(1, 0, 2)
+    L = min(k - t0, int(cols[-1]))      # no row counts a later position
+    ends, few = np.minimum(cols, L), len(cols) * _BAND_MIN <= L
+    # a block holds at most _CHUNK_ELEMS derived counts, or cumsum products
+    step = max(1, _CHUNK_ELEMS // max(s_prev ** 2 * len(cols),
+                                      0 if few else m * m * L))
+    if few:     # joint[col, u, a - 1, t - t0, v, b - 1]: acc at each column
+        nt, x0 = int(T.max()) - t0 + 1, 0
+        # hank[u, a - 1, y, p] = hot[u, a - 1, t0 + y + p], at most
+        # _CHUNK_ELEMS: the piece [p, q) of a band reads rows y = t - t0 + p
+        wide = max(1, _CHUNK_ELEMS // (w * m * (nt + L)))
+        hank = hot.take(t0 + np.arange(nt + L)[:, None] + np.arange(wide),
+                        axis=2, mode="clip")
+        acc = np.zeros((w, m, nt, w, m), np.float32)
+        joint = np.empty((len(cols),) + acc.shape, np.float32)
+        for c, x in enumerate(ends.tolist()):
+            for p in range(x0, x, wide):
+                q = min(p + wide, x)
+                acc += (hank[:, :, p:p + nt, :q - p]
+                        @ hot.reshape(w * m, -1)[:, p:q].T).reshape(acc.shape)
+            joint[c], x0 = acc, x
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        ur, vr, tr = U[lo:hi], V[lo:hi], T[lo:hi]
         P = np.empty((s_prev, s_prev, len(cols), hi - lo), np.int64)
-        P[1:, 1:] = joint[..., :m].transpose(2, 3, 0, 1)    # [a, b, col, row]
+        if few:     # [row, col, a - 1, b - 1]
+            P[1:, 1:] = joint[:, ur, :, tr - t0, vr].transpose(2, 3, 1, 0)
+        else:       # [row, a - 1, b - 1, x]
+            at = (ur[:, None] * m + np.arange(m)) * (2 * k) + tr[:, None]
+            prod = hot.take(at[:, :, None] + np.arange(L))[:, :, None] * \
+                hot[vr, None, :, :L]
+            P[1:, 1:] = prod.cumsum(3)[..., ends - 1].transpose(1, 2, 3, 0)
         j = np.minimum(cols[:, None], k - tr, out=P[0, 0])
         at = ur * (k + 1) + tr
         np.subtract(pre.take(at + j, axis=1), pre.take(at, axis=1)[:, None],
@@ -433,7 +414,6 @@ def _prefix_pair_counts(slots, s_prev, U, V, T, cols):
         P[0] -= np.add.reduce(P[1:], 0)
         P[:, 0] -= np.add.reduce(P[:, 1:], 1)
         yield lo, P.reshape(-1, len(cols), hi - lo).transpose(2, 0, 1)
-        lo = hi
 
 
 def _pair_totals(slots, s_prev, U, V, T):

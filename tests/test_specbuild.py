@@ -1259,7 +1259,7 @@ EPS = st.sampled_from([Fraction(1, 8), Fraction(1, 5), Fraction(1, 4),
 
 @st.composite
 def word_families(draw, k_max=64):
-    # s_prev = 3 pads each slot's row of counters to four fields
+    # s_prev = 2, 3 and 4: one to three one-hot rows per word
     s_prev = draw(st.sampled_from([2, 3, 4]))
     k = draw(st.integers(2, k_max))
     s = draw(st.integers(1, 2))
@@ -1310,58 +1310,16 @@ def shift_runs(draw, fam):
     return [np.array(c, dtype=np.int64) for c in zip(*rows)]
 
 
-def ref_pair_codes(s_prev):
-    """Per signed slot, u- and v-codes whose product is a 1 in local pair
-    (a, b)'s 16-bit field a * S + b, S = s_prev or a multiple of 4; and
-    the fields in pair order."""
-    S = s_prev if s_prev <= 2 else -(-s_prev // 4) * 4
-    m, nw, ab = -(-S // 4), -(-s_prev * S // 4), range(s_prev)
-    u = [[(a * S // 4 == d - d % m) << 16 * (a * S % 4) for d in range(nw)]
-         for a in ab]
-    v = [[(d % m == b // 4) << 16 * (b % 4) for d in range(nw)] for b in ab]
-    fields = [a * S + b for a in ab for b in ab]
-    return (np.array(2 * u, "<u8"), np.array(2 * v, "<u8"),
-            slice(len(fields)) if S == s_prev else fields)
-
-
 def ref_prefix_pair_counts(slots, s_prev, U, V, T):
-    """The four-field kernel _prefix_pair_counts replaced, as the oracle
-    of its every column: every local pair of every row in its own 16-bit
-    field, four to a 64-bit word, and one in-place cumsum over positions.
-    Yields (lo, P) for consecutive blocks of rows from row lo, P[i, pair,
-    j] = #{x <= j : x < k - t, id(x) = pair}; a block within one run of
-    consecutive shifts of one (u, v) reads its u-codes through the Hankel
-    view H[u, t, x] = cu[u, t + x], other blocks gather them from it."""
-    if not len(U):
-        return
-    w, k = slots.shape
-    ucode, vcode, fields = ref_pair_codes(s_prev)
-    nw, L = ucode.shape[1], k - int(T.min())
-    cu = np.concatenate([ucode[slots], np.zeros((w, L, nw), "<u8")], 1)
-    H = np.ndarray((w, k + 1, L, nw), cu.dtype, cu,
-                   strides=cu.strides[:2] + cu.strides[1:])
-    step = max(1, (1 << 16) // (nw * L))
-    buf = np.empty(min(step, len(U)) * L * nw, "<u8")
-    runs = len(U) > step
-    if runs:    # stop[r]: the end of row r's run of shifts t, t + 1, ...
-        stop = np.append(np.flatnonzero((U[1:] != U[:-1]) | (V[1:] != V[:-1])
-                                        | (T[1:] != T[:-1] + 1)) + 1, len(U))
-        stop = stop[np.searchsorted(stop, np.arange(len(U)), "right")]
-    lo = 0
-    while lo < len(U):
-        # a block that starts inside a run ends with it
-        hi = min(lo + step, stop[lo] if lo and stop[lo - 1] == stop[lo]
-                 else len(U))
-        n, u, t, v, width = hi - lo, U[lo:hi], T[lo:hi], V[lo:hi], L
-        if runs and hi <= stop[lo]:
-            u, t, v = U[lo], slice(T[lo], T[lo] + n), slice(V[lo], V[lo] + 1)
-            width = k - int(T[lo])
-        out = buf[:width * n * nw].reshape(width, n, nw)
-        np.multiply(H[u, t, :width].transpose(1, 0, 2),
-                    vcode[slots[v, :width]].transpose(1, 0, 2), out=out)
-        np.cumsum(out, axis=0, out=out)
-        yield lo, out.view("<u2")[:, :, fields].transpose(1, 2, 0)
-        lo = hi
+    """A direct count, row by row, as the oracle of _prefix_pair_counts'
+    every column: yields (r, P) for each row r, P[0, pair, j] = #{x <= j:
+    id(x) = pair}, j < k - t, from a one-hot cumsum of the pair ids."""
+    k = slots.shape[1]
+    local = slots % s_prev
+    for r, (u, v, t) in enumerate(zip(U.tolist(), V.tolist(), T.tolist())):
+        pair = local[u, t:] * s_prev + local[v, :k - t]
+        yield r, np.eye(s_prev * s_prev, dtype=np.int64)[:, pair].cumsum(
+            axis=1)[None]
 
 
 # opposite_sign_ties' (n, c, a): a < n c divides (n c)^2, with j_lo and k
@@ -1590,31 +1548,31 @@ class TestPrefixKernel:
                 for b, (c, j0, _) in zip(bound, exact[lo:]):
                     assert b >= float(abs(Fraction(c, j0) - target)) - 1e-12
 
-    def test_words_of_2_16_symbols_raise_before_any_block(self):
-        # the 16-bit counters would wrap; the u-codes alone would take 2 MB
-        slots = np.zeros((2, 1 << 16), np.int64)
+    def test_words_of_2_24_symbols_raise_before_any_block(self):
+        # float32 counts are exact only below 2**24; the zero-stride slots
+        # allocate nothing, and the kernel allocates nothing before it
+        # raises, where its one-hot rows alone would take 256 MB
+        slots = np.broadcast_to(np.int64(0), (2, 1 << 24))
         row = np.zeros(1, np.int64)
-        cols = np.arange(1, (1 << 16) + 1)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"2\*\*16"):
-                next(_prefix_pair_counts(slots, 2, row, row, row, cols))
+            with pytest.raises(ValueError, match=r"2\*\*24"):
+                next(_prefix_pair_counts(slots, 2, row, row, row, [1 << 24]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
 
     def test_counts_reach_the_16_bit_bound_without_carry(self):
-        # 2**16 - 1 positions of one pair fill its field and no other
+        # 2**16 - 1 positions of one pair count exactly, and no other pair
         slots = np.zeros((2, (1 << 16) - 1), np.int64)
         row = np.zeros(1, np.int64)
         assert _pair_totals(slots, 2, row, row, row).tolist() == \
             [[[(1 << 16) - 1, 0], [0, 0]]]
 
     def test_packed_shifts_reach_the_16_bit_bound_without_carry(self):
-        # shifts 0 .. 3 of one word of 2**16 - 1 ones share a 64-bit word:
-        # their joint counts 65535 .. 65532 fill its four fields, and none
-        # carries into the next
+        # shifts 0 .. 3 of one word of 2**16 - 1 ones: their products count
+        # 65535 .. 65532 exactly in float32, past float16's 2048
         slots = np.ones((2, (1 << 16) - 1), np.int64)
         row = np.zeros(4, np.int64)
         assert _pair_totals(slots, 2, row, row, np.arange(4)).tolist() == \
@@ -1622,9 +1580,9 @@ class TestPrefixKernel:
 
     @given(word_families(k_max=70), CHUNKS | st.just(1 << 12), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_matches_the_four_field_kernel(self, fam, chunk, data):
+    def test_matches_the_oracle_on_shift_runs(self, fam, chunk, data):
         # every column, or drawn columns up to past the longest overlap;
-        # blocks of one word to many words per run
+        # blocks of one row to many rows per run
         slots, s, s_prev = fam
         k = slots.shape[1]
         U, V, T = data.draw(shift_runs(fam))
@@ -1645,10 +1603,10 @@ class TestPrefixKernel:
                 assert P.tolist() == want[lo:seen][:, :, at].tolist()
         assert seen == len(U)
 
-    def test_a_long_run_reads_several_packed_words_per_block(
+    def test_a_long_run_splits_into_blocks_of_the_chunk_size(
             self, monkeypatch):
-        # at 2**7 elements a block of the 45-shift run holds 8 shifts in
-        # two words, four shifts to a word
+        # at 2**7 elements a block of the 45-shift run derives 32 rows of
+        # 4 pairs at one column, and each band piece is one position wide
         monkeypatch.setattr(specbuild, "_CHUNK_ELEMS", 1 << 7)
         word = np.random.default_rng(5).integers(0, 2, 48).tolist()
         slots = signed_slot_matrix([word], 2)
@@ -1658,9 +1616,33 @@ class TestPrefixKernel:
                 for row in P[:, :, -1].tolist()]
         blocks = [len(P) for _, P in _prefix_pair_counts(slots, 2, U, V, T,
                                                          [48])]
-        assert blocks == [8, 8, 8, 8, 8, 5]
+        assert blocks == [32, 13]
         assert _pair_totals(slots, 2, U, V, T).reshape(-1, 4).tolist() == \
             want
+
+    @pytest.mark.parametrize("s_prev", [2, 3, 4])
+    @pytest.mark.parametrize("chunk", [1 << 7, None])
+    @pytest.mark.parametrize("band_min", [0, 1 << 30])
+    def test_products_and_cumsums_match_the_oracle(self, monkeypatch, s_prev,
+                                                   chunk, band_min):
+        # _BAND_MIN 0 sends every call through the band products, 2**30
+        # through the cumsums: the same rows, not a grid (a repeated
+        # (u, t), scattered v, shifts up to k - 1), at columns one to past k
+        monkeypatch.setattr(specbuild, "_BAND_MIN", band_min)
+        monkeypatch.setattr(specbuild, "_CHUNK_ELEMS",
+                            chunk or specbuild._CHUNK_ELEMS)
+        rng = np.random.default_rng(s_prev)
+        slots = signed_slot_matrix(rng.integers(0, s_prev, (3, 40)).tolist(),
+                                   s_prev)
+        U = np.array([0, 0, 5, 2, 2, 1, 4, 0, 3])
+        V = np.array([1, 4, 0, 5, 5, 3, 2, 1, 0])
+        T = np.array([3, 3, 0, 39, 17, 9, 9, 3, 25])
+        cols = np.array([1, 2, 7, 20, 31, 40, 43])
+        want = [P[0][:, np.minimum(cols, 40 - t) - 1].tolist() for (_, P), t
+                in zip(ref_prefix_pair_counts(slots, s_prev, U, V, T), T)]
+        got = [row for _, P in _prefix_pair_counts(slots, s_prev, U, V, T,
+                                                   cols) for row in P.tolist()]
+        assert got == want
 
     def test_prefix_argmax_refuses_a_target_past_float_order(self):
         # at k = 128 and td = 2**40, k^2 td = 2**54: distinct deviations
