@@ -27,22 +27,25 @@ does not apply, and makes what checks share once per stage (_Stage).
 Every J and T frequency is counted by one prefix kernel, as exact float32
 products of 0/1 rows (_prefix_pair_counts): per stage, one pass for J10,
 J10.1 and J11, one for J11.1, one for T5 and T7 and one for T6.  What the
-J checks and A7 derive from a stage lives in one process-long table keyed
-by all it reads; E3 and Q4 read another, of stage n's words alone
-(_family_table).
+J checks derive from a stage lives in one process-long table keyed by all
+it reads, and each check_specs battery's entries in another (_battery);
+E3 and Q4 read a third, of stage n's words alone (_family_table).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil
+from types import MappingProxyType
 
 import numpy as np
 
+from . import words
 from .coefficients import frac_str
 from .systems import (ConstructionSequence, StageFamily, GroupActionTable,
                       base_stage, functor_F, odometer_stage,
@@ -90,13 +93,17 @@ def groups_from_tree(nodes) -> GroupScaffold:
 Verdict = namedtuple("Verdict", "status worst_deviation tolerance witness")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecEntry:
     spec_id: str
     status: str                 # pass | fail | not-checked
     worst_deviation: Fraction | None = None
     tolerance: Fraction | None = None
-    witness: dict = field(default_factory=dict)
+    witness: MappingProxyType = field(default_factory=dict)
+
+    def __post_init__(self):    # read-only, as _battery hits share entries
+        object.__setattr__(self, "witness", MappingProxyType(
+            dict(self.witness)) if self.witness else _NO_WITNESS)
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,10 @@ J_TOLERANCE = Fraction(1, 2)    # the J10-J11.1 tolerance, by default
 MU = Fraction(1, 4)             # the T5-T7 tolerance mu, at every stage
 RETRY_BUDGET = 32               # build_words' attempts before it gives up
 _STAGE_MEMO_SIZE = 64           # _stage_table's entries, LRU out
+# _battery's entries, LRU out: of 12252 reduce_certify seed-0 batteries (190
+# distinct) 64 hit 7972, 128 10998, 192 or 256 12062; seed 3 has 192 distinct
+_BATTERY_MEMO_SIZE = 256
+_NO_WITNESS = MappingProxyType({})
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +280,7 @@ def _class_count(plan, m):
 
 
 def _check_A7(st):
-    if st.entry.free:
+    if st.actions[1].free:
         return Verdict("pass", None, None, {})
     return Verdict("fail", None, None, {"kind": "not free"})
 
@@ -305,9 +316,8 @@ def _slot_matrix(comps, s_prev):
     """Slot ids over the signed previous-stage alphabet of every signed
     word of the compositions ``comps``: row w is word w, row w + s its
     reverse, whose slots hold reversed words, id = word index + s_prev."""
-    rows = [list(t) for t in comps] + \
-        [[i + s_prev for i in reversed(t)] for t in comps]
-    return np.array(rows, dtype=np.int64)
+    comps = np.asarray(comps, np.int64)
+    return np.concatenate([comps, comps[:, ::-1] + s_prev])
 
 
 def _class_members(classes):
@@ -857,24 +867,32 @@ def _exact(x):
     return type(x), *x.as_integer_ratio()
 
 
-class _StageEntry:
-    """What a battery derives from stage n, the _stage_table key: stage
-    n + 1's compositions, s_prev, both stages' classes and actions, and
-    _exact eps, eps_var and tolerance.  Each is made when first read."""
+def _stage_key(built, n, tol):
+    """The _stage_table key, all an entry reads: stage n + 1's compositions
+    as bytes (ids as the least uint holding s_prev) and their shape (s, k),
+    s_prev, both stages' classes and actions, and _exact eps, eps_var, tol."""
+    prev, cur, ps = built.stage(n), built.stage(n + 1), built.seq.plan.stage(n)
+    comps = np.array(cur.compositions, np.min_scalar_type(prev.size))
+    return (comps.tobytes(), comps.shape, prev.size,
+            (prev.classes, cur.classes), built.actions[n:n + 2],
+            _exact(ps.eps_lunate), _exact(ps.eps_classic), _exact(tol))
 
-    def __init__(self, *key):
-        (self.comps, self.s_prev, self.classes, self.actions, self.eps,
-         self.eps_var, self.tol) = key[:4] + tuple(
-             kind(Fraction(p, q)) for kind, p, q in key[4:])
+
+class _StageEntry:
+    """What a battery derives from stage n, keyed by _stage_key; comps is
+    the [s, k] view of its bytes.  Each part is made when first read."""
+
+    def __init__(self, packed, shape, s_prev, classes, actions, *numbers):
+        self.comps = np.frombuffer(packed, np.min_scalar_type(s_prev)
+                                   ).reshape(shape)
+        self.s_prev, self.classes, self.actions = s_prev, classes, actions
+        self.eps, self.eps_var, self.tol = (
+            kind(Fraction(p, q)) for kind, p, q in numbers)
 
     @cached_property
     def j10(self):      # J10, J10.1 and J11's whole-word counts
         return _check_J10_J10_1(_slot_matrix(self.comps, self.s_prev),
                                 self.s_prev, self.eps, self.eps_var, self.tol)
-
-    @cached_property
-    def free(self):         # A7
-        return self.actions[1].free
 
     @cached_property
     def orbits(self):       # J11
@@ -886,7 +904,7 @@ class _StageEntry:
 
     @cached_property
     def j11(self):
-        return _check_J11(self.j10[2], self.orbits, len(self.comps[0]),
+        return _check_J11(self.j10[2], self.orbits, self.comps.shape[1],
                           self.s_prev, self.actions[0] and self.classes[0],
                           self.tol)
 
@@ -897,6 +915,10 @@ class _StageEntry:
 
 
 _stage_table = lru_cache(maxsize=_STAGE_MEMO_SIZE)(_StageEntry)
+# stage n's check_specs entries so far, for _run to extend, keyed by all they
+# read: n, the _stage_key, the stage-n Words (exact at every length) and
+# _class_count at n + 1
+_battery = lru_cache(maxsize=_BATTERY_MEMO_SIZE)(lambda n, *key: [])
 
 
 class _Stage:
@@ -904,29 +926,27 @@ class _Stage:
     tolerance of its frequency checks, J or T5-T7.  What several checks
     share is made once, when first read."""
 
-    def __init__(self, built: BuiltSequence, n: int, tol: Fraction):
+    def __init__(self, built: BuiltSequence, n: int, tol: Fraction, key=None):
         self.built, self.seq, self.n, self.tol = built, built.seq, n, tol
+        self.key = key or _stage_key(built, n, tol)
+        _, _, self.s_prev, self.classes, self.actions, *_ = self.key
         self.plan_stage = built.seq.plan.stage(n)
-        self.s_prev = built.stage(n).size
         self.comps = built.stage(n + 1).compositions
-        self.classes = (built.stage(n).classes, built.stage(n + 1).classes)
-        self.actions = built.actions[n:n + 2]
         self.classed = tuple(c is not None for c in self.classes)
         self.acting = tuple(a is not None for a in self.actions)
 
     @cached_property
     def family(self):   # E3, Q4: stage n + 1's slots as ids, good and lcp
-        ids, good, lcp = _family_table(tuple(
-            w.materialize() for w in self.built.stage(self.n).words),
-            self.seq.word_length(self.n))
+        texts = tuple(w.materialize() for w in self.built.stage(self.n).words)
+        if None in texts:
+            raise SequenceError(f"stage-{self.n} words exceed MATERIALIZE_CAP "
+                                f"= {words.MATERIALIZE_CAP}: E3, Q4 read them")
+        ids, good, lcp = _family_table(texts, self.seq.word_length(self.n))
         return [tuple(map(ids.__getitem__, c)) for c in self.comps], good, lcp
 
     @cached_property
     def entry(self):            # the _stage_table entry of this stage
-        return _stage_table(self.comps, self.s_prev, self.classes,
-                            self.actions, _exact(self.plan_stage.eps_lunate),
-                            _exact(self.plan_stage.eps_classic),
-                            _exact(self.tol))
+        return _stage_table(*self.key)
 
     @cached_property
     def frequency(self):
@@ -981,18 +1001,23 @@ def _run(built, battery, stages, tol, first_failure=False) -> SpecReport:
     """The report of ``battery`` (0 check_specs, 1 check_timing) on the
     ``stages``: at each, every SPECS row with an id in it, in table order,
     its verdict named id@stage; a row that does not apply is not-checked
-    and runs no check.  ``first_failure`` ends at the first failure."""
+    and runs no check.  ``first_failure`` ends at the first failure.  A
+    check_specs battery makes only what its _battery lacks."""
     if built.depth < 1:
         raise SequenceError("need at least two stages")
     entries = []
     for n in stages:
-        st = _Stage(built, n, tol)
-        for name, offset, applies, check in _ROWS[battery]:
-            label = f"{name}@{n + offset}"
-            e = SpecEntry(label, *check(st)) if applies(st) else \
-                SpecEntry(label, "not-checked")
-            entries.append(e)
-            if first_failure and e.status == "fail":
+        key, st = _stage_key(built, n, tol), None
+        done = [] if battery else _battery(n, key, built.stage(n).words,
+                                           _class_count(built.seq.plan, n + 1))
+        for i, (name, offset, applies, check) in enumerate(_ROWS[battery]):
+            if i == len(done):
+                st = st or _Stage(built, n, tol, key)
+                label = sys.intern(f"{name}@{n + offset}")
+                done.append(SpecEntry(label, *check(st)) if applies(st) else
+                            SpecEntry(label, "not-checked"))
+            entries.append(done[i])
+            if first_failure and done[i].status == "fail":
                 return SpecReport(tuple(entries))
     return SpecReport(tuple(entries))
 

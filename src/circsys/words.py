@@ -50,8 +50,8 @@ class Word:
             raise WordIndexError(f"range of {b - a} symbols exceeds cap")
         return self._extract(a, b)
 
-    def materialize(self, cap: int = MATERIALIZE_CAP) -> str | None:
-        if self.length > cap:
+    def materialize(self, cap: int | None = None) -> str | None:
+        if self.length > (MATERIALIZE_CAP if cap is None else cap):
             return None
         return self._extract(0, self.length)
 

@@ -45,8 +45,10 @@ def unchecked_action(num_classes: int, gens) -> GroupActionTable:
 
 def clear_builder_memos():
     """Empty every process-long memo whose hit skips work a test may count
-    or patch: the stage table, the stage-n family table and the
-    skew-diagonal extensions."""
+    or patch: the stage batteries, the stage table, the stage-n family
+    table and the skew-diagonal extensions, every lru_cache in specbuild
+    and systems (tests/test_layout.py checks that)."""
+    specbuild._battery.cache_clear()
     specbuild._stage_table.cache_clear()
     specbuild._family_table.cache_clear()
     systems.skew_diagonal_extend.cache_clear()

@@ -18,14 +18,18 @@ makes a SpecEntry.  One function, systems.odometer_stage, composes an
 odometer stage over the previous one, for odometer_sequence and the
 builder's stage loop alike, so specbuild.py makes no Concat itself.
 cli.py makes no json.dumps call: _render writes every report and its
-output hash, so the CLI has one JSON writer."""
+output hash, so the CLI has one JSON writer.  The tests' clear_builder_memos
+empties every lru_cache of specbuild and systems, so no builder memo
+escapes the warm-against-cold tests."""
 
 import ast
 import re
 from dataclasses import fields
 from pathlib import Path
 
+from circsys import specbuild, systems
 from circsys.specbuild import BuiltSequence
+from fixtures import clear_builder_memos
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -184,3 +188,17 @@ def test_one_odometer_stage_constructor():
 
 def test_the_cli_has_one_json_writer():
     assert [s for s in _call_sites("dumps") if s.startswith("cli.py")] == []
+
+
+def test_clear_builder_memos_clears_every_builder_memo(monkeypatch):
+    # each module-level object with a cache_clear, an lru_cache, is one
+    # memo, wherever it is bound; clear_builder_memos must clear it
+    memos = {id(m): m for mod in (specbuild, systems)
+             for m in vars(mod).values() if hasattr(m, "cache_clear")}
+    assert len(memos) >= 4
+    cleared = []
+    for memo in memos.values():
+        monkeypatch.setattr(memo, "cache_clear",
+                            lambda _m=memo: cleared.append(id(_m)))
+    clear_builder_memos()
+    assert sorted(cleared) == sorted(memos)

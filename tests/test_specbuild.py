@@ -34,6 +34,7 @@ from circsys.systems import (CIRCULAR, FWD, REV, GroupActionTable,
                              odometer_sequence, skew_diagonal_extend,
                              with_classes)
 from circsys.trees import TreePrefix
+from circsys import words as words_module
 from circsys.words import Word
 from fixtures import (clear_builder_memos, entry, identity_action,
                       swap_side_action, unchecked_action)
@@ -307,16 +308,17 @@ class TestJMemo:
     def test_keys_separate_tolerance_and_eps(self):
         # one composition tuple under two values of each of eps, eps_var
         # and the tolerance, whose int and Fraction forms print apart
-        comps = build_attempt(SC, PLAN, seed=0, level=1).stage(1).compositions
-        slots = _slot_matrix(comps, 2)
+        built = build_attempt(SC, PLAN, seed=0, level=1)
+        packed = specbuild._stage_key(built, 0, J_TOLERANCE)[:3]
+        slots = _slot_matrix(built.stage(1).compositions, 2)
         q, e, h = Fraction(1, 4), Fraction(1, 8), Fraction(1, 2)
         variants = [(q, e, h), (e, e, h), (q, q, h), (q, e, Fraction(0)),
                     (q, e, Fraction(1)), (q, e, 1)]
         seen = set()
         for eps, eps_var, tol in variants * 2:
             numbers = map(specbuild._exact, (eps, eps_var, tol))
-            got = specbuild._stage_table(comps, 2, (None, None),
-                                         (None, None), *numbers)
+            got = specbuild._stage_table(*packed, (None, None), (None, None),
+                                         *numbers)
             assert (got.eps, got.eps_var, got.tol) == (eps, eps_var, tol)
             assert type(got.tol) is type(tol)
             want = _check_J10_J10_1(slots, 2, eps, eps_var, tol)
@@ -404,6 +406,129 @@ class TestJMemo:
             whole[0, 0, 0] = 0
 
 
+class TestBatteryMemo:
+    """_battery keeps each check_specs battery's entries by all it reads."""
+
+    @staticmethod
+    def warm_then_cold(*builds, j=J_TOLERANCE):
+        """repr of check_specs on each of ``builds`` in turn, warm after
+        the ones before, then of each alone from cold memos."""
+        warm = [repr(check_specs(b, j)) for b in builds]
+        cold = []
+        for b in builds:
+            clear_builder_memos()
+            cold.append(repr(check_specs(b, j)))
+        return warm, cold
+
+    @pytest.mark.parametrize("seed, j", [
+        (296, Fraction(1)),     # the gate stops at E3@0
+        (4, Fraction(1)),       # at E3@1
+        (1, Fraction(0)),       # at J10@0, before J10.1, J11 and J11.1
+    ])
+    def test_a_resumed_battery_equals_a_cold_one(self, seed, j):
+        # the gate stops attempt 0 at its first failure, and the exhausted
+        # budget's full check_specs of it resumes that stage's battery
+        sc = groups_from_tree(
+            TestEarlyRejection.REJECTED_TREE.members_in_order()[:4])
+        with mock.patch.object(specbuild, "RETRY_BUDGET", 1):
+            with pytest.raises(BuildError) as exc:
+                build_words(sc, TREE_PLAN, seed, 3, j_tolerance=j)
+        warm = exc.value.report
+        stop = next(e for e in warm.entries if e.status == "fail")
+        assert stop is not warm.entries[-1]
+        assert specbuild._battery.cache_info().hits >= 1
+        clear_builder_memos()
+        cold = check_specs(build_attempt(sc, TREE_PLAN, seed, 3), j)
+        assert repr(warm) == repr(cold)
+
+    def test_n_splits_the_memo(self):
+        # stage 0 of a build on the base texts 01 and 10 and stage 1 of one
+        # whose stage-1 words are 01 and 10 read equal words, compositions,
+        # classes, numbers and class counts; only n, which labels, differs.
+        # The first build's E3@0 refuses its 2-symbol stage-0 words
+        plan = desk_plan(kl=((2, 2),) * 3, eps_lunate=(Fraction(1, 8),) * 3,
+                         eps_classic=(Fraction(1, 4),) * 3)
+        comps = [(0, 1), (1, 0)]
+        first = BuiltSequence(odometer_sequence(plan, ["01", "10"], [comps]),
+                              (None,) * 2)
+        second = BuiltSequence(odometer_sequence(plan, "01", [comps, comps]),
+                               (None,) * 3)
+        assert first.stage(0).words == second.stage(1).words
+        with pytest.raises(SequenceError, match="not all of length"):
+            check_specs(first)
+        warm = check_specs(second)
+        assert [e.spec_id[e.spec_id.index("@"):] for e in warm.entries] == \
+            ["@0"] * 13 + ["@1"] * 13
+        clear_builder_memos()
+        assert repr(check_specs(second)) == repr(warm)
+
+    def test_stage_words_split_the_memo(self):
+        # two builds alike but for their stage-1 words: E3@1 finds an
+        # offset parse at 2 in the first and at 1 in the second
+        builds = [hand_built("01", c1, [(0, 0), (1, 1)]) for c1 in (
+            [(0, 1, 1, 0), (1, 0, 0, 1)], [(0, 1, 0, 1), (1, 0, 1, 0)])]
+        offsets = [entry(check_specs(b), "E3@1").witness["offset"]
+                   for b in builds]
+        assert offsets == [2, 1]
+        warm, cold = self.warm_then_cold(*builds)
+        assert warm == cold
+
+    def test_class_count_splits_the_memo(self):
+        # one build under a plan whose stage-1 e is 1 and under one where it
+        # is 2: Q6@0 expects 2 classes, then 4
+        built = build_attempt(SC, PLAN, seed=0, level=1)
+        other = replace(built, seq=replace(built.seq, plan=desk_plan(
+            kl=((64, 4), (2, 2)), e=(1, 2),
+            eps_lunate=(Fraction(1, 4), Fraction(1, 8)))))
+        assert [entry(check_specs(b), "Q6@0").status
+                for b in (built, other)] == ["pass", "fail"]
+        warm, cold = self.warm_then_cold(built, other)
+        assert warm == cold
+
+    def test_families_past_the_cap_do_not_share_an_entry(self, monkeypatch):
+        # under a cap of 2 no stage-1 word of either build is written out,
+        # so a key of materialize() texts, None each, would merge them
+        monkeypatch.setattr(words_module, "MATERIALIZE_CAP", 2)
+        builds = [hand_built("01", c1, [(0, 1), (1, 0)]) for c1 in (
+            [(0, 1, 1, 0), (1, 0, 0, 1)], [(0, 0, 1, 1), (1, 1, 0, 0)])]
+        for b in builds:
+            assert b.stage(1).words[0].materialize() is None
+            with pytest.raises(SequenceError, match="MATERIALIZE_CAP = 2"):
+                check_specs(b)
+        assert specbuild._battery.cache_info().currsize == 4
+
+    def test_words_past_the_cap_are_refused_by_name(self, monkeypatch):
+        # E3 and Q4 read stage-n texts: past the cap check_specs raised a
+        # TypeError from len(None); it now names the cap
+        built = hand_built("01", [(0, 1, 1, 0), (1, 0, 0, 1)],
+                           [(0, 1), (1, 0)])
+        monkeypatch.setattr(words_module, "MATERIALIZE_CAP", 3)
+        with pytest.raises(SequenceError, match="stage-1 words exceed "
+                           "MATERIALIZE_CAP = 3"):
+            check_specs(built)
+        monkeypatch.setattr(words_module, "MATERIALIZE_CAP", 4)
+        assert check_specs(built).entries
+
+    def test_a_shared_witness_is_read_only(self):
+        # a hit hands both reports one entry, whose witness no caller can
+        # change; a caller's dict is copied, not kept
+        built = build_attempt(SC, PLAN, seed=0, level=1)
+        first, second = (check_specs(built, Fraction(0)) for _ in range(2))
+        failed = entry(first, "J10@0")
+        assert failed is entry(second, "J10@0") and failed.witness
+        want = dict(failed.witness)
+        with pytest.raises(TypeError):
+            failed.witness["u"] = -1
+        with pytest.raises(TypeError):
+            entry(first, "E1@0").witness["x"] = 1
+        assert dict(entry(second, "J10@0").witness) == want
+        assert entry(second, "E1@0").witness == {}
+        mine = {"x": 1}
+        made = SpecEntry("X", "fail", witness=mine)
+        mine["x"] = 2
+        assert made.witness == {"x": 1}
+
+
 class TestReports:
     def test_entry_ids_cover_families(self):
         built = build_words(SC, PLAN, seed=0, level=1)
@@ -427,12 +552,14 @@ class TestReports:
         assert {e["spec"] for e in doc} == \
             {e.spec_id for e in built.report.entries}
 
-    def test_stage_words_written_out_once_per_battery(self, monkeypatch):
+    def test_stage_words_written_out_at_most_once_per_battery(
+            self, monkeypatch):
         # check_specs writes out no stage-(n+1) word: E3 and Q4 read stage
         # n + 1's compositions and one text of each stage-n word per
         # battery, so on the k = 1024 build the CLI gates and on a level-3
         # build no top-stage word is written out, in the gate or in
-        # check_specs, and check_specs writes each lower one out once
+        # check_specs.  From cold memos check_specs writes each lower one
+        # out once; after the gate, whose batteries it hits, not at all
         written = []
 
         def materialize(self, *args, _f=Word.materialize):
@@ -441,17 +568,20 @@ class TestReports:
         monkeypatch.setattr(Word, "materialize", materialize)
         plan = desk_plan(kl=((1024, 4), (2, 2)),
                          eps_lunate=(Fraction(1, 4), Fraction(1, 8)))
-        for built, j in ((build_words(SC, plan, seed=0, level=1), J_TOLERANCE),
-                         (build_words(SC, TREE_PLAN, seed=4, level=3,
-                                      j_tolerance=Fraction(1)), Fraction(1))):
+        for args, j in (((SC, plan, 0, 1), J_TOLERANCE),
+                        ((SC, TREE_PLAN, 4, 3), Fraction(1))):
+            built = build_words(*args, j_tolerance=j)
             top = built.stage(built.depth).words
             assert not any(w is x for w in top for x in written)
-            written.clear()
-            assert check_specs(built, j).ok()
-            for n in range(built.depth + 1):
-                assert [sum(w is x for x in written)
-                        for w in built.stage(n).words] == \
-                    [int(n < built.depth)] * built.stage(n).size
+            for cold in (False, True):
+                if cold:
+                    clear_builder_memos()
+                written.clear()
+                assert check_specs(built, j).ok()
+                for n in range(built.depth + 1):
+                    assert [sum(w is x for x in written)
+                            for w in built.stage(n).words] == \
+                        [int(cold and n < built.depth)] * built.stage(n).size
 
 
 class TestGamma:
